@@ -506,9 +506,8 @@ let par_scaling () =
   row "(homomorphic prefix per partition, partial sums combined by Agg*)\n"
 
 (* PR 5: partitioned partial aggregation [Agg_i / Agg-star] vs
-   sequential on a filtered Average — the decomposed (sum, count) pair
-   path through Par.scalar_auto, not the same-typed split_scalar legacy
-   path. *)
+   sequential on a filtered Average — the (sum, count) pair partial that
+   Par.decompose builds, run through Par.scalar_auto. *)
 let par_agg_measurements () =
   let n = scaled 10_000_000 in
   let xs = uniform_floats n in

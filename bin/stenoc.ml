@@ -447,35 +447,28 @@ let cmd_cost name n reps =
       let _, ms = time (fun () -> for _ = 1 to reps do ignore (run ()) done) in
       Printf.printf "%d runs: %.2f ms\n" reps ms
     in
-    (match demo with
-    | Collection { build; _ } ->
-      let q = build n in
-      let key = Steno.Cost.plan_key ~optimize:true (fst (Opt.query_ev q)) in
-      let p1 = Steno.Engine.prepare eng q in
+    let both_prepares root prepare =
+      let key = Steno.Cost.plan_key ~optimize:true (fst (Opt.plan_ev root)) in
+      let p1 = prepare () in
       describe_prep "first prepare (static priors)"
         (Steno.Prepared.rewrite_log p1)
         (Steno.Prepared.decisions p1);
       timed_runs (fun () -> Steno.Prepared.run p1);
       describe_store key;
-      let p2 = Steno.Engine.prepare eng q in
+      let p2 = prepare () in
       describe_prep "second prepare (observed statistics)"
         (Steno.Prepared.rewrite_log p2)
         (Steno.Prepared.decisions p2);
       timed_runs (fun () -> Steno.Prepared.run p2)
+    in
+    (match demo with
+    | Collection { build; _ } ->
+      let q = build n in
+      both_prepares (Query.Rows q) (fun () -> Steno.Engine.prepare eng q)
     | Scalar { build; _ } ->
       let sq = build n in
-      let key = Steno.Cost.scalar_key ~optimize:true (fst (Opt.scalar_ev sq)) in
-      let p1 = Steno.Engine.prepare_scalar eng sq in
-      describe_prep "first prepare (static priors)"
-        (Steno.Prepared_scalar.rewrite_log p1)
-        (Steno.Prepared_scalar.decisions p1);
-      timed_runs (fun () -> Steno.Prepared_scalar.run p1);
-      describe_store key;
-      let p2 = Steno.Engine.prepare_scalar eng sq in
-      describe_prep "second prepare (observed statistics)"
-        (Steno.Prepared_scalar.rewrite_log p2)
-        (Steno.Prepared_scalar.decisions p2);
-      timed_runs (fun () -> Steno.Prepared_scalar.run p2));
+      both_prepares (Query.Scalar sq) (fun () ->
+          Steno.Engine.prepare_scalar eng sq));
     0
 
 (* Exercise a profiling engine across the demo gallery and dump the

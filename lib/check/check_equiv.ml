@@ -340,22 +340,19 @@ let effects_obligation before after =
 (* ------------------------------------------------------------------ *)
 (* Entry points. *)
 
-let validate_query ?(laws = laws) ~before ~after events =
-  List.map (obligation_of laws) events
-  @ [
-      effects_obligation (Check_flow.applies before) (Check_flow.applies after);
-      flow_obligation (Check_flow.props before) (Check_flow.props after);
-    ]
+let applies : type r. r Query.root -> int = function
+  | Query.Rows q -> Check_flow.applies q
+  | Query.Scalar sq -> Check_flow.applies_sq sq
 
-let validate_scalar ?(laws = laws) ~before ~after events =
+let props : type r. r Query.root -> Check_flow.props = function
+  | Query.Rows q -> Check_flow.props q
+  | Query.Scalar sq -> Check_flow.scalar_props sq
+
+let validate ?(laws = laws) ~before ~after events =
   List.map (obligation_of laws) events
   @ [
-      effects_obligation
-        (Check_flow.applies_sq before)
-        (Check_flow.applies_sq after);
-      flow_obligation
-        (Check_flow.scalar_props before)
-        (Check_flow.scalar_props after);
+      effects_obligation (applies before) (applies after);
+      flow_obligation (props before) (props after);
     ]
 
 let validate_chain ?(laws = laws) ~before ~after events =

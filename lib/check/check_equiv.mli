@@ -4,10 +4,10 @@
     {!fact}s capturing the sub-terms whose static properties justified
     it (the dropped predicate, the statically-empty input, the
     sortedness witness, ...).  After the fixpoint the engine calls
-    {!validate_query}/{!validate_scalar} with the plans before and
-    after; each event is discharged against the {!laws} table, whose
-    side conditions re-run the purity, interval and {!Check_flow}
-    analyses on the captured terms — the optimizer is never trusted.
+    {!validate} with the plan before and after; each event is
+    discharged against the {!laws} table, whose side conditions re-run
+    the purity, interval and {!Check_flow} analyses on the captured
+    terms — the optimizer is never trusted.
     Two whole-plan invariants ride along: no host-function application
     site may be duplicated, and the flow properties of the two plans
     must not contradict.
@@ -58,22 +58,15 @@ val laws : law list
     conditions; deletion rules re-prove the interval/purity facts;
     property-driven rules re-run {!Check_flow} on the captured input. *)
 
-val validate_query :
+val validate :
   ?laws:law list ->
-  before:'a Query.t ->
-  after:'a Query.t ->
+  before:'r Query.root ->
+  after:'r Query.root ->
   event list ->
   obligation list
 (** One obligation per event, in log order, followed by the
     no-effect-duplication and flow-compatibility plan invariants.
     [?laws] substitutes the law table (for tests). *)
-
-val validate_scalar :
-  ?laws:law list ->
-  before:'s Query.sq ->
-  after:'s Query.sq ->
-  event list ->
-  obligation list
 
 val validate_chain :
   ?laws:law list ->

@@ -47,5 +47,5 @@ type combinability =
   | Not_combinable of string
 
 val aggregate_combinability : 's Query.sq -> combinability
-(** Agrees with {!Par.split_scalar}: exactly the [Combinable]
+(** Agrees with {!Par.decompose}: exactly the [Combinable]
     aggregates can be split (given a reroutable source). *)

@@ -614,8 +614,8 @@ and gen_nested_scalar ctx frame nenv elem (ns : Quil.nested_scalar) =
     raise (Invalid_chain "nested Trans/Pred sub-query must end in Agg")
 
 let generate ?probe chain =
-  (match Quil.validate chain with
-  | Ok () -> ()
+  (match Check_pda.accepts chain with
+  | Ok _ -> ()
   | Error msg -> raise (Invalid_chain msg));
   let ctx =
     {

@@ -448,16 +448,16 @@ let pred_label (l : (_, bool) Expr.lam) =
   let s = Buffer.contents ctx.buf in
   if String.length s <= 48 then s else String.sub s 0 45 ^ "..."
 
-let plan_key ~optimize q =
+let plan_key (type r) ~optimize (r : r Query.root) =
   let ctx = fpctx_create () in
-  fp_str ctx (if optimize then "O1:Q:" else "O0:Q:");
-  fp_query ctx q;
-  Buffer.contents ctx.buf
-
-let scalar_key ~optimize sq =
-  let ctx = fpctx_create () in
-  fp_str ctx (if optimize then "O1:S:" else "O0:S:");
-  fp_sq ctx sq;
+  fp_str ctx (if optimize then "O1:" else "O0:");
+  (match r with
+  | Query.Rows q ->
+    fp_str ctx "Q:";
+    fp_query ctx q
+  | Query.Scalar sq ->
+    fp_str ctx "S:";
+    fp_sq ctx sq);
   Buffer.contents ctx.buf
 
 (* ------------------------------------------------------------------ *)

@@ -50,12 +50,11 @@ val pred_label : ('a, bool) Expr.lam -> string
     rendering of the digest), for decision strings and [stenoc cost]
     output. *)
 
-val plan_key : optimize:bool -> 'a Query.t -> string
-(** Fingerprint of a collection plan, prefixed with the optimizer flag
-    (an engine with [optimize = false] must not consume statistics
-    observed under the rewritten plan, and vice versa). *)
-
-val scalar_key : optimize:bool -> 's Query.sq -> string
+val plan_key : optimize:bool -> 'r Query.root -> string
+(** Fingerprint of a plan, prefixed with the optimizer flag (an engine
+    with [optimize = false] must not consume statistics observed under
+    the rewritten plan, and vice versa) and the plan kind ([Q:] rows,
+    [S:] scalar). *)
 
 (** {1 Recording} *)
 

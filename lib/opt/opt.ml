@@ -411,18 +411,21 @@ let run_fix ~fuel step x =
   in
   loop fuel x []
 
-let query_ev ?(fuel = default_fuel) q = run_fix ~fuel pass q
-let scalar_ev ?(fuel = default_fuel) sq = run_fix ~fuel pass_sq sq
+let plan_ev : type r. ?fuel:int -> r Query.root -> r Query.root * event list
+    =
+ fun ?(fuel = default_fuel) -> function
+  | Query.Rows q ->
+    let q, evs = run_fix ~fuel pass q in
+    Query.Rows q, evs
+  | Query.Scalar sq ->
+    let sq, evs = run_fix ~fuel pass_sq sq in
+    Query.Scalar sq, evs
 
 let names evs = List.map (fun e -> e.ev_rule) evs
 
-let query ?fuel q =
-  let q, evs = query_ev ?fuel q in
-  q, names evs
-
-let scalar ?fuel sq =
-  let sq, evs = scalar_ev ?fuel sq in
-  sq, names evs
+let plan ?fuel r =
+  let r, evs = plan_ev ?fuel r in
+  r, names evs
 
 (* ------------------------------------------------------------------ *)
 (* The adaptive (statistics-driven) pass.
@@ -662,8 +665,15 @@ and adapt_sq :
     let sq, l = adapt_sq sq in
     Query.Map_scalar (sq, f), l
 
-let adaptive_query_ev e ~split q = adapt e ~split q
-let adaptive_scalar_ev e ~split sq = adapt_sq e ~split sq
+let adaptive_ev : type r.
+    estimator -> split:bool -> r Query.root -> r Query.root * event list =
+ fun e ~split -> function
+  | Query.Rows q ->
+    let q, evs = adapt e ~split q in
+    Query.Rows q, evs
+  | Query.Scalar sq ->
+    let sq, evs = adapt_sq e ~split sq in
+    Query.Scalar sq, evs
 
 (* ------------------------------------------------------------------ *)
 (* The string-level pass over the canonicalized QUIL chain. *)

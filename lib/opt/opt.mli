@@ -21,10 +21,10 @@
     The optimizer is {e checked}, not trusted: every firing is logged as
     a {!Check_equiv.event} carrying the sub-terms that justified it, and
     the engine discharges the log against {!Check_equiv.laws} after the
-    fixpoint.  {!query}/{!scalar}/{!chain} keep the plain rule-name log
-    for display; the [_ev] variants expose the full events.
+    fixpoint.  {!plan}/{!chain} keep the plain rule-name log for
+    display; the [_ev] variants expose the full events.
 
-    {b AST rules} (applied by {!query} / {!scalar}):
+    {b AST rules} (applied by {!plan}, to row and scalar plans alike):
     - [where-fuse]: [Where p ∘ Where q] → one [Where] testing [p] then [q]
       (short-circuit preserved);
     - [select-fuse]: [Select f ∘ Select g] → one [Select] of the [Let]-bound
@@ -58,7 +58,7 @@
       source is statically empty (after a collapsing rewrite) becomes the
       empty source of its element type;
     - [stats-where-reorder]: (adaptive pass only, see
-      {!adaptive_query_ev}) pure conjuncts of a fused filter are re-sorted
+      {!adaptive_ev}) pure conjuncts of a fused filter are re-sorted
       most-selective-first by measured selectivity.
 
     {b QUIL chain rules} (applied by {!chain} to the canonicalized form):
@@ -76,22 +76,19 @@ type event = Check_equiv.event = {
   ev_facts : Check_equiv.fact list;
 }
 
-val query : ?fuel:int -> 'a Query.t -> 'a Query.t * string list
-(** [query q] is the rewritten query together with the names of the rules
-    applied, in application order (one entry per firing, so a rule fusing
-    three stacked [Where]s appears twice). *)
-
-val scalar : ?fuel:int -> 's Query.sq -> 's Query.sq * string list
+val plan : ?fuel:int -> 'r Query.root -> 'r Query.root * string list
+(** [plan r] is the rewritten plan, of the same kind, together with the
+    names of the rules applied, in application order (one entry per
+    firing, so a rule fusing three stacked [Where]s appears twice). *)
 
 val chain : ?fuel:int -> Quil.chain -> Quil.chain * string list
 (** The string-level pass over the canonicalized QUIL chain, recursing
     into nested sub-chains. *)
 
-val query_ev : ?fuel:int -> 'a Query.t -> 'a Query.t * event list
-(** As {!query}, with the rewrite events the translation validator
+val plan_ev : ?fuel:int -> 'r Query.root -> 'r Query.root * event list
+(** As {!plan}, with the rewrite events the translation validator
     consumes. *)
 
-val scalar_ev : ?fuel:int -> 's Query.sq -> 's Query.sq * event list
 val chain_ev : ?fuel:int -> Quil.chain -> Quil.chain * event list
 
 val rule_names : string list
@@ -102,7 +99,7 @@ val rule_names : string list
 
     A second, statistics-driven pass the engine runs after the syntactic
     fixpoint when [Config.with_adaptive] is set.  It never fires from
-    {!query}/{!scalar}: the estimator is engine state (the [Steno.Cost]
+    {!plan}: the estimator is engine state (the [Steno.Cost]
     store plus static priors), so the pass is a separate entry point. *)
 
 type estimator = { est : 'a. ('a, bool) Expr.lam -> float }
@@ -110,8 +107,8 @@ type estimator = { est : 'a. ('a, bool) Expr.lam -> float }
     [[0, 1]].  Supplied by the engine — observed statistics when the
     plan has run under profiling, static priors otherwise. *)
 
-val adaptive_query_ev :
-  estimator -> split:bool -> 'a Query.t -> 'a Query.t * event list
+val adaptive_ev :
+  estimator -> split:bool -> 'r Query.root -> 'r Query.root * event list
 (** Reorder the pure conjuncts of every fused [Where] in the plan,
     cheapest (most selective) first, per the estimator.  Impure
     conjunct chains never move.  Each inverted pair is logged as a
@@ -120,9 +117,6 @@ val adaptive_query_ev :
     pure filters as stacked single-predicate [Where]s so a profiled run
     observes each conjunct's selectivity separately (semantically the
     inverse of [where-fuse]; no event is logged for the split itself). *)
-
-val adaptive_scalar_ev :
-  estimator -> split:bool -> 's Query.sq -> 's Query.sq * event list
 
 (** {1 Test hook}
 

@@ -393,60 +393,6 @@ let run_decomposed (type row p r) ?engine ?backend ?workers
   in
   d.project merged
 
-(* Legacy same-typed split (partial state = result).  Superseded by
-   {!decompose}, kept for callers that need the simpler shape. *)
-type 's split =
-  | Split : {
-      source_ty : 'a Ty.t;
-      source : 'a array;
-      rebuild : 'a array -> 's Query.sq;
-      combine : 's -> 's -> 's;
-    }
-      -> 's split
-
-let split_scalar (type s) (sq : s Query.sq) : s split option =
-  let mk (type a) (q : a Query.t) (wrap : a Query.t -> s Query.sq)
-      (combine : s -> s -> s) : s split option =
-    match reroot q with
-    | None -> None
-    | Some (Rerooted r) ->
-      Some
-        (Split
-           {
-             source_ty = r.ty;
-             source = r.arr;
-             rebuild = (fun a -> wrap (r.rebuild a));
-             combine;
-           })
-  in
-  match sq with
-  | Query.Sum_int q -> mk q (fun q -> Query.Sum_int q) ( + )
-  | Query.Sum_float q -> mk q (fun q -> Query.Sum_float q) ( +. )
-  | Query.Count q -> mk q (fun q -> Query.Count q) ( + )
-  | Query.Min q -> mk q (fun q -> Query.Min q) min
-  | Query.Max q -> mk q (fun q -> Query.Max q) max
-  | Query.Min_by (q, key) ->
-    let k = Expr.stage key in
-    mk q
-      (fun q -> Query.Min_by (q, key))
-      (fun a b -> if k b < k a then b else a)
-  | Query.Max_by (q, key) ->
-    let k = Expr.stage key in
-    mk q
-      (fun q -> Query.Max_by (q, key))
-      (fun a b -> if k b > k a then b else a)
-  | Query.Any q -> mk q (fun q -> Query.Any q) ( || )
-  | Query.Exists (q, lam) -> mk q (fun q -> Query.Exists (q, lam)) ( || )
-  | Query.For_all (q, lam) -> mk q (fun q -> Query.For_all (q, lam)) ( && )
-  | Query.Contains (q, v) -> mk q (fun q -> Query.Contains (q, v)) ( || )
-  | Query.Aggregate_combinable (q, seed, step, c) ->
-    mk q (fun q -> Query.Aggregate (q, seed, step)) c
-  (* Partial and result states differ ({!decompose} handles these) or no
-     associative structure is known. *)
-  | Query.Aggregate _ | Query.Aggregate_full _ | Query.Average _
-  | Query.First _ | Query.Last _ | Query.Element_at _ | Query.Map_scalar _ ->
-    None
-
 (* Partition count for the auto helpers.  The historical default is one
    chunk per worker; an engine with adaptive optimization enabled sizes
    chunks from the input length instead ([Cost.partitions_for_rows]), so

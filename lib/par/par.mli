@@ -87,8 +87,9 @@ type 'r decomposed =
 val decompose : 'r Query.sq -> 'r decomposed option
 (** Analyze a scalar query: if it is a homomorphic prefix over a
     captured array source ending in a decomposable aggregate, return the
-    partitioned execution plan.  Covers the same-typed aggregates of
-    {!split_scalar} plus [Average] (a [(sum, count)] pair partial),
+    partitioned execution plan.  Covers the same-typed aggregates
+    ([Sum_int]/[Sum_float]/[Count]/[Min]/[Max]/[Min_by]/[Max_by]) plus
+    [Average] (a [(sum, count)] pair partial),
     [First]/[Last] (leftmost/rightmost non-empty partial),
     short-circuiting [Any]/[Exists]/[Contains]/[For_all], user
     aggregates declared combinable with [Query.aggregate ?combine], and
@@ -107,22 +108,6 @@ val run_decomposed :
     pool (compiled once, shared), then the [Agg*] merge — timed under an
     ["agg-merge"] span and the [steno_agg_merge_ms] histogram — and the
     final projection. *)
-
-type 's split =
-  | Split : {
-      source_ty : 'a Ty.t;
-      source : 'a array;
-      rebuild : 'a array -> 's Query.sq;
-          (** The per-partition subquery: the original query with its
-              source replaced by a partition. *)
-      combine : 's -> 's -> 's;  (** The [Agg*] operator. *)
-    }
-      -> 's split
-
-val split_scalar : 's Query.sq -> 's split option
-(** The legacy same-typed analysis (partial state = result type),
-    superseded by {!decompose}: [None] for [Average]/[First]/[Last]/
-    [Map_scalar] even though those decompose. *)
 
 val scalar_auto :
   ?engine:Steno.Engine.t ->

@@ -61,6 +61,8 @@ and _ sq =
   | Contains : 'a t * 'a Expr.t -> bool sq
   | Map_scalar : 's sq * ('s, 'r) Expr.lam -> 'r sq
 
+type _ root = Rows : 'a t -> 'a array root | Scalar : 's sq -> 's root
+
 let rec elem_ty : type a. a t -> a Ty.t = function
   | Of_array (ty, _) -> ty
   | Range (_, _) -> Ty.Int

@@ -100,6 +100,13 @@ and _ sq =
       (** Apply a function to a scalar query's result (e.g. combine a
           subquery aggregate with the enclosing element). *)
 
+(** A whole plan, indexed by what running it returns: a collection query
+    yields its rows, a scalar query its value.  QUIL has one plan kind —
+    a chain ends in [Ret] or [Agg Ret] and one automaton accepts both —
+    and the engine's preparation pipeline is written once over this
+    type. *)
+type _ root = Rows : 'a t -> 'a array root | Scalar : 's sq -> 's root
+
 val elem_ty : 'a t -> 'a Ty.t
 (** The element type of a collection query, synthesized structurally. *)
 

@@ -91,45 +91,6 @@ let returns_scalar chain =
   | Agg _ :: _ -> true
   | _ -> false
 
-(* Grammar check, mirroring the FSM of Fig. 4: Agg may only be the last
-   symbol before Ret; everything else may chain freely. *)
-let rec validate chain =
-  let rec go = function
-    | [] -> Ok ()
-    | Agg _ :: (_ :: _ as rest) ->
-      Error
-        (Printf.sprintf
-           "Agg must be the penultimate symbol (followed only by Ret), but \
-            %d operators follow it"
-           (List.length rest))
-    | Agg _ :: [] -> Ok ()
-    | Trans _ :: rest | Trans_idx _ :: rest | Pred _ :: rest
-    | Pred_idx _ :: rest | Pred_stateful _ :: rest | Sink _ :: rest ->
-      go rest
-    | Trans_nested n :: rest | Pred_nested n :: rest -> (
-      match validate n.inner_s with
-      | Error _ as e -> e
-      | Ok () ->
-        if returns_scalar n.inner_s then go rest
-        else Error "nested Trans/Pred sub-query must return a scalar \
-                    (end in Agg)")
-    | Nested n :: rest -> (
-      match validate n.inner with
-      | Error _ as e -> e
-      | Ok () ->
-        if returns_scalar n.inner then
-          Error "SelectMany sub-query must return a collection, not a scalar"
-        else go rest)
-    | Hash_join j :: rest -> (
-      match validate j.join_inner with
-      | Error _ as e -> e
-      | Ok () ->
-        if returns_scalar j.join_inner then
-          Error "hash-join build side must be a collection"
-        else go rest)
-  in
-  go chain.ops
-
 let rec symbol_string chain =
   String.concat " " (("Src" :: List.map op_symbol chain.ops) @ [ "Ret" ])
 

@@ -136,12 +136,6 @@ val returns_scalar : chain -> bool
 (** True iff the chain's last operator is an [Agg] (the query returns a
     scalar, so [Ret] follows an [Agg] symbol). *)
 
-val validate : chain -> (unit, string) result
-(** Check the chain against the QUIL grammar (Fig. 4):
-    [(query) ::= Src (Trans | Pred | Sink | (query))* Agg? Ret],
-    recursively for nested chains; nested scalar chains must end in
-    [Agg]. *)
-
 val symbol_string : chain -> string
 (** Flat rendering of the QUIL sentence, nested chains bracketed, e.g.
     ["Src Trans [Src Trans Agg Ret] Agg Ret"].  Sink symbols carry their

@@ -138,8 +138,9 @@ let fused_probe_wrapper pr : Fused.wrapper =
             });
   }
 
-(* Collection and scalar preparations share one representation; the
-   public ['a prepared] / ['s prepared_scalar] are typed views of it. *)
+(* One representation for every preparation, indexed by what a run
+   returns: ['a prepared] is ['a array prep], ['s prepared_scalar] is
+   ['s prep]. *)
 type 'r prep = {
   run_fn : unit -> 'r;
   p_info : compile_info;
@@ -168,6 +169,20 @@ exception Check_failed of Check.diagnostic list
 type 'a prepared = 'a array prep
 type 's prepared_scalar = 's prep
 
+module Prepared = struct
+  type 'r t = 'r prep
+
+  let run p = p.run_fn ()
+  let backend_used p = Atomic.get p.p_tier
+  let compile_info p = p.p_info
+  let rewrite_log p = p.p_rules
+  let diagnostics p = p.p_diags
+  let profile p = Option.map profile_snapshot p.p_profile
+  let decisions p = p.p_decisions
+end
+
+module Prepared_scalar = Prepared
+
 let now_ms = Telemetry.now_ms
 
 (* Map the generated code's empty-sequence failure back to the exception
@@ -179,14 +194,12 @@ let translate_exn : exn -> exn = function
     Iterator.No_such_element
   | e -> e
 
-(* How each backend stages one query, packaged so the engine's prepare
-   logic (timing, caching, fallback, telemetry) exists once for both
-   collection and scalar queries. *)
+(* How each backend stages one plan, packaged so the engine's prepare
+   logic (timing, caching, fallback, telemetry) exists once. *)
 type 'r plan = {
   stage_linq : ?probe:Metrics.Probe.t -> Telemetry.sink -> unit -> 'r;
   stage_fused : ?probe:Metrics.Probe.t -> Telemetry.sink -> unit -> 'r;
   chain : Telemetry.sink -> Quil.chain;
-  of_raw : Obj.t -> 'r;
 }
 
 let linq_wrapper = function
@@ -197,67 +210,160 @@ let fused_wrapper = function
   | None -> Fused.unprobed
   | Some pr -> fused_probe_wrapper pr
 
-let query_plan (q : 'a Query.t) : 'a array plan =
+(* {2 Per-kind dispatch}
+
+   The engine prepares, checks, explains and verifies a ['r Query.root]
+   through one pipeline; everything that differs between a row plan and
+   a scalar plan is one of the functions in this block.  The stage
+   libraries they call recurse structurally over the two mutually
+   recursive AST types, which is why each has one entry point per
+   kind. *)
+
+let canon_of : type r. r Query.root -> Quil.chain = function
+  | Query.Rows q -> Canon.of_query q
+  | Query.Scalar sq -> Canon.of_scalar sq
+
+let lint : type r. r Query.root -> Check.diagnostic list = function
+  | Query.Rows q -> Check.query q
+  | Query.Scalar sq -> Check.scalar sq
+
+let flow_annotations : type r.
+    r Query.root -> (string * Check_flow.props) list = function
+  | Query.Rows q -> Check_flow.annotate q
+  | Query.Scalar sq -> Check_flow.annotate_scalar sq
+
+(* The flow analysis's bound on a plan's output rows, the prior for the
+   cost-based backend choice.  A scalar plan has none: the aggregate's
+   own cardinality is one, so only observed source rows can justify
+   skipping the native dispatch. *)
+let static_rows : type r. r Query.root -> int option = function
+  | Query.Rows q -> ((Check_flow.props q).Check_flow.card).Check_purity.hi
+  | Query.Scalar _ -> None
+
+let result_rows : type r. r Query.root -> r -> int option =
+ fun r result ->
+  match r with
+  | Query.Rows _ -> Some (Array.length result)
+  | Query.Scalar _ -> None
+
+let specialize : type r. r Query.root -> r Query.root = function
+  | Query.Rows q -> Query.Rows (Specialize.query q)
+  | Query.Scalar sq -> Query.Scalar (Specialize.scalar sq)
+
+let canon_of_specialized : type r. r Query.root -> Quil.chain = function
+  | Query.Rows q -> Canon.of_specialized q
+  | Query.Scalar sq -> Canon.of_specialized_scalar sq
+
+(* Staging returns the plan's run function: rows are collected into an
+   array, a scalar is the staged value itself. *)
+let stage_linq : type r. Linq.wrapper -> r Query.root -> unit -> r =
+ fun w -> function
+  | Query.Rows q ->
+    let staged = Linq.stage_probed w q in
+    fun () -> Enumerable.to_array (staged Expr.Open.empty)
+  | Query.Scalar sq ->
+    let staged = Linq.stage_sq_probed w sq in
+    fun () -> staged Expr.Open.empty
+
+let stage_fused : type r. Fused.wrapper -> r Query.root -> unit -> r =
+ fun w -> function
+  | Query.Rows q ->
+    let staged = Fused.stage_probed w q in
+    fun () -> Fused.materialize (staged Expr.Open.empty)
+  | Query.Scalar sq ->
+    let staged = Fused.stage_sq_probed w sq in
+    fun () -> staged Expr.Open.empty
+
+let plan_of (r : 'r Query.root) : 'r plan =
+  let specialized sink =
+    Telemetry.with_span sink "specialize" (fun () -> specialize r)
+  in
   {
     stage_linq =
       (fun ?probe sink ->
         let w = linq_wrapper probe in
-        let staged =
-          Telemetry.with_span sink "stage" (fun () -> Linq.stage_probed w q)
-        in
-        fun () -> Enumerable.to_array (staged Expr.Open.empty));
+        Telemetry.with_span sink "stage" (fun () -> stage_linq w r));
     stage_fused =
       (fun ?probe sink ->
         let w = fused_wrapper probe in
-        let spec =
-          Telemetry.with_span sink "specialize" (fun () -> Specialize.query q)
-        in
-        let staged =
-          Telemetry.with_span sink "stage" (fun () ->
-              Fused.stage_probed w spec)
-        in
-        fun () -> Fused.materialize (staged Expr.Open.empty));
+        let spec = specialized sink in
+        Telemetry.with_span sink "stage" (fun () -> stage_fused w spec));
     chain =
       (fun sink ->
-        let spec =
-          Telemetry.with_span sink "specialize" (fun () -> Specialize.query q)
-        in
-        Telemetry.with_span sink "canon" (fun () -> Canon.of_specialized spec));
-    of_raw = (fun r : _ array -> Obj.obj r);
+        let spec = specialized sink in
+        Telemetry.with_span sink "canon" (fun () -> canon_of_specialized spec));
   }
 
-let scalar_plan (sq : 's Query.sq) : 's plan =
-  {
-    stage_linq =
-      (fun ?probe sink ->
-        let w = linq_wrapper probe in
-        let staged =
-          Telemetry.with_span sink "stage" (fun () ->
-              Linq.stage_sq_probed w sq)
-        in
-        fun () -> staged Expr.Open.empty);
-    stage_fused =
-      (fun ?probe sink ->
-        let w = fused_wrapper probe in
-        let spec =
-          Telemetry.with_span sink "specialize" (fun () ->
-              Specialize.scalar sq)
-        in
-        let staged =
-          Telemetry.with_span sink "stage" (fun () ->
-              Fused.stage_sq_probed w spec)
-        in
-        fun () -> staged Expr.Open.empty);
-    chain =
-      (fun sink ->
-        let spec =
-          Telemetry.with_span sink "specialize" (fun () ->
-              Specialize.scalar sq)
-        in
-        Telemetry.with_span sink "canon" (fun () ->
-            Canon.of_specialized_scalar spec));
-    of_raw = Obj.obj;
-  }
+(* The recording schema for adaptive statistics: the probed operator
+   spine of the plan that will actually execute, in probe-point order
+   (source first), with each [Where]'s digest and the measured
+   selectivity this preparation assumed for it — [None] when the
+   assumption was only the static prior, so drift detection never fires
+   against a guess (a fresh query whose true selectivity is far from 0.5
+   is the expected case, not a stale plan).  Nested sub-plans (join
+   inner sides, subqueries) stage without probe points and are therefore
+   not walked. *)
+type rec_op = R_src | R_where of string * float option | R_other
+
+(* Like [Opt.estimator] but honest about provenance: [None] when the
+   store holds no observation for the predicate. *)
+type sel_oracle = { sel : 'a. ('a, bool) Expr.lam -> float option }
+
+let rec query_schema : type a. sel_oracle -> a Query.t -> rec_op list =
+ fun est q ->
+  match q with
+  | Query.Of_array _ | Query.Range _ | Query.Repeat _ -> [ R_src ]
+  | Query.Where (q0, p) ->
+    query_schema est q0 @ [ R_where (Cost.pred_digest p, est.sel p) ]
+  | Query.Select (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Select_i (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Select_q (q0, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Where_i (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Where_q (q0, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Take (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Skip (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Take_while (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Skip_while (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Select_many (q0, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Select_many_result (q0, _, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Join (outer, _, _, _, _) -> query_schema est outer @ [ R_other ]
+  | Query.Group_by (q0, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Group_by_elem (q0, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Group_by_agg (q0, _, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Order_by (q0, _, _) -> query_schema est q0 @ [ R_other ]
+  | Query.Distinct q0 -> query_schema est q0 @ [ R_other ]
+  | Query.Rev q0 -> query_schema est q0 @ [ R_other ]
+  | Query.Materialize q0 -> query_schema est q0 @ [ R_other ]
+
+(* A scalar query's probe points cover only its collection spine (the
+   aggregate itself gets no point), so its schema is the spine's. *)
+let rec sq_schema : type s. sel_oracle -> s Query.sq -> rec_op list =
+ fun est sq ->
+  match sq with
+  | Query.Aggregate (q, _, _) -> query_schema est q
+  | Query.Aggregate_full (q, _, _, _) -> query_schema est q
+  | Query.Aggregate_combinable (q, _, _, _) -> query_schema est q
+  | Query.Sum_int q -> query_schema est q
+  | Query.Sum_float q -> query_schema est q
+  | Query.Count q -> query_schema est q
+  | Query.Average q -> query_schema est q
+  | Query.Min q -> query_schema est q
+  | Query.Max q -> query_schema est q
+  | Query.Min_by (q, _) -> query_schema est q
+  | Query.Max_by (q, _) -> query_schema est q
+  | Query.First q -> query_schema est q
+  | Query.Last q -> query_schema est q
+  | Query.Element_at (q, _) -> query_schema est q
+  | Query.Any q -> query_schema est q
+  | Query.Exists (q, _) -> query_schema est q
+  | Query.For_all (q, _) -> query_schema est q
+  | Query.Contains (q, _) -> query_schema est q
+  | Query.Map_scalar (sq, _) -> sq_schema est sq
+
+let schema_of : type r. sel_oracle -> r Query.root -> rec_op list =
+ fun est -> function
+  | Query.Rows q -> query_schema est q
+  | Query.Scalar sq -> sq_schema est sq
 
 (* {1 Configuration} *)
 
@@ -826,7 +932,7 @@ module Engine = struct
               prof_run_ms = 0.0;
             }
       in
-      Ok ((fun () -> plan.of_raw (raw_run ())), info, prof)
+      Ok ((fun () -> Obj.obj (raw_run ())), info, prof)
 
   let prep_of_staged eng ~sink ~t0 ~requested ~actual ~fallback staged =
     let probe =
@@ -975,36 +1081,33 @@ module Engine = struct
     List.map (fun (e : Opt.event) -> e.Opt.ev_rule) events
 
   (* AST-level rewriting, as its own telemetry span, followed by
-     translation validation of the rewrite log.  [opt] is [Opt.query_ev]
-     or [Opt.scalar_ev] and [validate] the matching [Check.Equiv]
-     entry point, kept abstract so collection and scalar preparation
-     share this.
+     translation validation of the rewrite log.
 
      The optimizer is not trusted: every firing carries the facts that
      justified it, and the validator re-derives them on the captured
      terms.  An undischarged obligation rejects the optimized plan — the
      engine falls back to the plan as written (surfacing an [SC012]
      diagnostic) or, when [strict], refuses the preparation outright. *)
-  let optimize_verified eng opt validate q =
-    if not eng.cfg.optimize then Ok (q, [], [])
+  let optimize_verified eng r =
+    if not eng.cfg.optimize then Ok (r, [], [])
     else begin
       let sink = eng.cfg.telemetry in
-      let q', events =
+      let r', events =
         Telemetry.with_span sink "optimize"
           ~attrs:[ "level", "ast" ]
-          (fun () -> opt q)
+          (fun () -> Opt.plan_ev r)
       in
       Telemetry.count sink "optimize.rules_applied" (List.length events);
-      if events = [] then Ok (q', [], [])
+      if events = [] then Ok (r', [], [])
       else begin
         let obligations =
           Telemetry.with_span sink "verify"
             ~attrs:[ "level", "ast" ]
-            (fun () -> validate q q' events)
+            (fun () -> Check.Equiv.validate ~before:r ~after:r' events)
         in
         if Check.Equiv.accepted obligations then begin
           count_verify eng "accepted";
-          Ok (q', event_names events, [])
+          Ok (r', event_names events, [])
         end
         else begin
           count_verify eng "rejected";
@@ -1012,7 +1115,7 @@ module Engine = struct
             String.concat "; " (Check.Equiv.failures obligations)
           in
           let d = Check.rejected_rewrite detail in
-          if eng.cfg.strict then Error [ d ] else Ok (q, [], [ d ])
+          if eng.cfg.strict then Error [ d ] else Ok (r, [], [ d ])
         end
       end
     end
@@ -1071,7 +1174,7 @@ module Engine = struct
        under profiling, falling back to a static prior
        ([Check_purity.truth]: provably-true 1.0, provably-false 0.0,
        otherwise 0.5);
-     - [Opt.adaptive_query_ev] reorders fused pure conjuncts by those
+     - [Opt.adaptive_ev] reorders fused pure conjuncts by those
        estimates, logging one "stats-where-reorder" event per inverted
        pair — validated like any other rewrite (statistics pick among
        sound plans; they cannot make an unsound one acceptable);
@@ -1100,79 +1203,12 @@ module Engine = struct
           | None -> static_selectivity lam);
     }
 
-  (* The recording schema: the probed operator spine of the plan that
-     will actually execute, in probe-point order (source first), with
-     each [Where]'s digest and the measured selectivity this preparation
-     assumed for it — [None] when the assumption was only the static
-     prior, so drift detection never fires against a guess (a fresh
-     query whose true selectivity is far from 0.5 is the expected case,
-     not a stale plan).  Nested sub-plans (join inner sides, subqueries)
-     stage without probe points and are therefore not walked. *)
-  type rec_op = R_src | R_where of string * float option | R_other
-
-  (* Like [Opt.estimator] but honest about provenance: [None] when the
-     store holds no observation for the predicate. *)
-  type sel_oracle = { sel : 'a. ('a, bool) Expr.lam -> float option }
-
   let oracle_for eng ~key =
     {
       sel =
         (fun lam ->
           Cost.selectivity eng.cost ~key ~digest:(Cost.pred_digest lam));
     }
-
-  let rec query_schema : type a. sel_oracle -> a Query.t -> rec_op list =
-   fun est q ->
-    match q with
-    | Query.Of_array _ | Query.Range _ | Query.Repeat _ -> [ R_src ]
-    | Query.Where (q0, p) ->
-      query_schema est q0
-      @ [ R_where (Cost.pred_digest p, est.sel p) ]
-    | Query.Select (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Select_i (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Select_q (q0, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Where_i (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Where_q (q0, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Take (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Skip (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Take_while (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Skip_while (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Select_many (q0, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Select_many_result (q0, _, _, _) ->
-      query_schema est q0 @ [ R_other ]
-    | Query.Join (outer, _, _, _, _) -> query_schema est outer @ [ R_other ]
-    | Query.Group_by (q0, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Group_by_elem (q0, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Group_by_agg (q0, _, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Order_by (q0, _, _) -> query_schema est q0 @ [ R_other ]
-    | Query.Distinct q0 -> query_schema est q0 @ [ R_other ]
-    | Query.Rev q0 -> query_schema est q0 @ [ R_other ]
-    | Query.Materialize q0 -> query_schema est q0 @ [ R_other ]
-
-  (* A scalar query's probe points cover only its collection spine (the
-     aggregate itself gets no point), so its schema is the spine's. *)
-  let rec sq_schema : type s. sel_oracle -> s Query.sq -> rec_op list =
-   fun est sq ->
-    match sq with
-    | Query.Aggregate (q, _, _) -> query_schema est q
-    | Query.Aggregate_full (q, _, _, _) -> query_schema est q
-    | Query.Aggregate_combinable (q, _, _, _) -> query_schema est q
-    | Query.Sum_int q -> query_schema est q
-    | Query.Sum_float q -> query_schema est q
-    | Query.Count q -> query_schema est q
-    | Query.Average q -> query_schema est q
-    | Query.Min q -> query_schema est q
-    | Query.Max q -> query_schema est q
-    | Query.Min_by (q, _) -> query_schema est q
-    | Query.Max_by (q, _) -> query_schema est q
-    | Query.First q -> query_schema est q
-    | Query.Last q -> query_schema est q
-    | Query.Element_at (q, _) -> query_schema est q
-    | Query.Any q -> query_schema est q
-    | Query.Exists (q, _) -> query_schema est q
-    | Query.For_all (q, _) -> query_schema est q
-    | Query.Contains (q, _) -> query_schema est q
-    | Query.Map_scalar (sq, _) -> sq_schema est sq
 
   (* Positional compatibility between the schema and the probe labels
      the executing backend actually allocated.  The staged backends
@@ -1203,36 +1239,36 @@ module Engine = struct
      [optimize_verified]: accepted → the re-sorted plan plus display
      decisions; rejected → fall back to the plan as given (SC012), or
      refuse outright under [strict]. *)
-  let adaptive_rewrite eng ~est ~adapt ~validate q =
+  let adaptive_rewrite eng ~est r =
     let sink = eng.cfg.telemetry in
     let split = eng.cfg.profile in
-    let q', events =
+    let r', events =
       Telemetry.with_span sink "optimize"
         ~attrs:[ "level", "adaptive" ]
-        (fun () -> adapt est ~split q)
+        (fun () -> Opt.adaptive_ev est ~split r)
     in
     if events = [] then
       (* Nothing moved.  [q'] may still differ from [q] under profiling
          (pure conjuncts split into stacked filters so each gets its own
          probe point) — an eventless structural identity. *)
-      Ok ((if split then q' else q), [], [], [])
+      Ok ((if split then r' else r), [], [], [])
     else begin
       let obligations =
         Telemetry.with_span sink "verify"
           ~attrs:[ "level", "adaptive" ]
-          (fun () -> validate q q' events)
+          (fun () -> Check.Equiv.validate ~before:r ~after:r' events)
       in
       if Check.Equiv.accepted obligations then begin
         count_verify eng "accepted";
         List.iter (fun _ -> Metrics.inc (adaptive_c eng "reorder")) events;
-        Ok (q', event_names events, [], reorder_decisions events)
+        Ok (r', event_names events, [], reorder_decisions events)
       end
       else begin
         count_verify eng "rejected";
         Metrics.inc (adaptive_c eng "rejected");
         let detail = String.concat "; " (Check.Equiv.failures obligations) in
         let d = Check.rejected_rewrite detail in
-        if eng.cfg.strict then Error [ d ] else Ok (q, [], [ d ], [])
+        if eng.cfg.strict then Error [ d ] else Ok (r, [], [ d ], [])
       end
     end
 
@@ -1242,14 +1278,14 @@ module Engine = struct
      hit over a handful of rows.  Only engine-level dispatch is
      overridden (an explicit per-call [?backend] wins), and tiering
      already solves this warm-up problem its own way. *)
-  let backend_choice eng ~key ~static_rows backend =
+  let backend_choice eng ~key r backend =
     match eng.cfg.adaptive, backend with
     | Some a, None
       when eng.cfg.backend = Native && eng.cfg.tiering = None -> (
       let est_rows =
         match Cost.avg_source_rows eng.cost ~key with
         | Some r -> Some (int_of_float (Float.round r))
-        | None -> static_rows ()
+        | None -> static_rows r
       in
       match est_rows with
       | Some n when n <= a.Config.fused_below ->
@@ -1467,10 +1503,10 @@ module Engine = struct
      prepare — on the chain as it will be after the QUIL rewrite pass,
      whatever backend executes.  Queries outside the QUIL fragment have
      no chain to check. *)
-  let strict_pda eng canon_of x =
+  let strict_pda eng r =
     if not eng.cfg.strict then Ok ()
     else
-      match canon_of x with
+      match canon_of r with
       | exception Canon.Unsupported _ -> Ok ()
       | c -> (
         let c = if eng.cfg.optimize then fst (Opt.chain c) else c in
@@ -1484,19 +1520,21 @@ module Engine = struct
 
   (* An [SC000] diagnostic when the lowered chain fails the PDA.  Queries
      outside the QUIL fragment have no chain to verify. *)
-  let chain_diags of_canon x =
-    match of_canon x with
+  let chain_diags r =
+    match canon_of r with
     | exception Canon.Unsupported _ -> []
     | chain -> (
       match Check.verify chain with
       | Ok () -> []
       | Error msg -> [ Check.malformed msg ])
 
-  let check eng q =
-    run_checks eng (fun () -> chain_diags Canon.of_query q @ Check.query q)
+  let lint_all r () = chain_diags r @ lint r
 
-  let check_scalar eng sq =
-    run_checks eng (fun () -> chain_diags Canon.of_scalar sq @ Check.scalar sq)
+  let check_root eng r = run_checks eng (lint_all r)
+
+  let check eng q = check_root eng (Query.Rows q)
+
+  let check_scalar eng sq = check_root eng (Query.Scalar sq)
 
   (* {2 Preparing} *)
 
@@ -1517,9 +1555,9 @@ module Engine = struct
      the slow-query log can show {e what} ran, not just how long.  Costs
      a canonicalization, so only under an active trace; queries outside
      the QUIL fragment simply have no plan attribute. *)
-  let annotate_plan eng canon_of x =
+  let annotate_plan eng r =
     if Trace.enabled eng.tracer && Trace.current () <> None then
-      match canon_of x with
+      match canon_of r with
       | exception _ -> ()
       | c ->
         let c = if eng.cfg.optimize then fst (Opt.chain c) else c in
@@ -1530,24 +1568,16 @@ module Engine = struct
      replacement plan goes through the whole pipeline — checks, the
      syntactic fixpoint, a fresh adaptive pass over the post-drift
      statistics, validation, and both plugin caches. *)
-  let rec try_prepare : 'a. ?backend:backend -> t -> 'a Query.t ->
-      ('a array prep, error) result =
-   fun ?backend eng q_orig ->
-    let q = q_orig in
-    match
-      run_checks_result eng (fun () ->
-          chain_diags Canon.of_query q @ Check.query q)
-    with
+  let rec try_prepare_root : 'r. ?backend:backend -> t -> 'r Query.root ->
+      ('r prep, error) result =
+   fun ?backend eng r_orig ->
+    let r = r_orig in
+    match run_checks_result eng (lint_all r) with
     | Error errs -> Error (Check_error errs)
     | Ok diags -> (
-      match
-        optimize_verified eng Opt.query_ev
-          (fun before after evs ->
-            Check.Equiv.validate_query ~before ~after evs)
-          q
-      with
+      match optimize_verified eng r with
       | Error errs -> Error (Check_error errs)
-      | Ok (q, ast_rules, verify_diags) -> (
+      | Ok (r, ast_rules, verify_diags) -> (
         record_diagnostics eng verify_diags;
         (* The plan key is taken after the syntactic fixpoint but before
            the adaptive pass: the fixpoint is deterministic, so a drift
@@ -1557,35 +1587,26 @@ module Engine = struct
           match eng.cfg.adaptive with
           | None -> None
           | Some a ->
-            let key = Cost.plan_key ~optimize:eng.cfg.optimize q in
+            let key = Cost.plan_key ~optimize:eng.cfg.optimize r in
             Some (a, key, estimator_for eng ~key)
         in
         let adaptive =
           match actx with
-          | None -> Ok (q, [], [], [])
-          | Some (_, _, est) ->
-            adaptive_rewrite eng ~est
-              ~adapt:(fun e ~split q -> Opt.adaptive_query_ev e ~split q)
-              ~validate:(fun before after evs ->
-                Check.Equiv.validate_query ~before ~after evs)
-              q
+          | None -> Ok (r, [], [], [])
+          | Some (_, _, est) -> adaptive_rewrite eng ~est r
         in
         match adaptive with
         | Error errs -> Error (Check_error errs)
-        | Ok (q, ad_rules, ad_diags, ad_decisions) -> (
+        | Ok (r, ad_rules, ad_diags, ad_decisions) -> (
           record_diagnostics eng ad_diags;
-          match strict_pda eng Canon.of_query q with
+          match strict_pda eng r with
           | Error errs -> Error (Check_error errs)
           | Ok () -> (
-            annotate_plan eng Canon.of_query q;
-            let plan, chain_rules = with_chain_pass eng (query_plan q) in
+            annotate_plan eng r;
+            let plan, chain_rules = with_chain_pass eng (plan_of r) in
             let backend', be_decisions =
               match actx with
-              | Some (_, key, _) ->
-                backend_choice eng ~key
-                  ~static_rows:(fun () ->
-                    ((Check_flow.props q).Check_flow.card).Check_purity.hi)
-                  backend
+              | Some (_, key, _) -> backend_choice eng ~key r backend
               | None -> backend, []
             in
             match
@@ -1607,88 +1628,8 @@ module Engine = struct
                 match actx with
                 | Some (a, key, _) when eng.cfg.profile ->
                   wrap_adaptive eng a ~key
-                    ~schema:(query_schema (oracle_for eng ~key) q)
-                    ~rebuild:(fun () -> try_prepare ?backend eng q_orig)
-                    p
-                | _ -> p
-              in
-              Ok p))))
-
-  let rec try_prepare_scalar : 's. ?backend:backend -> t -> 's Query.sq ->
-      ('s prep, error) result =
-   fun ?backend eng sq_orig ->
-    let sq = sq_orig in
-    match
-      run_checks_result eng (fun () ->
-          chain_diags Canon.of_scalar sq @ Check.scalar sq)
-    with
-    | Error errs -> Error (Check_error errs)
-    | Ok diags -> (
-      match
-        optimize_verified eng Opt.scalar_ev
-          (fun before after evs ->
-            Check.Equiv.validate_scalar ~before ~after evs)
-          sq
-      with
-      | Error errs -> Error (Check_error errs)
-      | Ok (sq, ast_rules, verify_diags) -> (
-        record_diagnostics eng verify_diags;
-        let actx =
-          match eng.cfg.adaptive with
-          | None -> None
-          | Some a ->
-            let key = Cost.scalar_key ~optimize:eng.cfg.optimize sq in
-            Some (a, key, estimator_for eng ~key)
-        in
-        let adaptive =
-          match actx with
-          | None -> Ok (sq, [], [], [])
-          | Some (_, _, est) ->
-            adaptive_rewrite eng ~est
-              ~adapt:(fun e ~split sq -> Opt.adaptive_scalar_ev e ~split sq)
-              ~validate:(fun before after evs ->
-                Check.Equiv.validate_scalar ~before ~after evs)
-              sq
-        in
-        match adaptive with
-        | Error errs -> Error (Check_error errs)
-        | Ok (sq, ad_rules, ad_diags, ad_decisions) -> (
-          record_diagnostics eng ad_diags;
-          match strict_pda eng Canon.of_scalar sq with
-          | Error errs -> Error (Check_error errs)
-          | Ok () -> (
-            annotate_plan eng Canon.of_scalar sq;
-            let plan, chain_rules = with_chain_pass eng (scalar_plan sq) in
-            let backend', be_decisions =
-              match actx with
-              | Some (_, key, _) ->
-                (* No flow prior on the scalar side: the aggregate's own
-                   cardinality is one, so only observed source rows can
-                   justify skipping the native dispatch. *)
-                backend_choice eng ~key ~static_rows:(fun () -> None) backend
-              | None -> backend, []
-            in
-            match
-              prepare_plan_result eng ?backend:backend'
-                (with_verified_chain plan)
-            with
-            | Error reason -> Error (Compile_failure reason)
-            | Ok p ->
-              let p =
-                {
-                  p with
-                  p_rules =
-                    dedup_consecutive (ast_rules @ ad_rules @ !chain_rules);
-                  p_diags = verify_diags @ ad_diags @ diags;
-                  p_decisions = ad_decisions @ be_decisions;
-                }
-              in
-              let p =
-                match actx with
-                | Some (a, key, _) when eng.cfg.profile ->
-                  wrap_adaptive eng a ~key
-                    ~schema:(sq_schema (oracle_for eng ~key) sq)
-                    ~rebuild:(fun () -> try_prepare_scalar ?backend eng sq_orig)
+                    ~schema:(schema_of (oracle_for eng ~key) r)
+                    ~rebuild:(fun () -> try_prepare_root ?backend eng r_orig)
                     p
                 | _ -> p
               in
@@ -1699,15 +1640,20 @@ module Engine = struct
     | Compile_failure reason ->
       raise (Dynload.Compilation_failed (fallback_reason_message reason))
 
-  let prepare ?backend eng q =
-    match try_prepare ?backend eng q with
+  let prepare_root ?backend eng r =
+    match try_prepare_root ?backend eng r with
     | Ok p -> p
     | Error e -> raise_error e
 
+  let try_prepare ?backend eng q = try_prepare_root ?backend eng (Query.Rows q)
+
+  let try_prepare_scalar ?backend eng sq =
+    try_prepare_root ?backend eng (Query.Scalar sq)
+
+  let prepare ?backend eng q = prepare_root ?backend eng (Query.Rows q)
+
   let prepare_scalar ?backend eng sq =
-    match try_prepare_scalar ?backend eng sq with
-    | Ok p -> p
-    | Error e -> raise_error e
+    prepare_root ?backend eng (Query.Scalar sq)
 
   let to_array ?backend eng q = (prepare ?backend eng q).run_fn ()
 
@@ -1727,15 +1673,11 @@ module Engine = struct
     diagnostics : Check.diagnostic list;
   }
 
-  let rendered_props anns =
-    List.map
-      (fun (label, p) -> label, Check_flow.props_string p)
-      anns
-
-  let explain_chains eng ~before ~after_canon ~ast_rules ~properties
-      ~diagnostics =
+  let explain_root eng r =
+    let before = canon_of r in
+    let r', ast_rules = if eng.cfg.optimize then Opt.plan r else r, [] in
     let after, chain_rules =
-      if eng.cfg.optimize then Opt.chain after_canon else after_canon, []
+      if eng.cfg.optimize then Opt.chain (canon_of r') else before, []
     in
     {
       quil_before = Quil.symbol_string before;
@@ -1743,33 +1685,16 @@ module Engine = struct
       operators_before = Quil.operator_count before;
       operators_after = Quil.operator_count after;
       rules = dedup_consecutive (ast_rules @ chain_rules);
-      properties;
-      diagnostics;
+      properties =
+        List.map
+          (fun (label, p) -> label, Check_flow.props_string p)
+          (flow_annotations r');
+      diagnostics = lint r;
     }
 
-  let explain eng q =
-    let before = Canon.of_query q in
-    let q', ast_rules =
-      if eng.cfg.optimize then Opt.query q else q, []
-    in
-    let after_canon =
-      if eng.cfg.optimize then Canon.of_query q' else before
-    in
-    explain_chains eng ~before ~after_canon ~ast_rules
-      ~properties:(rendered_props (Check_flow.annotate q'))
-      ~diagnostics:(Check.query q)
+  let explain eng q = explain_root eng (Query.Rows q)
 
-  let explain_scalar eng sq =
-    let before = Canon.of_scalar sq in
-    let sq', ast_rules =
-      if eng.cfg.optimize then Opt.scalar sq else sq, []
-    in
-    let after_canon =
-      if eng.cfg.optimize then Canon.of_scalar sq' else before
-    in
-    explain_chains eng ~before ~after_canon ~ast_rules
-      ~properties:(rendered_props (Check_flow.annotate_scalar sq'))
-      ~diagnostics:(Check.scalar sq)
+  let explain_scalar eng sq = explain_root eng (Query.Scalar sq)
 
   let explain_to_string ex =
     let b = Buffer.create 256 in
@@ -1804,13 +1729,13 @@ module Engine = struct
      AST rewrite log first, then (when the optimized plan lowers into
      the QUIL fragment) the chain rewrite log.  An engine with
      [optimize = false] fires no rewrites and so owes no obligations. *)
-  let verify_obligations of_canon eng opt validate x =
+  let verify_root eng r =
     if not eng.cfg.optimize then []
     else begin
-      let x', events = opt x in
-      let ast = validate x x' events in
+      let r', events = Opt.plan_ev r in
+      let ast = Check.Equiv.validate ~before:r ~after:r' events in
       let chain_obs =
-        match of_canon x' with
+        match canon_of r' with
         | exception Canon.Unsupported _ -> []
         | c ->
           let c', cev = Opt.chain_ev c in
@@ -1819,16 +1744,9 @@ module Engine = struct
       ast @ chain_obs
     end
 
-  let verify eng q =
-    verify_obligations Canon.of_query eng Opt.query_ev
-      (fun before after evs -> Check.Equiv.validate_query ~before ~after evs)
-      q
+  let verify eng q = verify_root eng (Query.Rows q)
 
-  let verify_scalar eng sq =
-    verify_obligations Canon.of_scalar eng Opt.scalar_ev
-      (fun before after evs ->
-        Check.Equiv.validate_scalar ~before ~after evs)
-      sq
+  let verify_scalar eng sq = verify_root eng (Query.Scalar sq)
 
   (* {2 Explain analyze} *)
 
@@ -1847,7 +1765,11 @@ module Engine = struct
     if eng.cfg.profile then eng
     else { eng with cfg = { eng.cfg with profile = true } }
 
-  let analysis_of_prep ~requested ~explanation ~result_rows (p : _ prep) =
+  let explain_analyze_root ?backend eng r =
+    let requested = Option.value backend ~default:eng.cfg.backend in
+    let explanation = explain_root eng r in
+    let p = prepare_root ?backend (force_profile eng) r in
+    let result = p.run_fn () in
     let prof =
       match p.p_profile with
       | Some prof -> profile_snapshot prof
@@ -1865,24 +1787,15 @@ module Engine = struct
       a_backend = p.p_info.backend;
       a_explanation = explanation;
       a_profile = prof;
-      a_result_rows = result_rows;
+      a_result_rows = result_rows r result;
       a_decisions = p.p_decisions;
     }
 
   let explain_analyze ?backend eng q =
-    let requested = Option.value backend ~default:eng.cfg.backend in
-    let explanation = explain eng q in
-    let p = prepare ?backend (force_profile eng) q in
-    let r = p.run_fn () in
-    analysis_of_prep ~requested ~explanation
-      ~result_rows:(Some (Array.length r)) p
+    explain_analyze_root ?backend eng (Query.Rows q)
 
   let explain_analyze_scalar ?backend eng sq =
-    let requested = Option.value backend ~default:eng.cfg.backend in
-    let explanation = explain_scalar eng sq in
-    let p = prepare_scalar ?backend (force_profile eng) sq in
-    ignore (p.run_fn ());
-    analysis_of_prep ~requested ~explanation ~result_rows:None p
+    explain_analyze_root ?backend eng (Query.Scalar sq)
 
   let analysis_to_string a =
     let b = Buffer.create 512 in
@@ -1959,20 +1872,8 @@ module Session = struct
     let cur = Atomic.get cell in
     if not (Atomic.compare_and_set cell cur (cur +. x)) then add_float cell x
 
-  let create ?backend ?optimize ?profile ?strict ?config ?(labels = [])
-      engine ~client_id =
+  let create ?config ?(labels = []) engine ~client_id =
     let cfg = Engine.config engine in
-    let cfg =
-      {
-        cfg with
-        Engine.backend = Option.value backend ~default:cfg.Engine.backend;
-        optimize = Option.value optimize ~default:cfg.Engine.optimize;
-        profile = Option.value profile ~default:cfg.Engine.profile;
-        strict = Option.value strict ~default:cfg.Engine.strict;
-      }
-    in
-    (* The [Config] combinator form of the overrides above; applied
-       last, so it wins over the individual flags. *)
     let cfg = match config with None -> cfg | Some f -> f cfg in
     {
       s_engine = { engine with Engine.cfg };
@@ -2025,26 +1926,24 @@ module Session = struct
   let annotate_trace s =
     Trace.annotate (Engine.tracer s.s_engine) [ "client", s.s_client ]
 
-  let try_prepare ?backend s q =
+  let try_prepare_root ?backend s r =
     Atomic.incr s.s_prepares;
     annotate_trace s;
-    Result.map (instrument s) (Engine.try_prepare ?backend s.s_engine q)
+    Result.map (instrument s) (Engine.try_prepare_root ?backend s.s_engine r)
+
+  let prepare_root ?backend s r =
+    match try_prepare_root ?backend s r with
+    | Ok p -> p
+    | Error e -> Engine.raise_error e
+
+  let try_prepare ?backend s q = try_prepare_root ?backend s (Query.Rows q)
 
   let try_prepare_scalar ?backend s sq =
-    Atomic.incr s.s_prepares;
-    annotate_trace s;
-    Result.map (instrument s)
-      (Engine.try_prepare_scalar ?backend s.s_engine sq)
+    try_prepare_root ?backend s (Query.Scalar sq)
 
-  let prepare ?backend s q =
-    Atomic.incr s.s_prepares;
-    annotate_trace s;
-    instrument s (Engine.prepare ?backend s.s_engine q)
+  let prepare ?backend s q = prepare_root ?backend s (Query.Rows q)
 
-  let prepare_scalar ?backend s sq =
-    Atomic.incr s.s_prepares;
-    annotate_trace s;
-    instrument s (Engine.prepare_scalar ?backend s.s_engine sq)
+  let prepare_scalar ?backend s sq = prepare_root ?backend s (Query.Scalar sq)
 
   let to_array ?backend s q = (prepare ?backend s q).run_fn ()
 
@@ -2090,49 +1989,30 @@ let rec default_session () =
     if Atomic.compare_and_set default_session_v None (Some s) then s
     else default_session ()
 
-let prepare ?backend q = Session.prepare ?backend (default_session ()) q
+let prepare_root ?backend r =
+  Session.prepare_root ?backend (default_session ()) r
 
-let prepare_scalar ?backend sq =
-  Session.prepare_scalar ?backend (default_session ()) sq
+let prepare ?backend q = prepare_root ?backend (Query.Rows q)
 
-module Prepared = struct
-  type 'a t = 'a prepared
-
-  let run p = p.run_fn ()
-  let backend_used p = Atomic.get p.p_tier
-  let compile_info p = p.p_info
-  let rewrite_log p = p.p_rules
-  let diagnostics p = p.p_diags
-  let profile p = Option.map profile_snapshot p.p_profile
-  let decisions p = p.p_decisions
-end
-
-module Prepared_scalar = struct
-  type 's t = 's prepared_scalar
-
-  let run p = p.run_fn ()
-  let backend_used p = Atomic.get p.p_tier
-  let compile_info p = p.p_info
-  let rewrite_log p = p.p_rules
-  let diagnostics p = p.p_diags
-  let profile p = Option.map profile_snapshot p.p_profile
-  let decisions p = p.p_decisions
-end
+let prepare_scalar ?backend sq = prepare_root ?backend (Query.Scalar sq)
 
 let to_array ?backend q = Prepared.run (prepare ?backend q)
 
 let to_list ?backend q = Array.to_list (to_array ?backend q)
 
-let scalar ?backend sq = Prepared_scalar.run (prepare_scalar ?backend sq)
+let scalar ?backend sq = Prepared.run (prepare_scalar ?backend sq)
 
-let generated_source q = (Codegen.generate (Canon.of_query q)).Codegen.source
+let generated_source_root r = (Codegen.generate (canon_of r)).Codegen.source
 
-let generated_source_scalar sq =
-  (Codegen.generate (Canon.of_scalar sq)).Codegen.source
+let generated_source q = generated_source_root (Query.Rows q)
 
-let quil q = Quil.symbol_string (Canon.of_query q)
+let generated_source_scalar sq = generated_source_root (Query.Scalar sq)
 
-let quil_scalar sq = Quil.symbol_string (Canon.of_scalar sq)
+let quil_root r = Quil.symbol_string (canon_of r)
+
+let quil q = quil_root (Query.Rows q)
+
+let quil_scalar sq = quil_root (Query.Scalar sq)
 
 let cache_size () = Engine.cache_size (default_engine ())
 

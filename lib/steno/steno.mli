@@ -74,9 +74,6 @@ type compile_info = {
       (** Set when a [Native] request executed on [Fused]. *)
 }
 
-type 'a prepared
-type 's prepared_scalar
-
 (** {1 Profiles}
 
     With [profile = true] in the engine configuration, every preparation
@@ -118,6 +115,59 @@ type profile_snapshot = {
 exception Check_failed of Check.diagnostic list
 (** Raised by a [strict] engine's prepare when the static checks report
     [Error]-level diagnostics; carries exactly those errors. *)
+
+(** {1 Prepared queries}
+
+    Separate optimization from execution to amortize or measure the
+    one-off compilation cost.  Every [prepare] returns a {!Prepared.t},
+    indexed by what a run returns: a collection query's preparation
+    runs to an array of rows ({!type-prepared}), a scalar query's to its
+    value ({!type-prepared_scalar}).  Both kinds go through the same
+    preparation pipeline and share the accessors below. *)
+
+module Prepared : sig
+  type 'r t
+  (** A preparation whose runs return ['r]. *)
+
+  val run : 'r t -> 'r
+  (** Execute.  Reusable: captured inputs are re-read on each run. *)
+
+  val backend_used : 'r t -> backend
+  (** The backend that executes {e now} — after any fallback, and, on a
+      tiered engine, reflecting the live tier: [Fused] until the
+      background promotion lands, [Native] after. *)
+
+  val compile_info : 'r t -> compile_info
+
+  val rewrite_log : 'r t -> string list
+  (** Optimizer rules applied while preparing this query, in order (AST
+      rules first, then QUIL chain rules — the latter only on the
+      Native path, which is the only one that builds the chain).
+      Consecutive firings of one rule are compressed to ["name (xN)"].
+      Empty when the engine was configured with [optimize = false]. *)
+
+  val diagnostics : 'r t -> Check.diagnostic list
+  (** The static-check findings recorded when this query was
+      prepared. *)
+
+  val profile : 'r t -> profile_snapshot option
+  (** Per-operator counts accumulated over this preparation's runs so
+      far; [None] unless the preparing engine had [profile = true]. *)
+
+  val decisions : 'r t -> string list
+  (** What the adaptive phase decided while preparing (predicate
+      reorders, backend downgrades), as display lines; empty without
+      [Config.with_adaptive]. *)
+end
+
+type 'a prepared = 'a array Prepared.t
+(** A prepared collection query: its runs return the rows. *)
+
+type 's prepared_scalar = 's Prepared.t
+(** A prepared scalar query: its runs return the value. *)
+
+module Prepared_scalar = Prepared
+(** The historical name for the accessors on scalar preparations. *)
 
 (** {1 Configuration}
 
@@ -592,7 +642,8 @@ end
       let engine = Steno.Engine.create Steno.Engine.default_config in
       let alice = Steno.Session.create engine ~client_id:"alice" in
       let bob =
-        Steno.Session.create engine ~client_id:"bob" ~strict:true
+        Steno.Session.create engine ~client_id:"bob"
+          ~config:Steno.Config.(with_strict true)
           ~labels:[ "tier", "free" ]
       in
       let xs = Steno.Session.to_array alice q in
@@ -609,10 +660,6 @@ module Session : sig
   type t
 
   val create :
-    ?backend:backend ->
-    ?optimize:bool ->
-    ?profile:bool ->
-    ?strict:bool ->
     ?config:(Config.t -> Config.t) ->
     ?labels:(string * string) list ->
     Engine.t ->
@@ -628,12 +675,7 @@ module Session : sig
       [profile] is safe on a shared cache: both flags are part of the
       plugin cache key, so sessions never alias each other's compiled
       code.  [labels] are extra metric labels (e.g. tenant tier)
-      attached alongside [client_id].
-
-      The [?backend]/[?optimize]/[?profile]/[?strict] flags are the
-      pre-[Config] spelling of the same overrides, kept as a shim;
-      [config] is applied after them and wins on conflict.
-      @deprecated the individual flags — use [config]. *)
+      attached alongside [client_id]. *)
 
   val engine : t -> Engine.t
   (** The session's view of its engine — configuration overrides
@@ -704,63 +746,12 @@ val to_array : ?backend:backend -> 'a Query.t -> 'a array
 val to_list : ?backend:backend -> 'a Query.t -> 'a list
 val scalar : ?backend:backend -> 's Query.sq -> 's
 
-(** {1 Prepared queries}
+(** {1 Preparing on the default session}
 
-    Separate optimization from execution to amortize or measure the
-    one-off compilation cost.  [prepare] returns an abstract handle;
-    interrogate it through {!Prepared} (and scalar preparations through
-    {!Prepared_scalar}). *)
+    [prepare] returns a handle to interrogate through {!Prepared}. *)
 
 val prepare : ?backend:backend -> 'a Query.t -> 'a prepared
 val prepare_scalar : ?backend:backend -> 's Query.sq -> 's prepared_scalar
-
-(** Accessors on a prepared collection query. *)
-module Prepared : sig
-  type 'a t = 'a prepared
-
-  val run : 'a t -> 'a array
-  (** Execute.  Reusable: captured inputs are re-read on each run. *)
-
-  val backend_used : 'a t -> backend
-  (** The backend that executes {e now} — after any fallback, and, on a
-      tiered engine, reflecting the live tier: [Fused] until the
-      background promotion lands, [Native] after. *)
-
-  val compile_info : 'a t -> compile_info
-
-  val rewrite_log : 'a t -> string list
-  (** Optimizer rules applied while preparing this query, in order (AST
-      rules first, then QUIL chain rules — the latter only on the
-      Native path, which is the only one that builds the chain).
-      Consecutive firings of one rule are compressed to ["name (xN)"].
-      Empty when the engine was configured with [optimize = false]. *)
-
-  val diagnostics : 'a t -> Check.diagnostic list
-  (** The static-check findings recorded when this query was
-      prepared. *)
-
-  val profile : 'a t -> profile_snapshot option
-  (** Per-operator counts accumulated over this preparation's runs so
-      far; [None] unless the preparing engine had [profile = true]. *)
-
-  val decisions : 'a t -> string list
-  (** What the adaptive phase decided while preparing (predicate
-      reorders, backend downgrades), as display lines; empty without
-      [Config.with_adaptive]. *)
-end
-
-(** Accessors on a prepared scalar query. *)
-module Prepared_scalar : sig
-  type 's t = 's prepared_scalar
-
-  val run : 's t -> 's
-  val backend_used : 's t -> backend
-  val compile_info : 's t -> compile_info
-  val rewrite_log : 's t -> string list
-  val diagnostics : 's t -> Check.diagnostic list
-  val profile : 's t -> profile_snapshot option
-  val decisions : 's t -> string list
-end
 
 (** {1 Inspection} *)
 

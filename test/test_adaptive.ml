@@ -41,62 +41,120 @@ let verify_count reg result =
   Metrics.counter_value
     (Metrics.counter reg "steno_verify" ~labels:[ "result", result ])
 
+(* The adaptive phase runs on both plan kinds, so each test below takes
+   its pipeline once as rows and once under a [count] aggregate.  A
+   [handle] is a preparation of either kind, with its result rendered as
+   a string so the two compare alike. *)
+type handle = {
+  run : unit -> string;
+  log : string list;
+  decisions : string list;
+  diags : Check.diagnostic list;
+}
+
+type input = {
+  kind : string;
+  expected : unit -> string;  (* the Reference result, read at call time *)
+  prepare : Steno.Engine.t -> handle;
+  try_prepare : Steno.Engine.t -> (handle, Steno.Engine.error) result;
+  prepare_in : Steno.Session.t -> handle;
+  key : string;  (* the statistics key the engine records under *)
+}
+
+let handle show p =
+  {
+    run = (fun () -> show (Steno.Prepared.run p));
+    log = Steno.Prepared.rewrite_log p;
+    decisions = Steno.Prepared.decisions p;
+    diags = Steno.Prepared.diagnostics p;
+  }
+
+let key root = Steno.Cost.plan_key ~optimize:true (fst (Opt.plan_ev root))
+
+let rows (q : int Query.t) =
+  let show xs = String.concat "," (List.map string_of_int xs) in
+  let h = handle (fun a -> show (Array.to_list a)) in
+  {
+    kind = "rows";
+    expected = (fun () -> show (Reference.to_list q));
+    prepare = (fun eng -> h (Steno.Engine.prepare eng q));
+    try_prepare = (fun eng -> Result.map h (Steno.Engine.try_prepare eng q));
+    prepare_in = (fun s -> h (Steno.Session.prepare s q));
+    key = key (Query.Rows q);
+  }
+
+let count (q : int Query.t) =
+  let sq = Query.count q in
+  let h = handle string_of_int in
+  {
+    kind = "count";
+    expected = (fun () -> string_of_int (Reference.scalar sq));
+    prepare = (fun eng -> h (Steno.Engine.prepare_scalar eng sq));
+    try_prepare =
+      (fun eng -> Result.map h (Steno.Engine.try_prepare_scalar eng sq));
+    prepare_in = (fun s -> h (Steno.Session.prepare_scalar s sq));
+    key = key (Query.Scalar sq);
+  }
+
+let each_kind test () = List.iter test [ rows; count ]
+
 (* {2 Statistics-driven reordering} *)
 
 (* Pessimal static order: the always-true predicate first.  The first
    profiled preparation observes per-conjunct selectivities (the split
    gives each conjunct its own probe point); the second preparation of
    the same plan reorders on them. *)
-let test_reorder_from_observations () =
+let test_reorder_from_observations (mk : int Query.t -> input) =
   let reg = Metrics.create () in
   let eng = adaptive_engine ~metrics:reg () in
-  let q =
-    ints (Array.init 500 (fun i -> i)) |> Query.where hashy |> Query.where rare
+  let inp =
+    mk (ints (Array.init 500 (fun i -> i)) |> Query.where hashy
+        |> Query.where rare)
   in
-  let expected = Reference.to_list q in
-  let p1 = Steno.Engine.prepare eng q in
-  Alcotest.(check (list int))
-    "first prepare (no stats) runs correctly" expected
-    (Array.to_list (Steno.Prepared.run p1));
+  let what s = inp.kind ^ ": " ^ s in
+  let expected = inp.expected () in
+  let p1 = inp.prepare eng in
+  Alcotest.(check string) (what "first prepare (no stats) runs correctly")
+    expected (p1.run ());
   Alcotest.(check (list string))
-    "no reorder without observations" []
-    (List.filter (fun r -> r = "stats-where-reorder")
-       (Steno.Prepared.rewrite_log p1));
+    (what "no reorder without observations") []
+    (List.filter (fun r -> r = "stats-where-reorder") p1.log);
   (* Second preparation: the store now knows hashy ~ 1.0, rare ~ 0.001. *)
-  let p2 = Steno.Engine.prepare eng q in
-  Alcotest.(check bool) "reorder fired" true
-    (List.mem "stats-where-reorder" (Steno.Prepared.rewrite_log p2));
-  (match Steno.Prepared.decisions p2 with
+  let p2 = inp.prepare eng in
+  Alcotest.(check bool) (what "reorder fired") true
+    (List.mem "stats-where-reorder" p2.log);
+  (match p2.decisions with
   | d :: _ ->
     Alcotest.(check bool)
-      (Printf.sprintf "decision line (%s)" d)
+      (what (Printf.sprintf "decision line (%s)" d))
       true
       (String.length d > 10 && String.sub d 0 10 = "reordered:")
-  | [] -> Alcotest.fail "expected a reorder decision");
-  Alcotest.(check (list int))
-    "reordered plan computes the same rows" expected
-    (Array.to_list (Steno.Prepared.run p2));
-  Alcotest.(check bool) "reorder counted" true (adaptive_count reg "reorder" >= 1);
-  Alcotest.(check bool) "validated" true (verify_count reg "accepted" >= 1);
-  Alcotest.(check int) "nothing rejected" 0 (verify_count reg "rejected");
+  | [] -> Alcotest.fail (what "expected a reorder decision"));
+  Alcotest.(check string) (what "reordered plan computes the same result")
+    expected (p2.run ());
+  Alcotest.(check bool) (what "reorder counted") true
+    (adaptive_count reg "reorder" >= 1);
+  Alcotest.(check bool) (what "validated") true
+    (verify_count reg "accepted" >= 1);
+  Alcotest.(check int) (what "nothing rejected") 0
+    (verify_count reg "rejected");
   (* The store's view, through the public API. *)
-  let key =
-    let fused, _ = Opt.query_ev q in
-    Steno.Cost.plan_key ~optimize:true fused
-  in
+  let key = inp.key in
   let store = Steno.Engine.cost_store eng in
   (match
      Steno.Cost.selectivity store ~key
        ~digest:(Steno.Cost.pred_digest (Expr.lam "x" Ty.Int hashy))
    with
-  | Some s -> Alcotest.(check bool) "hashy observed ~always true" true (s > 0.9)
-  | None -> Alcotest.fail "no selectivity recorded for hashy");
+  | Some s ->
+    Alcotest.(check bool) (what "hashy observed ~always true") true (s > 0.9)
+  | None -> Alcotest.fail (what "no selectivity recorded for hashy"));
   match
     Steno.Cost.selectivity store ~key
       ~digest:(Steno.Cost.pred_digest (Expr.lam "x" Ty.Int rare))
   with
-  | Some s -> Alcotest.(check bool) "rare observed selective" true (s < 0.1)
-  | None -> Alcotest.fail "no selectivity recorded for rare"
+  | Some s ->
+    Alcotest.(check bool) (what "rare observed selective") true (s < 0.1)
+  | None -> Alcotest.fail (what "no selectivity recorded for rare")
 
 (* {2 An unsound reorder is rejected} *)
 
@@ -134,9 +192,10 @@ let impure_query () =
   |> Query.where (fun x -> Expr.Apply (host_even, x))
   |> Query.where (fun x -> Expr.Apply (host_small, x))
 
-let test_unsound_reorder_rejected () =
-  let q = impure_query () in
-  let expected = Reference.to_list q in
+let test_unsound_reorder_rejected (mk : int Query.t -> input) =
+  let inp = mk (impure_query ()) in
+  let what s = inp.kind ^ ": " ^ s in
+  let expected = inp.expected () in
   Opt.set_test_hook (Some (swap_hook (ref false)));
   Fun.protect
     ~finally:(fun () -> Opt.set_test_hook None)
@@ -146,19 +205,18 @@ let test_unsound_reorder_rejected () =
         Steno.Engine.(
           create { default_config with backend = Steno.Fused; metrics = reg })
       in
-      let p = Steno.Engine.prepare eng q in
-      Alcotest.(check (list int))
-        "fallback runs the plan as written" expected
-        (Array.to_list (Steno.Prepared.run p));
+      let p = inp.prepare eng in
+      Alcotest.(check string)
+        (what "fallback runs the plan as written") expected (p.run ());
       Alcotest.(check (list string))
-        "no rules survive the rejection" [] (Steno.Prepared.rewrite_log p);
-      Alcotest.(check int) "rejected counted" 1 (verify_count reg "rejected");
-      Alcotest.(check bool) "SC012 diagnostic recorded" true
-        (List.exists
-           (fun d -> d.Check.d_code = "SC012")
-           (Steno.Prepared.diagnostics p)))
+        (what "no rules survive the rejection") [] p.log;
+      Alcotest.(check int) (what "rejected counted") 1
+        (verify_count reg "rejected");
+      Alcotest.(check bool) (what "SC012 diagnostic recorded") true
+        (List.exists (fun d -> d.Check.d_code = "SC012") p.diags))
 
-let test_unsound_reorder_strict_raises () =
+let test_unsound_reorder_strict_raises (mk : int Query.t -> input) =
+  let inp = mk (impure_query ()) in
   Opt.set_test_hook (Some (swap_hook (ref false)));
   Fun.protect
     ~finally:(fun () -> Opt.set_test_hook None)
@@ -168,10 +226,12 @@ let test_unsound_reorder_strict_raises () =
           create
             { default_config with backend = Steno.Fused; strict = true })
       in
-      match Steno.Engine.try_prepare eng (impure_query ()) with
+      match inp.try_prepare eng with
       | Error (Steno.Engine.Check_error _) -> ()
-      | Error _ -> Alcotest.fail "wrong refusal"
-      | Ok _ -> Alcotest.fail "strict engine accepted an unsound reorder")
+      | Error _ -> Alcotest.failf "%s: wrong refusal" inp.kind
+      | Ok _ ->
+        Alcotest.failf "%s: strict engine accepted an unsound reorder"
+          inp.kind)
 
 (* {2 Empty-source regression} *)
 
@@ -185,10 +245,7 @@ let test_empty_source_profiled () =
   for _ = 1 to 3 do
     Alcotest.(check (list int)) "empty rows" [] (Array.to_list (Steno.Prepared.run p1))
   done;
-  let key =
-    let fused, _ = Opt.query_ev q in
-    Steno.Cost.plan_key ~optimize:true fused
-  in
+  let key = key (Query.Rows q) in
   let store = Steno.Engine.cost_store eng in
   Alcotest.(check bool) "runs recorded" true (Steno.Cost.runs store ~key >= 3);
   Alcotest.(check (option (float 0.0))) "zero-row source averages to 0"
@@ -207,38 +264,37 @@ let test_empty_source_profiled () =
 
 (* {2 Drift retires stale statistics} *)
 
-let test_drift_retires_stale_stats () =
+let test_drift_retires_stale_stats (mk : int Query.t -> input) =
   let reg = Metrics.create () in
   (* Seeding engine: drift effectively off (threshold 2.0). *)
   let eng = adaptive_engine ~metrics:reg () in
   let data = Array.init 100 (fun i -> if i < 90 then 1000 + (2 * i) else 1001) in
   let p_even = even in
   let p_small x = I.(x < Expr.int 100) in
-  let q = ints data |> Query.where p_even |> Query.where p_small in
-  let key =
-    let fused, _ = Opt.query_ev q in
-    Steno.Cost.plan_key ~optimize:true fused
-  in
+  let inp = mk (ints data |> Query.where p_even |> Query.where p_small) in
+  let what s = inp.kind ^ ": " ^ s in
+  let key = inp.key in
   let store = Steno.Engine.cost_store eng in
   let digest_of p = Steno.Cost.pred_digest (Expr.lam "x" Ty.Int p) in
   (* Phase A: even ~ 0.9, small = 0.0. *)
-  let pa = Steno.Engine.prepare eng q in
+  let pa = inp.prepare eng in
   for _ = 1 to 5 do
-    ignore (Steno.Prepared.run pa)
+    ignore (pa.run ())
   done;
   (match Steno.Cost.selectivity store ~key ~digest:(digest_of p_even) with
-  | Some s -> Alcotest.(check bool) "phase A: even ~0.9" true (s > 0.8)
-  | None -> Alcotest.fail "phase A recorded nothing");
-  Alcotest.(check int) "no retirement yet" 0 (Steno.Cost.epoch store ~key);
+  | Some s -> Alcotest.(check bool) (what "phase A: even ~0.9") true (s > 0.8)
+  | None -> Alcotest.fail (what "phase A recorded nothing"));
+  Alcotest.(check int) (what "no retirement yet") 0
+    (Steno.Cost.epoch store ~key);
   (* A drift-sensitive session on the same engine (same store). *)
   let sess =
     Steno.Session.create eng ~client_id:"drift"
       ~config:(fun c -> Steno.Config.with_adaptive ~drift:0.3 c)
   in
-  let pb = Steno.Session.prepare sess q in
+  let pb = inp.prepare_in sess in
   (* The phase-A statistics reorder [small] (0.0) above [even] (0.9). *)
-  Alcotest.(check bool) "stale stats drove a reorder" true
-    (List.mem "stats-where-reorder" (Steno.Prepared.rewrite_log pb));
+  Alcotest.(check bool) (what "stale stats drove a reorder") true
+    (List.mem "stats-where-reorder" pb.log);
   (* Flip the distribution in place: now everything is small and mostly
      odd (even 0.1, small 1.0 — both far from the assumptions). *)
   Array.iteri
@@ -246,18 +302,20 @@ let test_drift_retires_stale_stats () =
       data.(i) <-
         (if i < 90 then (2 * (i mod 45)) + 1 else 2 * (i mod 45)))
     data;
-  ignore (Steno.Prepared.run pb);
+  ignore (pb.run ());
   (* The drifted run retires the stale entry and seeds the new epoch
      with only post-flip observations — never an average of the two
      distributions (5 stale runs of 0.9 averaged in would leave ~0.77). *)
-  Alcotest.(check int) "entry retired once" 1 (Steno.Cost.epoch store ~key);
-  Alcotest.(check bool) "drift counted" true (adaptive_count reg "drift" >= 1);
+  Alcotest.(check int) (what "entry retired once") 1
+    (Steno.Cost.epoch store ~key);
+  Alcotest.(check bool) (what "drift counted") true
+    (adaptive_count reg "drift" >= 1);
   (match Steno.Cost.selectivity store ~key ~digest:(digest_of p_even) with
   | Some s ->
     Alcotest.(check bool)
-      (Printf.sprintf "post-swap selectivity only (%.2f)" s)
+      (what (Printf.sprintf "post-swap selectivity only (%.2f)" s))
       true (s < 0.3)
-  | None -> Alcotest.fail "post-drift seed missing");
+  | None -> Alcotest.fail (what "post-drift seed missing"));
   (* The background re-preparation lands eventually. *)
   let deadline = Unix.gettimeofday () +. 30.0 in
   while
@@ -267,17 +325,16 @@ let test_drift_retires_stale_stats () =
   do
     Unix.sleepf 0.01
   done;
-  Alcotest.(check int) "re-preparation succeeded" 1
+  Alcotest.(check int) (what "re-preparation succeeded") 1
     (adaptive_count reg "reprepare-ok");
-  (* The swapped-in plan keeps computing the right rows. *)
-  Alcotest.(check (list int)) "post-swap rows" (Reference.to_list q)
-    (Array.to_list (Steno.Prepared.run pb));
+  (* The swapped-in plan keeps computing the right result. *)
+  Alcotest.(check string) (what "post-swap result") (inp.expected ())
+    (pb.run ());
   (* A fresh preparation consults only the fresh epoch: even (0.1) is
      already ahead of small (1.0) in written order, so nothing moves. *)
-  let pc = Steno.Session.prepare sess q in
-  Alcotest.(check (list string)) "no reorder from fresh stats" []
-    (List.filter (fun r -> r = "stats-where-reorder")
-       (Steno.Prepared.rewrite_log pc))
+  let pc = inp.prepare_in sess in
+  Alcotest.(check (list string)) (what "no reorder from fresh stats") []
+    (List.filter (fun r -> r = "stats-where-reorder") pc.log)
 
 (* {2 Cost-based backend choice} *)
 
@@ -411,18 +468,18 @@ let () =
       ( "reorder",
         [
           Alcotest.test_case "observations drive a reorder" `Quick
-            test_reorder_from_observations;
+            (each_kind test_reorder_from_observations);
           Alcotest.test_case "unsound reorder rejected" `Quick
-            test_unsound_reorder_rejected;
+            (each_kind test_unsound_reorder_rejected);
           Alcotest.test_case "strict refuses unsound reorder" `Quick
-            test_unsound_reorder_strict_raises;
+            (each_kind test_unsound_reorder_strict_raises);
         ] );
       ( "regressions",
         [
           Alcotest.test_case "empty source profiled" `Quick
             test_empty_source_profiled;
           Alcotest.test_case "drift retires stale stats" `Quick
-            test_drift_retires_stale_stats;
+            (each_kind test_drift_retires_stale_stats);
         ] );
       ( "decisions",
         [

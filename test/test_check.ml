@@ -22,8 +22,8 @@ let codes ds = List.map (fun d -> d.Check.d_code) ds
 
 (* The chain of every canonicalizable query must be accepted, the
    accepting kind must agree with [Quil.returns_scalar], and the PDA
-   must agree with [Quil.validate] (two independent implementations of
-   the grammar). *)
+   must agree with [Quil_grammar.validate] (two independent
+   implementations of the grammar). *)
 let accepted name chain =
   (match Check.Pda.accepts chain with
   | Ok k ->
@@ -31,7 +31,7 @@ let accepted name chain =
       (name ^ " kind") (Quil.returns_scalar chain)
       (k = Check.Pda.Scalar)
   | Error e -> Alcotest.failf "%s: PDA rejected: %s" name e);
-  match Quil.validate chain with
+  match Quil_grammar.validate chain with
   | Ok () -> ()
   | Error e -> Alcotest.failf "%s: validate rejected: %s" name e
 
@@ -161,7 +161,9 @@ let test_pda_malformed_chains () =
        ]);
   (* And the same fixtures must stay rejectable by [validate]: the two
      acceptors agree on the negative cases too. *)
-  (match Quil.validate (chain [ Quil.Agg dummy_agg; Quil.Trans dummy_lam1 ]) with
+  (match
+     Quil_grammar.validate (chain [ Quil.Agg dummy_agg; Quil.Trans dummy_lam1 ])
+   with
   | Ok () -> Alcotest.fail "validate accepted trans-after-agg"
   | Error _ -> ());
   (* A correct hand-built chain is accepted as scalar. *)
@@ -700,14 +702,14 @@ let test_interval_rewrites () =
   let tautology =
     ints data |> Query.where (fun x -> I.(x mod Expr.int 10 < Expr.int 10))
   in
-  let _, log = Opt.query tautology in
+  let _, log = Opt.plan (Query.Rows tautology) in
   Alcotest.(check (list string)) "tautology log" [ "where-interval-true" ] log;
   Alcotest.(check (list int)) "tautology results" (reference tautology)
     (Steno.Engine.to_list (fused_engine ()) tautology);
   let contradiction =
     ints data |> Query.where (fun x -> I.(x mod Expr.int 10 > Expr.int 20))
   in
-  let _, log = Opt.query contradiction in
+  let _, log = Opt.plan (Query.Rows contradiction) in
   Alcotest.(check (list string)) "contradiction log"
     [ "where-interval-false" ] log;
   Alcotest.(check (list int)) "contradiction results" []
@@ -717,12 +719,12 @@ let test_interval_rewrites () =
     Query.Take
       (ints data, Expr.Prim2 (Prim.Min_int, Expr.capture Ty.Int 7, Expr.int 0))
   in
-  let _, log = Opt.query clamped in
+  let _, log = Opt.plan (Query.Rows clamped) in
   Alcotest.(check (list string)) "clamped log" [ "take-interval-nonpos" ] log;
   Alcotest.(check (list int)) "clamped results" (reference clamped)
     (Steno.Engine.to_list (fused_engine ()) clamped);
   (* an undecidable predicate is left alone *)
-  let _, log = Opt.query (ints data |> Query.where even) in
+  let _, log = Opt.plan (Query.Rows (ints data |> Query.where even)) in
   Alcotest.(check (list string)) "undecidable" [] log
 
 (* {2 Rewrite-log dedup} *)
@@ -734,7 +736,7 @@ let test_rewrite_log_dedup () =
     |> Query.where (fun x -> I.(x > Expr.int 1))
   in
   (* the raw optimizer log keeps one entry per firing... *)
-  let _, raw = Opt.query q in
+  let _, raw = Opt.plan (Query.Rows q) in
   Alcotest.(check (list string)) "raw" [ "where-fuse"; "where-fuse" ] raw;
   (* ...and the preparation compresses the run *)
   let p = Steno.Engine.prepare (fused_engine ()) q in

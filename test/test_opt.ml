@@ -31,10 +31,21 @@ let check_differential name (q : int Query.t) =
         [ true; false ])
     backends
 
+(* The optimizer returns a plan of the kind it was given. *)
+let opt_rows (type a) (q : a Query.t) : a Query.t * string list =
+  match Opt.plan (Query.Rows q) with
+  | Query.Rows q', log -> q', log
+  | Query.Scalar _, _ -> assert false
+
+let opt_scalar (type s) (sq : s Query.sq) : s Query.sq * string list =
+  match Opt.plan (Query.Scalar sq) with
+  | Query.Scalar sq', log -> sq', log
+  | Query.Rows _, _ -> assert false
+
 (* One rule check: the expected log, operator count not increased, and
    the differential guarantee. *)
 let check_rule name q expected_log =
-  let q', log = Opt.query q in
+  let q', log = opt_rows q in
   Alcotest.(check (list string)) (name ^ " log") expected_log log;
   if Query.operator_count q' > Query.operator_count q then
     Alcotest.failf "%s: operator count grew %d -> %d" name
@@ -170,7 +181,7 @@ let test_ast_rev_rev () =
 
 let test_nonempty_any_true () =
   let sq = Query.range ~start:0 ~count:5 |> Query.any in
-  let sq', log = Opt.scalar sq in
+  let sq', log = opt_scalar sq in
   Alcotest.(check (list string)) "log" [ "nonempty-any-true" ] log;
   Alcotest.(check bool) "rewrite preserves the answer"
     (Reference.scalar sq) (Reference.scalar sq');
@@ -185,13 +196,13 @@ let test_nonempty_any_true () =
         [ true; false ])
     backends;
   (* Unprovably non-empty input: left alone. *)
-  let _, log2 = Opt.scalar (ints data |> Query.where even |> Query.any) in
+  let _, log2 = opt_scalar (ints data |> Query.where even |> Query.any) in
   Alcotest.(check (list string)) "unprovable left alone" [] log2;
   (* Non-empty but impure prefix: the deleted pipeline would also delete
      its host-function calls, so the rule must not fire. *)
   let host_id = Expr.capture (Ty.Func (Ty.Int, Ty.Int)) (fun x -> x) in
   let _, log3 =
-    Opt.scalar
+    opt_scalar
       (Query.range ~start:0 ~count:5
       |> Query.select (fun x -> Expr.Apply (host_id, x))
       |> Query.any)
@@ -204,8 +215,8 @@ let test_nonempty_any_true () =
 let test_rule_coverage () =
   let fired = Hashtbl.create 32 in
   let note names = List.iter (fun r -> Hashtbl.replace fired r ()) names in
-  let runq q = note (snd (Opt.query q)) in
-  let runsq sq = note (snd (Opt.scalar sq)) in
+  let runq q = note (snd (opt_rows q)) in
+  let runsq sq = note (snd (opt_scalar sq)) in
   let runc q = note (snd (Opt.chain (Canon.of_query q))) in
   runq (ints data |> Query.where even |> Query.where even);
   runq
@@ -239,9 +250,10 @@ let test_rule_coverage () =
      two filters first, then hand the fused plan an estimator that rates
      the second conjunct more selective. *)
   let fused, _ =
-    Opt.query_ev
-      (ints data |> Query.where even
-      |> Query.where (fun x -> I.(x < Expr.int 10)))
+    Opt.plan_ev
+      (Query.Rows
+         (ints data |> Query.where even
+         |> Query.where (fun x -> I.(x < Expr.int 10))))
   in
   let calls = ref 0 in
   let est =
@@ -250,7 +262,7 @@ let test_rule_coverage () =
   note
     (List.map
        (fun (e : Opt.event) -> e.Opt.ev_rule)
-       (snd (Opt.adaptive_query_ev est ~split:false fused)));
+       (snd (Opt.adaptive_ev est ~split:false fused)));
   let missing =
     List.filter (fun r -> not (Hashtbl.mem fired r)) Opt.rule_names
   in
@@ -279,7 +291,7 @@ let test_scalar_rewrites () =
     |> Query.where (fun x -> I.(x < Expr.int 10))
     |> Query.sum_int
   in
-  let _, log = Opt.scalar sq in
+  let _, log = opt_scalar sq in
   Alcotest.(check (list string)) "scalar log" [ "where-fuse" ] log;
   let expected = Reference.scalar sq in
   List.iter
@@ -479,8 +491,8 @@ let build (ops, data) = List.fold_left (fun q op -> op q) (ints data) ops
 let random_idempotent =
   QCheck.Test.make ~name:"rewrite is idempotent (second pass fires no rules)"
     ~count:200 (QCheck.make pipeline_gen) (fun input ->
-      let q1, _ = Opt.query (build input) in
-      let q2, log2 = Opt.query q1 in
+      let q1, _ = opt_rows (build input) in
+      let q2, log2 = opt_rows q1 in
       log2 = [] && Query.operator_count q2 = Query.operator_count q1)
 
 (* Rewriting (AST pass + chain pass) never grows the canonicalized plan. *)
@@ -490,7 +502,7 @@ let random_operator_count =
     ~count:200 (QCheck.make pipeline_gen) (fun input ->
       let q = build input in
       let before = Quil.operator_count (Canon.of_query q) in
-      let q', _ = Opt.query q in
+      let q', _ = opt_rows q in
       let c', _ = Opt.chain (Canon.of_query q') in
       Quil.operator_count c' <= before)
 

@@ -120,27 +120,7 @@ let test_is_homomorphic () =
     (Par.is_homomorphic (Query.group_by (fun x -> x) src));
   Alcotest.(check bool) "distinct is not" false (Par.is_homomorphic (Query.distinct src))
 
-let test_split_scalar () =
-  let q = ints (Array.init 50 (fun i -> i)) |> Query.select (fun x -> I.(x * Expr.int 3)) in
-  (match Par.split_scalar (Query.sum_int q) with
-  | Some (Par.Split { source; _ }) ->
-    Alcotest.(check int) "source found" 50 (Array.length source)
-  | None -> Alcotest.fail "sum over homomorphic prefix must split");
-  (* Non-homomorphic prefix cannot split. *)
-  (match Par.split_scalar (Query.sum_int (Query.take 3 q)) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "take must prevent splitting");
-  (* Average's partial is a (sum, count) pair, not a float: it is beyond
-     the legacy same-typed API (but decomposes — see below). *)
-  (match Par.split_scalar (Query.average (Query.of_array Ty.Float [| 1.0 |])) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "average must not split (same-typed API)");
-  (* Range sources (no captured array) cannot split. *)
-  match Par.split_scalar (Query.sum_int (Query.range ~start:0 ~count:5)) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "range source must not split"
-
-(* The typed decomposition framework covers what split_scalar cannot. *)
+(* Which scalar queries the typed decomposition framework splits. *)
 let test_decompose_coverage () =
   let must_decompose : type s. string -> s Query.sq -> unit =
    fun name sq ->
@@ -156,6 +136,8 @@ let test_decompose_coverage () =
   in
   let fdata = Query.of_array Ty.Float [| 1.0; 2.0; 3.0 |] in
   let idata = ints [| 1; 2; 3 |] in
+  must_decompose "sum over a homomorphic select prefix"
+    (Query.sum_int (idata |> Query.select (fun x -> I.(x * Expr.int 3))));
   must_decompose "average" (Query.average fdata);
   must_decompose "first" (Query.first idata);
   must_decompose "last" (Query.last idata);
@@ -292,7 +274,6 @@ let () =
       ( "splitting",
         [
           Alcotest.test_case "is_homomorphic" `Quick test_is_homomorphic;
-          Alcotest.test_case "split_scalar" `Quick test_split_scalar;
           Alcotest.test_case "decompose coverage" `Quick test_decompose_coverage;
           Alcotest.test_case "auto = sequential" `Quick test_scalar_auto_matches_sequential;
           Alcotest.test_case "empty partitions" `Quick test_scalar_auto_empty_partitions;

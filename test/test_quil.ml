@@ -76,7 +76,7 @@ let test_join_desugars_to_nested () =
 
 let test_validate_accepts_canonical () =
   let check_ok chain =
-    match Quil.validate chain with
+    match Quil_grammar.validate chain with
     | Ok () -> ()
     | Error e -> Alcotest.failf "expected valid chain: %s" e
   in
@@ -122,7 +122,7 @@ let test_validate_rejects_agg_midchain () =
         ];
     }
   in
-  match Quil.validate chain with
+  match Quil_grammar.validate chain with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "Agg mid-chain must be rejected"
 
@@ -138,7 +138,7 @@ let test_validate_rejects_collection_in_trans_position () =
         ];
     }
   in
-  match Quil.validate chain with
+  match Quil_grammar.validate chain with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "collection sub-query in Trans position must be rejected"
 
@@ -154,7 +154,7 @@ let test_validate_rejects_scalar_selectmany () =
         ];
     }
   in
-  match Quil.validate chain with
+  match Quil_grammar.validate chain with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "scalar sub-query under SelectMany must be rejected"
 

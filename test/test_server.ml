@@ -222,7 +222,8 @@ let test_session_stats_and_labels () =
 let test_session_overrides () =
   let eng = engine () in
   let strict_sess =
-    Steno.Session.create eng ~client_id:"strict" ~strict:true
+    Steno.Session.create eng ~client_id:"strict"
+      ~config:Steno.Config.(with_strict true)
   in
   let lax_sess = Steno.Session.create eng ~client_id:"lax" in
   (match Steno.Session.try_prepare strict_sess div_zero_query with

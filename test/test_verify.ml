@@ -116,13 +116,13 @@ let test_broken_law_table_rejects () =
         { l with Check.Equiv.l_check = (fun _ -> Error "sabotaged") })
       Check.Equiv.laws
   in
-  let q = ints data |> Query.where even |> Query.where even in
-  let q', events = Opt.query_ev q in
-  let good = Check.Equiv.validate_query ~before:q ~after:q' events in
+  let q = Query.Rows (ints data |> Query.where even |> Query.where even) in
+  let q', events = Opt.plan_ev q in
+  let good = Check.Equiv.validate ~before:q ~after:q' events in
   Alcotest.(check bool) "default table accepts" true
     (Check.Equiv.accepted good);
   let bad =
-    Check.Equiv.validate_query ~laws:broken ~before:q ~after:q' events
+    Check.Equiv.validate ~laws:broken ~before:q ~after:q' events
   in
   Alcotest.(check bool) "broken table rejects" false
     (Check.Equiv.accepted bad);
@@ -133,7 +133,7 @@ let test_broken_law_table_rejects () =
        (Check.Equiv.failures bad));
   (* An event for a rule with no law at all is rejected too. *)
   let phantom =
-    Check.Equiv.validate_query ~before:q ~after:q'
+    Check.Equiv.validate ~before:q ~after:q'
       [ { Opt.ev_rule = "no-such-rule"; ev_facts = [] } ]
   in
   Alcotest.(check bool) "unknown rule rejected" false

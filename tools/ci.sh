@@ -1,10 +1,15 @@
 #!/bin/sh
 # CI entry point: full build, the complete test suite, the examples, and
-# a benchmark smoke run that also refreshes the machine-readable results
-# file.
+# benchmark smoke runs whose machine-readable results are written to and
+# checked in a scratch directory, so the committed BENCH_PR*.json files
+# are never rewritten.
 set -eu
 
 cd "$(dirname "$0")/.."
+
+bench_dir=$(mktemp -d)
+trap 'rm -rf "$bench_dir"' EXIT
+export BENCH_DIR="$bench_dir"
 
 echo "== dune build =="
 dune build @all
@@ -106,36 +111,36 @@ if printf '%s\n' "$serve_dump" | grep -q 'backend="native"'; then
 fi
 
 echo "== bench smoke (scale 0.01) =="
-dune exec bench/main.exe -- --scale 0.01 --json BENCH_PR2.json
+dune exec bench/main.exe -- --scale 0.01 --json "$bench_dir/BENCH_PR2.json"
 
 echo "== profiling overhead (scale 0.01) =="
-dune exec bench/main.exe -- --scale 0.01 --json-profile BENCH_PR3.json
+dune exec bench/main.exe -- --scale 0.01 --json-profile "$bench_dir/BENCH_PR3.json"
 
 echo "== partitioned aggregation (scale 0.01) =="
-dune exec bench/main.exe -- --scale 0.01 --json-par BENCH_PR5.json
-python3 -m json.tool BENCH_PR5.json > /dev/null
+dune exec bench/main.exe -- --scale 0.01 --json-par "$bench_dir/BENCH_PR5.json"
+python3 -m json.tool "$bench_dir/BENCH_PR5.json" > /dev/null
 
 echo "== serving-layer stress smoke (8 clients x 4 requests) =="
 dune exec bench/main.exe -- serve --scale 0.01 --clients 8 --requests 4 \
-  --json-serve BENCH_PR6.json
-python3 -m json.tool BENCH_PR6.json > /dev/null
+  --json-serve "$bench_dir/BENCH_PR6.json"
+python3 -m json.tool "$bench_dir/BENCH_PR6.json" > /dev/null
 for key in throughput_rps p50_ms p99_ms queue_p99_ms dedup_joins \
     rejected compiles max_inflight workers
 do
-  if ! grep -qF "\"$key\"" BENCH_PR6.json; then
+  if ! grep -qF "\"$key\"" "$bench_dir/BENCH_PR6.json"; then
     echo "missing from BENCH_PR6.json: $key" >&2
     exit 1
   fi
 done
 
 echo "== tiering + persistent-cache smoke (scale 0.01) =="
-dune exec bench/main.exe -- tier --scale 0.01 --json-tier BENCH_PR7.json
-python3 -m json.tool BENCH_PR7.json > /dev/null
+dune exec bench/main.exe -- tier --scale 0.01 --json-tier "$bench_dir/BENCH_PR7.json"
+python3 -m json.tool "$bench_dir/BENCH_PR7.json" > /dev/null
 for key in compile_cold_prepare_ms pcache_cold_prepare_ms \
     pcache_warm_prepare_ms pcache_speedup pcache_warm_compiles \
     promoted promotion_ms diverged warmup_curve
 do
-  if ! grep -qF "\"$key\"" BENCH_PR7.json; then
+  if ! grep -qF "\"$key\"" "$bench_dir/BENCH_PR7.json"; then
     echo "missing from BENCH_PR7.json: $key" >&2
     exit 1
   fi
@@ -143,10 +148,10 @@ done
 # With a native toolchain: the warm persistent cache must make a cold
 # prepare at least 10x cheaper than compiling, with zero compiler runs;
 # the tiering curve must start fused, promote, and never diverge.
-if grep -qF '"native_available": true' BENCH_PR7.json; then
+if grep -qF '"native_available": true' "$bench_dir/BENCH_PR7.json"; then
   python3 - <<'EOF'
-import json, sys
-r = json.load(open("BENCH_PR7.json"))
+import json, os, sys
+r = json.load(open(os.path.join(os.environ["BENCH_DIR"], "BENCH_PR7.json")))
 ok = True
 def need(cond, msg):
     global ok
@@ -169,11 +174,11 @@ EOF
 fi
 
 echo "== adaptive reorder bench (statically pessimal filter order) =="
-dune exec bench/main.exe -- --scale 0.25 --json-adaptive BENCH_PR10.json
-python3 -m json.tool BENCH_PR10.json > /dev/null
+dune exec bench/main.exe -- --scale 0.25 --json-adaptive "$bench_dir/BENCH_PR10.json"
+python3 -m json.tool "$bench_dir/BENCH_PR10.json" > /dev/null
 for key in static_order_ms adaptive_order_ms speedup reordered decisions
 do
-  if ! grep -qF "\"$key\"" BENCH_PR10.json; then
+  if ! grep -qF "\"$key\"" "$bench_dir/BENCH_PR10.json"; then
     echo "missing from BENCH_PR10.json: $key" >&2
     exit 1
   fi
@@ -182,8 +187,8 @@ done
 # measured win on the adversarial ordering must be real (the expensive
 # predicate is ~30x the cheap one, so 1.2x is a loose floor).
 python3 - <<'EOF'
-import json, sys
-r = json.load(open("BENCH_PR10.json"))
+import json, os, sys
+r = json.load(open(os.path.join(os.environ["BENCH_DIR"], "BENCH_PR10.json")))
 ok = True
 def need(cond, msg):
     global ok
@@ -270,13 +275,13 @@ rm -f trace_export.json
 
 echo "== trace overhead (8 clients x 4 requests, sample 1.0) =="
 dune exec bench/main.exe -- serve --scale 0.01 --clients 8 --requests 4 \
-  --trace-sample 1.0 --json-trace BENCH_PR8.json
-python3 -m json.tool BENCH_PR8.json > /dev/null
+  --trace-sample 1.0 --json-trace "$bench_dir/BENCH_PR8.json"
+python3 -m json.tool "$bench_dir/BENCH_PR8.json" > /dev/null
 for key in trace_sample serve_off serve_traced traces trace_dropped \
     serve_throughput_delta_pct hot_run_off_ms hot_run_traced_ms \
     hot_overhead_pct
 do
-  if ! grep -qF "\"$key\"" BENCH_PR8.json; then
+  if ! grep -qF "\"$key\"" "$bench_dir/BENCH_PR8.json"; then
     echo "missing from BENCH_PR8.json: $key" >&2
     exit 1
   fi
@@ -284,8 +289,8 @@ done
 # The hot-path tax of full tracing must stay under 10% (negative values
 # are measurement noise and fine).
 python3 - <<'EOF'
-import json, sys
-r = json.load(open("BENCH_PR8.json"))
+import json, os, sys
+r = json.load(open(os.path.join(os.environ["BENCH_DIR"], "BENCH_PR8.json")))
 pct = r["hot_overhead_pct"]
 if pct >= 10.0:
     print("BENCH_PR8.json: hot-path tracing overhead %.1f%% >= 10%%" % pct,

@@ -6,10 +6,13 @@
      dune exec bench/main.exe -- fig1         -- one experiment
      dune exec bench/main.exe -- fig13 --scale 0.1
    Experiments: fig1 fig13 breakeven fig14 ablation-gba ablation-chain
-                ablation-backend par par-agg serve tier adaptive bechamel
-   JSON output: --json FILE / --json-profile FILE / --json-par FILE /
-                --json-serve FILE (with --clients N --requests R) /
-                --json-tier FILE / --json-adaptive FILE
+                ablation-backend ablation-join ablation-sorted
+                ablation-early-exit optimizer par par-agg profiling tier
+                trace adaptive bechamel
+   Exit status: 2 for an unknown experiment name (nothing runs), 1 when
+   a gated experiment (trace, adaptive) misses its bound, 0 otherwise.
+   Served latency, cold prepare and warm restart are measured by
+   stenobench/ (python3 stenobench/run.py), not here.
 
    Absolute numbers differ from the paper (different machine, language and
    runtime); the claims under test are the *shapes*: who wins, by roughly
@@ -42,6 +45,20 @@ let row fmt = Printf.printf fmt
 let header title = Printf.printf "\n=== %s ===\n" title
 
 let native = Steno.native_available ()
+
+(* Gated experiments report a missed bound here and keep going; the
+   harness exits 1 at the end if any did. *)
+let failures = ref 0
+
+let gate ok fmt =
+  Printf.ksprintf
+    (fun msg ->
+      if not ok then begin
+        incr failures;
+        flush stdout;
+        Printf.eprintf "FAIL: %s\n%!" msg
+      end)
+    fmt
 
 let require_native name f =
   if native then f ()
@@ -508,7 +525,8 @@ let par_scaling () =
 (* PR 5: partitioned partial aggregation [Agg_i / Agg-star] vs
    sequential on a filtered Average — the (sum, count) pair partial that
    Par.decompose builds, run through Par.scalar_auto. *)
-let par_agg_measurements () =
+let par_agg () =
+  header "PR 5: partitioned vs sequential filtered Average (Agg_i / Agg*)";
   let n = scaled 10_000_000 in
   let xs = uniform_floats n in
   let sq =
@@ -529,67 +547,26 @@ let par_agg_measurements () =
     time_ms (fun () -> Par.scalar_auto ~backend ~workers ~parts:workers sq)
   in
   let speedup = seq_ms /. par_ms in
-  let meets_target = speedup >= 1.5 in
-  let explanation =
-    if meets_target then ""
-    else if cores <= 1 then
-      Printf.sprintf
-        "host exposes %d core: the %d worker domains time-slice one CPU, so \
-         partitioned execution can at best match sequential time plus \
-         domain-scheduling overhead; the 1.5x target needs >= 2 physical cores"
-        cores workers
-    else
-      Printf.sprintf
-        "%d cores available but speedup %.2fx < 1.5x: the filtered Average is \
-         memory-bandwidth-bound at this scale"
-        cores speedup
-  in
-  (n, workers, cores, seq_ms, par_ms, speedup, meets_target, explanation)
-
-let par_agg () =
-  header "PR 5: partitioned vs sequential filtered Average (Agg_i / Agg*)";
-  let n, workers, cores, seq_ms, par_ms, speedup, meets_target, explanation =
-    par_agg_measurements ()
-  in
   row "filtered Average over %d doubles, %d workers on %d core(s)\n" n workers
     cores;
   row "sequential:  %10.1f ms\n" seq_ms;
   row "partitioned: %10.1f ms   (%.2fx)\n" par_ms speedup;
-  row "meets 1.5x target: %b%s\n" meets_target
-    (if explanation = "" then "" else "\n  " ^ explanation)
-
-let json_par_report file =
-  header (Printf.sprintf "partial-aggregation JSON report -> %s" file);
-  let n, workers, cores, seq_ms, par_ms, speedup, meets_target, explanation =
-    par_agg_measurements ()
+  let explanation =
+    if speedup >= 1.5 then ""
+    else if cores <= 1 then
+      Printf.sprintf
+        "\n  host exposes %d core: the %d worker domains time-slice one CPU, \
+         so partitioned execution can at best match sequential time plus \
+         domain-scheduling overhead; the 1.5x target needs >= 2 physical \
+         cores"
+        cores workers
+    else
+      Printf.sprintf
+        "\n  %d cores available but speedup %.2fx < 1.5x: the filtered \
+         Average is memory-bandwidth-bound at this scale"
+        cores speedup
   in
-  let oc =
-    try open_out file
-    with Sys_error msg ->
-      Printf.eprintf "cannot write %s: %s\n" file msg;
-      exit 2
-  in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "par-agg",
-  "query": "filtered-average",
-  "rows": %d,
-  "scale": %.3f,
-  "native_available": %b,
-  "workers": %d,
-  "cores": %d,
-  "seq_ms": %.3f,
-  "par_ms": %.3f,
-  "speedup": %.3f,
-  "meets_target": %b,
-  "explanation": %S
-}
-|}
-    n !scale native workers cores seq_ms par_ms speedup meets_target
-    explanation;
-  close_out oc;
-  row "rows = %d, %d workers / %d core(s): seq %.1f ms, par %.1f ms (%.2fx)\n"
-    n workers cores seq_ms par_ms speedup
+  row "meets 1.5x target: %b%s\n" (speedup >= 1.5) explanation
 
 (* ------------------------------------------------------------------ *)
 (* The algebraic optimizer on a redundant plan: 3 stacked Wheres, the
@@ -604,18 +581,8 @@ let stacked_where_query n =
   |> Query.where (fun x -> I.(x > Expr.int 10))
   |> Query.where (fun x -> I.(x < Expr.int 900))
 
-type optimizer_measurements = {
-  opt_n : int;
-  fused_run_on : float;
-  fused_run_off : float;
-  fused_prep_run_on : float;
-  fused_prep_run_off : float;
-  native_ops_on : int;
-  native_ops_off : int;
-  opt_rules : string list;
-}
-
-let measure_optimizer () =
+let optimizer () =
+  header "Optimizer: 3 stacked Wheres, rewriting on vs off";
   (* Floored below so the measured difference (a few closure calls per
      element) stays above timer noise even at CI smoke scales. *)
   let n = max 500_000 (scaled 2_000_000) in
@@ -633,43 +600,20 @@ let measure_optimizer () =
   let p_off = Steno.Engine.prepare_scalar e_off sq in
   assert (Steno.Prepared_scalar.run p_on = Steno.Prepared_scalar.run p_off);
   let runs = 9 in
-  let fused_run_on =
-    time_ms ~runs (fun () -> Steno.Prepared_scalar.run p_on)
-  in
-  let fused_run_off =
-    time_ms ~runs (fun () -> Steno.Prepared_scalar.run p_off)
-  in
-  let fused_prep_run_on =
-    time_ms ~runs (fun () -> Steno.Engine.scalar e_on sq)
-  in
-  let fused_prep_run_off =
-    time_ms ~runs (fun () -> Steno.Engine.scalar e_off sq)
-  in
+  let run_on = time_ms ~runs (fun () -> Steno.Prepared_scalar.run p_on) in
+  let run_off = time_ms ~runs (fun () -> Steno.Prepared_scalar.run p_off) in
+  let prep_run_on = time_ms ~runs (fun () -> Steno.Engine.scalar e_on sq) in
+  let prep_run_off = time_ms ~runs (fun () -> Steno.Engine.scalar e_off sq) in
   (* Operator counts of the QUIL plan the Native backend would generate
      code for, with and without rewriting. *)
-  let ex_on = Steno.Engine.explain_scalar e_on sq in
-  let ex_off = Steno.Engine.explain_scalar e_off sq in
-  {
-    opt_n = n;
-    fused_run_on;
-    fused_run_off;
-    fused_prep_run_on;
-    fused_prep_run_off;
-    native_ops_on = ex_on.Steno.Engine.operators_after;
-    native_ops_off = ex_off.Steno.Engine.operators_after;
-    opt_rules = Steno.Prepared_scalar.rewrite_log p_on;
-  }
-
-let optimizer () =
-  header "Optimizer: 3 stacked Wheres, rewriting on vs off";
-  let m = measure_optimizer () in
-  row "n = %d; rules applied: %s\n" m.opt_n (String.concat ", " m.opt_rules);
+  let ops e = (Steno.Engine.explain_scalar e sq).Steno.Engine.operators_after in
+  row "n = %d; rules applied: %s\n" n
+    (String.concat ", " (Steno.Prepared_scalar.rewrite_log p_on));
   row "%-22s %12s %12s\n" "" "opt on" "opt off";
-  row "%-22s %10.1f ms %10.1f ms\n" "Fused run" m.fused_run_on m.fused_run_off;
-  row "%-22s %10.1f ms %10.1f ms\n" "Fused prepare+run" m.fused_prep_run_on
-    m.fused_prep_run_off;
-  row "%-22s %12d %12d\n" "Native QUIL operators" m.native_ops_on
-    m.native_ops_off;
+  row "%-22s %10.1f ms %10.1f ms\n" "Fused run" run_on run_off;
+  row "%-22s %10.1f ms %10.1f ms\n" "Fused prepare+run" prep_run_on
+    prep_run_off;
+  row "%-22s %12d %12d\n" "Native QUIL operators" (ops e_on) (ops e_off);
   row "(one fused predicate evaluates all three tests per element; the\n\
     \ unrewritten plan pays a closure call per Where per element)\n"
 
@@ -727,7 +671,8 @@ let bechamel () =
    applies the identity wrapper and generated code carries no probe
    increments — so comparing it against [hand] bounds the cost of
    having the profiling layer compiled in at all. *)
-let profile_overhead_rows () =
+let profiling () =
+  header "Profiling overhead: profile:false vs profile:true, per backend";
   let n = scaled 4_000_000 in
   let xs = uniform_floats n in
   let sq = sumsq_query xs in
@@ -749,463 +694,49 @@ let profile_overhead_rows () =
     [ "linq", Steno.Linq; "fused", Steno.Fused ]
     @ (if native then [ "native", Steno.Native ] else [])
   in
-  ( n,
-    time_ms ~runs:5 (sumsq_hand xs),
-    List.map
-      (fun (name, b) ->
-        let off = measure b false in
-        let on = measure b true in
-        name, off, on)
-      backends )
-
-let overhead_pct ~off ~on = 100.0 *. ((on /. off) -. 1.0)
-
-let profiling () =
-  header "Profiling overhead: profile:false vs profile:true, per backend";
-  let n, hand, rows = profile_overhead_rows () in
-  row "sumsq over %d doubles (hand loop: %.2f ms), median of 5 runs\n" n hand;
+  row "sumsq over %d doubles (hand loop: %.2f ms), median of 5 runs\n" n
+    (time_ms ~runs:5 (sumsq_hand xs));
   row "%-8s %12s %12s %10s\n" "backend" "off(ms)" "on(ms)" "overhead";
   List.iter
-    (fun (name, off, on) ->
+    (fun (name, b) ->
+      let off = measure b false in
+      let on = measure b true in
       row "%-8s %12.2f %12.2f %+9.1f%%\n" name off on
-        (overhead_pct ~off ~on))
-    rows
+        (100.0 *. ((on /. off) -. 1.0)))
+    backends
 
-let json_profile_report file =
-  header (Printf.sprintf "profiling JSON report -> %s" file);
-  let n, hand, rows = profile_overhead_rows () in
-  let oc =
-    try open_out file
-    with Sys_error msg ->
-      Printf.eprintf "cannot write %s: %s\n" file msg;
-      exit 2
-  in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "profile-overhead",
-  "query": "sumsq",
-  "n": %d,
-  "scale": %.3f,
-  "native_available": %b,
-  "hand_ms": %.3f,
-  "backends": {
-%s
-  }
-}
-|}
-    n !scale native hand
-    (String.concat ",\n"
-       (List.map
-          (fun (name, off, on) ->
-            Printf.sprintf
-              "    %S: {\"unprofiled_ms\": %.3f, \"profiled_ms\": %.3f, \
-               \"overhead_pct\": %.1f}"
-              name off on (overhead_pct ~off ~on))
-          rows));
-  close_out oc;
-  List.iter
-    (fun (name, off, on) ->
-      row "%-8s %.2f ms -> %.2f ms profiled (%+.1f%%)\n" name off on
-        (overhead_pct ~off ~on))
-    rows
+(* {1 PR 7: tiered execution}
 
-(* ------------------------------------------------------------------ *)
-(* PR 6: the serving layer under concurrent load.  Simulated clients on
-   the Domain_pool substrate hammer one [Server] over one [Engine] with
-   a mixed workload: mostly hot shapes (a handful of query structures,
-   compiled once and plugin-cache hits ever after) plus a trickle of
-   cold shapes — a unique literal baked into the source gives each cold
-   request a cache key nobody else has, i.e. a real compile.  Request
-   latency is observed into a log-scale histogram and the percentiles
-   are read back from its snapshot, exactly as a scrape would. *)
+   The tiering warm-up curve: the run-by-run latency of a tiered
+   preparation from its first Fused run through the background promotion
+   to Native.  The persistent plugin cache's cold/warm prepare is
+   measured by stenobench's cold-prepare and warm-restart workloads, and
+   its 10x floor is asserted by test/test_pcache.ml. *)
 
-let serve_clients = ref 64
-
-let serve_requests = ref 10
-
-(* Sampling rate for the traced serve measurement ([--trace-sample],
-   default: trace every request). *)
-let serve_trace_sample = ref 1.0
-
-(* Smallest bucket bound covering the q-th fraction of observations: the
-   percentile as a monitoring system computes it from a histogram. *)
-let serve_percentile snap q =
-  if snap.Metrics.hs_count = 0 then Float.nan
-  else begin
-    let target =
-      int_of_float (ceil (q *. float_of_int snap.Metrics.hs_count))
-    in
-    let rec go = function
-      | [] -> Float.nan
-      | (bound, cum) :: rest -> if cum >= target then bound else go rest
-    in
-    go snap.Metrics.hs_buckets
-  end
-
-type serve_measurements = {
-  sv_clients : int;
-  sv_requests : int;  (* per client *)
-  sv_workers : int;
-  sv_inflight : int;
-  sv_wall_ms : float;
-  sv_throughput : float;  (* completed requests per second *)
-  sv_p50 : float;
-  sv_p99 : float;
-  sv_queue_p99 : float;
-  sv_stats : Server.stats;
-  sv_compiles : int;
-  sv_dedup : int;
-  sv_cache : Steno.Engine.cache_stats;
-  sv_traces : int;  (* completed traces retained (0 when untraced) *)
-  sv_trace_dropped : int;  (* ring overflow head-drops *)
-}
-
-let measure_serve ?(tracing = 0.0) () =
-  let clients = max 1 !serve_clients in
-  let requests = max 1 !serve_requests in
-  let reg = Metrics.create () in
-  let backend = if native then Steno.Native else Steno.Fused in
-  let cfg =
-    { Steno.Engine.default_config with
-      backend;
-      metrics = reg;
-      cache_capacity = 128
-    }
-  in
-  let cfg =
-    if tracing > 0.0 then
-      Steno.Config.with_tracing ~sample:tracing ~slow_ms:50.0 cfg
-    else cfg
-  in
-  let eng = Steno.Engine.create cfg in
-  let workers = max 2 (Domain_pool.recommended_workers ()) in
-  (* Execution slots match the driver count: with fewer slots than
-     drivers (this used to be workers/2, and BENCH_PR6 effectively ran
-     one slot against two drivers) every measurement was dominated by
-     queue wait rather than query cost.  Admission control still
-     engages under a burst: the drivers submit in lockstep. *)
-  let inflight = workers in
-  let srv =
-    Server.create ~max_inflight:inflight ~max_queue:(clients * requests) eng
-  in
-  let latency =
-    Metrics.histogram reg "steno_serve_request_ms"
-      ~help:"End-to-end request latency observed by the bench driver"
-  in
-  let xs = Array.init 512 (fun i -> (i * 37) mod 1009) in
-  let hot k =
-    Query.sum_int
-      (Query.of_array Ty.Int xs |> Query.select (fun x -> I.(x + Expr.int k)))
-  in
-  let hot_shapes = 4 in
-  let cold id =
-    let lit = 1_000_000 + id in
+let tier () =
+  header "PR 7: tiered execution warm-up";
+  let xs = Array.init 4096 (fun i -> (i * 31) mod 977) in
+  (* A literal no other experiment uses, so the generated source (and
+     hence every cache key) is private to this measurement. *)
+  let sq =
     Query.sum_int
       (Query.of_array Ty.Int xs
-      |> Query.select (fun x -> I.(x + Expr.int lit)))
+      |> Query.select (fun x -> I.(x + Expr.int 7_424_243)))
   in
-  let t0 = Unix.gettimeofday () in
-  let per_client =
-    Domain_pool.run ~workers ~tasks:clients (fun c ->
-        let completed = ref 0 in
-        for r = 0 to requests - 1 do
-          let id = (c * requests) + r in
-          (* One cold request in 16; everything else cycles the hot
-             shapes. *)
-          let q =
-            if id mod 16 = 0 then cold id else hot (id mod hot_shapes)
-          in
-          let t = Unix.gettimeofday () in
-          (match
-             Server.submit srv
-               ~client_id:(Printf.sprintf "client-%02d" (c mod 32))
-               (fun sess -> Steno.Session.scalar sess q)
-           with
-          | Server.Done _ -> incr completed
-          | Server.Rejected _ -> ()
-          | Server.Failed e -> raise e);
-          Metrics.observe latency (1000.0 *. (Unix.gettimeofday () -. t))
-        done;
-        !completed)
-  in
-  let wall_ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
-  let completed = Array.fold_left ( + ) 0 per_client in
-  let st = Server.stats srv in
-  let lat_snap = Metrics.histogram_snapshot latency in
-  let queue_snap =
-    Metrics.histogram_snapshot
-      (Metrics.histogram reg "steno_server_queue_ms")
-  in
-  {
-    sv_clients = clients;
-    sv_requests = requests;
-    sv_workers = workers;
-    sv_inflight = inflight;
-    sv_wall_ms = wall_ms;
-    sv_throughput = float_of_int completed /. (wall_ms /. 1000.0);
-    sv_p50 = serve_percentile lat_snap 0.50;
-    sv_p99 = serve_percentile lat_snap 0.99;
-    sv_queue_p99 = serve_percentile queue_snap 0.99;
-    sv_stats = st;
-    sv_compiles =
-      Metrics.counter_value
-        (Metrics.counter reg "steno_compile" ~labels:[ "result", "ok" ]);
-    sv_dedup =
-      Metrics.counter_value (Metrics.counter reg "steno_prepare_dedup");
-    sv_cache = Steno.Engine.cache_stats eng;
-    sv_traces = List.length (Trace.traces (Steno.Engine.tracer eng));
-    sv_trace_dropped = Trace.dropped (Steno.Engine.tracer eng);
-  }
-
-let serve () =
-  header "PR 6: concurrent query service (Server over one shared Engine)";
-  let m = measure_serve () in
-  row "%d clients x %d requests = %d total; %d pool workers, %d slots\n"
-    m.sv_clients m.sv_requests (m.sv_clients * m.sv_requests) m.sv_workers
-    m.sv_inflight;
-  row "wall time: %.1f ms, throughput: %.0f req/s\n" m.sv_wall_ms
-    m.sv_throughput;
-  row "latency   p50 %-10.3fms p99 %.3f ms (log-scale histogram buckets)\n"
-    m.sv_p50 m.sv_p99;
-  row "queue     p99 %.3f ms\n" m.sv_queue_p99;
-  row "outcomes: %d completed, %d rejected, %d failed\n"
-    m.sv_stats.Server.completed m.sv_stats.Server.rejected
-    m.sv_stats.Server.failed;
-  row "compiles: %d (flight joins: %d); cache hits %d, misses %d, \
-       evictions %d\n"
-    m.sv_compiles m.sv_dedup m.sv_cache.Steno.Engine.hits
-    m.sv_cache.Steno.Engine.misses m.sv_cache.Steno.Engine.evictions;
-  row
-    "(hot shapes amortize one compile over every client; single-flight \
-     keeps\n\
-    \ concurrent cold prepares of one shape down to one compiler run)\n"
-
-let json_serve_report file =
-  header (Printf.sprintf "serving-layer JSON report -> %s" file);
-  let m = measure_serve () in
-  let fnum v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let oc =
-    try open_out file
-    with Sys_error msg ->
-      Printf.eprintf "cannot write %s: %s\n" file msg;
-      exit 2
-  in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "serve",
-  "clients": %d,
-  "requests_per_client": %d,
-  "total_requests": %d,
-  "workers": %d,
-  "max_inflight": %d,
-  "scale": %.3f,
-  "native_available": %b,
-  "wall_ms": %s,
-  "throughput_rps": %s,
-  "p50_ms": %s,
-  "p99_ms": %s,
-  "queue_p99_ms": %s,
-  "accepted": %d,
-  "completed": %d,
-  "rejected": %d,
-  "failed": %d,
-  "compiles": %d,
-  "dedup_joins": %d,
-  "cache": {"hits": %d, "misses": %d, "evictions": %d, "entries": %d}
-}
-|}
-    m.sv_clients m.sv_requests
-    (m.sv_clients * m.sv_requests)
-    m.sv_workers m.sv_inflight !scale native (fnum m.sv_wall_ms)
-    (fnum m.sv_throughput) (fnum m.sv_p50) (fnum m.sv_p99)
-    (fnum m.sv_queue_p99) m.sv_stats.Server.accepted
-    m.sv_stats.Server.completed m.sv_stats.Server.rejected
-    m.sv_stats.Server.failed m.sv_compiles m.sv_dedup
-    m.sv_cache.Steno.Engine.hits m.sv_cache.Steno.Engine.misses
-    m.sv_cache.Steno.Engine.evictions m.sv_cache.Steno.Engine.entries;
-  close_out oc;
-  row "%d clients x %d: %.0f req/s, p50 %.3f ms, p99 %.3f ms, %d compiles\n"
-    m.sv_clients m.sv_requests m.sv_throughput m.sv_p50 m.sv_p99 m.sv_compiles
-
-(* Machine-readable results for CI trend tracking: the Fig. 1 sumsq
-   headline across backends plus the section 7.1 query-cache numbers
-   (cold prepare vs cache-hit prepare). *)
-let json_report file =
-  header (Printf.sprintf "JSON report -> %s" file);
-  let n = scaled 10_000_000 in
-  let xs = uniform_floats n in
-  let sq = sumsq_query xs in
-  let t_hand = time_ms (sumsq_hand xs) in
-  let linq = Steno.prepare_scalar ~backend:Steno.Linq sq in
-  let t_linq = time_ms (fun () -> Steno.Prepared_scalar.run linq) in
-  let fused = Steno.prepare_scalar ~backend:Steno.Fused sq in
-  let t_fused = time_ms (fun () -> Steno.Prepared_scalar.run fused) in
-  let fnum v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let t_native, prepare_cold_ms, prepare_hit_ms =
-    if native then begin
-      Steno.clear_cache ();
-      let p1 = Steno.prepare_scalar ~backend:Steno.Native sq in
-      let cold = (Steno.Prepared_scalar.compile_info p1).Steno.prepare_ms in
-      let p2 = Steno.prepare_scalar ~backend:Steno.Native sq in
-      let hit = (Steno.Prepared_scalar.compile_info p2).Steno.prepare_ms in
-      assert (Steno.Prepared_scalar.compile_info p2).Steno.cache_hit;
-      time_ms (fun () -> Steno.Prepared_scalar.run p2), cold, hit
-    end
-    else Float.nan, Float.nan, Float.nan
-  in
-  let oc =
-    try open_out file
-    with Sys_error msg ->
-      Printf.eprintf "cannot write %s: %s\n" file msg;
-      exit 2
-  in
-  let m = measure_optimizer () in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "sumsq",
-  "n": %d,
-  "scale": %.3f,
-  "native_available": %b,
-  "linq_ms": %s,
-  "fused_ms": %s,
-  "native_ms": %s,
-  "hand_ms": %s,
-  "prepare_cold_ms": %s,
-  "prepare_cache_hit_ms": %s,
-  "optimizer": {
-    "query": "stacked-where-3",
-    "n": %d,
-    "fused_run_ms_opt": %s,
-    "fused_run_ms_noopt": %s,
-    "fused_prepare_run_ms_opt": %s,
-    "fused_prepare_run_ms_noopt": %s,
-    "native_operators_opt": %d,
-    "native_operators_noopt": %d,
-    "rules": [%s]
-  }
-}
-|}
-    n !scale native (fnum t_linq) (fnum t_fused) (fnum t_native) (fnum t_hand)
-    (fnum prepare_cold_ms) (fnum prepare_hit_ms) m.opt_n
-    (fnum m.fused_run_on) (fnum m.fused_run_off) (fnum m.fused_prep_run_on)
-    (fnum m.fused_prep_run_off) m.native_ops_on m.native_ops_off
-    (String.concat ", "
-       (List.map (Printf.sprintf "%S") m.opt_rules));
-  close_out oc;
-  row "n = %d: LINQ %.1f ms, Fused %.1f ms, Native %.1f ms, hand %.1f ms\n" n
-    t_linq t_fused t_native t_hand;
-  row "prepare: %.1f ms cold, %.3f ms on a cache hit\n" prepare_cold_ms
-    prepare_hit_ms;
-  row
-    "optimizer (stacked wheres, n = %d): fused run %.1f -> %.1f ms, \
-     operators %d -> %d\n"
-    m.opt_n m.fused_run_off m.fused_run_on m.native_ops_off m.native_ops_on
-
-(* {1 PR 7: tiered execution and the persistent plugin cache}
-
-   Three cold-prepare figures for one query shape — full in-process
-   compile, compile+publish into a fresh on-disk store, and a cold
-   process hitting the warm store — plus a tiering warm-up curve: the
-   run-by-run latency of a tiered preparation from its first Fused run
-   through the background promotion to Native. *)
-
-type tier_measurements = {
-  tm_threshold : int;
-  tm_compile_cold_ms : float;  (* fresh engine, no disk cache *)
-  tm_pcache_cold_ms : float;  (* fresh store: compile + publish *)
-  tm_pcache_warm_ms : float;  (* new engine on the warm store *)
-  tm_warm_is_hit : bool;  (* the warm prepare compiled nothing *)
-  tm_warm_compiles : int;  (* compiler runs seen by the warm engine *)
-  tm_pcache_hits : int;
-  tm_promotion_ms : float;  (* threshold crossing -> Native observed *)
-  tm_promoted : bool;
-  tm_curve : (int * string * float) list;  (* run #, live tier, ms *)
-  tm_diverged : bool;  (* any run result != Reference result *)
-}
-
-let measure_tier () =
-  let xs = Array.init 4096 (fun i -> (i * 31) mod 977) in
-  let shape k =
-    Query.sum_int
-      (Query.of_array Ty.Int xs |> Query.select (fun x -> I.(x + Expr.int k)))
-  in
-  (* Literals no other experiment uses, so the generated source (and
-     hence every cache key) is private to this measurement. *)
-  let sq_cache = shape 7_424_242 in
-  let sq_tier = shape 7_424_243 in
   let expected =
-    Steno.Prepared_scalar.run
-      (Steno.prepare_scalar ~backend:Steno.Linq sq_tier)
+    Steno.Prepared_scalar.run (Steno.prepare_scalar ~backend:Steno.Linq sq)
   in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "steno-bench-pcache-%d" (Unix.getpid ()))
-  in
-  let prepare_ms cfg sq =
-    let eng = Steno.Engine.create cfg in
-    let p = Steno.Engine.prepare_scalar eng sq in
-    let i = Steno.Prepared_scalar.compile_info p in
-    i.Steno.prepare_ms, i.Steno.cache_hit, eng
-  in
-  let compile_cold, pcache_cold, pcache_warm, warm_hit, warm_compiles,
-      pcache_hits =
-    if not native then Float.nan, Float.nan, Float.nan, false, 0, 0
-    else begin
-      let base reg =
-        Steno.Config.(
-          default |> with_backend Steno.Native
-          |> with_metrics reg)
-      in
-      let cold_ms, _, _ = prepare_ms (base (Metrics.create ())) sq_cache in
-      let store_ms, _, _ =
-        prepare_ms
-          (base (Metrics.create ()) |> Steno.Config.with_disk_cache ~dir)
-          sq_cache
-      in
-      (* A different engine (fresh LRU, fresh metrics) on the same
-         store: this is the restarted process paying only the dynlink
-         load. *)
-      let warm_reg = Metrics.create () in
-      let warm_ms, warm_hit, warm_eng =
-        prepare_ms
-          (base warm_reg |> Steno.Config.with_disk_cache ~dir)
-          sq_cache
-      in
-      let warm_compiles =
-        Metrics.counter_value
-          (Metrics.counter warm_reg "steno_compile" ~labels:[ "result", "ok" ])
-      in
-      let hits =
-        match Steno.Engine.pcache_stats warm_eng with
-        | Some s -> s.Pcache.st_hits
-        | None -> 0
-      in
-      cold_ms, store_ms, warm_ms, warm_hit, warm_compiles, hits
-    end
-  in
-  (* Best-effort cleanup of the scratch store. *)
-  (try
-     let rec rm d =
-       Sys.readdir d
-       |> Array.iter (fun f ->
-              let p = Filename.concat d f in
-              if Sys.is_directory p then rm p else Sys.remove p);
-       Unix.rmdir d
-     in
-     if Sys.file_exists dir then rm dir
-   with _ -> ());
-  (* The warm-up curve: a tiered engine (threshold 3) with no disk
-     cache, so the promotion pays a real background compile. *)
+  (* A tiered engine (threshold 3) with no disk cache, so the promotion
+     pays a real background compile. *)
   let threshold = 3 in
-  let tier_eng =
+  let eng =
     Steno.Engine.create
       Steno.Config.(
         default |> with_backend Steno.Native
         |> with_metrics (Metrics.create ())
         |> with_tiering ~threshold)
   in
-  let p = Steno.Engine.prepare_scalar tier_eng sq_tier in
+  let p = Steno.Engine.prepare_scalar eng sq in
   let diverged = ref false in
   let timed_run n =
     let tier = Steno.backend_name (Steno.Prepared_scalar.backend_used p) in
@@ -1213,9 +744,12 @@ let measure_tier () =
     let r = Steno.Prepared_scalar.run p in
     let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
     if r <> expected then diverged := true;
-    n, tier, ms
+    row "  run %d: %-6s %.3f ms\n" n tier ms
   in
-  let head = List.init threshold (fun i -> timed_run (i + 1)) in
+  row "tiering warm-up (threshold %d):\n" threshold;
+  for i = 1 to threshold do
+    timed_run i
+  done;
   (* The threshold run queued the background compile; wait (bounded)
      for the hot swap, measuring promotion latency as observed by a
      client polling the live tier. *)
@@ -1230,115 +764,26 @@ let measure_tier () =
     end
   in
   let promoted = native && await () in
-  let promotion_ms =
-    if promoted then 1000.0 *. (Unix.gettimeofday () -. t_promote)
-    else Float.nan
-  in
-  let tail =
-    List.init 3 (fun i -> timed_run (threshold + i + 1))
-  in
-  {
-    tm_threshold = threshold;
-    tm_compile_cold_ms = compile_cold;
-    tm_pcache_cold_ms = pcache_cold;
-    tm_pcache_warm_ms = pcache_warm;
-    tm_warm_is_hit = warm_hit;
-    tm_warm_compiles = warm_compiles;
-    tm_pcache_hits = pcache_hits;
-    tm_promotion_ms = promotion_ms;
-    tm_promoted = promoted;
-    tm_curve = head @ tail;
-    tm_diverged = !diverged;
-  }
-
-let tier () =
-  header "PR 7: tiered execution + persistent plugin cache";
-  let m = measure_tier () in
-  if native then begin
-    row "cold prepare: %.1f ms compile-only, %.1f ms compile+publish\n"
-      m.tm_compile_cold_ms m.tm_pcache_cold_ms;
-    row "warm-store prepare (new engine): %.3f ms (%.0fx faster; %d \
-         compiler runs, %d disk hits)\n"
-      m.tm_pcache_warm_ms
-      (m.tm_compile_cold_ms /. m.tm_pcache_warm_ms)
-      m.tm_warm_compiles m.tm_pcache_hits
-  end
-  else row "native compiler unavailable: pcache figures skipped\n";
-  row "tiering warm-up (threshold %d):\n" m.tm_threshold;
-  List.iter
-    (fun (n, tier, ms) -> row "  run %d: %-6s %.3f ms\n" n tier ms)
-    m.tm_curve;
-  if m.tm_promoted then
-    row "promoted to native %.1f ms after the threshold run%s\n"
-      m.tm_promotion_ms
-      (if m.tm_diverged then "; RESULTS DIVERGED" else "; results identical")
+  let promotion_ms = 1000.0 *. (Unix.gettimeofday () -. t_promote) in
+  for i = 1 to 3 do
+    timed_run (threshold + i)
+  done;
+  if promoted then
+    row "promoted to native %.1f ms after the threshold run%s\n" promotion_ms
+      (if !diverged then "; RESULTS DIVERGED" else "; results identical")
   else row "no promotion (native unavailable or compile failed)\n"
-
-let json_tier_report file =
-  header (Printf.sprintf "tiering/pcache JSON report -> %s" file);
-  let m = measure_tier () in
-  let fnum v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let oc =
-    try open_out file
-    with Sys_error msg ->
-      Printf.eprintf "cannot write %s: %s\n" file msg;
-      exit 2
-  in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "tier",
-  "scale": %.3f,
-  "native_available": %b,
-  "threshold": %d,
-  "compile_cold_prepare_ms": %s,
-  "pcache_cold_prepare_ms": %s,
-  "pcache_warm_prepare_ms": %s,
-  "pcache_speedup": %s,
-  "pcache_warm_is_hit": %b,
-  "pcache_warm_compiles": %d,
-  "pcache_hits": %d,
-  "promoted": %b,
-  "promotion_ms": %s,
-  "diverged": %b,
-  "warmup_curve": [%s]
-}
-|}
-    !scale native m.tm_threshold
-    (fnum m.tm_compile_cold_ms)
-    (fnum m.tm_pcache_cold_ms)
-    (fnum m.tm_pcache_warm_ms)
-    (fnum (m.tm_compile_cold_ms /. m.tm_pcache_warm_ms))
-    m.tm_warm_is_hit m.tm_warm_compiles m.tm_pcache_hits m.tm_promoted
-    (fnum m.tm_promotion_ms) m.tm_diverged
-    (String.concat ", "
-       (List.map
-          (fun (n, tier, ms) ->
-            Printf.sprintf {|{"run": %d, "tier": %S, "ms": %s}|} n tier
-              (fnum ms))
-          m.tm_curve));
-  close_out oc;
-  row "warm-store prepare %s ms vs %s ms compile; promoted: %b\n"
-    (fnum m.tm_pcache_warm_ms)
-    (fnum m.tm_compile_cold_ms)
-    m.tm_promoted
 
 (* {1 PR 8: tracing overhead}
 
-   Two figures.  The serve-layer delta re-runs the PR 6 stress with
-   request tracing off and on, comparing throughput and latency — the
-   end-to-end price of the ops plane.  The hot-path figure isolates the
-   per-request mechanics (trace root, ring push, bridged run span) on a
-   fixed-size fused run where query cost dominates, because that is the
-   path a production request takes once everything is cached; the CI
-   gate holds its overhead under 10%. *)
+   The hot-path figure isolates the per-request mechanics (trace root,
+   ring push, bridged run span) on a fixed-size fused run where query
+   cost dominates, because that is the path a production request takes
+   once everything is cached.  The experiment fails (exit 1) when the
+   overhead reaches 10%.  The served end-to-end price of tracing is
+   stenobench's [trace_overhead_pct] (serve-mixed with --trace 0|1). *)
 
-type trace_overhead = {
-  to_run_off_ms : float;  (* median untraced request *)
-  to_run_traced_ms : float;  (* median fully-traced request *)
-  to_overhead_pct : float;
-}
-
-let measure_trace_overhead () =
+let trace_bench () =
+  header "PR 8: request-tracing overhead";
   (* Fixed size, independent of --scale: the gate compares the trace
      mechanics (microseconds) against a realistic request (hundreds of
      microseconds), and shrinking the query with the scale would turn
@@ -1386,67 +831,12 @@ let measure_trace_overhead () =
   let median samples = List.nth (List.sort compare samples) 10 in
   let off = median !off_samples in
   let traced = median !traced_samples in
-  {
-    to_run_off_ms = off;
-    to_run_traced_ms = traced;
-    to_overhead_pct = (if off > 0.0 then 100.0 *. (traced -. off) /. off
-                       else Float.nan);
-  }
-
-let json_trace_report file =
-  header (Printf.sprintf "tracing-overhead JSON report -> %s" file);
-  let sample = !serve_trace_sample in
-  let m_off = measure_serve () in
-  let m_on = measure_serve ~tracing:sample () in
-  let hot = measure_trace_overhead () in
-  let fnum v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let oc =
-    try open_out file
-    with Sys_error msg ->
-      Printf.eprintf "cannot write %s: %s\n" file msg;
-      exit 2
-  in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "trace",
-  "scale": %.3f,
-  "native_available": %b,
-  "trace_sample": %.3f,
-  "clients": %d,
-  "requests_per_client": %d,
-  "serve_off": {"throughput_rps": %s, "p50_ms": %s, "p99_ms": %s},
-  "serve_traced": {"throughput_rps": %s, "p50_ms": %s, "p99_ms": %s,
-                   "traces": %d, "trace_dropped": %d},
-  "serve_throughput_delta_pct": %s,
-  "hot_run_off_ms": %s,
-  "hot_run_traced_ms": %s,
-  "hot_overhead_pct": %s
-}
-|}
-    !scale native sample m_off.sv_clients m_off.sv_requests
-    (fnum m_off.sv_throughput) (fnum m_off.sv_p50) (fnum m_off.sv_p99)
-    (fnum m_on.sv_throughput) (fnum m_on.sv_p50) (fnum m_on.sv_p99)
-    m_on.sv_traces m_on.sv_trace_dropped
-    (fnum
-       (if m_off.sv_throughput > 0.0 then
-          100.0
-          *. (m_off.sv_throughput -. m_on.sv_throughput)
-          /. m_off.sv_throughput
-        else Float.nan))
-    (fnum hot.to_run_off_ms) (fnum hot.to_run_traced_ms)
-    (fnum hot.to_overhead_pct);
-  close_out oc;
-  row "serve: %.0f req/s untraced vs %.0f req/s traced (sample %.2f, %d \
-       traces)\n"
-    m_off.sv_throughput m_on.sv_throughput sample m_on.sv_traces;
-  row "hot path: %.3f ms -> %.3f ms (%.1f%% overhead)\n" hot.to_run_off_ms
-    hot.to_run_traced_ms hot.to_overhead_pct
-
-let trace_bench () =
-  header "PR 8: request-tracing overhead";
-  let hot = measure_trace_overhead () in
-  row "hot path: %.3f ms untraced, %.3f ms traced (%.1f%% overhead)\n"
-    hot.to_run_off_ms hot.to_run_traced_ms hot.to_overhead_pct
+  let overhead_pct = 100.0 *. (traced -. off) /. off in
+  row "hot path: %.3f ms untraced, %.3f ms traced (%.1f%% overhead)\n" off
+    traced overhead_pct;
+  (* Negative values are measurement noise and pass. *)
+  gate (overhead_pct < 10.0) "trace: hot-path tracing overhead %.1f%% >= 10%%"
+    overhead_pct
 
 (* PR 10: the adversarial case for static filter ordering — an
    expensive, almost-always-true predicate written before a cheap,
@@ -1470,15 +860,8 @@ let adaptive_expensive x =
 
 let adaptive_cheap x = I.(x mod Expr.int 997 = Expr.int 0)
 
-type adaptive_measure = {
-  ad_rows : int;
-  ad_static_ms : float;
-  ad_adaptive_ms : float;
-  ad_reordered : bool;
-  ad_decisions : string list;
-}
-
-let measure_adaptive () =
+let adaptive_bench () =
+  header "PR 10: cost-based adaptive reorder (statically pessimal filters)";
   let n = scaled 200_000 in
   let xs = adaptive_input n in
   let q =
@@ -1500,62 +883,26 @@ let measure_adaptive () =
   let static_ms = time_ms ~runs:5 (fun () -> Steno.Prepared.run p1) in
   let p2 = Steno.Engine.prepare eng q in
   let adaptive_ms = time_ms ~runs:5 (fun () -> Steno.Prepared.run p2) in
-  {
-    ad_rows = n;
-    ad_static_ms = static_ms;
-    ad_adaptive_ms = adaptive_ms;
-    ad_reordered =
-      (* The log may annotate a repeated firing ("... (x2)"), so match
-         the rule name as a prefix. *)
-      (let rule = "stats-where-reorder" in
-       List.exists
-         (fun r ->
-           String.length r >= String.length rule
-           && String.sub r 0 (String.length rule) = rule)
-         (Steno.Prepared.rewrite_log p2));
-    ad_decisions = Steno.Prepared.decisions p2;
-  }
-
-let adaptive_bench () =
-  header "PR 10: cost-based adaptive reorder (statically pessimal filters)";
-  let m = measure_adaptive () in
-  row "static order:   %.3f ms (%d rows)\n" m.ad_static_ms m.ad_rows;
-  row "adaptive order: %.3f ms (reordered: %b, %.2fx)\n" m.ad_adaptive_ms
-    m.ad_reordered
-    (if m.ad_adaptive_ms > 0.0 then m.ad_static_ms /. m.ad_adaptive_ms
-     else Float.nan);
-  List.iter (fun d -> row "  %s\n" d) m.ad_decisions
-
-let json_adaptive_report file =
-  header (Printf.sprintf "adaptive JSON report -> %s" file);
-  let m = measure_adaptive () in
-  let oc =
-    try open_out file
-    with Sys_error msg ->
-      Printf.eprintf "cannot write %s: %s\n" file msg;
-      exit 2
+  (* The log may annotate a repeated firing ("... (x2)"), so match the
+     rule name as a prefix. *)
+  let reordered =
+    List.exists
+      (String.starts_with ~prefix:"stats-where-reorder")
+      (Steno.Prepared.rewrite_log p2)
   in
-  Printf.fprintf oc
-    {|{
-  "benchmark": "adaptive",
-  "scale": %.3f,
-  "native_available": %b,
-  "rows": %d,
-  "static_order_ms": %.3f,
-  "adaptive_order_ms": %.3f,
-  "speedup": %.3f,
-  "reordered": %b,
-  "decisions": [%s]
-}
-|}
-    !scale native m.ad_rows m.ad_static_ms m.ad_adaptive_ms
-    (if m.ad_adaptive_ms > 0.0 then m.ad_static_ms /. m.ad_adaptive_ms
-     else 0.0)
-    m.ad_reordered
-    (String.concat ", " (List.map (Printf.sprintf "%S") m.ad_decisions));
-  close_out oc;
-  row "static %.3f ms -> adaptive %.3f ms (reordered: %b)\n" m.ad_static_ms
-    m.ad_adaptive_ms m.ad_reordered
+  let decisions = Steno.Prepared.decisions p2 in
+  let speedup = static_ms /. adaptive_ms in
+  row "static order:   %.3f ms (%d rows)\n" static_ms n;
+  row "adaptive order: %.3f ms (reordered: %b, %.2fx)\n" adaptive_ms reordered
+    speedup;
+  List.iter (fun d -> row "  %s\n" d) decisions;
+  (* The expensive predicate is ~30x the cheap one, so 1.2x is a loose
+     floor for a real win. *)
+  gate reordered "adaptive: the second preparation never reordered the filters";
+  gate (speedup >= 1.2) "adaptive: speedup %.2fx < 1.2x floor" speedup;
+  gate
+    (List.exists (String.starts_with ~prefix:"reordered: ") decisions)
+    "adaptive: no \"reordered: \" decision line surfaced"
 
 let experiments =
   [
@@ -1573,7 +920,6 @@ let experiments =
     "par", par_scaling;
     "par-agg", par_agg;
     "profiling", profiling;
-    "serve", serve;
     "tier", tier;
     "trace", trace_bench;
     "adaptive", adaptive_bench;
@@ -1581,87 +927,32 @@ let experiments =
   ]
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let json_file = ref None in
-  let json_profile_file = ref None in
-  let json_par_file = ref None in
-  let json_serve_file = ref None in
-  let json_tier_file = ref None in
-  let json_trace_file = ref None in
-  let json_adaptive_file = ref None in
   let rec parse = function
     | [] -> []
     | "--scale" :: v :: rest ->
       scale := float_of_string v;
       parse rest
-    | "--clients" :: v :: rest ->
-      serve_clients := int_of_string v;
-      parse rest
-    | "--requests" :: v :: rest ->
-      serve_requests := int_of_string v;
-      parse rest
-    | "--trace-sample" :: v :: rest ->
-      serve_trace_sample := float_of_string v;
-      parse rest
-    | "--json" :: file :: rest ->
-      json_file := Some file;
-      parse rest
-    | "--json-profile" :: file :: rest ->
-      json_profile_file := Some file;
-      parse rest
-    | "--json-par" :: file :: rest ->
-      json_par_file := Some file;
-      parse rest
-    | "--json-serve" :: file :: rest ->
-      json_serve_file := Some file;
-      parse rest
-    | "--json-tier" :: file :: rest ->
-      json_tier_file := Some file;
-      parse rest
-    | "--json-trace" :: file :: rest ->
-      json_trace_file := Some file;
-      parse rest
-    | "--json-adaptive" :: file :: rest ->
-      json_adaptive_file := Some file;
-      parse rest
-    | [
-        ( "--scale" | "--clients" | "--requests" | "--trace-sample" | "--json"
-        | "--json-profile" | "--json-par" | "--json-serve" | "--json-tier"
-        | "--json-trace" | "--json-adaptive" ) as flag;
-      ] ->
-      Printf.eprintf "%s requires a value\n" flag;
+    | [ "--scale" ] ->
+      prerr_endline "--scale requires a value";
       exit 2
     | x :: rest -> x :: parse rest
   in
-  let picks = parse (List.tl args) in
-  let json_requested =
-    [
-      !json_file; !json_profile_file; !json_par_file; !json_serve_file;
-      !json_tier_file; !json_trace_file; !json_adaptive_file;
-    ]
-    |> List.exists Option.is_some
-  in
   let named =
-    match picks with
-    | [] when json_requested ->
-      [] (* a --json* flag alone: just those measurements *)
+    match parse (List.tl (Array.to_list Sys.argv)) with
     | [] -> List.map fst experiments
     | picks -> picks
   in
+  (match List.filter (fun n -> not (List.mem_assoc n experiments)) named with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown experiment %s; available: %s\n"
+      (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+      (String.concat ", " (List.map fst experiments));
+    exit 2);
   Printf.printf "Steno benchmark harness (scale = %.2f, native = %b)\n" !scale
     native;
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-        Printf.printf "unknown experiment %S; available: %s\n" name
-          (String.concat ", " (List.map fst experiments)))
-    named;
-  Option.iter json_report !json_file;
-  Option.iter json_profile_report !json_profile_file;
-  Option.iter json_par_report !json_par_file;
-  Option.iter json_serve_report !json_serve_file;
-  Option.iter json_tier_report !json_tier_file;
-  Option.iter json_trace_report !json_trace_file;
-  Option.iter json_adaptive_report !json_adaptive_file
+  List.iter (fun name -> (List.assoc name experiments) ()) named;
+  if !failures > 0 then begin
+    Printf.eprintf "%d benchmark gate(s) failed\n" !failures;
+    exit 1
+  end

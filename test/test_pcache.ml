@@ -48,12 +48,16 @@ let write_file path content =
 
 let xs = Array.init 64 (fun i -> (i * 7) mod 43)
 
-let shared_query () =
+let query_with k =
   Query.of_array Ty.Int xs
-  |> Query.select (fun x -> I.((x * Expr.int 3) + Expr.int 11))
+  |> Query.select (fun x -> I.((x * Expr.int 3) + Expr.int k))
   |> Query.sum_int
 
-let shared_expected = Array.fold_left (fun a x -> a + ((x * 3) + 11)) 0 xs
+let expected_with k = Array.fold_left (fun a x -> a + ((x * 3) + k)) 0 xs
+
+let shared_query () = query_with 11
+
+let shared_expected = expected_with 11
 
 let compiles_ok reg =
   Metrics.counter_value
@@ -330,6 +334,21 @@ let test_cross_process_persistence () =
     (match Steno.Engine.pcache_stats eng with
     | None -> Alcotest.fail "engine has no pcache"
     | Some s -> Alcotest.(check int) "one disk hit" 1 s.Pcache.st_hits);
+    (* The point of the store: the warm prepare must cost at least 10x
+       less than compiling.  A fresh literal on the same engine is a key
+       nobody has published, so it pays a real compile. *)
+    let warm_ms = (Steno.Prepared_scalar.compile_info p).Steno.prepare_ms in
+    let fresh = Steno.Engine.prepare_scalar eng (query_with 12) in
+    Alcotest.(check int) "fresh-literal result" (expected_with 12)
+      (Steno.Prepared_scalar.run fresh);
+    Alcotest.(check int) "fresh literal compiled" 1 (compiles_ok reg);
+    let compile_ms =
+      (Steno.Prepared_scalar.compile_info fresh).Steno.prepare_ms
+    in
+    if compile_ms < 10.0 *. warm_ms then
+      Alcotest.failf
+        "warm-store prepare %.3f ms is not 10x cheaper than a %.3f ms compile"
+        warm_ms compile_ms;
     rm_rf dir
   end
 

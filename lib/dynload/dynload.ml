@@ -57,45 +57,117 @@ let workdir_lazy =
 
 let workdir () = force_shared workdir_lazy
 
-let compiler_command =
-  lazy
-    (let candidates =
-       [ "ocamlfind ocamlopt -package ''"; "ocamlopt.opt"; "ocamlopt" ]
-     in
-     let works cmd =
-       Sys.command (Printf.sprintf "%s -version > /dev/null 2>&1" cmd) = 0
-     in
-     List.find_opt works [ "ocamlopt.opt"; "ocamlopt" ]
-     |> function
-     | Some c -> Some c
-     | None -> if works (List.nth candidates 0) then Some "ocamlfind ocamlopt" else None)
+(* Everything the host needs to know about the native compiler comes
+   from one [-config] read: whether it runs at all, its version (for
+   the fingerprint), and the [system]/[native_pack_linker] fields that
+   decide how a plugin is linked.  The compiler is started from an argv
+   list, never through a shell. *)
+type toolchain = {
+  compiler : string;
+  version : string;
+  link : string list;  (** extra [ocamlopt] arguments choosing the linker *)
+}
+
+(* Start [argv] with stdout and stderr on a close-on-exec pipe and read
+   the pipe to EOF, killing the child once [deadline] (absolute, from
+   [Unix.gettimeofday]) passes.  The pipe's write end is close-on-exec
+   so a compiler started concurrently by another domain never holds it
+   open.  Returns the exit status ([None] when killed) and the output.
+   [Unix.create_process] raises [Unix_error] itself when [argv.(0)]
+   cannot be started. *)
+let run_captured ?deadline argv : Unix.process_status option * string =
+  let rd, wr = Unix.pipe ~cloexec:true () in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> Unix.close wr)
+      (fun () ->
+        try Unix.create_process argv.(0) argv Unix.stdin wr wr
+        with e ->
+          Unix.close rd;
+          raise e)
+  in
+  let out = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec drain () =
+    let wait =
+      match deadline with
+      | None -> -1.0
+      | Some d -> d -. Unix.gettimeofday ()
+    in
+    if deadline <> None && wait <= 0.0 then false
+    else
+      match Unix.select [ rd ] [] [] wait with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+      | [], _, _ -> drain ()
+      | _ -> (
+        match Unix.read rd chunk 0 (Bytes.length chunk) with
+        | 0 -> true
+        | n ->
+          Buffer.add_subbytes out chunk 0 n;
+          drain ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ())
+  in
+  let kill () = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> () in
+  let finished =
+    match Fun.protect ~finally:(fun () -> Unix.close rd) drain with
+    | finished -> finished
+    | exception e ->
+      kill ();
+      ignore (Unix.waitpid [] pid);
+      raise e
+  in
+  if not finished then kill ();
+  let status = snd (Unix.waitpid [] pid) in
+  ((if finished then Some status else None), Buffer.contents out)
+
+let probe candidate =
+  match run_captured [| candidate; "-config" |] with
+  | exception Unix.Unix_error _ -> None
+  | Some (Unix.WEXITED 0), out ->
+    let field key =
+      List.find_map
+        (fun line ->
+          match String.index_opt line ':' with
+          | Some i when String.sub line 0 i = key ->
+            let n = String.length line - i - 1 in
+            Some (String.trim (String.sub line (i + 1) n))
+          | _ -> None)
+        (String.split_on_char '\n' out)
+    in
+    (* On ELF/Linux, [ld] links the plugin directly with the output
+       flags [gcc -shared] would give it; gcc's crt objects and
+       [-lc -lgcc -lgcc_s] are left out ([--as-needed] drops those
+       libraries from a plugin anyway).  The [ld] is the one OCaml
+       itself packs with.  Other systems keep ocamlopt's own link. *)
+    let link =
+      match field "system", field "native_pack_linker" with
+      | Some "linux", Some pack -> (
+        match String.split_on_char ' ' pack with
+        | ld :: _ when ld <> "" ->
+          [ "-cc"; ld ^ " --build-id --eh-frame-hdr --hash-style=gnu -shared" ]
+        | _ -> [])
+      | _ -> []
+    in
+    Option.map (fun version -> { compiler = candidate; version; link })
+      (field "version")
+  | _ -> None
+
+let toolchain_lazy = lazy (List.find_map probe [ "ocamlopt.opt"; "ocamlopt" ])
+
+let toolchain () = force_shared toolchain_lazy
 
 let is_available () =
-  (not !disabled) && Dynlink.is_native && force_shared compiler_command <> None
+  (not !disabled) && Dynlink.is_native && toolchain () <> None
 
 (* Toolchain/ABI fingerprint for the persistent plugin cache: a [.cmxs]
    built by one compiler must never be offered to a runtime built by
-   another, so the on-disk store namespaces entries by this string. *)
-let command_first_line cmd =
-  try
-    let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
-    let line = try input_line ic with End_of_file -> "" in
-    ignore (Unix.close_process_in ic);
-    line
-  with _ -> ""
-
+   another, so the on-disk store namespaces entries by this string.
+   Forced under [init_mu] already, so it forces the toolchain directly. *)
 let fingerprint_lazy =
   lazy
-    (let compiler_ver =
-       match Lazy.force compiler_command with
+    (Printf.sprintf "ocaml%s-w%d-%s" Sys.ocaml_version Sys.word_size
+       (match Lazy.force toolchain_lazy with
        | None -> "nocc"
-       | Some c -> (
-         match command_first_line (c ^ " -version") with
-         | "" -> "nocc"
-         | v -> v)
-     in
-     Printf.sprintf "ocaml%s-w%d-%s" Sys.ocaml_version Sys.word_size
-       compiler_ver)
+       | Some t -> t.version))
 
 let fingerprint () = force_shared fingerprint_lazy
 
@@ -129,60 +201,20 @@ let extract_result (e : exn) : (Obj.t array -> Obj.t) option =
   end
   else None
 
-(* Run the compiler as a child process with output captured to a log
-   file.  [exec] replaces the intermediate shell, so a timeout kill
-   reaches the compiler itself.  The log file is caller-supplied and
-   unique per compilation: concurrent compiles must not truncate each
-   other's output (they used to share one "compile.log"). *)
-let run_command ?timeout_ms ~out_file cmd : (unit, error) result =
-  let fd =
-    Unix.openfile out_file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
+(* Run the compiler to completion or to the deadline.  Its output is
+   read from a pipe, so no log file is written, and the wait is a
+   [select] on that pipe rather than a poll loop. *)
+let run_compiler ?timeout_ms argv : (unit, error) result =
+  let deadline =
+    Option.map
+      (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.0))
+      timeout_ms
   in
-  let pid =
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        Unix.create_process "/bin/sh"
-          [| "/bin/sh"; "-c"; "exec " ^ cmd |]
-          Unix.stdin fd fd)
-  in
-  let read_output () =
-    try
-      let ic = open_in out_file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    with Sys_error _ -> ""
-  in
-  let status =
-    match timeout_ms with
-    | None -> Some (snd (Unix.waitpid [] pid))
-    | Some timeout_ms ->
-      let deadline =
-        Unix.gettimeofday () +. (float_of_int timeout_ms /. 1000.0)
-      in
-      let rec poll () =
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ ->
-          if Unix.gettimeofday () > deadline then begin
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid);
-            None
-          end
-          else begin
-            Unix.sleepf 0.002;
-            poll ()
-          end
-        | _, st -> Some st
-      in
-      poll ()
-  in
-  match status with
-  | None ->
+  match run_captured ?deadline argv with
+  | None, _ ->
     Error (Timeout { timeout_ms = Option.value timeout_ms ~default:0 })
-  | Some (Unix.WEXITED 0) -> Ok ()
-  | Some st ->
+  | Some (Unix.WEXITED 0), _ -> Ok ()
+  | Some st, out ->
     let describe = function
       | Unix.WEXITED c -> Printf.sprintf "exit %d" c
       | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
@@ -190,8 +222,9 @@ let run_command ?timeout_ms ~out_file cmd : (unit, error) result =
     in
     Error
       (Compile_error
-         (Printf.sprintf "command failed (%s): %s\n%s" (describe st) cmd
-            (read_output ())))
+         (Printf.sprintf "command failed (%s): %s\n%s" (describe st)
+            (String.concat " " (List.map Filename.quote (Array.to_list argv)))
+            out))
 
 type artifact = {
   a_cmxs : string;
@@ -201,6 +234,23 @@ type artifact = {
   a_compile_ms : float;
 }
 
+let remove_files dir modname =
+  List.iter
+    (fun ext ->
+      try Sys.remove (Filename.concat dir (modname ^ ext))
+      with Sys_error _ -> ())
+    [ ".cmi"; ".cmx"; ".o"; ".cmxs"; ".ml" ]
+
+(* A missing workdir, a full disk, or a compiler that vanished after
+   the probe raise [Sys_error]/[Unix_error]; they are compile failures
+   like any other, so the engine can fall back instead of raising. *)
+let io_failure f =
+  try f () with
+  | Sys_error msg -> Error (Compile_error msg)
+  | Unix.Unix_error (e, fn, arg) ->
+    Error
+      (Compile_error (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e)))
+
 (* Compile-only half: write the source and run the external compiler,
    leaving the artifacts on disk for the caller to load (and, with the
    persistent cache, to copy into the store).  Pair with {!load_file}
@@ -208,35 +258,33 @@ type artifact = {
 let compile_artifact ?timeout_ms ~source () : (artifact, error) result =
   if !disabled then Error Unavailable
   else
-    match force_shared compiler_command with
+    match toolchain () with
     | None -> Error Unavailable
     | _ when not Dynlink.is_native -> Error Unavailable
-    | Some compiler -> (
+    | Some tc -> (
       let id = Atomic.fetch_and_add next_plugin 1 in
       let modname = Printf.sprintf "steno_plugin_%d_%d" (Unix.getpid ()) id in
       let dir = workdir () in
       let ml = Filename.concat dir (modname ^ ".ml") in
       let cmxs = Filename.concat dir (modname ^ ".cmxs") in
-      let cleanup () =
-        List.iter
-          (fun ext ->
-            try Sys.remove (Filename.concat dir (modname ^ ext))
-            with Sys_error _ -> ())
-          [ ".cmi"; ".cmx"; ".o"; ".cmxs"; ".ml"; ".log" ]
-      in
       let t0 = now_ms () in
-      let oc = open_out ml in
-      output_string oc source;
-      close_out oc;
+      let written =
+        io_failure (fun () ->
+            Out_channel.with_open_text ml (fun oc -> output_string oc source);
+            Ok ())
+      in
       let t1 = now_ms () in
+      let argv =
+        Array.of_list
+          ((tc.compiler :: "-shared" :: tc.link)
+          @ [ "-I"; dir; ml; "-o"; cmxs ])
+      in
       match
-        run_command ?timeout_ms
-          ~out_file:(Filename.concat dir (modname ^ ".log"))
-          (Printf.sprintf "%s -shared -I %s %s -o %s" compiler
-             (Filename.quote dir) (Filename.quote ml) (Filename.quote cmxs))
+        Result.bind written (fun () ->
+            io_failure (fun () -> run_compiler ?timeout_ms argv))
       with
       | Error e ->
-        if not !keep_artifacts then cleanup ();
+        if not !keep_artifacts then remove_files dir modname;
         Error e
       | Ok () ->
         let t2 = now_ms () in
@@ -251,12 +299,7 @@ let compile_artifact ?timeout_ms ~source () : (artifact, error) result =
 
 let remove_artifact a =
   if not !keep_artifacts then
-    let dir = Filename.dirname a.a_cmxs in
-    List.iter
-      (fun ext ->
-        try Sys.remove (Filename.concat dir (a.a_modname ^ ext))
-        with Sys_error _ -> ())
-      [ ".cmi"; ".cmx"; ".o"; ".cmxs"; ".ml"; ".log" ]
+    remove_files (Filename.dirname a.a_cmxs) a.a_modname
 
 (* Load-only half: dynlink a plugin [.cmxs] — freshly built or pulled
    from the persistent store — and perform the [Steno_result] handshake.

@@ -12,6 +12,18 @@
     [Steno_result] exception from its initializer — no shared interface
     files are needed, which keeps plugin compilation hermetic.
 
+    The compiler is found once, by reading [ocamlopt.opt -config] (or
+    [ocamlopt -config]); that one read gives availability, the version
+    for {!fingerprint}, and the link method.  Each plugin build is then
+    one process tree started from an argv list, with no shell:
+    [ocamlopt -shared] runs [as] twice (the module and its startup
+    code), then the linker.  On ELF/Linux that is [ld] itself, with the
+    output flags [gcc -shared] would give it
+    ([--build-id --eh-frame-hdr --hash-style=gnu]) but without gcc's
+    crt objects and libraries, which a plugin does not need; other
+    systems keep [ocamlopt]'s own link command.  The compiler's output
+    comes back on a pipe, so no log file is written.
+
     Compilation has a deliberate, measurable one-off cost (tens of
     milliseconds; section 7.1 reports 69 ms for the C# pipeline); use
     {!timings} to account for it, and cache {!compiled} values across
@@ -41,15 +53,18 @@ type error =
                      unsupported, or {!disabled} set. *)
   | Timeout of { timeout_ms : int }
       (** The compiler process exceeded its deadline and was killed. *)
-  | Compile_error of string  (** Nonzero compiler exit; carries output. *)
+  | Compile_error of string
+      (** Nonzero compiler exit, carrying its output; or the source
+          could not be written or the compiler not started (a missing
+          workdir, a full disk, a compiler gone since the probe). *)
   | Load_error of string  (** [Dynlink] failure or a plugin that never
                               performed the handshake. *)
 
 val error_message : error -> string
 
 val is_available : unit -> bool
-(** Whether a native compiler can be invoked ([ocamlfind ocamlopt] or
-    [ocamlopt] on PATH) and native dynlink is supported. *)
+(** Whether a native compiler ([ocamlopt.opt] or [ocamlopt] on PATH)
+    answered [-config] and native dynlink is supported. *)
 
 val compile_result :
   ?timeout_ms:int -> source:string -> unit -> (compiled, error) result
@@ -77,7 +92,8 @@ type artifact = {
 val compile_artifact :
   ?timeout_ms:int -> source:string -> unit -> (artifact, error) result
 (** Write the source and run [ocamlopt -shared], leaving every artifact
-    on disk.  The caller must eventually call {!remove_artifact}. *)
+    on disk.  I/O and spawn failures come back as [Error (Compile_error _)],
+    never as exceptions.  The caller must eventually call {!remove_artifact}. *)
 
 val load_file : path:string -> unit -> (compiled, error) result
 (** Dynlink the plugin at [path] and perform the [Steno_result]

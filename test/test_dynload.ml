@@ -48,6 +48,37 @@ let test_type_error () =
     | exception Dynload.Compilation_failed _ -> true
     | _ -> false)
 
+let contains haystack needle =
+  let n = String.length needle in
+  let rec scan i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = needle || scan (i + 1))
+  in
+  scan 0
+
+(* With a deadline the compiler's output comes back through a pipe the
+   host waits on; both outcomes must look as they do without one. *)
+let test_deadline_ok () =
+  with_native @@ fun () ->
+  match
+    Dynload.compile_result ~timeout_ms:60_000
+      ~source:(minimal_plugin "Stdlib.Obj.repr 11") ()
+  with
+  | Ok c -> Alcotest.(check int) "value" 11 (Obj.obj (c.Dynload.run [||]))
+  | Error e -> Alcotest.fail (Dynload.error_message e)
+
+let test_deadline_type_error () =
+  with_native @@ fun () ->
+  match
+    Dynload.compile_result ~timeout_ms:60_000
+      ~source:(minimal_plugin "1 + true") ()
+  with
+  | Error (Dynload.Compile_error msg) ->
+    Alcotest.(check bool) "carries the compiler's message" true
+      (contains msg "This expression has type bool")
+  | Error e -> Alcotest.fail (Dynload.error_message e)
+  | Ok _ -> Alcotest.fail "type error compiled"
+
 let test_plugin_without_handshake () =
   with_native @@ fun () ->
   (* A module that loads fine but never raises the handshake exception. *)
@@ -101,6 +132,75 @@ let test_concurrent_compiles () =
     (Array.init 6 (fun i -> i * 3))
     results
 
+(* Link parity: a plugin calling libm through unboxed externals and
+   using the runtime's hashing computes exactly what the host does. *)
+let test_libm_parity () =
+  with_native @@ fun () ->
+  let c =
+    Dynload.compile
+      ~source:
+        (minimal_plugin
+           "let x : float = Stdlib.Obj.obj (Stdlib.Array.get __env 0) in\n\
+            let h = Stdlib.Hashtbl.create 8 in\n\
+            Stdlib.Hashtbl.replace h \"k\" (x ** 0.5);\n\
+            Stdlib.Obj.repr\n\
+           \  (Stdlib.Hashtbl.find h \"k\", Stdlib.exp x, \
+            Stdlib.Float.pow x 1.5, Stdlib.Hashtbl.hash \"steno\")")
+  in
+  let x = 2.75 in
+  let sqrt_x, exp_x, pow_x, hash =
+    (Obj.obj (c.Dynload.run [| Obj.repr x |]) : float * float * float * int)
+  in
+  Alcotest.(check (list (float 0.0))) "libm results"
+    [ x ** 0.5; exp x; Float.pow x 1.5 ]
+    [ sqrt_x; exp_x; pow_x ];
+  Alcotest.(check int) "Hashtbl.hash" (Hashtbl.hash "steno") hash
+
+(* Link parity, ELF side: the directly linked plugin keeps the hardening
+   the gcc driver gave it (a read-only-after-relocation segment and a
+   non-executable stack) and needs no shared library of its own. *)
+let on_linux =
+  match In_channel.with_open_bin "/proc/version" In_channel.input_line with
+  | Some l -> String.starts_with ~prefix:"Linux" l
+  | None | (exception Sys_error _) -> false
+
+let test_elf_hardening () =
+  if not (on_linux && Dynload.is_available ()) then
+    print_endline "(skipped: not a Linux host with a native compiler)"
+  else
+    match
+      Dynload.compile_artifact ~source:(minimal_plugin "Stdlib.Obj.repr 0") ()
+    with
+    | Error e -> Alcotest.fail (Dynload.error_message e)
+    | Ok a ->
+      let elf =
+        In_channel.with_open_bin a.Dynload.a_cmxs In_channel.input_all
+      in
+      Dynload.remove_artifact a;
+      Alcotest.(check string) "ELF64 little-endian" "\x7fELF\x02\x01"
+        (String.sub elf 0 6);
+      let u32 o = Int32.to_int (String.get_int32_le elf o) land 0xffff_ffff in
+      let u64 o = Int64.to_int (String.get_int64_le elf o) in
+      let phoff = u64 0x20 and phsize = String.get_uint16_le elf 0x36 in
+      let phdrs =
+        List.init (String.get_uint16_le elf 0x38) (fun i ->
+            phoff + (i * phsize))
+      in
+      let find ty = List.find_opt (fun p -> u32 p = ty) phdrs in
+      Alcotest.(check bool) "PT_GNU_RELRO present" true
+        (find 0x6474e552 <> None);
+      (match find 0x6474e551 with
+      | None -> Alcotest.fail "no PT_GNU_STACK"
+      | Some p -> Alcotest.(check int) "stack not PF_X" 0 (u32 (p + 4) land 1));
+      match find 2 (* PT_DYNAMIC *) with
+      | None -> Alcotest.fail "no PT_DYNAMIC"
+      | Some p ->
+        let off = u64 (p + 8) in
+        let tags =
+          List.init (u64 (p + 32) / 16) (fun i -> u64 (off + (i * 16)))
+        in
+        Alcotest.(check bool) "no DT_NEEDED" false (List.mem 1 tags)
+
 let test_workdir () =
   with_native @@ fun () ->
   let dir = Dynload.workdir () in
@@ -116,10 +216,18 @@ let () =
           Alcotest.test_case "many plugins" `Quick test_many_plugins;
           Alcotest.test_case "workdir" `Quick test_workdir;
         ] );
+      ( "link",
+        [
+          Alcotest.test_case "libm parity" `Quick test_libm_parity;
+          Alcotest.test_case "ELF hardening" `Quick test_elf_hardening;
+        ] );
       ( "errors",
         [
           Alcotest.test_case "syntax error" `Quick test_syntax_error;
           Alcotest.test_case "type error" `Quick test_type_error;
+          Alcotest.test_case "deadline ok" `Quick test_deadline_ok;
+          Alcotest.test_case "deadline type error" `Quick
+            test_deadline_type_error;
           Alcotest.test_case "no handshake" `Quick test_plugin_without_handshake;
           Alcotest.test_case "foreign init failure" `Quick
             test_plugin_initializer_failure;

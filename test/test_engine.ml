@@ -180,6 +180,35 @@ let test_fallback_on_timeout () =
     (Steno.scalar ~backend:Steno.Fused sq)
     (Steno.Prepared_scalar.run p)
 
+let test_fallback_on_io_failure () =
+  with_native @@ fun () ->
+  (* With the scratch workdir gone, writing the plugin source fails.
+     That is a typed compile error, not a raised [Sys_error], so the
+     engine still answers via Fused.  Removing the directory works as
+     root too, where a permission change would not. *)
+  let dir = Dynload.workdir () in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir;
+  Fun.protect ~finally:(fun () -> Unix.mkdir dir 0o700) @@ fun () ->
+  Alcotest.(check bool) "compile_result is a compile error" true
+    (match
+       Dynload.compile_result ~source:"let () = ()" ()
+     with
+    | Error (Dynload.Compile_error _) -> true
+    | _ -> false);
+  let eng = engine Steno.Native in
+  let sq = nth_query 3 [| 4; 6 |] in
+  let p = Steno.Engine.prepare_scalar eng sq in
+  let i = Steno.Prepared_scalar.compile_info p in
+  Alcotest.(check bool) "compile error recorded" true
+    (match i.Steno.fallback with
+    | Some (Steno.Compile_error _) -> true
+    | _ -> false);
+  Alcotest.(check bool) "ran fused" true (i.Steno.backend = Steno.Fused);
+  Alcotest.(check int) "correct result"
+    (Steno.scalar ~backend:Steno.Fused sq)
+    (Steno.Prepared_scalar.run p)
+
 (* Exception parity: all backends raise the same exception for an empty
    sequence, whatever path (iterator, fused closure, compiled plugin with
    message translation) produced it. *)
@@ -220,6 +249,7 @@ let () =
             test_fallback_compiler_unavailable;
           Alcotest.test_case "strict raises" `Quick test_fallback_disabled_raises;
           Alcotest.test_case "timeout" `Quick test_fallback_on_timeout;
+          Alcotest.test_case "workdir gone" `Quick test_fallback_on_io_failure;
           Alcotest.test_case "exception parity" `Quick
             test_exception_parity_all_backends;
         ] );

@@ -29,6 +29,22 @@ echo "== examples =="
 dune exec examples/quickstart.exe > /dev/null
 dune exec examples/wordcount.exe -- 20000 > /dev/null
 
+echo "== native -> fused fallback (no ocamlopt on PATH) =="
+dune build bin/stenoc.exe
+if env PATH=/usr/bin:/bin sh -c 'command -v ocamlopt.opt || command -v ocamlopt' \
+    > /dev/null; then
+  echo "(skipped: a system ocamlopt is on /usr/bin:/bin)"
+else
+  fallback_out=$(env PATH=/usr/bin:/bin ./_build/default/bin/stenoc.exe \
+    run sumsq -n 50000)
+  if ! printf '%s\n' "$fallback_out" | \
+      grep -qF 'fell back from native to fused: native compiler unavailable'; then
+    echo "stenoc without ocamlopt on PATH did not report the fused fallback" >&2
+    printf '%s\n' "$fallback_out" >&2
+    exit 1
+  fi
+fi
+
 echo "== stenoc analyze (annotated plans, all backends) =="
 dune exec bin/stenoc.exe -- analyze redundant -n 2000 > /dev/null
 

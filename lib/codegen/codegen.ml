@@ -287,55 +287,58 @@ let gen_agg ctx frame nenv elem (agg : Quil.agg) =
     (agg.Quil.result ~accs:acc_exprs nenv ctx.tbl);
   ret
 
+(* The hash table for keys of printed type [ty] (a sink's [key_ty]): the
+   analog of the paper's [Dictionary<K,V>], a table precompiled once and
+   specialized to the key type.  Int keys use the host's
+   [Steno_rt.Int_tbl], which calls neither [caml_hash] nor the
+   polymorphic [compare]; any other key type uses [Stdlib.Hashtbl].  Both
+   modules share one API, so only the module path varies. *)
+let table_module = function
+  | "int" -> "Steno_rt.Int_tbl"
+  | _ -> "Stdlib.Hashtbl"
+
 (* Sink operators (Fig. 7b): accumulate at µ into state declared at α,
    materialize the intermediate collection at ω.  Returns the name of the
    materialized array. *)
 let gen_sink ctx frame nenv elem (sink : Quil.sink) =
   let base = fresh ctx "sink" in
   let out = Printf.sprintf "%s_arr" base in
+  (* Grouping: one cell per key, found with [find] (no option allocated
+     per row); the order list holds each new key with its cell, so ω
+     needs no second lookup. *)
+  let group ~key_ty ~key ~hit ~miss ~finish =
+    let tbl = table_module key_ty in
+    Block.linef frame.alpha "let %s_tbl = %s.create 64 in" base tbl;
+    Block.linef frame.alpha "let %s_order = ref [] in" base;
+    let k = fresh ctx "k" in
+    Block.linef frame.mu "let %s = %s in" k (app1 ctx nenv key elem);
+    Block.linef frame.mu
+      "(match %s.find %s_tbl %s with __cell -> %s | exception \
+       Stdlib.Not_found -> let __cell = ref (%s) in %s.add %s_tbl %s __cell; \
+       %s_order := (%s, __cell) :: !%s_order);"
+      tbl base k hit miss tbl base k base k base;
+    Block.linef frame.omega
+      "let %s = Stdlib.Array.of_list (Stdlib.List.rev_map (fun (__k, __cell) \
+       -> (__k, %s)) !%s_order) in"
+      out finish base
+  in
+  (* GroupBy: each key's cell is a reversed bag of [stored] values. *)
+  let bags ~key_ty ~key stored =
+    group ~key_ty ~key
+      ~hit:(Printf.sprintf "__cell := %s :: !__cell" stored)
+      ~miss:(Printf.sprintf "[ %s ]" stored)
+      ~finish:"Stdlib.Array.of_list (Stdlib.List.rev !__cell)"
+  in
   (match sink with
-  | Quil.Group_by_sink { key } | Quil.Group_by_elem_sink { key; elem = _ } ->
-    let stored =
-      match sink with
-      | Quil.Group_by_elem_sink { elem = e; _ } -> app1 ctx nenv e elem
-      | Quil.Group_by_sink _ -> elem
-      | Quil.Group_by_agg_sink _ | Quil.Group_by_agg_sorted_sink _
-      | Quil.Order_by_sink _ | Quil.Distinct_sink | Quil.Reverse_sink
-      | Quil.To_array_sink ->
-        assert false
-    in
-    Block.linef frame.alpha "let %s_tbl = Stdlib.Hashtbl.create 64 in" base;
-    Block.linef frame.alpha "let %s_order = ref [] in" base;
-    let k = fresh ctx "k" in
-    Block.linef frame.mu "let %s = %s in" k (app1 ctx nenv key elem);
-    Block.linef frame.mu
-      "(match Stdlib.Hashtbl.find_opt %s_tbl %s with Some __b -> __b := %s \
-       :: !__b | None -> Stdlib.Hashtbl.replace %s_tbl %s (ref [ %s ]); \
-       %s_order := %s :: !%s_order);"
-      base k stored base k stored base k base;
-    Block.linef frame.omega
-      "let %s = Stdlib.Array.of_list (Stdlib.List.rev_map (fun __k -> (__k, \
-       Stdlib.Array.of_list (Stdlib.List.rev !(Stdlib.Hashtbl.find %s_tbl \
-       __k)))) !%s_order) in"
-      out base base
-  | Quil.Group_by_agg_sink { key; seed; step } ->
-    Block.linef frame.alpha "let %s_tbl = Stdlib.Hashtbl.create 64 in" base;
-    Block.linef frame.alpha "let %s_order = ref [] in" base;
-    let k = fresh ctx "k" in
-    Block.linef frame.mu "let %s = %s in" k (app1 ctx nenv key elem);
-    Block.linef frame.mu
-      "(match Stdlib.Hashtbl.find_opt %s_tbl %s with Some __cell -> __cell \
-       := %s | None -> Stdlib.Hashtbl.replace %s_tbl %s (ref (%s)); %s_order \
-       := %s :: !%s_order);"
-      base k
-      (app2 ctx nenv step "(!__cell)" elem)
-      base k
-      (app2 ctx nenv step (Printf.sprintf "(%s)" (render ctx nenv seed)) elem)
-      base k base;
-    Block.linef frame.omega
-      "let %s = Stdlib.Array.of_list (Stdlib.List.rev_map (fun __k -> (__k, \
-       !(Stdlib.Hashtbl.find %s_tbl __k))) !%s_order) in"
-      out base base
+  | Quil.Group_by_sink { key; key_ty } -> bags ~key_ty ~key elem
+  | Quil.Group_by_elem_sink { key; key_ty; elem = e } ->
+    bags ~key_ty ~key (app1 ctx nenv e elem)
+  | Quil.Group_by_agg_sink { key; key_ty; seed; step } ->
+    group ~key_ty ~key
+      ~hit:(Printf.sprintf "__cell := %s" (app2 ctx nenv step "(!__cell)" elem))
+      ~miss:
+        (app2 ctx nenv step (Printf.sprintf "(%s)" (render ctx nenv seed)) elem)
+      ~finish:"!__cell"
   | Quil.Group_by_agg_sorted_sink { key; key_default; seed; step } ->
     (* Input is sorted by the key: one sequential pass, one live key and
        one live accumulator; finished groups go straight to the output
@@ -379,13 +382,14 @@ let gen_sink ctx frame nenv elem (sink : Quil.sink) =
       out base
       (app1 ctx nenv key "__x")
       cmp
-  | Quil.Distinct_sink ->
-    Block.linef frame.alpha "let %s_tbl = Stdlib.Hashtbl.create 64 in" base;
+  | Quil.Distinct_sink { elem_ty } ->
+    let tbl = table_module elem_ty in
+    Block.linef frame.alpha "let %s_tbl = %s.create 64 in" base tbl;
     Block.linef frame.alpha "let %s_buf = ref [] in" base;
     Block.linef frame.mu
-      "if not (Stdlib.Hashtbl.mem %s_tbl %s) then begin \
-       Stdlib.Hashtbl.replace %s_tbl %s (); %s_buf := %s :: !%s_buf end;"
-      base elem base elem base elem base;
+      "if not (%s.mem %s_tbl %s) then begin %s.add %s_tbl %s (); %s_buf := \
+       %s :: !%s_buf end;"
+      tbl base elem tbl base elem base elem base;
     Block.linef frame.omega
       "let %s = Stdlib.Array.of_list (Stdlib.List.rev !%s_buf) in" out base
   | Quil.Reverse_sink ->
@@ -510,7 +514,8 @@ let rec gen_ops ctx frame nenv elem (ops : Quil.op list) : final =
     (* Build phase (once, in the loop prelude): index the inner chain's
        elements by key, preserving inner order within each bucket. *)
     let tbl = fresh ctx "jtbl" in
-    Block.linef frame.alpha "let %s = Stdlib.Hashtbl.create 64 in" tbl;
+    let m = table_module j.Quil.join_key_ty in
+    Block.linef frame.alpha "let %s = %s.create 64 in" tbl m;
     let build = Block.inline frame.alpha in
     let build_frame, build_elem =
       gen_loop ctx ~at:build
@@ -522,9 +527,9 @@ let rec gen_ops ctx frame nenv elem (ops : Quil.op list) : final =
       Block.linef mu "let %s = %s in" k
         (app1 ctx nenv j.Quil.join_inner_key ielem);
       Block.linef mu
-        "(match Stdlib.Hashtbl.find_opt %s %s with Some __b -> __b := %s :: \
-         !__b | None -> Stdlib.Hashtbl.replace %s %s (ref [ %s ]));"
-        tbl k ielem tbl k ielem
+        "(match %s.find %s %s with __b -> __b := %s :: !__b | exception \
+         Stdlib.Not_found -> %s.add %s %s (ref [ %s ]));"
+        m tbl k ielem m tbl k ielem
     in
     (* The build side is a nested chain, not a top-level edge. *)
     (match
@@ -538,15 +543,13 @@ let rec gen_ops ctx frame nenv elem (ops : Quil.op list) : final =
     | Final_scalar _ ->
       raise (Invalid_chain "hash-join build side returned a scalar"));
     Block.linef frame.alpha
-      "Stdlib.Hashtbl.filter_map_inplace (fun _ __b -> __b := \
-       Stdlib.List.rev !__b; Some __b) %s;"
-      tbl;
+      "%s.iter (fun _ __b -> __b := Stdlib.List.rev !__b) %s;" m tbl;
     (* Probe phase: per outer element, iterate the matching bucket. *)
     let bucket = fresh ctx "bucket" in
     Block.linef frame.mu
-      "let %s = match Stdlib.Hashtbl.find_opt %s %s with Some __b -> !__b | \
-       None -> [] in"
-      bucket tbl
+      "let %s = match %s.find %s %s with __b -> !__b | exception \
+       Stdlib.Not_found -> [] in"
+      bucket m tbl
       (app1 ctx nenv j.Quil.join_outer_key elem);
     let probe_elem = fresh ctx "elem" in
     Block.linef frame.mu "Stdlib.List.iter (fun %s ->" probe_elem;

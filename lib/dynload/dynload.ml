@@ -158,16 +158,24 @@ let toolchain () = force_shared toolchain_lazy
 let is_available () =
   (not !disabled) && Dynlink.is_native && toolchain () <> None
 
+(* Plugins reference [Steno_rt]: they compile against the copy of its
+   interface the host carries ([Steno_rt_cmi]) and link against the
+   host's own unit. *)
+let rt_digest =
+  String.sub (Digest.to_hex (Digest.string Steno_rt_cmi.contents)) 0 8
+
 (* Toolchain/ABI fingerprint for the persistent plugin cache: a [.cmxs]
-   built by one compiler must never be offered to a runtime built by
-   another, so the on-disk store namespaces entries by this string.
-   Forced under [init_mu] already, so it forces the toolchain directly. *)
+   built by one compiler, or against another [Steno_rt] interface, must
+   never be offered to this runtime, so the on-disk store namespaces
+   entries by this string.  Forced under [init_mu] already, so it forces
+   the toolchain directly. *)
 let fingerprint_lazy =
   lazy
-    (Printf.sprintf "ocaml%s-w%d-%s" Sys.ocaml_version Sys.word_size
+    (Printf.sprintf "ocaml%s-w%d-%s-rt%s" Sys.ocaml_version Sys.word_size
        (match Lazy.force toolchain_lazy with
        | None -> "nocc"
-       | Some t -> t.version))
+       | Some t -> t.version)
+       rt_digest)
 
 let fingerprint () = force_shared fingerprint_lazy
 
@@ -251,6 +259,25 @@ let io_failure f =
     Error
       (Compile_error (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e)))
 
+(* Make [dir]'s [steno_rt.cmi] the one this host carries.  Checked on
+   every compile rather than trusted once written: the workdir can be
+   removed while the process runs, and one left behind by an earlier
+   process with the same pid may hold another build's interface.
+   Written under a private name and renamed, so a compiler started
+   concurrently never reads half of it. *)
+let ensure_rt_cmi dir ~id =
+  let path = Filename.concat dir "steno_rt.cmi" in
+  let current =
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error _ -> ""
+  in
+  if not (String.equal current Steno_rt_cmi.contents) then begin
+    let tmp = Printf.sprintf "%s.%d.%d.tmp" path (Unix.getpid ()) id in
+    Out_channel.with_open_bin tmp (fun oc ->
+        output_string oc Steno_rt_cmi.contents);
+    Sys.rename tmp path
+  end
+
 (* Compile-only half: write the source and run the external compiler,
    leaving the artifacts on disk for the caller to load (and, with the
    persistent cache, to copy into the store).  Pair with {!load_file}
@@ -270,6 +297,7 @@ let compile_artifact ?timeout_ms ~source () : (artifact, error) result =
       let t0 = now_ms () in
       let written =
         io_failure (fun () ->
+            ensure_rt_cmi dir ~id;
             Out_channel.with_open_text ml (fun oc -> output_string oc source);
             Ok ())
       in

@@ -7,10 +7,16 @@
     [.cmxs] with [Dynlink], and passes captured values through an
     [Obj.t array] environment.
 
-    The generated plugin is self-contained (references only [Stdlib]) and
-    hands its compiled query function back to the host by raising a
-    [Steno_result] exception from its initializer — no shared interface
-    files are needed, which keeps plugin compilation hermetic.
+    The generated plugin references only [Stdlib] and [Steno_rt] (the
+    int-keyed hash table behind GroupBy, Distinct and the hash join)
+    and hands its compiled query function back to the host by
+    raising a [Steno_result] exception from its initializer.  The
+    host links [Steno_rt] and carries its [.cmi]: before each compile
+    it writes that interface as [steno_rt.cmi] into the workdir (on the
+    compiler's [-I]) unless the file there already holds it, and
+    [Dynlink] resolves the plugin's reference against the host's own
+    unit.  Plugin compilation stays hermetic: no install path, no
+    [ocamlfind].
 
     The compiler is found once, by reading [ocamlopt.opt -config] (or
     [ocamlopt -config]); that one read gives availability, the version
@@ -110,9 +116,11 @@ val remove_artifact : artifact -> unit
 
 val fingerprint : unit -> string
 (** Identifies the compiler/ABI this process compiles and loads against
-    (OCaml version, word size, native-compiler version).  The
-    persistent cache namespaces entries by this string so artifacts
-    from an incompatible toolchain are never offered to [Dynlink]. *)
+    (OCaml version, word size, native-compiler version, and a short
+    digest of the [Steno_rt] interface it carries, as a final
+    [-rt<hex>] field).  The persistent cache namespaces entries by this
+    string so artifacts from an incompatible toolchain or runtime unit
+    miss instead of reaching [Dynlink]. *)
 
 val compile : source:string -> compiled
 (** {!compile_result} without a timeout, raising {!Compilation_failed}

@@ -66,8 +66,8 @@ let eval2 : type a b c. (a, b, c) t2 -> a -> b -> c = function
   | Mul_float -> ( *. )
   | Div_float -> ( /. )
   | Pow_float -> ( ** )
-  | Min_int -> min
-  | Max_int -> max
+  | Min_int -> Int.min
+  | Max_int -> Int.max
   | Min_float -> Float.min
   | Max_float -> Float.max
   | Eq -> fun a b -> a = b
@@ -112,8 +112,8 @@ let print2 : type a b c. (a, b, c) t2 -> string -> string -> string =
   | Mul_float -> infix "*."
   | Div_float -> infix "/."
   | Pow_float -> infix "**"
-  | Min_int -> Printf.sprintf "(Stdlib.min %s %s : int)" a b
-  | Max_int -> Printf.sprintf "(Stdlib.max %s %s : int)" a b
+  | Min_int -> Printf.sprintf "(Stdlib.Int.min %s %s)" a b
+  | Max_int -> Printf.sprintf "(Stdlib.Int.max %s %s)" a b
   | Min_float -> Printf.sprintf "(Stdlib.Float.min %s %s)" a b
   | Max_float -> Printf.sprintf "(Stdlib.Float.max %s %s)" a b
   | Eq -> infix "="

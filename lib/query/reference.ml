@@ -78,7 +78,10 @@ let rec eval : type a. a Query.t -> Open.env -> a list =
     List.concat_map
       (fun o ->
         List.filter_map
-          (fun i -> if fik i = fok o then Some (fres o i) else None)
+          (fun i ->
+            (* Key equality is [compare]'s, as in grouping: nan
+               matches nan. *)
+            if compare (fik i) (fok o) = 0 then Some (fres o i) else None)
           inner)
       (eval outer env)
   | Query.Group_by (q, key) ->
@@ -104,10 +107,7 @@ let rec eval : type a. a Query.t -> Open.env -> a list =
       | Query.Descending -> compare (fkey b) (fkey a)
     in
     List.stable_sort cmp (eval q env)
-  | Query.Distinct q ->
-    List.fold_left
-      (fun acc x -> if List.mem x acc then acc else acc @ [ x ])
-      [] (eval q env)
+  | Query.Distinct q -> List.map fst (group_list Fun.id (eval q env))
   | Query.Rev q -> List.rev (eval q env)
   | Query.Materialize q -> eval q env
 

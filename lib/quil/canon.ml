@@ -375,6 +375,8 @@ let contains_agg (v : Quil.render) : Quil.agg =
 
 (* Lowering. *)
 
+let key_ty_of (key : (_, _) Expr.lam) = Ty.to_string (Expr.ty_of key.Expr.body)
+
 let rec lower : type a. a Query.t -> Quil.chain = function
   | Query.Of_array (ty, arr) ->
     {
@@ -454,20 +456,23 @@ let rec lower : type a. a Query.t -> Quil.chain = function
              Quil.join_inner = lower inner;
              join_inner_key = ik1;
              join_outer_key = ok1;
+             join_key_ty = key_ty_of ok;
              join_result = res2;
            })
     else begin
       (* Equi-join as the nested SelectMany-Where loop of section 5.  The
          outer binding covers the outer key selector; the result
          selector's parameters are bound by the code generator when it
-         reaches the nested return. *)
+         reaches the nested return.  Keys match under [compare], as in
+         the hash join's tables (nan matches nan). *)
       let bind_outer = ok1.Quil.bind1 in
       let pred : Quil.lam1 =
         {
           Quil.bind1 = ik1.Quil.bind1;
           body1 =
             (fun nenv tbl ->
-              Printf.sprintf "(%s = %s)" (ik1.Quil.body1 nenv tbl)
+              Printf.sprintf "(Stdlib.compare %s %s = 0)"
+                (ik1.Quil.body1 nenv tbl)
                 (ok1.Quil.body1 nenv tbl));
         }
       in
@@ -477,17 +482,21 @@ let rec lower : type a. a Query.t -> Quil.chain = function
            { Quil.bind_outer; inner = inner_chain; result2 = Some res2 })
     end
   | Query.Group_by (q, key) ->
-    append (lower q) (Quil.Sink (Quil.Group_by_sink { key = lam1_of key }))
+    append (lower q)
+      (Quil.Sink
+         (Quil.Group_by_sink { key = lam1_of key; key_ty = key_ty_of key }))
   | Query.Group_by_elem (q, key, elem) ->
     append (lower q)
       (Quil.Sink
-         (Quil.Group_by_elem_sink { key = lam1_of key; elem = lam1_of elem }))
+         (Quil.Group_by_elem_sink
+            { key = lam1_of key; key_ty = key_ty_of key; elem = lam1_of elem }))
   | Query.Group_by_agg (q, key, seed, step) -> (
     let hash_sink () =
       Quil.Sink
         (Quil.Group_by_agg_sink
            {
              key = lam1_of key;
+             key_ty = key_ty_of key;
              seed = render_expr (Expr.simplify seed);
              step = lam2_of step;
            })
@@ -513,7 +522,10 @@ let rec lower : type a. a Query.t -> Quil.chain = function
       (Quil.Sink
          (Quil.Order_by_sink
             { key = lam1_of key; descending = dir = Query.Descending }))
-  | Query.Distinct q -> append (lower q) (Quil.Sink Quil.Distinct_sink)
+  | Query.Distinct q ->
+    append (lower q)
+      (Quil.Sink
+         (Quil.Distinct_sink { elem_ty = Ty.to_string (Query.elem_ty q) }))
   | Query.Rev q -> append (lower q) (Quil.Sink Quil.Reverse_sink)
   | Query.Materialize q -> append (lower q) (Quil.Sink Quil.To_array_sink)
 

@@ -8,6 +8,9 @@
     - inline lambdas as render closures (after {!Expr.simplify});
     - desugar [Join] into the nested SelectMany-Where form the paper uses
       for equi-joins (section 5);
+    - record the printed key type of every hashing sink (GroupBy,
+      Distinct, hash join) so the code generator can pick a table
+      specialized to it;
     - construct type-specialized aggregation plans (e.g. [Min] over floats
       seeds with [infinity]; generic element types fall back to
       first-element semantics with a type-derived placeholder seed). *)

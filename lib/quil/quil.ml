@@ -22,9 +22,14 @@ type stateful_pred =
   | Skip_while_p of lam1
 
 type sink =
-  | Group_by_sink of { key : lam1 }
-  | Group_by_elem_sink of { key : lam1; elem : lam1 }
-  | Group_by_agg_sink of { key : lam1; seed : render; step : lam2 }
+  | Group_by_sink of { key : lam1; key_ty : string }
+  | Group_by_elem_sink of { key : lam1; key_ty : string; elem : lam1 }
+  | Group_by_agg_sink of {
+      key : lam1;
+      key_ty : string;
+      seed : render;
+      step : lam2;
+    }
   | Group_by_agg_sorted_sink of {
       key : lam1;
       key_default : string;
@@ -32,7 +37,7 @@ type sink =
       step : lam2;
     }
   | Order_by_sink of { key : lam1; descending : bool }
-  | Distinct_sink
+  | Distinct_sink of { elem_ty : string }
   | Reverse_sink
   | To_array_sink
 
@@ -67,6 +72,7 @@ and hash_join = {
   join_inner : chain;
   join_inner_key : lam1;
   join_outer_key : lam1;
+  join_key_ty : string;
   join_result : lam2;
 }
 
@@ -109,7 +115,7 @@ and op_symbol = function
   | Sink (Group_by_agg_sink _) -> "Sink:GroupByAggregate"
   | Sink (Group_by_agg_sorted_sink _) -> "Sink:GroupByAggregateSorted"
   | Sink (Order_by_sink _) -> "Sink:OrderBy"
-  | Sink Distinct_sink -> "Sink:Distinct"
+  | Sink (Distinct_sink _) -> "Sink:Distinct"
   | Sink Reverse_sink -> "Sink:Reverse"
   | Sink To_array_sink -> "Sink:ToArray"
   | Agg _ -> "Agg"

@@ -46,10 +46,19 @@ type stateful_pred =
   | Take_while_p of lam1
   | Skip_while_p of lam1
 
+(** Sinks that hash their input carry the printed OCaml type of the key
+    ([key_ty]; the element type for [Distinct_sink]), as [Src_array]
+    carries its element type, so the code generator can pick a table
+    specialized to that type. *)
 type sink =
-  | Group_by_sink of { key : lam1 }
-  | Group_by_elem_sink of { key : lam1; elem : lam1 }
-  | Group_by_agg_sink of { key : lam1; seed : render; step : lam2 }
+  | Group_by_sink of { key : lam1; key_ty : string }
+  | Group_by_elem_sink of { key : lam1; key_ty : string; elem : lam1 }
+  | Group_by_agg_sink of {
+      key : lam1;
+      key_ty : string;
+      seed : render;
+      step : lam2;
+    }
       (** The GroupByAggregate specialization (section 4.3). *)
   | Group_by_agg_sorted_sink of {
       key : lam1;
@@ -61,7 +70,7 @@ type sink =
           sequential pass with O(1) live keys and reduction variables (the
           memory optimization of section 4.3's final paragraph). *)
   | Order_by_sink of { key : lam1; descending : bool }
-  | Distinct_sink
+  | Distinct_sink of { elem_ty : string }
   | Reverse_sink
   | To_array_sink
 
@@ -110,6 +119,7 @@ and hash_join = {
   join_inner : chain;  (** The build side; independent of the outer element. *)
   join_inner_key : lam1;
   join_outer_key : lam1;
+  join_key_ty : string;  (** printed OCaml type of both keys *)
   join_result : lam2;  (** outer element, inner element -> output element *)
 }
 

@@ -206,6 +206,85 @@ let test_join_strategies () =
          ~inner_key:(fun r -> Expr.Fst r)
          ~result:(fun l r -> Expr.Pair (Expr.Snd l, Expr.Snd r)))
 
+(* Key edges for the hash tables behind GroupBy, Distinct and the hash
+   join: int keys take a type-specialized table, other key types the
+   generic one.  Every backend must match [Reference]
+   exactly: groups in first-appearance order, the first-appearing key
+   kept, the same multiplicities.  The marshalled representations are
+   compared too, since [compare] does not tell [0.] from [-0.]. *)
+let check_exact name (q : 'a Query.t) =
+  let ty = Ty.Array (Query.elem_ty q) in
+  let expected = Array.of_list (Reference.to_list q) in
+  let bits v = Marshal.to_string v [ Marshal.No_sharing ] in
+  let want = bits expected in
+  List.iter
+    (fun b ->
+      let got = Steno.to_array ~backend:b q in
+      if Ty.compare_values ty got expected <> 0 || bits got <> want then
+        Alcotest.failf "%s/%s: got %s, want %s" name (backend_name b)
+          (show ty got) (show ty expected))
+    backends
+
+(* The five hashing operators over [keys] (each element is its own
+   key), the join probing an index of [keys] with [probes]. *)
+let check_key_ops label (ty : 'k Ty.t) (keys : 'k array) (probes : 'k array) =
+  let src = Query.of_array ty keys in
+  let count acc _ = I.(acc + Expr.int 1) in
+  check_exact (label ^ " group_by") (src |> Query.group_by (fun x -> x));
+  check_exact (label ^ " group_by_elem")
+    (src
+    |> Query.group_by_elem ~key:(fun x -> x) ~elem:(fun x ->
+           Expr.Pair (x, Expr.int 1)));
+  check_exact (label ^ " group_by_agg")
+    (src |> Query.group_by_agg ~key:(fun x -> x) ~seed:(Expr.int 0) ~step:count);
+  check_exact (label ^ " distinct") (src |> Query.distinct);
+  let indexed =
+    Query.of_array (Ty.Pair (ty, Ty.Int)) (Array.mapi (fun i k -> k, i) keys)
+  in
+  let joined =
+    Query.of_array ty probes
+    |> Query.join ~inner:indexed
+         ~outer_key:(fun p -> p)
+         ~inner_key:(fun r -> Expr.Fst r)
+         ~result:(fun p r -> Expr.Pair (p, Expr.Snd r))
+  in
+  check_exact (label ^ " join") joined;
+  Canon.hash_join_enabled := false;
+  Fun.protect ~finally:(fun () -> Canon.hash_join_enabled := true) (fun () ->
+      check_exact (label ^ " join (nested-loop)") joined)
+
+let test_key_edges_int () =
+  check_key_ops "int edges" Ty.Int
+    [| 3; -1; min_int; 0; max_int; -1; min_int; 3; max_int; -7; 0 |]
+    [| 0; -1; max_int; 5; min_int; -7; 3 |];
+  (* 2^16 distinct multiples of 2^20, each twice, in a scrambled order:
+     keys that share their low 20 bits, which an identity hash would put
+     in one bucket. *)
+  let n = 1 lsl 16 in
+  check_key_ops "int 2^16" Ty.Int
+    (Array.init (2 * n) (fun i -> ((i * 40503) land (n - 1)) lsl 20))
+    (Array.init 32 (fun i -> (i * 2111) lsl 20))
+
+let test_key_edges_float () =
+  check_key_ops "float edges" Ty.Float
+    [| 1.5; Float.nan; 0.; -0.; infinity; Float.nan; neg_infinity; -0.; 0.;
+       infinity; 1.5; neg_infinity |]
+    [| Float.nan; -0.; 0.; infinity; neg_infinity; 2.5; 1.5 |];
+  (* The first appearance of a zero decides the group's key. *)
+  check_key_ops "float -0. first" Ty.Float [| -0.; 0.; -0.; 2.; 0. |]
+    [| 0.; -0. |]
+
+let test_key_edges_string () =
+  check_key_ops "string" Ty.String
+    [| "b"; ""; "ab"; "a"; "b"; ""; "ba"; String.make 100 'x'; "ab";
+       String.make 100 'x' |]
+    [| ""; "ab"; "zz"; String.make 100 'x'; "b" |]
+
+let test_key_edges_pair () =
+  check_key_ops "(int * string)" (Ty.Pair (Ty.Int, Ty.String))
+    [| 1, "a"; 1, "b"; -1, "a"; 1, "a"; min_int, ""; -1, "a"; max_int, "" |]
+    [| 1, "a"; min_int, ""; 2, "a"; -1, "a" |]
+
 let test_sorted_group_agg () =
   let q =
     ints sample_ints
@@ -467,6 +546,10 @@ let () =
           Alcotest.test_case "group_by" `Quick test_group_by;
           Alcotest.test_case "nested" `Quick test_nested;
           Alcotest.test_case "join strategies" `Quick test_join_strategies;
+          Alcotest.test_case "key edges int" `Quick test_key_edges_int;
+          Alcotest.test_case "key edges float" `Quick test_key_edges_float;
+          Alcotest.test_case "key edges string" `Quick test_key_edges_string;
+          Alcotest.test_case "key edges pair" `Quick test_key_edges_pair;
           Alcotest.test_case "sorted group agg" `Quick test_sorted_group_agg;
           Alcotest.test_case "aggregates" `Quick test_aggregates;
           Alcotest.test_case "map_scalar" `Quick test_map_scalar;

@@ -97,9 +97,68 @@ let test_agg_declarations_in_prelude () =
 
 let test_group_by_sink () =
   let src = gen_q (ints [| 1 |] |> Query.group_by (fun x -> I.(x mod Expr.int 2))) in
-  check_contains src "Stdlib.Hashtbl.create";
-  check_contains src "Stdlib.Hashtbl.find_opt";
+  (* An int key takes the precompiled int table, probed with [find]:
+     no [caml_hash], no polymorphic compare, no option per row. *)
+  check_contains src "Steno_rt.Int_tbl.create";
+  check_contains src "Steno_rt.Int_tbl.find";
+  check_contains src "exception Stdlib.Not_found";
+  check_absent src "find_opt";
+  check_absent src "Stdlib.Hashtbl";
   check_contains src "_order"
+
+let test_table_per_key_type () =
+  let table_of q = gen_q q in
+  let floats = Query.of_array Ty.Float [| 1.0 |] in
+  let strings = Query.of_array Ty.String [| "a" |] in
+  let pairs = Query.of_array (Ty.Pair (Ty.Int, Ty.String)) [| 1, "a" |] in
+  check_contains (table_of (ints [| 1 |] |> Query.distinct))
+    "Steno_rt.Int_tbl.create";
+  (* Any other key type takes the generic table, still probed with
+     [find]. *)
+  List.iter
+    (fun src ->
+      check_contains src "Stdlib.Hashtbl.create";
+      check_absent src "Steno_rt")
+    [
+      table_of (floats |> Query.group_by (fun x -> x));
+      table_of (strings |> Query.distinct);
+    ];
+  let pair_src = table_of (pairs |> Query.group_by (fun x -> x)) in
+  check_contains pair_src "Stdlib.Hashtbl.create";
+  check_contains pair_src "Stdlib.Hashtbl.find";
+  check_absent pair_src "find_opt";
+  check_absent pair_src "Steno_rt";
+  let pair_join =
+    table_of
+      (pairs
+      |> Query.join ~inner:pairs
+           ~outer_key:(fun l -> l)
+           ~inner_key:(fun r -> r)
+           ~result:(fun l _ -> Expr.Fst l))
+  in
+  check_contains pair_join "Stdlib.Hashtbl.create";
+  check_absent pair_join "Steno_rt"
+
+let test_int_min_max_monomorphic () =
+  (* [Stdlib.min]/[max] are polymorphic: a C comparison per call even on
+     ints.  Int min/max render as [Stdlib.Int.min]/[max]. *)
+  Alcotest.(check string) "min" "(Stdlib.Int.min a b)"
+    (Prim.print2 Prim.Min_int "a" "b");
+  Alcotest.(check string) "max" "(Stdlib.Int.max a b)"
+    (Prim.print2 Prim.Max_int "a" "b");
+  let src =
+    gen_q
+      (ints [| 1 |]
+      |> Query.select (fun x ->
+             Expr.Prim2
+               ( Prim.Max_int,
+                 Expr.int 0,
+                 Expr.Prim2 (Prim.Min_int, Expr.int 9, x) )))
+  in
+  check_contains src "Stdlib.Int.max";
+  check_contains src "Stdlib.Int.min";
+  check_absent src "Stdlib.min";
+  check_absent src "Stdlib.max"
 
 let test_group_by_agg_stores_partials () =
   let src =
@@ -110,7 +169,8 @@ let test_group_by_agg_stores_partials () =
            ~seed:(Expr.int 0)
            ~step:(fun acc _ -> I.(acc + Expr.int 1)))
   in
-  check_contains src "Stdlib.Hashtbl.create";
+  check_contains src "Steno_rt.Int_tbl.create";
+  check_absent src "Stdlib.Hashtbl";
   (* Aggregating sink: no per-key bags. *)
   check_absent src ":: !__b"
 
@@ -145,7 +205,10 @@ let test_hash_join_structure () =
       (pairs [| 1, 3 |])
   in
   let src = gen_q q in
-  check_contains src "Stdlib.Hashtbl.create";
+  check_contains src "Steno_rt.Int_tbl.create";
+  check_contains src "Steno_rt.Int_tbl.find";
+  check_absent src "find_opt";
+  check_absent src "Stdlib.Hashtbl";
   check_contains src "Stdlib.List.iter";
   (* The build side loops before the probe loop; two loops total. *)
   let count_for s =
@@ -160,7 +223,8 @@ let test_hash_join_structure () =
   Canon.hash_join_enabled := false;
   let nested_src = gen_q q in
   Canon.hash_join_enabled := true;
-  check_absent nested_src "Hashtbl"
+  check_absent nested_src "Hashtbl";
+  check_absent nested_src "Steno_rt"
 
 let test_sorted_sink_structure () =
   let q =
@@ -174,6 +238,7 @@ let test_sorted_sink_structure () =
   let src = gen_q q in
   (* One-pass grouping: no hash table after the sort. *)
   check_absent src "Hashtbl";
+  check_absent src "Steno_rt";
   check_contains src "_key";
   check_contains src "_acc"
 
@@ -224,6 +289,21 @@ let test_generated_code_compiles () =
         gen_s (Query.first (ints [| 1 |]));
         gen_s (Query.for_all (fun x -> I.(x > Expr.int 0)) (ints [| 1 |]));
         gen_s (Query.contains (Expr.int 3) (ints [| 1 |]));
+        (* One hashing shape per table module. *)
+        gen_q (Query.of_array Ty.Float [| 1.0 |] |> Query.group_by (fun x -> x));
+        gen_q
+          (Query.of_array Ty.String [| "a" |]
+          |> Query.group_by_elem ~key:(fun x -> x) ~elem:(fun _ -> Expr.int 1));
+        gen_q
+          (Query.of_array (Ty.Pair (Ty.Int, Ty.String)) [| 1, "a" |]
+          |> Query.group_by_agg ~key:(fun x -> x) ~seed:(Expr.int 0)
+               ~step:(fun acc _ -> I.(acc + Expr.int 1)));
+        gen_q
+          (ints [| 1 |]
+          |> Query.join ~inner:(ints [| 1 |])
+               ~outer_key:(fun x -> x)
+               ~inner_key:(fun y -> y)
+               ~result:(fun x y -> I.(x + y)));
       ]
     in
     List.iter (fun source -> ignore (Dynload.compile ~source)) sources
@@ -243,6 +323,9 @@ let () =
           Alcotest.test_case "agg prelude" `Quick test_agg_declarations_in_prelude;
           Alcotest.test_case "group_by sink" `Quick test_group_by_sink;
           Alcotest.test_case "group_by_agg" `Quick test_group_by_agg_stores_partials;
+          Alcotest.test_case "table per key type" `Quick test_table_per_key_type;
+          Alcotest.test_case "int min/max monomorphic" `Quick
+            test_int_min_max_monomorphic;
           Alcotest.test_case "sinking restarts loop" `Quick
             test_sinking_state_starts_new_loop;
           Alcotest.test_case "nonempty check" `Quick test_require_nonempty_check;

@@ -132,6 +132,93 @@ let test_concurrent_compiles () =
     (Array.init 6 (fun i -> i * 3))
     results
 
+(* Plugins compile against the [steno_rt.cmi] the host carries and run
+   the host's [Steno_rt]: a table a plugin fills is one the host reads. *)
+let test_runtime_unit () =
+  with_native @@ fun () ->
+  let c =
+    Dynload.compile
+      ~source:
+        (minimal_plugin
+           "let t = Steno_rt.Int_tbl.create 8 in\n\
+            Steno_rt.Int_tbl.add t (1 lsl 40) \"wide\";\n\
+            Steno_rt.Int_tbl.add t (-3) \"neg\";\n\
+            Stdlib.Obj.repr t")
+  in
+  let t : string Steno_rt.Int_tbl.t = Obj.obj (c.Dynload.run [||]) in
+  Alcotest.(check string) "wide key" "wide"
+    (Steno_rt.Int_tbl.find t (1 lsl 40));
+  Alcotest.(check string) "negative key" "neg"
+    (Steno_rt.Int_tbl.find t (-3));
+  Alcotest.(check bool) "absent key" false (Steno_rt.Int_tbl.mem t 3);
+  Alcotest.(check bool) "cmi in the workdir" true
+    (Sys.file_exists (Filename.concat (Dynload.workdir ()) "steno_rt.cmi"))
+
+(* [Steno_rt.Int_tbl] against [Hashtbl] as the model: keys from the
+   edges of the int range and sharing their low bits, rebound, through
+   several resizes. *)
+let test_int_tbl_model () =
+  let t = Steno_rt.Int_tbl.create 1 and model = Hashtbl.create 16 in
+  let rng = Random.State.make [| 7 |] in
+  let key () =
+    match Random.State.int rng 4 with
+    | 0 -> Random.State.int rng 1000 - 500
+    | 1 -> Random.State.int rng 4096 lsl 40
+    | 2 -> if Random.State.bool rng then min_int else max_int
+    | _ -> Random.State.bits rng
+  in
+  for i = 1 to 20_000 do
+    let k = key () in
+    Steno_rt.Int_tbl.add t k i;
+    Hashtbl.add model k i
+  done;
+  Hashtbl.iter
+    (fun k _ ->
+      Alcotest.(check int) "newest binding" (Hashtbl.find model k)
+        (Steno_rt.Int_tbl.find t k))
+    model;
+  for _ = 1 to 1000 do
+    let k = key () in
+    Alcotest.(check bool) "mem" (Hashtbl.mem model k) (Steno_rt.Int_tbl.mem t k)
+  done;
+  let seen = ref 0 in
+  Steno_rt.Int_tbl.iter (fun _ _ -> incr seen) t;
+  Alcotest.(check int) "iter visits every binding" (Hashtbl.length model) !seen;
+  Alcotest.check_raises "absent key" Not_found (fun () ->
+      ignore (Steno_rt.Int_tbl.find (Steno_rt.Int_tbl.create 8) 0))
+
+(* The store namespace names the runtime interface plugins were built
+   against, so a store filled against another [Steno_rt] misses instead
+   of failing at [Dynlink]; every engine in a process shares it. *)
+let test_fingerprint () =
+  let digest =
+    String.sub (Digest.to_hex (Digest.string Steno_rt_cmi.contents)) 0 8
+  in
+  let fp = Dynload.fingerprint () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S ends with -rt%s" fp digest)
+    true
+    (String.ends_with ~suffix:("-rt" ^ digest) fp);
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "steno-test-fp-%d" (Unix.getpid ()))
+  in
+  let engine () =
+    Steno.Engine.create Steno.Config.(default |> with_disk_cache ~dir)
+  in
+  let d1 = Steno.Engine.pcache_dir (engine ())
+  and d2 = Steno.Engine.pcache_dir (engine ()) in
+  Alcotest.(check bool) "a store dir" true (d1 <> None);
+  Alcotest.(check (option string)) "same namespace" d1 d2;
+  Alcotest.(check string) "same fingerprint" fp (Dynload.fingerprint ());
+  Option.iter
+    (fun root ->
+      Array.iter (fun f -> Sys.remove (Filename.concat root f)) (Sys.readdir root);
+      Unix.rmdir root)
+    d1;
+  Unix.rmdir dir
+
 (* Link parity: a plugin calling libm through unboxed externals and
    using the runtime's hashing computes exactly what the host does. *)
 let test_libm_parity () =
@@ -215,9 +302,12 @@ let () =
           Alcotest.test_case "env passing" `Quick test_env_passing;
           Alcotest.test_case "many plugins" `Quick test_many_plugins;
           Alcotest.test_case "workdir" `Quick test_workdir;
+          Alcotest.test_case "fingerprint" `Quick test_fingerprint;
         ] );
       ( "link",
         [
+          Alcotest.test_case "runtime unit" `Quick test_runtime_unit;
+          Alcotest.test_case "int table model" `Quick test_int_tbl_model;
           Alcotest.test_case "libm parity" `Quick test_libm_parity;
           Alcotest.test_case "ELF hardening" `Quick test_elf_hardening;
         ] );

@@ -180,6 +180,24 @@ let test_fallback_on_timeout () =
     (Steno.scalar ~backend:Steno.Fused sq)
     (Steno.Prepared_scalar.run p)
 
+(* An int-keyed group query, whose plugin references [Steno_rt], must
+   prepare on Native and agree with the reference semantics. *)
+let check_group_on_native m =
+  let q =
+    ints [| 5; 3; 8; 5; 9; 3 |]
+    |> Query.group_by_agg
+         ~key:(fun x -> I.(x mod Expr.int m))
+         ~seed:(Expr.int 0)
+         ~step:(fun acc _ -> I.(acc + Expr.int 1))
+  in
+  let p = Steno.Engine.prepare (engine Steno.Native) q in
+  let i = Steno.Prepared.compile_info p in
+  Alcotest.(check bool) "group query on native" true
+    (i.Steno.backend = Steno.Native && i.Steno.fallback = None);
+  Alcotest.(check (list (pair int int))) "group result"
+    (Reference.to_list q)
+    (Array.to_list (Steno.Prepared.run p))
+
 let test_fallback_on_io_failure () =
   with_native @@ fun () ->
   (* With the scratch workdir gone, writing the plugin source fails.
@@ -189,7 +207,7 @@ let test_fallback_on_io_failure () =
   let dir = Dynload.workdir () in
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir;
-  Fun.protect ~finally:(fun () -> Unix.mkdir dir 0o700) @@ fun () ->
+  (Fun.protect ~finally:(fun () -> Unix.mkdir dir 0o700) @@ fun () ->
   Alcotest.(check bool) "compile_result is a compile error" true
     (match
        Dynload.compile_result ~source:"let () = ()" ()
@@ -207,7 +225,19 @@ let test_fallback_on_io_failure () =
   Alcotest.(check bool) "ran fused" true (i.Steno.backend = Steno.Fused);
   Alcotest.(check int) "correct result"
     (Steno.scalar ~backend:Steno.Fused sq)
-    (Steno.Prepared_scalar.run p)
+    (Steno.Prepared_scalar.run p));
+  (* The recreated workdir lacks [steno_rt.cmi], which every hashing
+     plugin compiles against; the next compile writes it again. *)
+  check_group_on_native 4
+
+(* A workdir left behind by an earlier process with the same pid may hold
+   another build's [steno_rt.cmi]; the host must not compile against it. *)
+let test_stale_rt_cmi () =
+  with_native @@ fun () ->
+  Out_channel.with_open_bin
+    (Filename.concat (Dynload.workdir ()) "steno_rt.cmi")
+    (fun oc -> output_string oc "not the interface this host carries");
+  check_group_on_native 3
 
 (* Exception parity: all backends raise the same exception for an empty
    sequence, whatever path (iterator, fused closure, compiled plugin with
@@ -250,6 +280,7 @@ let () =
           Alcotest.test_case "strict raises" `Quick test_fallback_disabled_raises;
           Alcotest.test_case "timeout" `Quick test_fallback_on_timeout;
           Alcotest.test_case "workdir gone" `Quick test_fallback_on_io_failure;
+          Alcotest.test_case "stale runtime interface" `Quick test_stale_rt_cmi;
           Alcotest.test_case "exception parity" `Quick
             test_exception_parity_all_backends;
         ] );

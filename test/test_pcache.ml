@@ -8,9 +8,10 @@
    background tier promotion under concurrent runs.
 
    Cross-process protocol: when [STENO_PCACHE_CHILD] is set, this binary
-   does not run alcotest at all — it compiles the shared test query into
-   the store named by the variable and exits (0 on success), serving as
-   the "earlier process" of the persistence test. *)
+   does not run alcotest at all — it compiles the shared test queries (a
+   sum and an int-keyed group) into the store named by the variable and
+   exits (0 on success), serving as the "earlier process" of the
+   persistence test. *)
 
 module I = Expr.Infix
 
@@ -59,6 +60,15 @@ let shared_query () = query_with 11
 
 let shared_expected = expected_with 11
 
+(* An int-keyed GroupByAggregate: its plugin references [Steno_rt], so a
+   store hit must load against the host's runtime unit. *)
+let group_query () =
+  Query.of_array Ty.Int xs
+  |> Query.group_by_agg
+       ~key:(fun x -> I.(x mod Expr.int 5))
+       ~seed:(Expr.int 0)
+       ~step:(fun acc x -> I.(acc + x))
+
 let compiles_ok reg =
   Metrics.counter_value
     (Metrics.counter reg "steno_compile" ~labels:[ "result", "ok" ])
@@ -84,11 +94,16 @@ let native_engine ?tiering ?dir reg =
 let child_main dir =
   let reg = Metrics.create () in
   let eng = native_engine ~dir reg in
-  match Steno.Engine.try_prepare_scalar eng (shared_query ()) with
-  | Error _ -> exit 3
-  | Ok p ->
+  match
+    ( Steno.Engine.try_prepare_scalar eng (shared_query ()),
+      Steno.Engine.try_prepare eng (group_query ()) )
+  with
+  | Error _, _ | _, Error _ -> exit 3
+  | Ok p, Ok g ->
     let ok =
-      Steno.Prepared_scalar.run p = shared_expected && compiles_ok reg = 1
+      Steno.Prepared_scalar.run p = shared_expected
+      && Array.to_list (Steno.Prepared.run g) = Reference.to_list (group_query ())
+      && compiles_ok reg = 2
     in
     exit (if ok then 0 else 1)
 
@@ -334,6 +349,15 @@ let test_cross_process_persistence () =
     (match Steno.Engine.pcache_stats eng with
     | None -> Alcotest.fail "engine has no pcache"
     | Some s -> Alcotest.(check int) "one disk hit" 1 s.Pcache.st_hits);
+    let g = Steno.Engine.prepare eng (group_query ()) in
+    Alcotest.(check (list (pair int int))) "group result"
+      (Reference.to_list (group_query ()))
+      (Array.to_list (Steno.Prepared.run g));
+    Alcotest.(check int) "zero compiles for the group query" 0 (compiles_ok reg);
+    Alcotest.(check bool) "group query a cache hit" true
+      (Steno.Prepared.compile_info g).Steno.cache_hit;
+    Alcotest.(check bool) "group query on native" true
+      ((Steno.Prepared.compile_info g).Steno.backend = Steno.Native);
     (* The point of the store: the warm prepare must cost at least 10x
        less than compiling.  A fresh literal on the same engine is a key
        nobody has published, so it pays a real compile. *)

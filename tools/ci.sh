@@ -45,6 +45,22 @@ else
   fi
 fi
 
+echo "== type-specialized hash tables in generated code =="
+for demo in histogram join; do
+  plugin_src=$(./_build/default/bin/stenoc.exe show "$demo" -n 2000)
+  if ! printf '%s\n' "$plugin_src" | grep -qF 'Steno_rt.Int_tbl'; then
+    echo "stenoc show $demo: int keys do not use Steno_rt.Int_tbl" >&2
+    exit 1
+  fi
+  # Polymorphic min/max (not max_int) and the option-allocating probe.
+  for banned in 'Stdlib\.Hashtbl\.find_opt' 'Stdlib\.(min|max) '; do
+    if printf '%s\n' "$plugin_src" | grep -qE "$banned"; then
+      echo "stenoc show $demo: generated code matches $banned" >&2
+      exit 1
+    fi
+  done
+done
+
 echo "== stenoc analyze (annotated plans, all backends) =="
 dune exec bin/stenoc.exe -- analyze redundant -n 2000 > /dev/null
 

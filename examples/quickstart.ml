@@ -47,7 +47,7 @@ let () =
     Printf.printf "Second query with the same shape: cache hit = %b\n"
       (Steno.Prepared.compile_info p2).Steno.cache_hit
   end
-  else print_endline "(native backend unavailable: no ocamlopt on PATH)";
+  else print_endline "(native backend unavailable: no compile worker)";
 
   (* A redundant operator chain: the algebraic optimizer fuses the
      stacked Wheres and Takes before any backend sees the plan. *)

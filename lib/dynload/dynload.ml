@@ -19,7 +19,9 @@ type error =
   | Load_error of string
 
 let error_message = function
-  | Unavailable -> "no native OCaml compiler on PATH"
+  | Unavailable ->
+    "no native compiler: the compile worker, or an assembler or linker on \
+     its PATH, is missing"
   | Timeout { timeout_ms } ->
     Printf.sprintf "compiler exceeded %d ms and was killed" timeout_ms
   | Compile_error out -> out
@@ -30,10 +32,9 @@ let keep_artifacts = ref false
 let disabled = ref false
 
 (* [Lazy.force] from several domains at once raises [RacyLazy]; the
-   process-wide lazies below (scratch dir, compiler probe) are forced
-   under one mutex so concurrent engines initialize them safely.  The
-   lock is only contended during initialization: both lazies settle on
-   first use. *)
+   process-wide workdir below is forced under one mutex so
+   concurrent engines initialize it safely.  The lock is only contended
+   during initialization: the lazy settles on first use. *)
 let init_mu = Mutex.create ()
 
 let force_shared l = Mutex.protect init_mu (fun () -> Lazy.force l)
@@ -57,106 +58,9 @@ let workdir_lazy =
 
 let workdir () = force_shared workdir_lazy
 
-(* Everything the host needs to know about the native compiler comes
-   from one [-config] read: whether it runs at all, its version (for
-   the fingerprint), and the [system]/[native_pack_linker] fields that
-   decide how a plugin is linked.  The compiler is started from an argv
-   list, never through a shell. *)
-type toolchain = {
-  compiler : string;
-  version : string;
-  link : string list;  (** extra [ocamlopt] arguments choosing the linker *)
-}
-
-(* Start [argv] with stdout and stderr on a close-on-exec pipe and read
-   the pipe to EOF, killing the child once [deadline] (absolute, from
-   [Unix.gettimeofday]) passes.  The pipe's write end is close-on-exec
-   so a compiler started concurrently by another domain never holds it
-   open.  Returns the exit status ([None] when killed) and the output.
-   [Unix.create_process] raises [Unix_error] itself when [argv.(0)]
-   cannot be started. *)
-let run_captured ?deadline argv : Unix.process_status option * string =
-  let rd, wr = Unix.pipe ~cloexec:true () in
-  let pid =
-    Fun.protect
-      ~finally:(fun () -> Unix.close wr)
-      (fun () ->
-        try Unix.create_process argv.(0) argv Unix.stdin wr wr
-        with e ->
-          Unix.close rd;
-          raise e)
-  in
-  let out = Buffer.create 256 and chunk = Bytes.create 4096 in
-  let rec drain () =
-    let wait =
-      match deadline with
-      | None -> -1.0
-      | Some d -> d -. Unix.gettimeofday ()
-    in
-    if deadline <> None && wait <= 0.0 then false
-    else
-      match Unix.select [ rd ] [] [] wait with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-      | [], _, _ -> drain ()
-      | _ -> (
-        match Unix.read rd chunk 0 (Bytes.length chunk) with
-        | 0 -> true
-        | n ->
-          Buffer.add_subbytes out chunk 0 n;
-          drain ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ())
-  in
-  let kill () = try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> () in
-  let finished =
-    match Fun.protect ~finally:(fun () -> Unix.close rd) drain with
-    | finished -> finished
-    | exception e ->
-      kill ();
-      ignore (Unix.waitpid [] pid);
-      raise e
-  in
-  if not finished then kill ();
-  let status = snd (Unix.waitpid [] pid) in
-  ((if finished then Some status else None), Buffer.contents out)
-
-let probe candidate =
-  match run_captured [| candidate; "-config" |] with
-  | exception Unix.Unix_error _ -> None
-  | Some (Unix.WEXITED 0), out ->
-    let field key =
-      List.find_map
-        (fun line ->
-          match String.index_opt line ':' with
-          | Some i when String.sub line 0 i = key ->
-            let n = String.length line - i - 1 in
-            Some (String.trim (String.sub line (i + 1) n))
-          | _ -> None)
-        (String.split_on_char '\n' out)
-    in
-    (* On ELF/Linux, [ld] links the plugin directly with the output
-       flags [gcc -shared] would give it; gcc's crt objects and
-       [-lc -lgcc -lgcc_s] are left out ([--as-needed] drops those
-       libraries from a plugin anyway).  The [ld] is the one OCaml
-       itself packs with.  Other systems keep ocamlopt's own link. *)
-    let link =
-      match field "system", field "native_pack_linker" with
-      | Some "linux", Some pack -> (
-        match String.split_on_char ' ' pack with
-        | ld :: _ when ld <> "" ->
-          [ "-cc"; ld ^ " --build-id --eh-frame-hdr --hash-style=gnu -shared" ]
-        | _ -> [])
-      | _ -> []
-    in
-    Option.map (fun version -> { compiler = candidate; version; link })
-      (field "version")
-  | _ -> None
-
-let toolchain_lazy = lazy (List.find_map probe [ "ocamlopt.opt"; "ocamlopt" ])
-
-let toolchain () = force_shared toolchain_lazy
-
 let is_available () =
-  (not !disabled) && Dynlink.is_native && toolchain () <> None
+  (not !disabled) && Dynlink.is_native
+  && Sys.file_exists Steno_worker_build.path
 
 (* Plugins reference [Steno_rt]: they compile against the copy of its
    interface the host carries ([Steno_rt_cmi]) and link against the
@@ -167,17 +71,152 @@ let rt_digest =
 (* Toolchain/ABI fingerprint for the persistent plugin cache: a [.cmxs]
    built by one compiler, or against another [Steno_rt] interface, must
    never be offered to this runtime, so the on-disk store namespaces
-   entries by this string.  Forced under [init_mu] already, so it forces
-   the toolchain directly. *)
-let fingerprint_lazy =
-  lazy
-    (Printf.sprintf "ocaml%s-w%d-%s-rt%s" Sys.ocaml_version Sys.word_size
-       (match Lazy.force toolchain_lazy with
-       | None -> "nocc"
-       | Some t -> t.version)
-       rt_digest)
+   entries by this string.  The worker is built by the compiler that
+   built the host, so the build records its version. *)
+let fingerprint () =
+  Printf.sprintf "ocaml%s-w%d-%s-rt%s" Sys.ocaml_version Sys.word_size
+    Steno_worker_build.ocaml_version rt_digest
 
-let fingerprint () = force_shared fingerprint_lazy
+(* --- The compile workers ---------------------------------------------- *)
+
+(* A resident compiler process ([worker/steno_worker.ml]) and the host's
+   ends of its two pipes, both close-on-exec so no other child holds
+   them. *)
+type worker = {
+  pid : int;
+  requests : Unix.file_descr;
+  replies : Unix.file_descr;
+}
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let start_worker () =
+  (* A write to a worker that died would raise SIGPIPE, whose default
+     disposition kills the host; ignored, it is [Unix_error EPIPE].
+     ([Invalid_argument]: platforms without SIGPIPE.) *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let rep_r, rep_w = Unix.pipe ~cloexec:true () in
+  let exe = Steno_worker_build.path in
+  match Unix.create_process exe [| exe |] req_r rep_w Unix.stderr with
+  | pid ->
+    List.iter close_quietly [ req_r; rep_w ];
+    { pid; requests = req_w; replies = rep_r }
+  | exception e ->
+    List.iter close_quietly [ req_r; req_w; rep_r; rep_w ];
+    raise e
+
+let rec reap pid =
+  match Unix.waitpid [] pid with
+  | _, status -> Some status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid
+  | exception Unix.Unix_error _ -> None
+
+(* Retire a worker and reap it.  Closing its request pipe ends an idle
+   worker; [kill] SIGKILLs its process group (the worker leads its own
+   group), so an [as] or [ld] it started dies with it. *)
+let stop ?(kill = false) w =
+  if kill then
+    List.iter
+      (fun pid -> try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+      [ -w.pid; w.pid ];
+  List.iter close_quietly [ w.requests; w.replies ];
+  reap w.pid
+
+(* Idle workers, one stack per domain.  A compile pops one of its
+   domain's or starts a new one and pushes it back afterwards, so a
+   domain has as many workers as it ever ran compiles at once, and no
+   compile queues behind another.  A worker inherits the CPU affinity of
+   the thread that starts it: kept per domain, a domain pinned to a CPU
+   compiles on that CPU, as it did when each plugin was a fresh child
+   process, rather than on the CPU of whichever domain started the
+   worker.  A domain's idle workers stop when it exits. *)
+let pool_mu = Mutex.create ()
+
+let idle_key : worker list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let idle = ref [] in
+      Domain.at_exit (fun () ->
+          let ws =
+            Mutex.protect pool_mu (fun () ->
+                let ws = !idle in
+                idle := [];
+                ws)
+          in
+          List.iter (fun w -> ignore (stop w)) ws);
+      idle)
+
+(* An idle worker can die (killed, out of memory); one that has is
+   reaped here, before a request is written to it. *)
+let exited w =
+  match Unix.waitpid [ Unix.WNOHANG ] w.pid with
+  | 0, _ -> false
+  | _ | (exception Unix.Unix_error _) -> true
+
+let rec acquire () =
+  let idle = Domain.DLS.get idle_key in
+  let popped =
+    Mutex.protect pool_mu (fun () ->
+        match !idle with
+        | w :: rest ->
+          idle := rest;
+          Some w
+        | [] -> None)
+  in
+  match popped with
+  | None -> start_worker ()
+  | Some w when exited w ->
+    List.iter close_quietly [ w.requests; w.replies ];
+    acquire ()
+  | Some w -> w
+
+let release w =
+  let idle = Domain.DLS.get idle_key in
+  Mutex.protect pool_mu (fun () -> idle := w :: !idle)
+
+let describe_status = function
+  | Some (Unix.WEXITED c) -> Printf.sprintf "exited with code %d" c
+  | Some (Unix.WSIGNALED s) -> Printf.sprintf "was killed by signal %d" s
+  | Some (Unix.WSTOPPED s) -> Printf.sprintf "was stopped by signal %d" s
+  | None -> "is gone"
+
+(* Build [ml] into [cmxs] in a worker, within the deadline.  A worker
+   that misses it, dies, or answers anything but a well-formed reply is
+   killed and not reused. *)
+let build ?timeout_ms ~ml ~cmxs ~dir () : (unit, error) result =
+  let deadline =
+    Option.map
+      (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.0))
+      timeout_ms
+  in
+  let w = acquire () in
+  let failed why =
+    let status = stop ~kill:true w in
+    Error
+      (Compile_error
+         (Printf.sprintf "compile worker %d %s: %s" w.pid
+            (describe_status status) why))
+  in
+  match
+    Wire.write w.requests [ ml; cmxs; dir ];
+    Wire.read ?deadline w.replies
+  with
+  | Wire.Message
+      [ (("ok" | "error" | "unavailable") as status); text; _live_words;
+        (("0" | "1") as retiring) ] -> (
+    if retiring = "1" then ignore (stop w) else release w;
+    match status with
+    | "ok" -> Ok ()
+    | "unavailable" -> Error Unavailable
+    | _ -> Error (Compile_error text))
+  | Wire.Late ->
+    ignore (stop ~kill:true w);
+    Error (Timeout { timeout_ms = Option.value timeout_ms ~default:0 })
+  | Wire.Closed -> failed "no reply"
+  | Wire.Message _ | Wire.Garbled -> failed "unreadable reply"
+  | exception Unix.Unix_error (e, fn, _) ->
+    failed (Printf.sprintf "%s: %s" fn (Unix.error_message e))
 
 let next_plugin = Atomic.make 0
 
@@ -209,31 +248,6 @@ let extract_result (e : exn) : (Obj.t array -> Obj.t) option =
   end
   else None
 
-(* Run the compiler to completion or to the deadline.  Its output is
-   read from a pipe, so no log file is written, and the wait is a
-   [select] on that pipe rather than a poll loop. *)
-let run_compiler ?timeout_ms argv : (unit, error) result =
-  let deadline =
-    Option.map
-      (fun ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.0))
-      timeout_ms
-  in
-  match run_captured ?deadline argv with
-  | None, _ ->
-    Error (Timeout { timeout_ms = Option.value timeout_ms ~default:0 })
-  | Some (Unix.WEXITED 0), _ -> Ok ()
-  | Some st, out ->
-    let describe = function
-      | Unix.WEXITED c -> Printf.sprintf "exit %d" c
-      | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
-      | Unix.WSTOPPED s -> Printf.sprintf "stopped %d" s
-    in
-    Error
-      (Compile_error
-         (Printf.sprintf "command failed (%s): %s\n%s" (describe st)
-            (String.concat " " (List.map Filename.quote (Array.to_list argv)))
-            out))
-
 type artifact = {
   a_cmxs : string;
   a_ml : string;
@@ -249,9 +263,9 @@ let remove_files dir modname =
       with Sys_error _ -> ())
     [ ".cmi"; ".cmx"; ".o"; ".cmxs"; ".ml" ]
 
-(* A missing workdir, a full disk, or a compiler that vanished after
-   the probe raise [Sys_error]/[Unix_error]; they are compile failures
-   like any other, so the engine can fall back instead of raising. *)
+(* A missing workdir, a full disk, or a worker that cannot be started
+   raise [Sys_error]/[Unix_error]; they are compile failures like any
+   other, so the engine can fall back instead of raising. *)
 let io_failure f =
   try f () with
   | Sys_error msg -> Error (Compile_error msg)
@@ -278,52 +292,43 @@ let ensure_rt_cmi dir ~id =
     Sys.rename tmp path
   end
 
-(* Compile-only half: write the source and run the external compiler,
-   leaving the artifacts on disk for the caller to load (and, with the
-   persistent cache, to copy into the store).  Pair with {!load_file}
-   and {!remove_artifact}. *)
+(* Compile-only half: write the source and build it in a compile
+   worker, leaving the artifacts on disk for the caller to load (and,
+   with the persistent cache, to copy into the store).  Pair with
+   {!load_file} and {!remove_artifact}. *)
 let compile_artifact ?timeout_ms ~source () : (artifact, error) result =
-  if !disabled then Error Unavailable
+  if not (is_available ()) then Error Unavailable
   else
-    match toolchain () with
-    | None -> Error Unavailable
-    | _ when not Dynlink.is_native -> Error Unavailable
-    | Some tc -> (
-      let id = Atomic.fetch_and_add next_plugin 1 in
-      let modname = Printf.sprintf "steno_plugin_%d_%d" (Unix.getpid ()) id in
-      let dir = workdir () in
-      let ml = Filename.concat dir (modname ^ ".ml") in
-      let cmxs = Filename.concat dir (modname ^ ".cmxs") in
-      let t0 = now_ms () in
-      let written =
-        io_failure (fun () ->
-            ensure_rt_cmi dir ~id;
-            Out_channel.with_open_text ml (fun oc -> output_string oc source);
-            Ok ())
-      in
-      let t1 = now_ms () in
-      let argv =
-        Array.of_list
-          ((tc.compiler :: "-shared" :: tc.link)
-          @ [ "-I"; dir; ml; "-o"; cmxs ])
-      in
-      match
-        Result.bind written (fun () ->
-            io_failure (fun () -> run_compiler ?timeout_ms argv))
-      with
-      | Error e ->
-        if not !keep_artifacts then remove_files dir modname;
-        Error e
-      | Ok () ->
-        let t2 = now_ms () in
-        Ok
-          {
-            a_cmxs = cmxs;
-            a_ml = ml;
-            a_modname = modname;
-            a_write_ms = t1 -. t0;
-            a_compile_ms = t2 -. t1;
-          })
+    let id = Atomic.fetch_and_add next_plugin 1 in
+    let modname = Printf.sprintf "steno_plugin_%d_%d" (Unix.getpid ()) id in
+    let dir = workdir () in
+    let ml = Filename.concat dir (modname ^ ".ml") in
+    let cmxs = Filename.concat dir (modname ^ ".cmxs") in
+    let t0 = now_ms () in
+    let written =
+      io_failure (fun () ->
+          ensure_rt_cmi dir ~id;
+          Out_channel.with_open_text ml (fun oc -> output_string oc source);
+          Ok ())
+    in
+    let t1 = now_ms () in
+    match
+      Result.bind written (fun () ->
+          io_failure (build ?timeout_ms ~ml ~cmxs ~dir))
+    with
+    | Error e ->
+      if not !keep_artifacts then remove_files dir modname;
+      Error e
+    | Ok () ->
+      let t2 = now_ms () in
+      Ok
+        {
+          a_cmxs = cmxs;
+          a_ml = ml;
+          a_modname = modname;
+          a_write_ms = t1 -. t0;
+          a_compile_ms = t2 -. t1;
+        }
 
 let remove_artifact a =
   if not !keep_artifacts then

@@ -3,9 +3,9 @@
 
     The paper invokes the C# compiler on the generated class, loads the
     resulting DLL, and patches captured variables in via reflection; this
-    module invokes [ocamlopt -shared] on the generated module, loads the
-    [.cmxs] with [Dynlink], and passes captured values through an
-    [Obj.t array] environment.
+    module hands the generated module to a resident compile worker,
+    loads the [.cmxs] it builds with [Dynlink], and passes captured
+    values through an [Obj.t array] environment.
 
     The generated plugin references only [Stdlib] and [Steno_rt] (the
     int-keyed hash table behind GroupBy, Distinct and the hash join)
@@ -18,17 +18,30 @@
     unit.  Plugin compilation stays hermetic: no install path, no
     [ocamlfind].
 
-    The compiler is found once, by reading [ocamlopt.opt -config] (or
-    [ocamlopt -config]); that one read gives availability, the version
-    for {!fingerprint}, and the link method.  Each plugin build is then
-    one process tree started from an argv list, with no shell:
-    [ocamlopt -shared] runs [as] twice (the module and its startup
-    code), then the linker.  On ELF/Linux that is [ld] itself, with the
+    A compile worker ([worker/steno_worker.ml]) is a separate executable
+    that links [compiler-libs] (the host does not), built with the host;
+    the build records its absolute path.  It runs the pipeline
+    [ocamlopt -shared -I <workdir>] would, in-process, for one request
+    after another, so the compiler's start-up and its [Stdlib] interface
+    reads are paid once per worker rather than once per plugin.  Each
+    build still runs [as] twice (the module and its startup code) and
+    then the linker.  On ELF/Linux that is [ld] itself, with the
     output flags [gcc -shared] would give it
     ([--build-id --eh-frame-hdr --hash-style=gnu]) but without gcc's
     crt objects and libraries, which a plugin does not need; other
-    systems keep [ocamlopt]'s own link command.  The compiler's output
-    comes back on a pipe, so no log file is written.
+    systems keep the configured link command.  [ocamlopt] itself is
+    never started.
+
+    Workers are pooled per domain: a compile takes an idle worker of its
+    domain or starts one, so concurrent compiles never queue behind each
+    other, sequential ones share a single worker, and a worker runs on
+    the CPUs of the domain that started it (it inherits their affinity).
+    A domain's idle workers stop when the domain exits.  A worker that misses a deadline, dies,
+    or answers garbage is killed with its process group ([as] and [ld]
+    included) and replaced on the next compile.  A worker retires by
+    itself once its live heap has doubled since its first compile (the
+    compiler keeps a few hundred words per plugin in tables no
+    interface resets).  Workers exit when their host does.
 
     Compilation has a deliberate, measurable one-off cost (tens of
     milliseconds; section 7.1 reports 69 ms for the C# pipeline); use
@@ -39,7 +52,9 @@ exception Compilation_failed of string
 
 type timings = {
   write_ms : float;  (** writing the source file *)
-  compile_ms : float;  (** [ocamlopt -shared] *)
+  compile_ms : float;
+      (** the compile worker's build, from request to reply (with a
+          worker's start when none was idle) *)
   load_ms : float;  (** [Dynlink.loadfile_private] + handshake *)
 }
 
@@ -55,29 +70,34 @@ type compiled = {
     exceptions escaping a plugin's initializer are host-level bugs and
     propagate as raw exceptions instead. *)
 type error =
-  | Unavailable  (** No native compiler on PATH, or native [Dynlink]
-                     unsupported, or {!disabled} set. *)
+  | Unavailable
+      (** No compile worker executable, no assembler or linker on the
+          worker's PATH, native [Dynlink] unsupported, or {!disabled}
+          set. *)
   | Timeout of { timeout_ms : int }
-      (** The compiler process exceeded its deadline and was killed. *)
+      (** The compile worker exceeded its deadline and was killed. *)
   | Compile_error of string
-      (** Nonzero compiler exit, carrying its output; or the source
-          could not be written or the compiler not started (a missing
-          workdir, a full disk, a compiler gone since the probe). *)
+      (** The compiler's diagnostics (type errors, and whatever [as] or
+          [ld] printed); or the source could not be written (a missing
+          workdir, a full disk); or the worker could not be started,
+          died, or sent an unreadable reply. *)
   | Load_error of string  (** [Dynlink] failure or a plugin that never
                               performed the handshake. *)
 
 val error_message : error -> string
 
 val is_available : unit -> bool
-(** Whether a native compiler ([ocamlopt.opt] or [ocamlopt] on PATH)
-    answered [-config] and native dynlink is supported. *)
+(** Whether the compile worker executable exists, native dynlink is
+    supported and {!disabled} is unset.  Starts no process: a missing
+    assembler or linker shows up as [Error Unavailable] from the first
+    compile. *)
 
 val compile_result :
   ?timeout_ms:int -> source:string -> unit -> (compiled, error) result
 (** Write, compile and load a generated plugin.  [timeout_ms] bounds the
-    external compiler process: past the deadline it is killed and
+    compile worker's build: past the deadline the worker is killed and
     [Error (Timeout _)] is returned, so a wedged or pathologically slow
-    compiler can never stall a query.  Thread- and domain-safe: each call
+    compile can never stall a query.  Thread- and domain-safe: each call
     uses a fresh module name.  Equivalent to {!compile_artifact} +
     {!load_file} + {!remove_artifact}. *)
 
@@ -97,9 +117,10 @@ type artifact = {
 
 val compile_artifact :
   ?timeout_ms:int -> source:string -> unit -> (artifact, error) result
-(** Write the source and run [ocamlopt -shared], leaving every artifact
-    on disk.  I/O and spawn failures come back as [Error (Compile_error _)],
-    never as exceptions.  The caller must eventually call {!remove_artifact}. *)
+(** Write the source and build it in a compile worker, leaving every
+    artifact on disk.  I/O and worker failures come back as
+    [Error (Compile_error _)], never as exceptions.  The caller must
+    eventually call {!remove_artifact}. *)
 
 val load_file : path:string -> unit -> (compiled, error) result
 (** Dynlink the plugin at [path] and perform the [Steno_result]
@@ -116,9 +137,9 @@ val remove_artifact : artifact -> unit
 
 val fingerprint : unit -> string
 (** Identifies the compiler/ABI this process compiles and loads against
-    (OCaml version, word size, native-compiler version, and a short
-    digest of the [Steno_rt] interface it carries, as a final
-    [-rt<hex>] field).  The persistent cache namespaces entries by this
+    (OCaml version, word size, the version of the compiler the worker
+    was built with, recorded by the build, and a short digest of the
+    [Steno_rt] interface it carries, as a final [-rt<hex>] field).  The persistent cache namespaces entries by this
     string so artifacts from an incompatible toolchain or runtime unit
     miss instead of reaching [Dynlink]. *)
 

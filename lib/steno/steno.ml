@@ -716,7 +716,7 @@ module Engine = struct
     | Dynload.Compile_error msg -> Compile_error msg
     | Dynload.Load_error msg -> Load_error msg
 
-  (* Count every actual external-compiler invocation into the engine's
+  (* Count every actual plugin build into the engine's
      metrics registry.  With the single-flight group below, "N
      concurrent identical prepares run exactly one compile" is an
      invariant tests can assert on this counter. *)

@@ -24,7 +24,7 @@
 
     All execution goes through an {!Engine}: an explicit value packaging
     the backend choice, the bounded plugin cache, the failure policy for
-    the external compiler, and a telemetry sink.  Engines are safe to
+    the native compiler, and a telemetry sink.  Engines are safe to
     share across domains: the plugin cache takes sharded locks,
     concurrent identical prepares are collapsed onto one compile
     (single-flight), and the metrics write path is lock-free.  Clients
@@ -69,7 +69,7 @@ type compile_info = {
           specialization and staging ([Fused]/[Linq]) — so backend
           comparisons account for the work each backend really does at
           prepare time. *)
-  compile_ms : float;  (** Of which external compiler + dynlink. *)
+  compile_ms : float;  (** Of which native compile + dynlink. *)
   fallback : fallback_reason option;
       (** Set when a [Native] request executed on [Fused]. *)
 }
@@ -296,7 +296,7 @@ end
 
     An engine is the host-side runtime contract made explicit: which
     backend to use, how many compiled plugins to keep (bounded LRU),
-    what to do when the external compiler fails or stalls, and where
+    what to do when the native compiler fails or stalls, and where
     pipeline telemetry goes.  Engines are independent — each has its own
     cache and counters — and safe to share across domains. *)
 
@@ -323,8 +323,8 @@ module Engine : sig
             [false] to run plans exactly as written (the escape hatch
             for debugging a suspected rewrite). *)
     compile_timeout_ms : int option;
-        (** Deadline for one external compiler invocation; the process
-            is killed past it.  [None] waits indefinitely. *)
+        (** Deadline for one plugin build; the compile worker running
+            it is killed past it.  [None] waits indefinitely. *)
     cache_capacity : int;
         (** Bound on cached compiled plugins (per engine, LRU).  [0]
             disables caching. *)

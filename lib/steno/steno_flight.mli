@@ -2,8 +2,8 @@
     per key.
 
     The serving problem this solves (ROADMAP "query service"): two
-    clients preparing the same query race duplicate [ocamlopt]
-    invocations — each pays the full ~30 ms compile and one result is
+    clients preparing the same query race duplicate plugin builds —
+    each pays the full ~25 ms compile and one result is
     thrown away.  A single-flight group collapses the race: the first
     caller for a key becomes the {e leader} and runs the computation;
     callers arriving while it is in flight become {e followers} and

@@ -419,32 +419,10 @@ let test_nested_aggregate_positions () =
 
 (* Random pipelines over int arrays: all four implementations agree. *)
 let random_query_agree =
-  let open QCheck in
-  let op_gen =
-    Gen.oneof
-      [
-        Gen.map (fun k q -> Query.select (fun x -> I.(x + Expr.int k)) q) Gen.small_int;
-        Gen.map (fun k q -> Query.select (fun x -> I.(x * Expr.int Stdlib.(1 + (k mod 3)))) q) Gen.small_int;
-        Gen.map
-          (fun k q -> Query.where (fun x -> I.(x mod Expr.int Stdlib.(2 + (k mod 3)) = Expr.int 0)) q)
-          Gen.small_int;
-        Gen.map (fun n q -> Query.take (n mod 12) q) Gen.small_int;
-        Gen.map (fun n q -> Query.skip (n mod 6) q) Gen.small_int;
-        Gen.return (fun q -> Query.distinct q);
-        Gen.return (fun q -> Query.rev q);
-        Gen.return (fun q -> Query.order_by (fun x -> I.(x mod Expr.int 5)) q);
-        Gen.return (fun q -> Query.materialize q);
-        Gen.map
-          (fun k q ->
-            Query.take_while (fun x -> I.(not (x = Expr.int Stdlib.(k mod 7)))) q)
-          Gen.small_int;
-      ]
-  in
-  let gen = Gen.(pair (list_size (int_bound 4) op_gen) (array_size (int_bound 12) (int_bound 20))) in
-  Test.make ~name:"random pipelines agree across all backends" ~count:20
-    (make gen)
-    (fun (ops, data) ->
-      let q = List.fold_left (fun q op -> op q) (ints data) ops in
+  QCheck.Test.make ~name:"random pipelines agree across all backends" ~count:20
+    (QCheck.make Plan_gen.pipeline)
+    (fun plan ->
+      let q = Plan_gen.build plan in
       let expected = Reference.to_list q in
       List.for_all
         (fun b -> Steno.to_list ~backend:b q = expected)

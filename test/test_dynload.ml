@@ -288,6 +288,199 @@ let test_elf_hardening () =
         in
         Alcotest.(check bool) "no DT_NEEDED" false (List.mem 1 tags)
 
+(* --- Compile workers ---------------------------------------------------
+
+   Plugins build in resident worker processes.  These tests find them as
+   this process's children running the worker executable, through /proc,
+   so they run on Linux only. *)
+
+let with_workers f =
+  if on_linux && Dynload.is_available () then f ()
+  else print_endline "(skipped: not a Linux host with a native compiler)"
+
+(* State, parent and process group of [pid], or [None] once it is gone. *)
+let proc_stat pid =
+  match
+    In_channel.with_open_bin (Printf.sprintf "/proc/%d/stat" pid)
+      In_channel.input_all
+  with
+  | exception Sys_error _ -> None
+  | s -> (
+    (* The command name is parenthesized and may hold spaces. *)
+    let rest = String.index_from s (String.rindex s ')') ' ' + 1 in
+    match String.split_on_char ' ' (String.sub s rest (String.length s - rest)) with
+    | state :: ppid :: pgrp :: _ -> Some (state, int_of_string ppid, int_of_string pgrp)
+    | _ -> None)
+
+let pids () =
+  Sys.readdir "/proc" |> Array.to_list |> List.filter_map int_of_string_opt
+
+let running pid =
+  match proc_stat pid with Some (state, _, _) -> state <> "Z" | None -> false
+
+let live_workers () =
+  List.filter
+    (fun pid ->
+      running pid
+      && (match proc_stat pid with
+         | Some (_, ppid, _) -> ppid = Unix.getpid ()
+         | None -> false)
+      &&
+      match Unix.readlink (Printf.sprintf "/proc/%d/exe" pid) with
+      | exe -> exe = Steno_worker_build.path
+      | exception Unix.Unix_error _ -> false)
+    (pids ())
+  |> List.sort compare
+
+let group_members pgid =
+  List.filter
+    (fun pid ->
+      running pid
+      && match proc_stat pid with Some (_, _, g) -> g = pgid | None -> false)
+    (pids ())
+
+let rec eventually ?(tries = 200) p =
+  p () || (tries > 0 && (Unix.sleepf 0.01; eventually ~tries:(tries - 1) p))
+
+let minus a b = List.filter (fun x -> not (List.mem x b)) a
+
+let compile_value n =
+  let c =
+    Dynload.compile ~source:(minimal_plugin (Printf.sprintf "Stdlib.Obj.repr %d" n))
+  in
+  (Obj.obj (c.Dynload.run [||]) : int)
+
+(* SIGKILL every idle worker and wait until each is dead; the pool finds
+   them so, reaps them, and starts one afresh. *)
+let kill_workers () =
+  let ws = live_workers () in
+  List.iter (fun pid -> Unix.kill pid Sys.sigkill) ws;
+  List.iter
+    (fun pid ->
+      Alcotest.(check bool) "killed worker died" true
+        (eventually (fun () -> not (running pid))))
+    ws;
+  ws
+
+let test_killed_idle_worker () =
+  with_workers @@ fun () ->
+  ignore (compile_value 1);
+  Alcotest.(check bool) "SIGPIPE ignored once a worker started" true
+    (Sys.signal Sys.sigpipe Sys.Signal_ignore = Sys.Signal_ignore);
+  let killed = kill_workers () in
+  Alcotest.(check bool) "there was an idle worker" true (killed <> []);
+  Alcotest.(check int) "compiles on a new worker" 2 (compile_value 2);
+  let now = live_workers () in
+  Alcotest.(check int) "one worker" 1 (List.length now);
+  Alcotest.(check (list int)) "not a killed one" now (minus now killed)
+
+let test_sequential_one_worker () =
+  with_workers @@ fun () ->
+  ignore (kill_workers ());
+  for i = 1 to 5 do
+    Alcotest.(check int) "value" i (compile_value i)
+  done;
+  match live_workers () with
+  | [ pid ] ->
+    Alcotest.(check (option int)) "it leads its own process group" (Some pid)
+      (Option.map (fun (_, _, pgrp) -> pgrp) (proc_stat pid))
+  | ws ->
+    Alcotest.failf "sequential compiles ran on %d workers" (List.length ws)
+
+(* A type error leaves the worker sound: the next plugin compiles in it. *)
+let test_error_then_valid () =
+  with_workers @@ fun () ->
+  ignore (compile_value 0);
+  let before = live_workers () in
+  (match
+     Dynload.compile_result ~source:(minimal_plugin "1 + true") ()
+   with
+  | Error (Dynload.Compile_error msg) ->
+    Alcotest.(check bool) "diagnostic" true
+      (contains msg "This expression has type bool")
+  | _ -> Alcotest.fail "type error not reported");
+  Alcotest.(check int) "valid plugin next" 9 (compile_value 9);
+  Alcotest.(check (list int)) "same worker throughout" before (live_workers ())
+
+let large_plugin n =
+  let b = Buffer.create 65536 in
+  for i = 0 to n - 1 do
+    Printf.bprintf b "let f%d x = if x land %d = 0 then x * %d + %d else x - %d\n" i
+      (i + 1) (i + 3) i (2 * i)
+  done;
+  Buffer.add_string b (minimal_plugin "Stdlib.Obj.repr (f0 1)");
+  Buffer.contents b
+
+(* A deadline kills the worker's whole process group and the next
+   compile gets a new worker. *)
+let test_timeout_new_worker () =
+  with_workers @@ fun () ->
+  ignore (compile_value 0);
+  let before = live_workers () in
+  (match Dynload.compile_result ~timeout_ms:1 ~source:(large_plugin 400) () with
+  | Error (Dynload.Timeout { timeout_ms }) ->
+    Alcotest.(check int) "deadline reported" 1 timeout_ms
+  | Error e -> Alcotest.fail (Dynload.error_message e)
+  | Ok _ -> Alcotest.fail "a large plugin compiled within 1 ms");
+  let after = live_workers () in
+  let killed = minus before after in
+  Alcotest.(check int) "the busy worker was killed" 1 (List.length killed);
+  Alcotest.(check (list int)) "none started" [] (minus after before);
+  List.iter
+    (fun pgid ->
+      Alcotest.(check bool) "its process group is gone" true
+        (eventually (fun () -> group_members pgid = [])))
+    killed;
+  Alcotest.(check int) "next compile" 4 (compile_value 4);
+  Alcotest.(check int) "on a new worker" 1
+    (List.length (minus (live_workers ()) before))
+
+(* The worker's live heap, over 300 compiles, stays under the bound at
+   which it retires: twice its size after the first compile.  Driven
+   through the worker's own protocol, which reports the heap it last
+   measured. *)
+let test_worker_heap () =
+  with_workers @@ fun () ->
+  let exe = Steno_worker_build.path and dir = Dynload.workdir () in
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let rep_r, rep_w = Unix.pipe ~cloexec:true () in
+  let pid = Unix.create_process exe [| exe |] req_r rep_w Unix.stderr in
+  Unix.close req_r;
+  Unix.close rep_w;
+  let measured = ref [] in
+  for i = 1 to 300 do
+    let name = Printf.sprintf "steno_heap_%d_%d" (Unix.getpid ()) i in
+    let file ext = Filename.concat dir (name ^ ext) in
+    Out_channel.with_open_bin (file ".ml") (fun oc ->
+        output_string oc (minimal_plugin (Printf.sprintf "Stdlib.Obj.repr %d" i)));
+    Wire.write req_w [ file ".ml"; file ".cmxs"; dir ];
+    (match Wire.read rep_r with
+    | Wire.Message [ "ok"; _; live; "0" ] ->
+      let live = int_of_string live in
+      if live > 0 && not (List.mem live !measured) then
+        measured := live :: !measured
+    | _ -> Alcotest.fail (Printf.sprintf "compile %d: no clean reply" i));
+    List.iter
+      (fun ext -> try Sys.remove (file ext) with Sys_error _ -> ())
+      [ ".ml"; ".cmi"; ".cmx"; ".o"; ".cmxs" ]
+  done;
+  Unix.close req_w;
+  Unix.close rep_r;
+  Alcotest.(check bool) "exits at end of input" true
+    (snd (Unix.waitpid [] pid) = Unix.WEXITED 0);
+  match List.rev !measured with
+  | [] | [ _ ] -> Alcotest.fail "the worker measured its heap fewer than twice"
+  | first :: rest as all ->
+    Printf.printf "worker live words by measurement: %s\n"
+      (String.concat " " (List.map string_of_int all));
+    List.iter
+      (fun live ->
+        Alcotest.(check bool)
+          (Printf.sprintf "live %d words < 2 x %d" live first)
+          true
+          (live < 2 * first))
+      rest
+
 let test_workdir () =
   with_native @@ fun () ->
   let dir = Dynload.workdir () in
@@ -326,5 +519,14 @@ let () =
         [
           Alcotest.test_case "timings" `Quick test_timings;
           Alcotest.test_case "concurrent" `Slow test_concurrent_compiles;
+        ] );
+      ( "workers",
+        [
+          Alcotest.test_case "killed idle worker" `Quick test_killed_idle_worker;
+          Alcotest.test_case "sequential one worker" `Quick
+            test_sequential_one_worker;
+          Alcotest.test_case "error then valid" `Quick test_error_then_valid;
+          Alcotest.test_case "timeout new worker" `Quick test_timeout_new_worker;
+          Alcotest.test_case "heap bound" `Slow test_worker_heap;
         ] );
     ]

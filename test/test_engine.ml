@@ -258,6 +258,34 @@ let test_exception_parity_all_backends () =
         (fun () -> ignore (Steno.scalar ~backend:b sq)))
     backends
 
+(* Two hundred generated plans through one Native engine: every plugin
+   is built by the resident compile workers, and every result matches
+   [Reference]. *)
+let test_generated_plans () =
+  with_native @@ fun () ->
+  let eng = engine ~fallback:false Steno.Native in
+  let plans =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 16 |]) ~n:200
+      Plan_gen.pipeline
+  in
+  List.iteri
+    (fun i plan ->
+      let q = Plan_gen.build plan in
+      let p = Steno.Engine.prepare eng q in
+      Alcotest.(check bool)
+        (Printf.sprintf "plan %d ran native" i)
+        true
+        ((Steno.Prepared.compile_info p).Steno.backend = Steno.Native);
+      Alcotest.(check (list int))
+        (Printf.sprintf "plan %d" i)
+        (Reference.to_list q)
+        (Array.to_list (Steno.Prepared.run p)))
+    plans;
+  let misses = (Steno.Engine.cache_stats eng).Steno.Engine.misses in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d plugins compiled" misses)
+    true (misses >= 100)
+
 let () =
   Alcotest.run "engine"
     [
@@ -284,4 +312,6 @@ let () =
           Alcotest.test_case "exception parity" `Quick
             test_exception_parity_all_backends;
         ] );
+      ( "workers",
+        [ Alcotest.test_case "200 generated plans" `Slow test_generated_plans ] );
     ]

@@ -29,20 +29,52 @@ echo "== examples =="
 dune exec examples/quickstart.exe > /dev/null
 dune exec examples/wordcount.exe -- 20000 > /dev/null
 
-echo "== native -> fused fallback (no ocamlopt on PATH) =="
+echo "== native -> fused fallback (no assembler on PATH) =="
 dune build bin/stenoc.exe
-if env PATH=/usr/bin:/bin sh -c 'command -v ocamlopt.opt || command -v ocamlopt' \
-    > /dev/null; then
-  echo "(skipped: a system ocamlopt is on /usr/bin:/bin)"
+# Plugins build in a resident compile worker that runs as and ld from
+# its PATH; without them it answers "unavailable" and stenoc falls back.
+if env PATH=/nonexistent sh -c 'command -v as' > /dev/null; then
+  echo "(skipped: an assembler is on PATH=/nonexistent)"
 else
-  fallback_out=$(env PATH=/usr/bin:/bin ./_build/default/bin/stenoc.exe \
+  native_out=$(./_build/default/bin/stenoc.exe run sumsq -n 50000)
+  fallback_out=$(env PATH=/nonexistent ./_build/default/bin/stenoc.exe \
     run sumsq -n 50000)
   if ! printf '%s\n' "$fallback_out" | \
       grep -qF 'fell back from native to fused: native compiler unavailable'; then
-    echo "stenoc without ocamlopt on PATH did not report the fused fallback" >&2
+    echo "stenoc without an assembler on PATH did not report the fused fallback" >&2
     printf '%s\n' "$fallback_out" >&2
     exit 1
   fi
+  if [ "$(printf '%s\n' "$native_out" | head -1)" != \
+       "$(printf '%s\n' "$fallback_out" | head -1)" ]; then
+    echo "stenoc sumsq: the fused fallback's result differs from native's" >&2
+    printf '%s\n---\n%s\n' "$native_out" "$fallback_out" >&2
+    exit 1
+  fi
+fi
+
+echo "== plugins build without starting ocamlopt =="
+# ocamlopt and ocamlopt.opt first on PATH fail; the compile worker never
+# starts them, so join still runs on Native and agrees with Fused.
+fake_bin="$work_dir/fake-ocamlopt"
+mkdir -p "$fake_bin"
+for tool in ocamlopt ocamlopt.opt; do
+  printf '#!/bin/sh\nexit 1\n' > "$fake_bin/$tool"
+  chmod +x "$fake_bin/$tool"
+done
+join_native=$(env PATH="$fake_bin:$PATH" ./_build/default/bin/stenoc.exe \
+  run join -n 2000)
+join_fused=$(./_build/default/bin/stenoc.exe run join -n 2000 -b fused)
+if printf '%s\n' "$join_native" | grep -qF 'fell back'; then
+  echo "stenoc join fell back with ocamlopt failing on PATH" >&2
+  printf '%s\n' "$join_native" >&2
+  exit 1
+fi
+if [ "$(printf '%s\n' "$join_native" | head -1)" != \
+     "$(printf '%s\n' "$join_fused" | head -1)" ]; then
+  echo "stenoc join: native and fused results differ" >&2
+  printf '%s\n---\n%s\n' "$join_native" "$join_fused" >&2
+  exit 1
 fi
 
 echo "== type-specialized hash tables in generated code =="

@@ -24,13 +24,13 @@
     [ocamlopt -shared -I <workdir>] would, in-process, for one request
     after another, so the compiler's start-up and its [Stdlib] interface
     reads are paid once per worker rather than once per plugin.  Each
-    build still runs [as] twice (the module and its startup code) and
-    then the linker.  On ELF/Linux that is [ld] itself, with the
-    output flags [gcc -shared] would give it
+    build then starts one [as] and one linker.  On ELF/Linux the linker
+    is [ld] itself, with the output flags [gcc -shared] would give it
     ([--build-id --eh-frame-hdr --hash-style=gnu]) but without gcc's
-    crt objects and libraries, which a plugin does not need; other
-    systems keep the configured link command.  [ocamlopt] itself is
-    never started.
+    crt objects and libraries, which a plugin does not need; on amd64
+    that [as] run assembles the module and its startup code together.
+    Other systems keep the configured link command and assemble the two
+    separately.  [ocamlopt] itself is never started.
 
     Workers are pooled per domain: a compile takes an idle worker of its
     domain or starts one, so concurrent compiles never queue behind each

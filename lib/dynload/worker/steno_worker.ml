@@ -14,7 +14,10 @@
    The worker exits at end of file on stdin, so it dies with its host.
 
    It leads its own process group ([setsid]), so a host that kills that
-   group at a deadline kills [as] and [ld] too. *)
+   group at a deadline kills [as] and [ld] too.
+
+   Where [ld] links directly (below), [as] runs once per plugin: the
+   unit and its startup code are assembled together ([Merged_asm]). *)
 
 (* How [ocamlopt] itself drives the native back end (its [Optmain]). *)
 module Backend = struct
@@ -41,6 +44,8 @@ let linker =
   | "linux", ld :: _ when ld <> "" ->
     Some (ld ^ " --build-id --eh-frame-hdr --hash-style=gnu -shared")
   | _ -> None
+
+let () = if linker <> None then Merged_asm.install ()
 
 let first_word cmd =
   match String.split_on_char ' ' (String.trim cmd) with
@@ -88,6 +93,7 @@ let reset ~dir =
   Cmm.reset ();
   Asmlink.reset ();
   Profile.reset ();
+  Merged_asm.reset ();
   Clflags.native_code := true;
   Clflags.shared := true;
   Clflags.include_dirs := [ dir ];

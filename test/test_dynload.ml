@@ -481,6 +481,119 @@ let test_worker_heap () =
           (live < 2 * first))
       rest
 
+(* --- The assembler ------------------------------------------------------
+
+   On Linux/amd64 a plugin build runs [as] once, for the unit and its
+   startup code together.  These tests put a script named [as] first on
+   the PATH of a worker of their own: a compile in a new domain starts
+   a fresh worker, which inherits the PATH of that moment and stops when
+   the domain exits. *)
+
+let with_merged_asm f =
+  if on_linux && Steno_worker_build.architecture = "amd64"
+     && Dynload.is_available ()
+  then f ()
+  else print_endline "(skipped: not a Linux/amd64 host with a native compiler)"
+
+let real_as () =
+  let path = Option.value (Sys.getenv_opt "PATH") ~default:"" in
+  match
+    List.find_opt
+      (fun d -> Sys.file_exists (Filename.concat d "as"))
+      (String.split_on_char ':' path)
+  with
+  | Some d -> Filename.concat d "as"
+  | None -> Alcotest.fail "no as on PATH"
+
+(* A directory holding [as]: a script that appends a line to [count],
+   then, while [fail] exists, prints a marker and exits 1, and otherwise
+   runs the real [as]. *)
+let fake_as_dir () =
+  let dir = Filename.temp_dir "steno-as" "" in
+  let file name = Filename.concat dir name in
+  Out_channel.with_open_bin (file "as") (fun oc ->
+      Printf.fprintf oc
+        "#!/bin/sh\n\
+         echo \"$*\" >> %s\n\
+         if [ -e %s ]; then echo 'fake-as-marker'; exit 1; fi\n\
+         exec %s \"$@\"\n"
+        (Filename.quote (file "count"))
+        (Filename.quote (file "fail"))
+        (Filename.quote (real_as ())));
+  Unix.chmod (file "as") 0o755;
+  dir
+
+let remove_tree dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+let lines_of path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> List.filter (( <> ) "") (String.split_on_char '\n' s)
+  | exception Sys_error _ -> []
+
+(* Run [f] in a new domain with [dir] first on PATH. *)
+let with_path_first dir f =
+  let saved = Sys.getenv_opt "PATH" in
+  Unix.putenv "PATH" (dir ^ Option.fold ~none:"" ~some:(( ^ ) ":") saved);
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "PATH" (Option.value saved ~default:""))
+    (fun () -> Domain.join (Domain.spawn f))
+
+let test_one_as_run () =
+  with_merged_asm @@ fun () ->
+  let dir = fake_as_dir () in
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  with_path_first dir (fun () ->
+      Alcotest.(check int) "value" 17 (compile_value 17));
+  Alcotest.(check int) "as runs for one plugin" 1
+    (List.length (lines_of (Filename.concat dir "count")))
+
+let scratch_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f ->
+         Filename.check_suffix f ".s"
+         || Filename.check_suffix f ".startup.o"
+         || String.starts_with ~prefix:"camlasm" f
+         || String.starts_with ~prefix:"camlstartup" f)
+  |> List.sort compare
+
+(* A failing [as] is a compile error carrying what it printed; it leaves
+   no assembler input or startup object behind, and the worker goes on
+   to build the next plugin. *)
+let test_as_failure () =
+  with_merged_asm @@ fun () ->
+  let dir = fake_as_dir () in
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  let workdir = Dynload.workdir () in
+  with_path_first dir (fun () ->
+      ignore (compile_value 0);
+      let workers = live_workers () in
+      Out_channel.with_open_bin (Filename.concat dir "fail") ignore;
+      (match
+         Dynload.compile_result ~source:(minimal_plugin "Stdlib.Obj.repr 1") ()
+       with
+      | Error (Dynload.Compile_error msg) ->
+        Alcotest.(check bool) "as output reported" true
+          (contains msg "fake-as-marker")
+      | Error e -> Alcotest.fail (Dynload.error_message e)
+      | Ok _ -> Alcotest.fail "compiled with a failing as");
+      Alcotest.(check (list string)) "no .s or startup object left" []
+        (scratch_files workdir);
+      Sys.remove (Filename.concat dir "fail");
+      Alcotest.(check int) "next compile" 5 (compile_value 5);
+      Alcotest.(check (list int)) "on the same worker" workers (live_workers ()))
+
+let test_no_scratch_leak () =
+  with_merged_asm @@ fun () ->
+  let tmp = Filename.get_temp_dir_name () and workdir = Dynload.workdir () in
+  let before = scratch_files tmp in
+  for i = 1 to 20 do
+    Alcotest.(check int) "value" i (compile_value i)
+  done;
+  Alcotest.(check (list string)) "workdir" [] (scratch_files workdir);
+  Alcotest.(check (list string)) "temp dir" [] (minus (scratch_files tmp) before)
+
 let test_workdir () =
   with_native @@ fun () ->
   let dir = Dynload.workdir () in
@@ -528,5 +641,11 @@ let () =
           Alcotest.test_case "error then valid" `Quick test_error_then_valid;
           Alcotest.test_case "timeout new worker" `Quick test_timeout_new_worker;
           Alcotest.test_case "heap bound" `Slow test_worker_heap;
+        ] );
+      ( "assembler",
+        [
+          Alcotest.test_case "one as run" `Quick test_one_as_run;
+          Alcotest.test_case "as failure" `Quick test_as_failure;
+          Alcotest.test_case "no scratch leak" `Quick test_no_scratch_leak;
         ] );
     ]

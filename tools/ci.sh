@@ -77,6 +77,43 @@ if [ "$(printf '%s\n' "$join_native" | head -1)" != \
   exit 1
 fi
 
+echo "== one assembler run per plugin =="
+# On Linux/amd64 the compile worker assembles a plugin's unit and its
+# startup code together: an as that counts its runs, first on PATH, runs
+# once for join's plugin, and join still agrees with Fused.
+real_as=$(command -v as || true)
+if [ "$(uname -sm)" != "Linux x86_64" ] || [ -z "$real_as" ]; then
+  echo "(skipped: not a Linux/amd64 host with an assembler)"
+else
+  count_bin="$work_dir/count-as"
+  mkdir -p "$count_bin"
+  printf '#!/bin/sh\necho run >> "%s"\nexec "%s" "$@"\n' \
+    "$work_dir/as-runs" "$real_as" > "$count_bin/as"
+  chmod +x "$count_bin/as"
+  join_counted=$(env PATH="$count_bin:$PATH" ./_build/default/bin/stenoc.exe \
+    run join --size 2000)
+  if printf '%s\n' "$join_counted" | grep -qF 'native compiler unavailable'; then
+    echo "(skipped: stenoc reports no Native backend)"
+  else
+    if printf '%s\n' "$join_counted" | grep -qF 'fell back'; then
+      echo "stenoc join fell back with a counting as on PATH" >&2
+      printf '%s\n' "$join_counted" >&2
+      exit 1
+    fi
+    as_runs=$(cat "$work_dir/as-runs" 2>/dev/null | wc -l)
+    if [ "$as_runs" -ne 1 ]; then
+      echo "stenoc join: as ran $as_runs times for one plugin, expected 1" >&2
+      exit 1
+    fi
+    if [ "$(printf '%s\n' "$join_counted" | head -1)" != \
+         "$(printf '%s\n' "$join_fused" | head -1)" ]; then
+      echo "stenoc join: native (one as run) and fused results differ" >&2
+      printf '%s\n---\n%s\n' "$join_counted" "$join_fused" >&2
+      exit 1
+    fi
+  fi
+fi
+
 echo "== type-specialized hash tables in generated code =="
 for demo in histogram join; do
   plugin_src=$(./_build/default/bin/stenoc.exe show "$demo" -n 2000)

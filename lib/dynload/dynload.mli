@@ -22,13 +22,17 @@
     that links [compiler-libs] (the host does not), built with the host;
     the build records its absolute path.  It runs the pipeline
     [ocamlopt -shared -I <workdir>] would, in-process, for one request
-    after another, so the compiler's start-up and its [Stdlib] interface
-    reads are paid once per worker rather than once per plugin.  Each
-    build then starts one [as] and one linker.  On ELF/Linux the linker
+    after another, so the compiler's start-up and its reads of the
+    interfaces plugins use ([Stdlib]'s units, [Steno_rt]) are paid once
+    per worker rather than once per plugin: the worker keeps every
+    interface it has loaded, re-reads only its load path per request,
+    and never writes or keeps a plugin's own interface.  Each build then
+    starts one [as] and one linker.  On ELF/Linux the linker
     is [ld] itself, with the output flags [gcc -shared] would give it
     ([--build-id --eh-frame-hdr --hash-style=gnu]) but without gcc's
     crt objects and libraries, which a plugin does not need; on amd64
-    that [as] run assembles the module and its startup code together.
+    that [as] run assembles the module and its startup code together,
+    started without a shell.
     Other systems keep the configured link command and assemble the two
     separately.  [ocamlopt] itself is never started.
 

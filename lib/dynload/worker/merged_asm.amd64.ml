@@ -33,12 +33,39 @@ let startup_body ~unit_program startup =
   | Some (prelude, _), Some (prelude', body) when prelude = prelude' -> body
   | _ -> startup
 
-(* [X86_proc]'s own command line for an external [as]. *)
+(* The [--debug-prefix-map] pairs [X86_proc] passes [as], as separate
+   arguments: [Misc.debug_prefix_map_flags] quotes them for a shell. *)
+let debug_prefix_map () =
+  if not Config.as_has_debug_prefix_map then []
+  else
+    match Misc.get_build_path_prefix_map () with
+    | None -> []
+    | Some map ->
+      List.concat_map
+        (function
+          | Some { Build_path_prefix_map.source; target } ->
+            [ "--debug-prefix-map"; source ^ "=" ^ target ]
+          | None -> [])
+        map
+
+let rec succeeded pid =
+  match Unix.waitpid [] pid with
+  | _, status -> status = Unix.WEXITED 0
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> succeeded pid
+
+(* [X86_proc]'s command line for an external [as], started without a
+   shell. *)
 let run_as ~src ~obj =
-  Ccomp.command
-    (String.concat " "
-       ((Config.asm :: Misc.debug_prefix_map_flags ())
-       @ [ "-o"; Filename.quote obj; Filename.quote src ]))
+  let argv =
+    List.filter (( <> ) "") (String.split_on_char ' ' Config.asm)
+    @ debug_prefix_map () @ [ "-o"; obj; src ]
+  in
+  match
+    Unix.create_process (List.hd argv) (Array.of_list argv) Unix.stdin
+      Unix.stdout Unix.stderr
+  with
+  | pid -> succeeded pid
+  | exception Unix.Unix_error _ -> false
 
 (* Assemble the unit and the startup code into [unit_obj].  The linker
    is still handed [startup_obj], so it becomes a GNU ld input script
@@ -53,7 +80,7 @@ let assemble ~unit_program ~unit_obj startup startup_obj =
       Out_channel.with_open_text src (fun oc ->
           X86_gas.generate_asm oc
             (unit_program @ startup_body ~unit_program startup));
-      if run_as ~src ~obj:unit_obj <> 0 then
+      if not (run_as ~src ~obj:unit_obj) then
         raise (Asmgen.Error (Asmgen.Assembler_error src));
       Out_channel.with_open_text startup_obj (fun oc ->
           output_string oc "/* assembled into the unit's object */\n"))

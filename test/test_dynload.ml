@@ -481,6 +481,146 @@ let test_worker_heap () =
           (live < 2 * first))
       rest
 
+let remove_tree dir =
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
+(* A worker keeps the interfaces it has loaded from one plugin to the
+   next, but never a plugin's own: no plugin [.cmi] is written, and a
+   later plugin's [.cmxs] names no earlier plugin among its imports. *)
+let test_no_plugin_imports () =
+  with_workers @@ fun () ->
+  ignore (compile_value 0);
+  let workers = live_workers () and saved = !Dynload.keep_artifacts in
+  let file a ext = Filename.concat (Dynload.workdir ()) (a.Dynload.a_modname ^ ext) in
+  Dynload.keep_artifacts := true;
+  let artifacts = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Dynload.keep_artifacts := saved;
+      List.iter
+        (fun a ->
+          List.iter
+            (fun ext -> try Sys.remove (file a ext) with Sys_error _ -> ())
+            [ ".ml"; ".cmi"; ".cmx"; ".o"; ".cmxs" ])
+        !artifacts)
+  @@ fun () ->
+  for i = 1 to 3 do
+    match
+      Dynload.compile_artifact
+        ~source:(minimal_plugin (Printf.sprintf "Stdlib.Obj.repr %d" i)) ()
+    with
+    | Ok a -> artifacts := !artifacts @ [ a ]
+    | Error e -> Alcotest.fail (Dynload.error_message e)
+  done;
+  Alcotest.(check (list int)) "one worker throughout" workers (live_workers ());
+  List.iter
+    (fun a ->
+      Alcotest.(check bool) (a.Dynload.a_modname ^ ".cmi not written") false
+        (Sys.file_exists (file a ".cmi")))
+    !artifacts;
+  match !artifacts with
+  | [ first; second; third ] ->
+    let cmxs = In_channel.with_open_bin third.a_cmxs In_channel.input_all in
+    let names a = String.capitalize_ascii a.Dynload.a_modname in
+    Alcotest.(check bool) "the plugin names itself" true
+      (contains cmxs (names third));
+    List.iter
+      (fun a ->
+        Alcotest.(check bool) ("no import of " ^ names a) false
+          (contains cmxs (names a)))
+      [ first; second ]
+  | _ -> Alcotest.fail "three artifacts expected"
+
+let hashtbl_make_plugin ~key ~equal ~hash ~k n =
+  minimal_plugin
+    (Printf.sprintf
+       "let module H = Stdlib.Hashtbl.Make (struct type t = %s let equal = \
+        %s let hash = %s end) in\n\
+        let t = H.create 8 in\n\
+        H.replace t %s %d;\n\
+        Stdlib.Obj.repr (H.find t %s + H.length t)"
+       key equal hash k n k)
+
+let rt_plugin n =
+  minimal_plugin
+    (Printf.sprintf
+       "let t = Steno_rt.Int_tbl.create 8 in\n\
+        Steno_rt.Int_tbl.add t 5 %d;\n\
+        Stdlib.Obj.repr (Steno_rt.Int_tbl.find t 5)"
+       n)
+
+let run_plugin source =
+  match Dynload.compile_result ~source () with
+  | Ok c -> (Obj.obj (c.Dynload.run [||]) : int)
+  | Error e -> Alcotest.fail (Dynload.error_message e)
+
+(* The interfaces a worker keeps stay sound across functor applications,
+   a type error, [Steno_rt], and the workdir being removed and made
+   again. *)
+let test_kept_interfaces () =
+  with_workers @@ fun () ->
+  ignore (compile_value 0);
+  let workers = live_workers () in
+  Alcotest.(check int) "Hashtbl.Make over strings" 41
+    (run_plugin
+       (hashtbl_make_plugin ~key:"string" ~equal:"Stdlib.String.equal"
+          ~hash:"Stdlib.Hashtbl.hash" ~k:"\"a\"" 40));
+  (match Dynload.compile_result ~source:(minimal_plugin "1 + true") () with
+  | Error (Dynload.Compile_error msg) ->
+    Alcotest.(check bool) "type error" true
+      (contains msg "This expression has type bool")
+  | _ -> Alcotest.fail "type error not reported");
+  Alcotest.(check int) "Steno_rt.Int_tbl" 7 (run_plugin (rt_plugin 7));
+  Alcotest.(check int) "Hashtbl.Make over ints" 13
+    (run_plugin
+       (hashtbl_make_plugin ~key:"int" ~equal:"Stdlib.Int.equal"
+          ~hash:"(fun x -> x land 1023)" ~k:"3" 12));
+  let dir = Dynload.workdir () in
+  remove_tree dir;
+  Unix.mkdir dir 0o700;
+  Alcotest.(check int) "Steno_rt in a new workdir" 8 (run_plugin (rt_plugin 8));
+  Alcotest.(check (list int)) "one worker throughout" workers (live_workers ())
+
+(* A worker re-reads its load path on every request: an interface that
+   was missing when it first looked is found once the file exists.
+   Driven through the worker's own protocol, in a directory that starts
+   without [steno_rt.cmi]. *)
+let test_interface_appears () =
+  with_workers @@ fun () ->
+  let dir = Filename.temp_dir "steno-late-rt" "" in
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  let exe = Steno_worker_build.path in
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let rep_r, rep_w = Unix.pipe ~cloexec:true () in
+  let pid = Unix.create_process exe [| exe |] req_r rep_w Unix.stderr in
+  Unix.close req_r;
+  Unix.close rep_w;
+  let build i source =
+    let file ext = Filename.concat dir (Printf.sprintf "steno_late_%d%s" i ext) in
+    Out_channel.with_open_bin (file ".ml") (fun oc -> output_string oc source);
+    Wire.write req_w [ file ".ml"; file ".cmxs"; dir ];
+    match Wire.read rep_r with
+    | Wire.Message [ status; text; _; "0" ] -> (status, text, file ".cmxs")
+    | _ -> Alcotest.fail (Printf.sprintf "request %d: no clean reply" i)
+  in
+  let status, _, _ = build 1 (minimal_plugin "Stdlib.Obj.repr 1") in
+  Alcotest.(check string) "without Steno_rt" "ok" status;
+  let status, text, _ = build 2 (rt_plugin 2) in
+  Alcotest.(check string) "Steno_rt missing" "error" status;
+  Alcotest.(check bool) "unbound module" true (contains text "Steno_rt");
+  Out_channel.with_open_bin (Filename.concat dir "steno_rt.cmi") (fun oc ->
+      output_string oc Steno_rt_cmi.contents);
+  let status, text, cmxs = build 3 (rt_plugin 3) in
+  Alcotest.(check string) ("Steno_rt present: " ^ text) "ok" status;
+  (match Dynload.load_file ~path:cmxs () with
+  | Ok c -> Alcotest.(check int) "value" 3 (Obj.obj (c.Dynload.run [||]))
+  | Error e -> Alcotest.fail (Dynload.error_message e));
+  Unix.close req_w;
+  Unix.close rep_r;
+  Alcotest.(check bool) "exits at end of input" true
+    (snd (Unix.waitpid [] pid) = Unix.WEXITED 0)
+
 (* --- The assembler ------------------------------------------------------
 
    On Linux/amd64 a plugin build runs [as] once, for the unit and its
@@ -522,10 +662,6 @@ let fake_as_dir () =
         (Filename.quote (real_as ())));
   Unix.chmod (file "as") 0o755;
   dir
-
-let remove_tree dir =
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir
 
 let lines_of path =
   match In_channel.with_open_bin path In_channel.input_all with
@@ -641,6 +777,9 @@ let () =
           Alcotest.test_case "error then valid" `Quick test_error_then_valid;
           Alcotest.test_case "timeout new worker" `Quick test_timeout_new_worker;
           Alcotest.test_case "heap bound" `Slow test_worker_heap;
+          Alcotest.test_case "no plugin imports" `Quick test_no_plugin_imports;
+          Alcotest.test_case "kept interfaces" `Quick test_kept_interfaces;
+          Alcotest.test_case "interface appears" `Quick test_interface_appears;
         ] );
       ( "assembler",
         [

@@ -114,6 +114,28 @@ else
   fi
 fi
 
+echo "== native under BUILD_PATH_PREFIX_MAP =="
+# The compile worker starts as without a shell and passes the map's
+# --debug-prefix-map pairs as separate arguments; with a map set, join
+# still runs on Native and agrees with Fused.
+join_mapped=$(env BUILD_PATH_PREFIX_MAP="/steno-src=$PWD" \
+  ./_build/default/bin/stenoc.exe run join -n 2000)
+if printf '%s\n' "$join_mapped" | grep -qF 'native compiler unavailable'; then
+  echo "(skipped: stenoc reports no Native backend)"
+else
+  if printf '%s\n' "$join_mapped" | grep -qF 'fell back'; then
+    echo "stenoc join fell back with BUILD_PATH_PREFIX_MAP set" >&2
+    printf '%s\n' "$join_mapped" >&2
+    exit 1
+  fi
+  if [ "$(printf '%s\n' "$join_mapped" | head -1)" != \
+       "$(printf '%s\n' "$join_fused" | head -1)" ]; then
+    echo "stenoc join: native (prefix map set) and fused results differ" >&2
+    printf '%s\n---\n%s\n' "$join_mapped" "$join_fused" >&2
+    exit 1
+  fi
+fi
+
 echo "== type-specialized hash tables in generated code =="
 for demo in histogram join; do
   plugin_src=$(./_build/default/bin/stenoc.exe show "$demo" -n 2000)

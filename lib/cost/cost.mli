@@ -14,7 +14,7 @@
 
     {b Keys.}  Plans are keyed by a structural fingerprint that
     canonicalizes variable identifiers (so the same pipeline built twice
-    fingerprints identically) and renders captured values as their type
+    fingerprints identically) and encodes captured values as their type
     only (so one plan over different data shares statistics — matching
     the plugin-cache-key semantics).  The optimizer flag is part of the
     key, the profile flag deliberately is not: profiled runs must feed
@@ -51,10 +51,32 @@ val pred_label : ('a, bool) Expr.lam -> string
     output. *)
 
 val plan_key : optimize:bool -> 'r Query.root -> string
-(** Fingerprint of a plan, prefixed with the optimizer flag (an engine
+(** Fingerprint of a plan: a compact, prefix-free binary encoding (one
+    tag byte per node, length-prefixed names, binary integers, variables
+    renumbered by first occurrence) led by the optimizer flag (an engine
     with [optimize = false] must not consume statistics observed under
-    the rewritten plan, and vice versa) and the plan kind ([Q:] rows,
-    [S:] scalar). *)
+    the rewritten plan, and vice versa) and the plan kind.  Captures
+    encode as their type only.  Not for display: {!pred_label} is the
+    readable rendering. *)
+
+type shape = {
+  key : string;
+      (** The {!plan_key} encoding, led by the [optimize] and [strict]
+          flags, in which every capture also carries its alias class
+          and every captured source array ([Of_array (_, Capture a)])
+          its length.  Those are the only facts about captured values
+          that the checks, the optimizer and code generation read, so
+          two roots with one [key] go through the front half alike. *)
+  captures : Obj.t array;
+      (** One value per alias class, in first-occurrence order.
+          Captures are classed by physical identity, as
+          [Expr.alpha_equal] compares them. *)
+  sized : int list;  (** The classes whose length [key] holds. *)
+}
+
+val shape : optimize:bool -> strict:bool -> 'r Query.root -> shape
+(** The plan-memo fingerprint of an unoptimized root, from the same walk
+    as {!plan_key}. *)
 
 (** {1 Recording} *)
 

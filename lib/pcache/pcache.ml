@@ -190,15 +190,15 @@ let find t ~key =
     let h = hash_key key in
     let hit =
       match read_file (key_path t h) with
-      | Some stored when String.equal stored key ->
+      | Some stored when String.equal stored key -> (
         let cmxs = cmxs_path t h in
-        if Sys.file_exists cmxs then begin
-          (* Freshen the LRU clock; utimes with 0.0 0.0 means "now". *)
-          (try Unix.utimes cmxs 0.0 0.0 with _ -> ());
-          (try Unix.utimes (key_path t h) 0.0 0.0 with _ -> ());
-          Some cmxs
-        end
-        else None
+        (* Freshen the LRU clock (utimes with 0.0 0.0 means "now").
+           Eviction reads only the artifact's mtime, and [ENOENT] here is
+           the existence check. *)
+        match Unix.utimes cmxs 0.0 0.0 with
+        | () -> Some cmxs
+        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> None
+        | exception Unix.Unix_error _ -> Some cmxs)
       | Some _ | None -> None
     in
     (match hit with
@@ -226,7 +226,12 @@ let store t ~key ~cmxs =
       else 0
   end
 
-let remove t ~key = if usable t then delete_entry t (hash_key key)
+let reject t ~key =
+  if usable t then begin
+    delete_entry t (hash_key key);
+    Atomic.decr t.hits;
+    Atomic.incr t.misses
+  end
 
 let clear t =
   let entries = list_entries t in

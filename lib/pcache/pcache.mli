@@ -48,7 +48,7 @@ val create :
 val find : t -> key:string -> string option
 (** [find t ~key] returns the path of the cached [.cmxs] for [key], or
     [None].  A hit verifies the stored key byte-for-byte and freshens
-    the entry's mtime (the eviction clock is LRU-by-mtime). *)
+    the artifact's mtime (the eviction clock is LRU-by-mtime). *)
 
 val store : t -> key:string -> cmxs:string -> int
 (** [store t ~key ~cmxs] publishes a copy of the file at [cmxs] (and the
@@ -57,9 +57,10 @@ val store : t -> key:string -> cmxs:string -> int
     store of the same key is harmless (last rename wins, both files are
     identical). *)
 
-val remove : t -> key:string -> unit
-(** Delete the entry for [key] if present — used when a cached artifact
-    turns out to be unloadable. *)
+val reject : t -> key:string -> unit
+(** Delete the entry for [key], whose artifact the last {!find} returned
+    but turned out to be unloadable, and count that lookup as a miss
+    rather than a hit. *)
 
 val clear : t -> int
 (** Delete every entry under the handle's fingerprint; returns the

@@ -11,6 +11,14 @@ type 'a outcome =
   | Rejected of reject_reason
   | Failed of exn
 
+(* A client's session, and its request counters by outcome
+   ([outcome_index]), looked up on its first request with that
+   outcome. *)
+type client = {
+  c_session : Steno.Session.t;
+  c_requests : Metrics.counter option Atomic.t array;
+}
+
 (* All admission state lives behind one mutex; the condition variable
    wakes queued callers when a slot frees (or shutdown begins).  The
    lock is never held while a request executes — only around the small
@@ -22,7 +30,8 @@ type t = {
   max_queue : int;
   mu : Mutex.t;
   cv : Condition.t;
-  sessions : (string, Steno.Session.t) Hashtbl.t;  (* under [mu] *)
+  clients : (string, client) Hashtbl.t;  (* under [mu] *)
+  queue_ms : Metrics.histogram;
   mutable inflight : int;
   mutable queued : int;
   mutable shut : bool;
@@ -47,16 +56,16 @@ let create ?max_inflight ?(max_queue = 64) engine =
   ignore
     (Metrics.counter m "steno_server_requests"
        ~help:"Requests submitted to the query server, by final outcome");
-  ignore
-    (Metrics.histogram m "steno_server_queue_ms"
-       ~help:"Time admitted requests spent waiting for an execution slot");
   {
     srv_engine = engine;
     max_inflight;
     max_queue;
     mu = Mutex.create ();
     cv = Condition.create ();
-    sessions = Hashtbl.create 16;
+    clients = Hashtbl.create 16;
+    queue_ms =
+      Metrics.histogram m "steno_server_queue_ms"
+        ~help:"Time admitted requests spent waiting for an execution slot";
     inflight = 0;
     queued = 0;
     shut = false;
@@ -68,35 +77,48 @@ let create ?max_inflight ?(max_queue = 64) engine =
 
 let engine t = t.srv_engine
 
-let session t ~client_id =
+let client t ~client_id =
   Mutex.protect t.mu (fun () ->
-      match Hashtbl.find_opt t.sessions client_id with
-      | Some s -> s
+      match Hashtbl.find_opt t.clients client_id with
+      | Some c -> c
       | None ->
-        let s = Steno.Session.create t.srv_engine ~client_id in
-        Hashtbl.replace t.sessions client_id s;
-        s)
+        let c =
+          {
+            c_session = Steno.Session.create t.srv_engine ~client_id;
+            c_requests = Array.init 3 (fun _ -> Atomic.make None);
+          }
+        in
+        Hashtbl.replace t.clients client_id c;
+        c)
+
+let session t ~client_id = (client t ~client_id).c_session
 
 let outcome_label = function
   | Done _ -> "ok"
   | Rejected _ -> "rejected"
   | Failed _ -> "failed"
 
-let count_request t ~client_id outcome =
-  Metrics.inc
-    (Metrics.counter
-       (Steno.Engine.metrics t.srv_engine)
-       "steno_server_requests"
-       ~help:"Requests submitted to the query server, by final outcome"
-       ~labels:[ "client", client_id; "outcome", outcome_label outcome ])
+let outcome_index = function Done _ -> 0 | Rejected _ -> 1 | Failed _ -> 2
 
-let observe_queue_wait t ms =
-  Metrics.observe
-    (Metrics.histogram
-       (Steno.Engine.metrics t.srv_engine)
-       "steno_server_queue_ms"
-       ~help:"Time admitted requests spent waiting for an execution slot")
-    ms
+(* Registering is idempotent, so two domains racing on a first lookup
+   store the same handle. *)
+let count_request t c ~client_id outcome =
+  let cell = c.c_requests.(outcome_index outcome) in
+  let counter =
+    match Atomic.get cell with
+    | Some counter -> counter
+    | None ->
+      let counter =
+        Metrics.counter
+          (Steno.Engine.metrics t.srv_engine)
+          "steno_server_requests"
+          ~help:"Requests submitted to the query server, by final outcome"
+          ~labels:[ "client", client_id; "outcome", outcome_label outcome ]
+      in
+      Atomic.set cell (Some counter);
+      counter
+  in
+  Metrics.inc counter
 
 (* Admission: a free slot admits immediately; otherwise the caller joins
    the bounded wait queue, or is shed.  Queued callers re-check on every
@@ -148,7 +170,8 @@ let release t ~ok =
       Condition.broadcast t.cv)
 
 let submit t ~client_id f =
-  let sess = session t ~client_id in
+  let c = client t ~client_id in
+  let sess = c.c_session in
   (* The request root: one trace per submission (subject to the
      tracer's sampling), covering admission wait, the request body, and
      — via the context handed to the domain pool — any background
@@ -162,7 +185,7 @@ let submit t ~client_id f =
     | Error reason -> Rejected reason
     | Ok () ->
       let queue_ms = Telemetry.now_ms () -. t0 in
-      observe_queue_wait t queue_ms;
+      Metrics.observe t.queue_ms queue_ms;
       Trace.annotate tracer [ "queue_ms", Printf.sprintf "%.3f" queue_ms ];
       (match f sess with
       | v ->
@@ -172,7 +195,7 @@ let submit t ~client_id f =
         release t ~ok:false;
         Failed e)
   in
-  count_request t ~client_id outcome;
+  count_request t c ~client_id outcome;
   Trace.annotate tracer [ "outcome", outcome_label outcome ];
   outcome
 

@@ -365,6 +365,68 @@ let schema_of : type r. sel_oracle -> r Query.root -> rec_op list =
   | Query.Rows q -> query_schema est q
   | Query.Scalar sq -> sq_schema est sq
 
+(* {2 The plan memo}
+
+   A Native prepare whose unoptimized root has the [Cost.shape] key of
+   an earlier one skips the checks, the optimizer, translation
+   validation, specialization, canonicalization and code generation: it
+   finds the earlier plugin in the plugin cache, binds this root's
+   captures into its environment, and runs.  An entry holds what that
+   takes, plus what the skipped stages reported. *)
+
+(* Where a plugin's environment slot takes its value on a hit: one of
+   the root's capture classes ([Cost.shape]), or the empty array the
+   optimizer puts in place of a collapsed source ([Opt.empty]). *)
+type memo_slot = Class of int | Empty_array
+
+type memo_entry = {
+  m_source : string;  (* the plugin-cache key *)
+  m_slots : memo_slot array;
+  m_rules : string list;
+  m_diags : Check.diagnostic list;
+  m_plan : string;
+      (* the QUIL rendering an active trace carries; empty on an engine
+         that does not trace *)
+}
+
+(* The slot map of a fresh plugin, or [None] when a slot cannot be
+   traced back to the root.  A slot holding a capture maps to its class,
+   and an empty array held by no capture is the optimizer's.  An empty
+   array that is also a capture is ambiguous (the capture table merges
+   the two), unless the key holds that capture's length, so that every
+   hit binds an empty array there too.  Any other value the root does not
+   hold, such as one a future rewrite invents, keeps the plan out of the
+   memo. *)
+let memo_slots (sh : Cost.shape) entries =
+  let exception Unmapped in
+  let class_of r =
+    let rec go i =
+      if i >= Array.length sh.Cost.captures then None
+      else if sh.Cost.captures.(i) == r then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  match
+    Array.map
+      (fun (Expr.Capture_table.Entry (_, v)) ->
+        let r = Obj.repr v in
+        let empty = Obj.is_block r && Obj.size r = 0 in
+        match class_of r with
+        | Some i when (not empty) || List.mem i sh.Cost.sized -> Class i
+        | None when empty -> Empty_array
+        | Some _ | None -> raise Unmapped)
+      entries
+  with
+  | slots -> Some slots
+  | exception Unmapped -> None
+
+let memo_env (sh : Cost.shape) slots () =
+  Array.map
+    (function
+      | Class i -> sh.Cost.captures.(i) | Empty_array -> Obj.repr [||])
+    slots
+
 (* {1 Configuration} *)
 
 module Config = struct
@@ -490,6 +552,12 @@ module Engine = struct
            by every derived engine copy — sessions and [force_profile]
            views feed the same store, which is exactly what lets a
            profiled run teach an unprofiled prepare. *)
+    memo : (string, memo_entry) Steno_lru.t;
+        (* The plan memo, keyed by [Cost.shape] and bounded and sharded
+           like [cache].  Shared by derived engine copies: the key holds
+           every configuration flag the front half reads. *)
+    memo_hit_c : Metrics.counter;
+    memo_miss_c : Metrics.counter;
   }
 
   let default_config = Config.default
@@ -523,6 +591,13 @@ module Engine = struct
       ~help:
         "Decisions taken by the cost-based adaptive optimization phase"
       ~labels:[ "decision", decision ]
+
+  let plan_memo_c m result =
+    Metrics.counter m "steno_plan_memo"
+      ~help:
+        "Native prepares eligible for the plan memo, by whether an earlier \
+         prepare of the same root served them"
+      ~labels:[ "result", result ]
 
   let create cfg =
     let tracer =
@@ -559,6 +634,8 @@ module Engine = struct
           (Pcache.create ~max_bytes ~max_entries
              ~fingerprint:(Dynload.fingerprint ()) ~dir ())
     in
+    let memo_hit_c = plan_memo_c cfg.metrics "hit" in
+    let memo_miss_c = plan_memo_c cfg.metrics "miss" in
     let eng =
       {
         cfg;
@@ -568,6 +645,9 @@ module Engine = struct
         flight = Steno_flight.create ();
         pcache;
         cost = Cost.create ();
+        memo = Steno_lru.create ~shards ~capacity:cfg.cache_capacity ();
+        memo_hit_c;
+        memo_miss_c;
       }
     in
     (* Register the optional-feature families eagerly, so a scrape shows
@@ -621,7 +701,11 @@ module Engine = struct
 
   let cache_size e = Steno_lru.length e.cache
 
-  let clear_cache e = Steno_lru.clear e.cache
+  let clear_cache e =
+    Steno_lru.clear e.cache;
+    Steno_lru.clear e.memo
+
+  let memo_size e = Steno_lru.length e.memo
 
   let traced_run sink backend f =
     if not (Telemetry.enabled sink) then f
@@ -728,9 +812,62 @@ module Engine = struct
             prepares do not count)"
          ~labels:[ "result", result ])
 
+  (* The end of every Native preparation, whether it ran the pipeline
+     ([compile_native]) or the plan memo replayed one ([memo_hit]): bind
+     the environment, wrap the plugin's entry point, and account. *)
+  let native_prep eng ~t0 ~t1 ~cache_hit ?native_probe ~env
+      (plugin : Dynload.compiled) : 'r prep =
+    let sink = eng.cfg.telemetry in
+    let t2 = now_ms () in
+    let env = Telemetry.with_span sink "env-bind" env in
+    let raw_run () =
+      try plugin.Dynload.run env with e -> raise (translate_exn e)
+    in
+    let prof =
+      match native_probe with
+      | None -> None
+      | Some np ->
+        (* One point per generated edge, same order as the labels; the
+           run wrapper folds the array's per-run deltas into them. *)
+        let pr = Metrics.Probe.create () in
+        Array.iter
+          (fun lbl -> ignore (Metrics.Probe.point pr lbl))
+          np.Codegen.probe_labels;
+        Some
+          {
+            prof_backend = Native;
+            prof_probe = pr;
+            prof_native_rows = Some np.Codegen.probe_rows;
+            prof_runs = 0;
+            prof_run_ms = 0.0;
+          }
+    in
+    let run () = Obj.obj (raw_run ()) in
+    let run = match prof with None -> run | Some p -> wrap_profiled eng p run in
+    {
+      run_fn = traced_run sink Native run;
+      p_info =
+        {
+          backend = Native;
+          requested = Native;
+          cache_hit;
+          prepare_ms = now_ms () -. t0;
+          codegen_ms = t1 -. t0;
+          compile_ms = (if cache_hit then 0.0 else t2 -. t1);
+          fallback = None;
+        };
+      p_rules = [];
+      p_profile = prof;
+      p_diags = [];
+      p_tier = Atomic.make Native;
+      p_decisions = [];
+    }
+
   (* The full Native pipeline: specialize/canon/codegen (spans emitted by
      the plan), then the bounded plugin cache, then compile+load under
-     the engine's timeout, then environment binding.
+     the engine's timeout, then environment binding.  [on_plugin] hears
+     the plugin-cache key, capture table and chain of the plugin the
+     preparation runs (the plan memo records them).
 
      Cache lookup and compilation run inside a single-flight call keyed
      by the plugin cache key: when several domains prepare the same
@@ -738,9 +875,8 @@ module Engine = struct
      and — on a miss — the compile; the others block until it finishes
      and share its plugin (or its failure), instead of racing N compiler
      invocations for one cache slot. *)
-  let compile_native eng (plan : 'r plan) ~t0 :
-      ((unit -> 'r) * compile_info * profile option, fallback_reason) result
-      =
+  let compile_native ?on_plugin eng (plan : 'r plan) ~t0 :
+      ('r prep, fallback_reason) result =
     let sink = eng.cfg.telemetry in
     let chain = plan.chain sink in
     let native_probe =
@@ -801,7 +937,8 @@ module Engine = struct
                   ~duration_ms:p.Dynload.timings.Dynload.load_ms ();
                 Some p
               | Error _ ->
-                Pcache.remove pc ~key:cache_key;
+                (* The store re-counts this lookup as a miss too. *)
+                Pcache.reject pc ~key:cache_key;
                 Metrics.inc (pcache_misses_c eng);
                 None))
         in
@@ -883,7 +1020,7 @@ module Engine = struct
               instead of invoking the compiler")
     end;
     match looked_up with
-    | Error _ as e -> e
+    | Error reason -> Error reason
     | Ok (leader_hit, plugin) ->
       (* A follower reuses the leader's plugin without compiling, which
          is a cache hit as far as this preparation's cost accounting is
@@ -894,45 +1031,10 @@ module Engine = struct
           "cache", (if cache_hit then "hit" else "miss");
           "dedup", (if led then "leader" else "follower");
         ];
-      let t2 = now_ms () in
-      let env =
-        Telemetry.with_span sink "env-bind" (fun () ->
-            Expr.Capture_table.to_env out.Codegen.table)
-      in
-      let raw_run () =
-        try plugin.Dynload.run env with e -> raise (translate_exn e)
-      in
-      let info =
-        {
-          backend = Native;
-          requested = Native;
-          cache_hit;
-          prepare_ms = now_ms () -. t0;
-          codegen_ms = t1 -. t0;
-          compile_ms = (if cache_hit then 0.0 else t2 -. t1);
-          fallback = None;
-        }
-      in
-      let prof =
-        match native_probe with
-        | None -> None
-        | Some np ->
-          (* One point per generated edge, same order as the labels; the
-             run wrapper folds the array's per-run deltas into them. *)
-          let pr = Metrics.Probe.create () in
-          Array.iter
-            (fun lbl -> ignore (Metrics.Probe.point pr lbl))
-            np.Codegen.probe_labels;
-          Some
-            {
-              prof_backend = Native;
-              prof_probe = pr;
-              prof_native_rows = Some np.Codegen.probe_rows;
-              prof_runs = 0;
-              prof_run_ms = 0.0;
-            }
-      in
-      Ok ((fun () -> Obj.obj (raw_run ())), info, prof)
+      Option.iter (fun f -> f cache_key out.Codegen.table chain) on_plugin;
+      Ok
+        (native_prep eng ~t0 ~t1 ~cache_hit ?native_probe plugin ~env:(fun () ->
+             Expr.Capture_table.to_env out.Codegen.table))
 
   let prep_of_staged eng ~sink ~t0 ~requested ~actual ~fallback staged =
     let probe =
@@ -976,7 +1078,7 @@ module Engine = struct
       p_decisions = [];
     }
 
-  let prepare_plan_result (eng : t) ?backend (plan : 'r plan) :
+  let prepare_plan_result (eng : t) ?backend ?on_plugin (plan : 'r plan) :
       ('r prep, fallback_reason) result =
     let requested = Option.value backend ~default:eng.cfg.backend in
     let sink = eng.cfg.telemetry in
@@ -1020,8 +1122,8 @@ module Engine = struct
            nearly free. *)
         Trace.with_span eng.tracer "tier.promote" @@ fun () ->
         match compile_native eng plan ~t0:(now_ms ()) with
-        | Ok (run, _info, _prof) ->
-          Atomic.set cell (traced_run sink Native run);
+        | Ok p ->
+          Atomic.set cell p.run_fn;
           Atomic.set base.p_tier Native;
           Telemetry.count sink "tier.promote" 1;
           Metrics.inc (tier_promotions_c eng "ok")
@@ -1043,21 +1145,8 @@ module Engine = struct
       in
       Ok { base with run_fn }
     | Native -> (
-      match compile_native eng plan ~t0 with
-      | Ok (run, info, prof) ->
-        let run =
-          match prof with None -> run | Some p -> wrap_profiled eng p run
-        in
-        Ok
-          {
-            run_fn = traced_run sink Native run;
-            p_info = { info with prepare_ms = now_ms () -. t0 };
-            p_rules = [];
-            p_profile = prof;
-            p_diags = [];
-            p_tier = Atomic.make Native;
-            p_decisions = [];
-          }
+      match compile_native ?on_plugin eng plan ~t0 with
+      | Ok p -> Ok p
       | Error reason when eng.cfg.fallback ->
         Telemetry.count sink "engine.fallback" 1;
         Telemetry.emit sink "fallback"
@@ -1556,22 +1645,76 @@ module Engine = struct
      a canonicalization, so only under an active trace; queries outside
      the QUIL fragment simply have no plan attribute. *)
   let annotate_plan eng r =
-    if Trace.enabled eng.tracer && Trace.current () <> None then
+    if Trace.active eng.tracer then
       match canon_of r with
       | exception _ -> ()
       | c ->
         let c = if eng.cfg.optimize then fst (Opt.chain c) else c in
         Trace.annotate eng.tracer [ "plan", Quil.symbol_string c ]
 
-  (* [rec]: a drift re-preparation re-enters this function from a pool
+  let memo_record eng (shape : Cost.shape) ~source ~table ~chain (p : _ prep)
+      =
+    match memo_slots shape (Expr.Capture_table.entries table) with
+    | None -> ()
+    | Some slots ->
+      ignore
+        (Steno_lru.add eng.memo shape.Cost.key
+           {
+             m_source = source;
+             m_slots = slots;
+             m_rules = p.p_rules;
+             m_diags = p.p_diags;
+             m_plan =
+               (* Sessions share the tracer, so one that is off now stays
+                  off for every hit. *)
+               (if Trace.enabled eng.tracer then Quil.symbol_string chain
+                else "");
+           })
+
+  (* A memo hit runs the plugin its entry names, provided the plugin
+     cache still holds it, on this root's captures.  It replays what the
+     skipped stages reported (diagnostic counts, the rewrite log, the
+     trace's plan) but runs no check, validation or compile, so their
+     counters do not move.  The probe counts only a hit: after a miss,
+     the full pipeline looks the plugin up again. *)
+  let memo_hit eng (shape : Cost.shape) ~t0 =
+    match Steno_lru.find eng.memo shape.Cost.key with
+    | None -> None
+    | Some m -> (
+      match Steno_lru.probe eng.cache m.m_source with
+      | None -> None
+      | Some plugin ->
+        let sink = eng.cfg.telemetry in
+        Telemetry.with_span sink "prepare" ~attrs:[ "backend", "native" ]
+        @@ fun () ->
+        record_diagnostics eng m.m_diags;
+        if Trace.active eng.tracer then
+          Trace.annotate eng.tracer [ "plan", m.m_plan; "cache", "hit" ];
+        Telemetry.count sink "cache.hit" 1;
+        let p =
+          native_prep eng ~t0 ~t1:t0 ~cache_hit:true plugin
+            ~env:(memo_env shape m.m_slots)
+        in
+        Some { p with p_rules = m.m_rules; p_diags = m.m_diags })
+
+  (* The whole pipeline.  With a memo [shape], a Native preparation is
+     recorded in the memo under it.
+
+     [rec]: a drift re-preparation re-enters this function from a pool
      domain with the original query (and requested backend), so the
      replacement plan goes through the whole pipeline — checks, the
      syntactic fixpoint, a fresh adaptive pass over the post-drift
      statistics, validation, and both plugin caches. *)
-  let rec try_prepare_root : 'r. ?backend:backend -> t -> 'r Query.root ->
-      ('r prep, error) result =
-   fun ?backend eng r_orig ->
+  let rec prepare_full : 'r. ?backend:backend -> ?shape:Cost.shape -> t ->
+      'r Query.root -> ('r prep, error) result =
+   fun ?backend ?shape eng r_orig ->
     let r = r_orig in
+    let built = ref None in
+    let on_plugin =
+      Option.map
+        (fun _ source table chain -> built := Some (source, table, chain))
+        shape
+    in
     match run_checks_result eng (lint_all r) with
     | Error errs -> Error (Check_error errs)
     | Ok diags -> (
@@ -1610,7 +1753,7 @@ module Engine = struct
               | None -> backend, []
             in
             match
-              prepare_plan_result eng ?backend:backend'
+              prepare_plan_result eng ?backend:backend' ?on_plugin
                 (with_verified_chain plan)
             with
             | Error reason -> Error (Compile_failure reason)
@@ -1624,16 +1767,45 @@ module Engine = struct
                   p_decisions = ad_decisions @ be_decisions;
                 }
               in
+              (match shape, !built with
+              | Some sh, Some (source, table, chain)
+                when p.p_info.backend = Native ->
+                memo_record eng sh ~source ~table ~chain p
+              | _ -> ());
               let p =
                 match actx with
                 | Some (a, key, _) when eng.cfg.profile ->
                   wrap_adaptive eng a ~key
                     ~schema:(schema_of (oracle_for eng ~key) r)
-                    ~rebuild:(fun () -> try_prepare_root ?backend eng r_orig)
+                    ~rebuild:(fun () -> prepare_full ?backend eng r_orig)
                     p
                 | _ -> p
               in
               Ok p))))
+
+  (* The plan memo serves Native requests only, and not on engines that
+     tier or adapt (they start on Fused, or record statistics per
+     prepare) or profile ([explain_analyze] forces profiling). *)
+  let memo_eligible eng backend =
+    Option.value backend ~default:eng.cfg.backend = Native
+    && eng.cfg.tiering = None && eng.cfg.adaptive = None
+    && not eng.cfg.profile
+
+  let try_prepare_root ?backend eng r =
+    if not (memo_eligible eng backend) then prepare_full ?backend eng r
+    else begin
+      let t0 = now_ms () in
+      let shape =
+        Cost.shape ~optimize:eng.cfg.optimize ~strict:eng.cfg.strict r
+      in
+      match memo_hit eng shape ~t0 with
+      | Some p ->
+        Metrics.inc eng.memo_hit_c;
+        Ok p
+      | None ->
+        Metrics.inc eng.memo_miss_c;
+        prepare_full ?backend ~shape eng r
+    end
 
   let raise_error = function
     | Check_error errs -> raise (Check_failed errs)
@@ -1865,7 +2037,12 @@ module Session = struct
     s_prepares : int Atomic.t;
     s_runs : int Atomic.t;
     s_run_ms : float Atomic.t;
+    s_instruments : (Metrics.histogram * Metrics.counter) option Atomic.t array;
+        (* The run instruments per backend ([backend_index]), looked up
+           on the first prepare that runs there. *)
   }
+
+  let backend_index = function Linq -> 0 | Fused -> 1 | Native -> 2
 
   (* Same boxed-float CAS spin as the metrics shards. *)
   let rec add_float cell x =
@@ -1882,6 +2059,7 @@ module Session = struct
       s_prepares = Atomic.make 0;
       s_runs = Atomic.make 0;
       s_run_ms = Atomic.make 0.0;
+      s_instruments = Array.init 3 (fun _ -> Atomic.make None);
     }
 
   let engine s = s.s_engine
@@ -1890,24 +2068,34 @@ module Session = struct
 
   let labels s = s.s_labels
 
+  (* The session's run instruments for [backend].  Registering is
+     idempotent, so two domains racing on a first lookup store the same
+     handles. *)
+  let run_instruments s backend =
+    let cell = s.s_instruments.(backend_index backend) in
+    match Atomic.get cell with
+    | Some h -> h
+    | None ->
+      let m = Engine.metrics s.s_engine in
+      let labels =
+        ("backend", backend_name backend) :: ("client", s.s_client)
+        :: s.s_labels
+      in
+      let h =
+        ( Metrics.histogram m "steno_run_ms"
+            ~help:"Wall time of profiled query runs (milliseconds)" ~labels,
+          Metrics.counter m "steno_runs" ~help:"Profiled query runs" ~labels
+        )
+      in
+      Atomic.set cell (Some h);
+      h
+
   (* Wrap a preparation's run function with the session's accounting:
      wall time and run count flow into the engine's metrics registry
      under this session's client/tenant labels, and into the session's
-     own counters.  Instrument handles are registered once, here. *)
+     own counters. *)
   let instrument s (p : 'r prep) : 'r prep =
-    let m = Engine.metrics s.s_engine in
-    let labels =
-      ("backend", backend_name p.p_info.backend)
-      :: ("client", s.s_client)
-      :: s.s_labels
-    in
-    let hist =
-      Metrics.histogram m "steno_run_ms"
-        ~help:"Wall time of profiled query runs (milliseconds)" ~labels
-    in
-    let runs_c =
-      Metrics.counter m "steno_runs" ~help:"Profiled query runs" ~labels
-    in
+    let hist, runs_c = run_instruments s p.p_info.backend in
     let base = p.run_fn in
     let run_fn () =
       let t0 = now_ms () in

@@ -59,7 +59,10 @@ type compile_info = {
   requested : backend;
       (** The backend asked for; differs from [backend] only when the
           engine fell back. *)
-  cache_hit : bool;  (** Compiled plugin reused from the query cache. *)
+  cache_hit : bool;
+      (** Compiled plugin reused from the query cache.  Also [true] on a
+          plan-memo hit (see {!Engine.memo_size}), which reuses the
+          plugin without generating code. *)
   prepare_ms : float;
       (** Total preparation cost: specialization, canonicalization, code
           generation or staging, and — on a cache miss — compiler
@@ -68,7 +71,7 @@ type compile_info = {
       (** Of which QUIL lowering and code generation ([Native]), or
           specialization and staging ([Fused]/[Linq]) — so backend
           comparisons account for the work each backend really does at
-          prepare time. *)
+          prepare time.  [0.] on a plan-memo hit. *)
   compile_ms : float;  (** Of which native compile + dynlink. *)
   fallback : fallback_reason option;
       (** Set when a [Native] request executed on [Fused]. *)
@@ -533,7 +536,21 @@ module Engine : sig
   val clear_cache : t -> unit
   (** Counters are cumulative and survive {!clear_cache}.  These cover
       the in-process LRU only; the persistent store reports through
-      {!pcache_stats}. *)
+      {!pcache_stats}.  [clear_cache] also empties the plan memo. *)
+
+  val memo_size : t -> int
+  (** Entries in the plan memo.  A [Native] prepare (on an engine
+      without tiering, adaptive optimization or profiling) whose
+      unoptimized root matches an earlier one in everything the front
+      half reads — structure, constants, capture types and aliasing,
+      captured source lengths, the [optimize] and [strict] flags — skips
+      checks, optimization, validation and code generation: it binds its
+      own captures into the earlier plugin, provided the plugin cache
+      still holds it.  Its {!compile_info} then has [cache_hit = true]
+      and [codegen_ms = 0.], and its rewrite log and diagnostics are the
+      earlier prepare's.  Bounded by [cache_capacity], sharded like the
+      plugin cache; [steno_plan_memo_total{result="hit"|"miss"}] counts
+      the eligible prepares. *)
 
   val pcache_stats : t -> Pcache.stats option
   (** Persistent-store figures; [None] unless the engine was configured

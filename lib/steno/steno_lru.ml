@@ -101,7 +101,7 @@ let promote s node =
     push_front s node
   end
 
-let find (t : (_, _) t) k =
+let lookup ~count_miss (t : (_, _) t) k =
   let s = shard_of t k in
   Mutex.protect s.mu @@ fun () ->
   match Hashtbl.find_opt s.table k with
@@ -110,8 +110,12 @@ let find (t : (_, _) t) k =
     s.hits <- s.hits + 1;
     Some node.value
   | None ->
-    s.misses <- s.misses + 1;
+    if count_miss then s.misses <- s.misses + 1;
     None
+
+let find t k = lookup ~count_miss:true t k
+
+let probe t k = lookup ~count_miss:false t k
 
 (* Pop the LRU entry; returns the victim so the caller can fire
    [on_evict] after releasing the lock. *)

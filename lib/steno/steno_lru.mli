@@ -51,6 +51,11 @@ val find : ('k, 'v) t -> 'k -> 'v option
 (** Promotes the entry to most-recently-used and counts a hit; counts a
     miss on [None]. *)
 
+val probe : ('k, 'v) t -> 'k -> 'v option
+(** Like {!find}, but a missing key counts nothing: for a caller that
+    goes on to {!find} the same key when the probe fails, so one lookup
+    counts one miss. *)
+
 val add : ('k, 'v) t -> 'k -> 'v -> bool
 (** Insert as most-recently-used, evicting the least-recently-used entry
     if the cache is full; returns [true] when an entry was evicted

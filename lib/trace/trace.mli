@@ -76,6 +76,10 @@ val enabled : t -> bool
 val current : unit -> ctx option
 (** The trace installed on the calling domain, if any. *)
 
+val active : t -> bool
+(** [t] is enabled and a trace is installed on the calling domain:
+    annotations made now are kept. *)
+
 val ctx_id : ctx -> string
 
 val with_ctx : ctx option -> (unit -> 'a) -> 'a

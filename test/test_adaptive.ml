@@ -462,6 +462,44 @@ let test_differential () =
     | _ -> ()
   done
 
+(* The two plan keys come from one walk.  [plan_key] ignores capture
+   values; [shape] holds their aliasing, the lengths of captured sources
+   and the [strict] flag. *)
+let test_keys () =
+  let plan xs a b =
+    Query.Rows
+      (ints xs
+      |> Query.where (fun x -> I.(x > Expr.capture Ty.Int a))
+      |> Query.where (fun x -> I.(x < Expr.capture Ty.Int b)))
+  in
+  let key r = Steno.Cost.plan_key ~optimize:true r in
+  let shape ?(strict = false) r =
+    (Steno.Cost.shape ~optimize:true ~strict r).Steno.Cost.key
+  in
+  let same = Alcotest.(check string) and differ msg a b =
+    Alcotest.(check bool) msg false (String.equal a b)
+  in
+  let base = plan [| 1; 2 |] 3 4 in
+  same "plan_key: fresh variables and values" (key base)
+    (key (plan [| 5; 6; 7 |] 8 8));
+  differ "plan_key: optimize flag" (key base)
+    (Steno.Cost.plan_key ~optimize:false base);
+  same "shape: fresh variables and values" (shape base)
+    (shape (plan [| 9; 9 |] 1 2));
+  differ "shape: source length" (shape base) (shape (plan [| 1; 2; 3 |] 3 4));
+  differ "shape: aliased captures" (shape base) (shape (plan [| 1; 2 |] 3 3));
+  differ "shape: strict flag" (shape base) (shape ~strict:true base);
+  differ "shape: constant for capture" (shape base)
+    (shape
+       (Query.Rows
+          (ints [| 1; 2 |]
+          |> Query.where (fun x -> I.(x > Expr.int 3))
+          |> Query.where (fun x -> I.(x < Expr.capture Ty.Int 4)))));
+  let sh = Steno.Cost.shape ~optimize:true ~strict:false base in
+  Alcotest.(check int) "three capture classes" 3
+    (Array.length sh.Steno.Cost.captures);
+  Alcotest.(check (list int)) "the source is sized" [ 0 ] sh.Steno.Cost.sized
+
 let () =
   Alcotest.run "adaptive"
     [
@@ -486,6 +524,7 @@ let () =
           Alcotest.test_case "backend choice" `Quick test_backend_choice;
           Alcotest.test_case "partitions" `Quick test_partitions_for_rows;
         ] );
+      ("keys", [ Alcotest.test_case "plan_key and shape" `Quick test_keys ]);
       ( "differential",
         [ Alcotest.test_case "200 pipelines" `Slow test_differential ] );
     ]

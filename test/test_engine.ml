@@ -260,31 +260,428 @@ let test_exception_parity_all_backends () =
 
 (* Two hundred generated plans through one Native engine: every plugin
    is built by the resident compile workers, and every result matches
-   [Reference]. *)
+   [Reference].  Each plan is then rebuilt over fresh data of the same
+   length, which the plan memo must serve, also matching [Reference]. *)
 let test_generated_plans () =
   with_native @@ fun () ->
   let eng = engine ~fallback:false Steno.Native in
+  let memo_hits () =
+    Metrics.counter_value
+      (Metrics.counter (Steno.Engine.metrics eng) "steno_plan_memo"
+         ~labels:[ "result", "hit" ])
+  in
   let plans =
     QCheck.Gen.generate ~rand:(Random.State.make [| 16 |]) ~n:200
       Plan_gen.pipeline
   in
   List.iteri
-    (fun i plan ->
-      let q = Plan_gen.build plan in
-      let p = Steno.Engine.prepare eng q in
-      Alcotest.(check bool)
-        (Printf.sprintf "plan %d ran native" i)
-        true
-        ((Steno.Prepared.compile_info p).Steno.backend = Steno.Native);
-      Alcotest.(check (list int))
-        (Printf.sprintf "plan %d" i)
-        (Reference.to_list q)
-        (Array.to_list (Steno.Prepared.run p)))
+    (fun i (ops, data) ->
+      let check name q =
+        let p = Steno.Engine.prepare eng q in
+        Alcotest.(check bool)
+          (Printf.sprintf "plan %d%s ran native" i name)
+          true
+          ((Steno.Prepared.compile_info p).Steno.backend = Steno.Native);
+        Alcotest.(check (list int))
+          (Printf.sprintf "plan %d%s" i name)
+          (Reference.to_list q)
+          (Array.to_list (Steno.Prepared.run p))
+      in
+      check "" (Plan_gen.build (ops, data));
+      let hits = memo_hits () in
+      check " rebuilt"
+        (Plan_gen.build (ops, Array.map (fun x -> ((x * 7) + 3) mod 21) data));
+      Alcotest.(check int)
+        (Printf.sprintf "plan %d rebuilt: memo hit" i)
+        (hits + 1) (memo_hits ()))
     plans;
   let misses = (Steno.Engine.cache_stats eng).Steno.Engine.misses in
   Alcotest.(check bool)
     (Printf.sprintf "%d plugins compiled" misses)
     true (misses >= 100)
+
+(* {2 The plan memo}
+
+   A prepare whose unoptimized root matches an earlier one runs the
+   earlier plugin on its own captures.  Each case prepares two roots
+   that must not share an entry, then both again with fresh captures,
+   which must hit.  Every prepare is held against a fresh engine's full
+   prepare of the same root: result (and [Reference]), rewrite log,
+   diagnostics, backend, and the plugin source, read from the engines'
+   disk stores (a [.key] file holds the source a plugin was built
+   from). *)
+
+let temp_seq = ref 0
+
+let with_temp_dir f =
+  incr temp_seq;
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "steno-test-memo-%d-%d" (Unix.getpid ()) !temp_seq)
+  in
+  Unix.mkdir d 0o700;
+  let rec rm_rf d =
+    Array.iter
+      (fun f ->
+        let p = Filename.concat d f in
+        if Sys.is_directory p then rm_rf p else Sys.remove p)
+      (Sys.readdir d);
+    Unix.rmdir d
+  in
+  Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
+
+let memo_engine ?(cache_capacity = 128) ?dir reg =
+  let cfg =
+    Steno.Config.(
+      default |> with_backend Steno.Native |> with_metrics reg
+      |> with_fallback false
+      |> with_cache_capacity cache_capacity)
+  in
+  let cfg =
+    match dir with
+    | None -> cfg
+    | Some dir -> Steno.Config.with_disk_cache ~dir cfg
+  in
+  Steno.Engine.create cfg
+
+let memo_count reg result =
+  Metrics.counter_value
+    (Metrics.counter reg "steno_plan_memo" ~labels:[ "result", result ])
+
+let compiles reg =
+  Metrics.counter_value
+    (Metrics.counter reg "steno_compile" ~labels:[ "result", "ok" ])
+
+(* The sources of every plugin in an engine's disk store. *)
+let store_sources eng =
+  match Steno.Engine.pcache_dir eng with
+  | None -> []
+  | Some d ->
+    Sys.readdir d |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".key")
+    |> List.map (fun f ->
+           In_channel.with_open_bin (Filename.concat d f) In_channel.input_all)
+    |> List.sort compare
+
+type view = {
+  v_result : string;
+  v_info : Steno.compile_info;
+  v_log : string list;
+  v_diags : string list;
+  v_backend : Steno.backend;
+}
+
+let view show p =
+  {
+    v_result = show (Steno.Prepared.run p);
+    v_info = Steno.Prepared.compile_info p;
+    v_log = Steno.Prepared.rewrite_log p;
+    v_diags = List.map Check.to_string (Steno.Prepared.diagnostics p);
+    v_backend = Steno.Prepared.backend_used p;
+  }
+
+(* A root to prepare, with its [Reference] answer. *)
+type step = { prep : Steno.Engine.t -> view; expected : string }
+
+let scalar_step sq =
+  {
+    prep = (fun eng -> view string_of_int (Steno.Engine.prepare_scalar eng sq));
+    expected = string_of_int (Reference.scalar sq);
+  }
+
+let rows_step show q =
+  {
+    prep =
+      (fun eng ->
+        view (fun a -> show (Array.to_list a)) (Steno.Engine.prepare eng q));
+    expected = show (Reference.to_list q);
+  }
+
+(* [steps] are [a; b; a'; b']: [a'] and [b'] rebuild [a] and [b] with
+   fresh captures. *)
+let check_memo_case steps () =
+  with_native @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let reg = Metrics.create () in
+  let eng = memo_engine ~dir reg in
+  let ran = Array.make (List.length steps) "" in
+  List.iteri
+    (fun i st ->
+      let name = Printf.sprintf "step %d: %s" i in
+      let repeats = if i >= 2 then Some (i - 2) else None in
+      let before = store_sources eng and hits = memo_count reg "hit" in
+      let v = st.prep eng in
+      let after = store_sources eng in
+      let fresh, fresh_source =
+        with_temp_dir @@ fun fdir ->
+        let feng = memo_engine ~dir:fdir (Metrics.create ()) in
+        let fv = st.prep feng in
+        match store_sources feng with
+        | [ src ] -> fv, src
+        | l -> Alcotest.failf "fresh engine stored %d plugins" (List.length l)
+      in
+      Alcotest.(check bool) (name "memo hit") (repeats <> None)
+        (memo_count reg "hit" > hits);
+      Alcotest.(check string) (name "reference") st.expected v.v_result;
+      Alcotest.(check string) (name "fresh result") fresh.v_result v.v_result;
+      Alcotest.(check (list string)) (name "rewrite log") fresh.v_log v.v_log;
+      Alcotest.(check (list string)) (name "diagnostics") fresh.v_diags
+        v.v_diags;
+      Alcotest.(check bool) (name "backend") true
+        (v.v_backend = Steno.Native && fresh.v_backend = Steno.Native);
+      (match repeats with
+      | Some j ->
+        Alcotest.(check (list string)) (name "no new plugin") before after;
+        Alcotest.(check bool) (name "cache hit, no codegen") true
+          (v.v_info.Steno.cache_hit && v.v_info.Steno.codegen_ms = 0.0
+         && v.v_info.Steno.compile_ms = 0.0);
+        ran.(i) <- ran.(j)
+      | None -> (
+        match List.filter (fun s -> not (List.mem s before)) after with
+        | [ src ] -> ran.(i) <- src
+        | [] ->
+          (* The full pipeline found the plugin of an earlier step. *)
+          Alcotest.(check bool) (name "plugin already held") true
+            (List.mem fresh_source before);
+          ran.(i) <- fresh_source
+        | _ -> Alcotest.fail (name "several plugins stored")));
+      Alcotest.(check string) (name "plugin source") fresh_source ran.(i))
+    steps
+
+let sum_above xs p =
+  ints xs
+  |> Query.where (fun x -> I.(x > Expr.capture Ty.Int p))
+  |> Query.sum_int
+
+let test_memo_empty_source =
+  check_memo_case
+    (List.map scalar_step
+       [
+         sum_above [||] 1;
+         sum_above [| 1; 5; 2; 9; 3 |] 2;
+         sum_above [||] 3;
+         sum_above [| 9; 8; 7; 6; 5 |] 6;
+       ])
+
+let skip_100 n p =
+  ints (Array.init n (fun i -> (i * 13) mod 101))
+  |> Query.skip 100
+  |> Query.select (fun x -> I.(x + Expr.capture Ty.Int p))
+  |> Query.sum_int
+
+let test_memo_skip =
+  check_memo_case
+    (List.map scalar_step
+       [ skip_100 50 1; skip_100 2048 2; skip_100 50 3; skip_100 2048 4 ])
+
+let self_join xs ys =
+  let show l =
+    String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) l)
+  in
+  rows_step show
+    (ints xs
+    |> Query.join ~inner:(ints ys)
+         ~outer_key:(fun x -> I.(x mod Expr.int 3))
+         ~inner_key:(fun y -> I.(y mod Expr.int 3))
+         ~result:(fun x y -> Expr.Pair (x, y)))
+
+let test_memo_join =
+  let a = [| 1; 2; 3; 4; 5; 6 |] and b = [| 7; 8; 9; 10; 11; 12 |] in
+  let c = [| 3; 1; 4; 1; 5; 9 |] and d = [| 2; 7; 1; 8; 2; 8 |] in
+  check_memo_case [ self_join a a; self_join a b; self_join c c; self_join c d ]
+
+let between lo hi =
+  ints [| 4; 9; 1; 7; 3; 8; 5 |]
+  |> Query.where (fun x -> I.(x >= Expr.capture Ty.Int lo))
+  |> Query.where (fun x -> I.(x <= Expr.capture Ty.Int hi))
+  |> Query.count
+
+let test_memo_int_aliasing =
+  check_memo_case
+    (List.map scalar_step
+       [ between 5 5; between 3 8; between 7 7; between 2 4 ])
+
+(* [scale k] is a fresh closure on every call. *)
+let scale k x = x * k
+
+let host_fns f g =
+  let fn h = Expr.capture (Ty.Func (Ty.Int, Ty.Int)) h in
+  ints [| 3; 1; 4; 1; 5 |]
+  |> Query.select (fun x -> Expr.Apply (fn f, Expr.Apply (fn g, x)))
+  |> Query.sum_int
+
+let test_memo_host_function =
+  let shared k =
+    let h = scale k in
+    host_fns h h
+  in
+  check_memo_case
+    (List.map scalar_step
+       [
+         shared 2;
+         host_fns (scale 3) (scale 5);
+         shared 7;
+         host_fns (scale 2) (scale 9);
+       ])
+
+(* An empty array that is captured but is no source has no length in
+   the key, and the capture table merges it with the empty array that
+   replaces a collapsed subquery.  Such a plugin stays out of the memo: a
+   hit could not tell which of the two a non-empty capture replaces.  The
+   plugin built for a non-empty capture keeps them apart, so it serves
+   both. *)
+let test_memo_unsized_empty () =
+  with_native @@ fun () ->
+  let reg = Metrics.create () in
+  let eng = memo_engine reg in
+  let plan arr =
+    ints [| 1; 2; 3 |]
+    |> Query.select_sq (fun x ->
+           Query.range ~start:0 ~count:0
+           |> Query.select (fun y -> I.(y + x))
+           |> Query.sum_int)
+    |> Query.select (fun v ->
+           I.(v + Expr.Array_length (Expr.capture (Ty.Array Ty.Int) arr)))
+    |> Query.sum_int
+  in
+  List.iteri
+    (fun i arr ->
+      Alcotest.(check int)
+        (Printf.sprintf "step %d: %d-element capture" i (Array.length arr))
+        (Reference.scalar (plan arr))
+        (Steno.Engine.scalar eng (plan arr));
+      if i = 0 then
+        Alcotest.(check int) "nothing recorded" 0 (Steno.Engine.memo_size eng))
+    [ [||]; [| 5; 6 |]; [||]; [| 7 |] ];
+  Alcotest.(check int) "hits" 2 (memo_count reg "hit")
+
+(* A memo entry whose plugin the plugin cache has evicted is a miss, and
+   that prepare counts one plugin-cache miss, not two.  A profiling
+   session shares the plugin cache but bypasses the memo, so its plugin can
+   push the memo's out. *)
+let test_memo_evicted_plugin () =
+  with_native @@ fun () ->
+  let reg = Metrics.create () in
+  let eng = memo_engine ~cache_capacity:1 reg in
+  let profiling =
+    Steno.Session.create eng ~client_id:"profiling"
+      ~config:(Steno.Config.with_profile true)
+  in
+  let run p = Steno.Engine.scalar eng (sum_above [| 4; 7; 1 |] p) in
+  Alcotest.(check int) "first" 11 (run 1);
+  Alcotest.(check int) "profiled" 11
+    (Steno.Session.scalar profiling (sum_above [| 4; 7; 1 |] 1));
+  Alcotest.(check int) "after eviction" 7 (run 5);
+  Alcotest.(check int) "no hit" 0 (memo_count reg "hit");
+  Alcotest.(check int) "two memo misses" 2 (memo_count reg "miss");
+  Alcotest.(check int) "three plugin-cache misses" 3
+    (Steno.Engine.cache_stats eng).Steno.Engine.misses;
+  Alcotest.(check int) "three compiles" 3 (compiles reg)
+
+(* Under an active trace, a hit carries the plan and the cache outcome a
+   full prepare would have annotated. *)
+let test_memo_traced () =
+  with_native @@ fun () ->
+  let reg = Metrics.create () in
+  let eng =
+    Steno.Engine.create
+      Steno.Config.(
+        default |> with_backend Steno.Native |> with_metrics reg
+        |> with_fallback false |> with_tracing)
+  in
+  let tracer = Steno.Engine.tracer eng in
+  let request p =
+    Trace.with_trace tracer "request" (fun () ->
+        Steno.Engine.scalar eng (sum_above [| 4; 7; 1 |] p))
+  in
+  Alcotest.(check int) "miss" 11 (request 1);
+  Alcotest.(check int) "hit" 7 (request 5);
+  Alcotest.(check int) "one hit" 1 (memo_count reg "hit");
+  match
+    List.map Trace.attrs
+      (List.filter (fun tr -> Trace.root tr = "request") (Trace.traces tracer))
+  with
+  | [ a; b ] ->
+    let get attrs k =
+      Option.value (List.assoc_opt k attrs) ~default:"(missing)"
+    in
+    Alcotest.(check bool) "plan annotated" true
+      (String.length (get a "plan") > 0);
+    Alcotest.(check string) "same plan" (get a "plan") (get b "plan");
+    Alcotest.(check (list string)) "cache outcomes" [ "hit"; "miss" ]
+      (List.sort compare [ get a "cache"; get b "cache" ])
+  | l -> Alcotest.failf "%d request traces" (List.length l)
+
+(* Ten thousand plans that differ only in their source's length: one
+   plugin, ten thousand memo keys, a memo bounded by the capacity. *)
+let test_memo_bounded () =
+  with_native @@ fun () ->
+  let reg = Metrics.create () in
+  let capacity = 64 in
+  let eng = memo_engine ~cache_capacity:capacity reg in
+  for n = 1 to 10_000 do
+    let sq =
+      ints (Array.make n 2)
+      |> Query.select (fun x -> I.(x + Expr.int 1))
+      |> Query.sum_int
+    in
+    if Steno.Engine.scalar eng sq <> 3 * n then
+      Alcotest.failf "wrong sum over %d rows" n
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "memo holds %d <= %d" (Steno.Engine.memo_size eng) capacity)
+    true
+    (Steno.Engine.memo_size eng <= capacity);
+  Alcotest.(check int) "every plan missed" 10_000 (memo_count reg "miss");
+  Alcotest.(check int) "one compile" 1 (compiles reg)
+
+let test_memo_clear_cache () =
+  with_native @@ fun () ->
+  let reg = Metrics.create () in
+  let eng = memo_engine reg in
+  let prepare p = Steno.Engine.prepare_scalar eng (sum_above [| 4; 7; 1 |] p) in
+  let info p = Steno.Prepared_scalar.compile_info p in
+  ignore (prepare 1);
+  let hit = prepare 2 in
+  Alcotest.(check int) "hit result" 11 (Steno.Prepared_scalar.run hit);
+  Alcotest.(check int) "one hit" 1 (memo_count reg "hit");
+  Steno.Engine.clear_cache eng;
+  Alcotest.(check int) "memo emptied" 0 (Steno.Engine.memo_size eng);
+  let again = prepare 5 in
+  Alcotest.(check int) "result after clear" 7 (Steno.Prepared_scalar.run again);
+  Alcotest.(check int) "still one hit" 1 (memo_count reg "hit");
+  Alcotest.(check int) "two misses" 2 (memo_count reg "miss");
+  Alcotest.(check bool) "full prepare" false (info again).Steno.cache_hit;
+  Alcotest.(check int) "compiled again" 2 (compiles reg)
+
+(* Four domains over eight shapes, every prepare with fresh captures. *)
+let test_memo_domains () =
+  with_native @@ fun () ->
+  let reg = Metrics.create () in
+  let eng = memo_engine reg in
+  let shape k xs p =
+    let rec grow e n = if n = 0 then e else grow I.(e + Expr.int 1) (n - 1) in
+    ints xs
+    |> Query.where (fun x -> I.(x > Expr.capture Ty.Int p))
+    |> Query.select (fun x -> grow x k)
+    |> Query.sum_int
+  in
+  let wrong = Atomic.make 0 in
+  let worker d () =
+    for i = 0 to 79 do
+      let xs = Array.init 32 (fun j -> (j * (d + 3)) + i) in
+      let sq = shape (i mod 8) xs (i mod 17) in
+      if Steno.Engine.scalar eng sq <> Reference.scalar sq then
+        Atomic.incr wrong
+    done
+  in
+  List.iter Domain.join (List.init 4 (fun d -> Domain.spawn (worker d)));
+  Alcotest.(check int) "every result equals Reference" 0 (Atomic.get wrong);
+  Alcotest.(check int) "one compile per shape" 8 (compiles reg);
+  Alcotest.(check int) "every prepare counted" 320
+    (memo_count reg "hit" + memo_count reg "miss");
+  Alcotest.(check bool) "hits" true (memo_count reg "hit" >= 320 - 32)
 
 let () =
   Alcotest.run "engine"
@@ -314,4 +711,22 @@ let () =
         ] );
       ( "workers",
         [ Alcotest.test_case "200 generated plans" `Slow test_generated_plans ] );
+      ( "memo",
+        [
+          Alcotest.test_case "empty and non-empty source" `Quick
+            test_memo_empty_source;
+          Alcotest.test_case "skip over short and long source" `Quick
+            test_memo_skip;
+          Alcotest.test_case "self join and join" `Quick test_memo_join;
+          Alcotest.test_case "equal and unequal int captures" `Quick
+            test_memo_int_aliasing;
+          Alcotest.test_case "host functions" `Quick test_memo_host_function;
+          Alcotest.test_case "captured empty array" `Quick
+            test_memo_unsized_empty;
+          Alcotest.test_case "evicted plugin" `Quick test_memo_evicted_plugin;
+          Alcotest.test_case "traced hit" `Quick test_memo_traced;
+          Alcotest.test_case "bounded" `Quick test_memo_bounded;
+          Alcotest.test_case "clear_cache" `Quick test_memo_clear_cache;
+          Alcotest.test_case "domains" `Quick test_memo_domains;
+        ] );
     ]

@@ -410,8 +410,18 @@ let test_corrupted_entry_recovers () =
     Alcotest.(check int) "recompiled once" 1 (compiles_ok reg2);
     Alcotest.(check bool) "not a cache hit" false
       (Steno.Prepared_scalar.compile_info p2).Steno.cache_hit;
-    Alcotest.(check bool) "miss counted" true
-      (Metrics.counter_value (Metrics.counter reg2 "steno_pcache_misses") >= 1);
+    let metric_misses =
+      Metrics.counter_value (Metrics.counter reg2 "steno_pcache_misses")
+    in
+    Alcotest.(check bool) "miss counted" true (metric_misses >= 1);
+    (* The store's own figures agree with the metric: an artifact that
+       failed to load was no hit. *)
+    (match Steno.Engine.pcache_stats eng2 with
+    | None -> Alcotest.fail "no pcache stats"
+    | Some st ->
+      Alcotest.(check int) "store counts no hit" 0 st.Pcache.st_hits;
+      Alcotest.(check int) "store misses = metric misses" metric_misses
+        st.Pcache.st_misses);
     (* The recompile republished a good artifact: a third engine hits. *)
     let reg3 = Metrics.create () in
     let eng3 = native_engine ~dir reg3 in

@@ -202,7 +202,10 @@ do
 done
 
 echo "== stenoc serve (per-tenant metric labels) =="
-serve_dump=$(dune exec bin/stenoc.exe -- serve --clients 6 --requests 3 -n 2000)
+serve_clients=6
+serve_requests=3
+serve_dump=$(dune exec bin/stenoc.exe -- serve --clients "$serve_clients" \
+  --requests "$serve_requests" -n 2000)
 for needle in \
     'client="tenant-0"' \
     'TYPE steno_server_requests counter' \
@@ -214,11 +217,24 @@ do
   fi
 done
 # With a native toolchain, 18 identical concurrent requests must cost
-# exactly one compiler run (plugin cache + single-flight dedup).
+# exactly one compiler run (plugin cache + single-flight dedup), and the
+# plan memo must serve some of them: every request is one memo hit or
+# one memo miss.
 if printf '%s\n' "$serve_dump" | grep -q 'backend="native"'; then
   if ! printf '%s\n' "$serve_dump" | \
       grep -qF 'steno_compile_total{result="ok"} 1'; then
     echo "serve: expected exactly one native compile" >&2
+    exit 1
+  fi
+  memo_hit=$(printf '%s\n' "$serve_dump" | \
+    sed -n 's/^steno_plan_memo_total{result="hit"} //p')
+  memo_miss=$(printf '%s\n' "$serve_dump" | \
+    sed -n 's/^steno_plan_memo_total{result="miss"} //p')
+  if [ -z "$memo_hit" ] || [ -z "$memo_miss" ] || [ "$memo_hit" -le 0 ] ||
+      [ $((memo_hit + memo_miss)) -ne $((serve_clients * serve_requests)) ]
+  then
+    echo "serve: expected plan-memo hits and hit + miss =" \
+      "$((serve_clients * serve_requests)) (hit=$memo_hit miss=$memo_miss)" >&2
     exit 1
   fi
 fi

@@ -6,7 +6,7 @@
      dune exec bench/main.exe -- fig1         -- one experiment
      dune exec bench/main.exe -- fig13 --scale 0.1
    Experiments: fig1 fig13 breakeven fig14 ablation-gba ablation-chain
-                ablation-backend ablation-join ablation-sorted
+                ablation-backend ablation-join ablation-dense ablation-sorted
                 ablation-early-exit optimizer par par-agg profiling tier
                 trace adaptive bechamel
    Exit status: 2 for an unknown experiment name (nothing runs), 1 when
@@ -421,6 +421,87 @@ let ablation_join () =
     [ 1_000, 1_000; 4_000, 4_000; 16_000, 4_000 ];
   row "(the nested loop is quadratic; the hash join builds once and probes\n\
     \ per outer element - the trade-off section 5 points at)\n"
+
+(* Per-call time of a short run, in microseconds: the median of five
+   batches of calls, each batch about 20 ms long.  No collection runs
+   between calls, so a run's share of the major GC work its allocations
+   cause is in the figure. *)
+let time_us f =
+  let batch () =
+    let t0 = Unix.gettimeofday () in
+    let calls = ref 0 in
+    while Unix.gettimeofday () -. t0 < 0.02 do
+      for _ = 1 to 50 do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      calls := !calls + 50
+    done;
+    1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int !calls
+  in
+  let samples = List.sort compare (List.init 5 (fun _ -> batch ())) in
+  List.nth samples 2
+
+let ablation_dense () =
+  header "Ablation: bounded int keys vs hashed keys, by rows and key range";
+  require_native "ablation-dense" @@ fun () ->
+  (* The same keys both ways: adding a captured 0 leaves each key's
+     value unchanged but makes its interval unbounded, so it is hashed.
+     The bounded key indexes an array when its range has at most 256
+     slots, and past that only in a run of at least [slots / 2] rows
+     (Codegen.key_table); otherwise it is hashed too. *)
+  let zero = Expr.capture Ty.Int 0 in
+  let rng = Random.State.make [| 4242 |] in
+  let input n = Array.init n (fun _ -> Random.State.int rng 1_000_000) in
+  let expect name src needle =
+    let n = String.length needle in
+    let rec at i =
+      i + n <= String.length src && (String.sub src i n = needle || at (i + 1))
+    in
+    if not (at 0) then
+      failwith (Printf.sprintf "ablation-dense: %s lacks %s" name needle)
+  in
+  row "%6s %6s %7s %12s %12s %12s %12s\n" "mod" "slots" "rows"
+    "group bound" "group hash" "join bound" "join hash";
+  List.iter
+    (fun m ->
+      let key hashed x =
+        if hashed then I.((x mod Expr.int m) + zero) else I.(x mod Expr.int m)
+      in
+      List.iter
+        (fun n ->
+          let xs = input n and ys = input n in
+          let group hashed =
+            let q =
+              Query.of_array Ty.Int xs
+              |> Query.group_by_agg ~key:(key hashed) ~seed:(Expr.int 0)
+                   ~step:(fun acc x -> I.(acc + x))
+            in
+            expect "group" (Steno.generated_source q)
+              (if hashed then "Steno_rt.Int_tbl" else "Stdlib.Array.get");
+            let p = Steno.prepare ~backend:Steno.Native q in
+            time_us (fun () -> Steno.Prepared.run p)
+          in
+          let join hashed =
+            let q =
+              Query.of_array Ty.Int xs
+              |> Query.join ~inner:(Query.of_array Ty.Int ys)
+                   ~outer_key:(key hashed) ~inner_key:(key hashed)
+                   ~result:(fun x y -> I.(x + y))
+              |> Query.sum_int
+            in
+            expect "join" (Steno.generated_source_scalar q)
+              (if hashed then "Steno_rt.Int_tbl" else "Stdlib.Array.get");
+            let p = Steno.prepare_scalar ~backend:Steno.Native q in
+            time_us (fun () -> Steno.Prepared_scalar.run p)
+          in
+          let gd = group false and gh = group true in
+          let jd = join false and jh = join true in
+          row "%6d %6d %7d %12.2f %12.2f %12.2f %12.2f\n" m ((2 * m) - 1) n gd
+            gh jd jh)
+        [ 16; 64; 256; 1024; 4096; 16384 ])
+    [ 128; 512; 4096 ];
+  row "(microseconds per run; keys are x mod m over uniform x >= 0, whose\n\
+    \ interval is [-(m-1), m-1]; a join has as many inner rows as outer)\n"
 
 let ablation_sorted_group () =
   header "Ablation (section 4.3): sorted one-pass vs hashed GroupByAggregate";
@@ -914,6 +995,7 @@ let experiments =
     "ablation-chain", ablation_chain;
     "ablation-backend", ablation_backend;
     "ablation-join", ablation_join;
+    "ablation-dense", ablation_dense;
     "ablation-sorted", ablation_sorted_group;
     "ablation-early-exit", ablation_early_exit;
     "optimizer", optimizer;

@@ -171,6 +171,21 @@ let demos =
       };
     Scalar
       {
+        name = "where3";
+        descr =
+          "three cheap filters feeding a count (Fig. 13): a branch-free \
+           0/1 mask instead of three branches";
+        ty = Ty.Int;
+        build =
+          (fun n ->
+            Query.of_array Ty.Int (int_input n)
+            |> Query.where (fun x -> I.(x mod Expr.int 3 <> Expr.int 0))
+            |> Query.where (fun x -> I.(x mod Expr.int 5 <> Expr.int 0))
+            |> Query.where (fun x -> I.(x > Expr.int 500))
+            |> Query.count);
+      };
+    Scalar
+      {
         name = "exists";
         descr = "early-exit aggregate: stops at the first witness";
         ty = Ty.Bool;

@@ -94,12 +94,14 @@ let fresh_exception ctx =
 (* One level of the insertion-point stack (Fig. 9): the loop prelude,
    body and postlude of the innermost loop under construction, plus the
    local exception that breaks out of this loop (used by early-exiting
-   operators: Take, First, Any, ...). *)
+   operators: Take, First, Any, ...), and the loop's trip count, an
+   expression in scope at α. *)
 type frame = {
   alpha : Block.t;
   mu : Block.t;
   omega : Block.t;
   brk : string;
+  rows : string;
 }
 
 let render ctx nenv (r : Quil.render) = r nenv ctx.tbl
@@ -139,7 +141,7 @@ let gen_loop ctx ~at ~breakable nenv (src : Quil.src) =
   let elem = fresh ctx "elem" in
   let ix = fresh ctx "ix" in
   let brk = if breakable then fresh_exception ctx else "" in
-  let open_loop header bind_elem =
+  let open_loop rows header bind_elem =
     (* The exception wrapper costs the optimizer (it defeats accumulator
        unboxing across the handler), so it is only emitted for chains
        containing an early-exiting operator. *)
@@ -158,7 +160,7 @@ let gen_loop ctx ~at ~breakable nenv (src : Quil.src) =
     Block.line mu bind_elem;
     Block.line loop "done;";
     let omega = Block.inline at in
-    { alpha; mu; omega; brk }, elem
+    { alpha; mu; omega; brk; rows }, elem
   in
   match src with
   | Quil.Src_array { elem_ty; array } ->
@@ -166,6 +168,7 @@ let gen_loop ctx ~at ~breakable nenv (src : Quil.src) =
     Block.linef alpha "let %s : %s array = %s in" src_var elem_ty
       (render ctx nenv array);
     open_loop
+      (Printf.sprintf "Stdlib.Array.length %s" src_var)
       (Printf.sprintf "for %s = 0 to Stdlib.Array.length %s - 1 do" ix
          src_var)
       (Printf.sprintf "let %s = Stdlib.Array.unsafe_get %s %s in" elem
@@ -175,7 +178,7 @@ let gen_loop ctx ~at ~breakable nenv (src : Quil.src) =
     let count_var = fresh ctx "count" in
     Block.linef alpha "let %s : int = %s in" start_var (render ctx nenv start);
     Block.linef alpha "let %s : int = %s in" count_var (render ctx nenv count);
-    open_loop
+    open_loop count_var
       (Printf.sprintf "for %s = 0 to %s - 1 do" ix count_var)
       (Printf.sprintf "let %s = %s + %s in" elem start_var ix)
   | Quil.Src_repeat { value; count } ->
@@ -183,7 +186,7 @@ let gen_loop ctx ~at ~breakable nenv (src : Quil.src) =
     let count_var = fresh ctx "count" in
     Block.linef alpha "let %s = %s in" value_var (render ctx nenv value);
     Block.linef alpha "let %s : int = %s in" count_var (render ctx nenv count);
-    open_loop
+    open_loop count_var
       (Printf.sprintf "for %s = 1 to %s do" ix count_var)
       (Printf.sprintf "let %s = %s in" elem value_var)
 
@@ -209,7 +212,8 @@ let gen_array_loop ctx ~at ~breakable var =
   Block.linef mu "let %s = Stdlib.Array.unsafe_get %s %s in" elem var ix;
   Block.line loop "done;";
   let omega = Block.inline at in
-  { alpha; mu; omega; brk }, elem
+  { alpha; mu; omega; brk; rows = Printf.sprintf "Stdlib.Array.length %s" var },
+  elem
 
 (* Render a one-parameter inlined lambda applied to the element. *)
 let app1 ctx nenv (l : Quil.lam1) elem = l.Quil.body1 (l.Quil.bind1 elem nenv) ctx.tbl
@@ -218,7 +222,7 @@ let app2 ctx nenv (l : Quil.lam2) a b = l.Quil.body2 (l.Quil.bind2 a b nenv) ctx
 
 (* Aggregation (Fig. 7a): declarations at α, update at µ, result bound at
    ω.  Returns the name holding the result. *)
-let gen_agg ctx frame nenv elem (agg : Quil.agg) =
+let gen_agg ?mask ctx frame nenv elem (agg : Quil.agg) =
   let base = fresh ctx "agg" in
   let acc_vars =
     List.mapi (fun i _ -> Printf.sprintf "%s_%d" base i) agg.Quil.accs
@@ -232,24 +236,35 @@ let gen_agg ctx frame nenv elem (agg : Quil.agg) =
   let needs_flag = agg.Quil.first_element || agg.Quil.require_nonempty in
   let has_var = if needs_flag then fresh ctx "has" else "" in
   if needs_flag then Block.linef frame.alpha "let %s = ref false in" has_var;
-  (* Update: compute every new accumulator value from the old ones before
-     assigning, so multi-accumulator steps see a consistent snapshot. *)
   let emit_steps block =
-    let temps =
-      List.map2
-        (fun (acc : Quil.acc) _ ->
-          let t = fresh ctx "t" in
-          t, acc)
-        agg.Quil.accs acc_vars
-    in
-    List.iter
-      (fun (t, (acc : Quil.acc)) ->
-        Block.linef block "let %s = %s in" t
-          (acc.Quil.step ~accs:acc_exprs ~elem nenv ctx.tbl))
-      temps;
-    List.iter2
-      (fun var (t, _) -> Block.linef block "%s := %s;" var t)
-      acc_vars temps
+    match mask with
+    | Some (m, add) ->
+      (* The one accumulator grows by 1 or by the element, weighted by
+         the 0/1 mask: [x land (-1)] is [x] and [x land (-0)] is 0. *)
+      let var = List.hd acc_vars in
+      Block.linef block "%s := !%s + %s;" var var
+        (match add with
+        | Quil.Adds_one -> m
+        | Quil.Adds_elem -> Printf.sprintf "(%s land (-%s))" elem m)
+    | None ->
+      (* Update: compute every new accumulator value from the old ones
+         before assigning, so multi-accumulator steps see a consistent
+         snapshot. *)
+      let temps =
+        List.map2
+          (fun (acc : Quil.acc) _ ->
+            let t = fresh ctx "t" in
+            t, acc)
+          agg.Quil.accs acc_vars
+      in
+      List.iter
+        (fun (t, (acc : Quil.acc)) ->
+          Block.linef block "let %s = %s in" t
+            (acc.Quil.step ~accs:acc_exprs ~elem nenv ctx.tbl))
+        temps;
+      List.iter2
+        (fun var (t, _) -> Block.linef block "%s := %s;" var t)
+        acc_vars temps
   in
   if agg.Quil.first_element then begin
     Block.linef frame.mu "if !%s then begin" has_var;
@@ -297,6 +312,73 @@ let table_module = function
   | "int" -> "Steno_rt.Int_tbl"
   | _ -> "Stdlib.Hashtbl"
 
+(* Key tables.  An int key whose range (a {!Quil.key_range} fact) is
+   small can index an array by [k - lo] instead of hashing; the array is
+   made once per run, so its cost follows the range, the table's the
+   keys (bench/main.exe ablation-dense measures both).  Every slot read
+   is the bounds-checked [Stdlib.Array.get], so a wrong fact raises
+   rather than corrupting memory.  The code is emitted inline: plugins
+   compile against [steno_rt.cmi] alone, so no [Steno_rt] function is
+   ever inlined. *)
+
+(* An array of at most this many slots is a minor-heap block (OCaml's
+   [Max_young_wosize]): making it costs about what the hash table's own
+   [create 64] does, so such a range always goes dense. *)
+let young_slots = 256
+
+(* A wider array is made on the major heap, at about 3 ns a slot per run
+   (25 us at 8191 slots), against the 13-100 ns a row that indexing
+   saves over hashing.  So a range of up to [dense_cap] slots (64 KiB)
+   goes dense only in a run whose loop makes at least [slots / 2] trips,
+   tested once at the loop's start; a wider one is always hashed. *)
+let dense_cap = 8192
+
+type table =
+  | Hashed
+  | Dense of {
+      lo : int;
+      slots : int;
+      always : bool;  (** no more than [young_slots] *)
+    }
+
+let table_of : Quil.key_range -> table = function
+  | Some (lo, hi) ->
+    let w = hi - lo in
+    if w >= 0 && w < dense_cap then
+      Dense { lo; slots = w + 1; always = w < young_slots }
+    else Hashed
+  | None -> Hashed
+
+let slot_of k lo = if lo = 0 then k else Printf.sprintf "(%s - (%d))" k lo
+
+(* Declare a key table named [base] at α: [base_slots], an array of
+   [empty] slots, and/or [base_tbl], a hash table, with [base_dense]
+   choosing between them per run when the range is dense only on long
+   runs.  Returns the µ-side chooser: [pick ~dense ~hashed] is whichever
+   code the run uses. *)
+let key_table frame base ~key_ty ~empty table =
+  let hash_table () =
+    Block.linef frame.alpha "let %s_tbl = %s.create 64 in" base
+      (table_module key_ty)
+  in
+  match table with
+  | Hashed ->
+    hash_table ();
+    fun ~dense:_ ~hashed -> hashed
+  | Dense { slots; always = true; _ } ->
+    Block.linef frame.alpha "let %s_slots = Stdlib.Array.make %d %s in" base
+      slots empty;
+    fun ~dense ~hashed:_ -> dense
+  | Dense { slots; always = false; _ } ->
+    Block.linef frame.alpha "let %s_dense = %s >= %d in" base frame.rows
+      ((slots + 1) / 2);
+    Block.linef frame.alpha
+      "let %s_slots = if %s_dense then Stdlib.Array.make %d %s else [||] in"
+      base base slots empty;
+    hash_table ();
+    fun ~dense ~hashed ->
+      Printf.sprintf "(if %s_dense then %s else %s)" base dense hashed
+
 (* Sink operators (Fig. 7b): accumulate at µ into state declared at α,
    materialize the intermediate collection at ω.  Returns the name of the
    materialized array. *)
@@ -304,37 +386,56 @@ let gen_sink ctx frame nenv elem (sink : Quil.sink) =
   let base = fresh ctx "sink" in
   let out = Printf.sprintf "%s_arr" base in
   (* Grouping: one cell per key, found with [find] (no option allocated
-     per row); the order list holds each new key with its cell, so ω
-     needs no second lookup. *)
-  let group ~key_ty ~key ~hit ~miss ~finish =
-    let tbl = table_module key_ty in
-    Block.linef frame.alpha "let %s_tbl = %s.create 64 in" base tbl;
-    Block.linef frame.alpha "let %s_order = ref [] in" base;
+     per row), or read from the key's slot when its range is dense; the
+     order list holds each new key with its cell, so ω needs no second
+     lookup. *)
+  let group ~key_ty ~key_range ~key ~hit ~miss ~finish =
     let k = fresh ctx "k" in
     Block.linef frame.mu "let %s = %s in" k (app1 ctx nenv key elem);
-    Block.linef frame.mu
-      "(match %s.find %s_tbl %s with __cell -> %s | exception \
-       Stdlib.Not_found -> let __cell = ref (%s) in %s.add %s_tbl %s __cell; \
-       %s_order := (%s, __cell) :: !%s_order);"
-      tbl base k hit miss tbl base k base k base;
+    let add_order =
+      Printf.sprintf "%s_order := (%s, __cell) :: !%s_order" base k base
+    in
+    let table = table_of key_range in
+    let pick = key_table frame base ~key_ty ~empty:"None" table in
+    let dense =
+      match table with
+      | Hashed -> ""
+      | Dense { lo; _ } ->
+        Printf.sprintf
+          "(let __s = %s in match Stdlib.Array.get %s_slots __s with Some \
+           __cell -> %s | None -> let __cell = ref (%s) in Stdlib.Array.set \
+           %s_slots __s (Some __cell); %s)"
+          (slot_of k lo) base hit miss base add_order
+    in
+    let tbl = table_module key_ty in
+    let hashed =
+      Printf.sprintf
+        "(match %s.find %s_tbl %s with __cell -> %s | exception \
+         Stdlib.Not_found -> let __cell = ref (%s) in %s.add %s_tbl %s __cell; \
+         %s)"
+        tbl base k hit miss tbl base k add_order
+    in
+    Block.linef frame.mu "%s;" (pick ~dense ~hashed);
+    Block.linef frame.alpha "let %s_order = ref [] in" base;
     Block.linef frame.omega
       "let %s = Stdlib.Array.of_list (Stdlib.List.rev_map (fun (__k, __cell) \
        -> (__k, %s)) !%s_order) in"
       out finish base
   in
   (* GroupBy: each key's cell is a reversed bag of [stored] values. *)
-  let bags ~key_ty ~key stored =
-    group ~key_ty ~key
+  let bags ~key_ty ~key_range ~key stored =
+    group ~key_ty ~key_range ~key
       ~hit:(Printf.sprintf "__cell := %s :: !__cell" stored)
       ~miss:(Printf.sprintf "[ %s ]" stored)
       ~finish:"Stdlib.Array.of_list (Stdlib.List.rev !__cell)"
   in
   (match sink with
-  | Quil.Group_by_sink { key; key_ty } -> bags ~key_ty ~key elem
-  | Quil.Group_by_elem_sink { key; key_ty; elem = e } ->
-    bags ~key_ty ~key (app1 ctx nenv e elem)
-  | Quil.Group_by_agg_sink { key; key_ty; seed; step } ->
-    group ~key_ty ~key
+  | Quil.Group_by_sink { key; key_ty; key_range } ->
+    bags ~key_ty ~key_range ~key elem
+  | Quil.Group_by_elem_sink { key; key_ty; key_range; elem = e } ->
+    bags ~key_ty ~key_range ~key (app1 ctx nenv e elem)
+  | Quil.Group_by_agg_sink { key; key_ty; key_range; seed; step } ->
+    group ~key_ty ~key_range ~key
       ~hit:(Printf.sprintf "__cell := %s" (app2 ctx nenv step "(!__cell)" elem))
       ~miss:
         (app2 ctx nenv step (Printf.sprintf "(%s)" (render ctx nenv seed)) elem)
@@ -404,6 +505,31 @@ let gen_sink ctx frame nenv elem (sink : Quil.sink) =
       "let %s = Stdlib.Array.of_list (Stdlib.List.rev !%s_buf) in" out base);
   out
 
+(* A masked filter evaluates every test on every row; a branchy one
+   stops at the first failing test but pays for each mispredicted
+   branch.  On where3-style loops (DESIGN.md, "Interval facts in
+   generated loops") the mask saves 4-6 ns a row at any test count when
+   the tests are unpredictable, and loses about 0.5 ns a row per census
+   unit when the first test predictably drops every row: 4-5 ns at cost
+   11, 5.5 ns at cost 14.  Below this cost for the whole run, the
+   mask's worst loss stays within its typical win. *)
+let mask_cost_limit = 12
+
+(* A run of [Pred]s that all carry a mask, ending the chain in an
+   additive [Agg] (Count, int Sum), whose tests cost less than
+   [mask_cost_limit] together: the tests and the aggregate they feed.
+   A costlier run branches on its first tests until the rest fits. *)
+let masked_run ops =
+  let rec go masks cost = function
+    | Quil.Pred { test; mask = Some m } :: rest ->
+      go ((test, m.Quil.bits) :: masks) (cost + m.Quil.cost) rest
+    | [ Quil.Agg ({ Quil.additive = Some add; _ } as agg) ]
+      when masks <> [] && cost < mask_cost_limit ->
+      Some (List.rev masks, agg, add)
+    | _ -> None
+  in
+  go [] 0 ops
+
 (* The operator-chain transitions of the automaton. *)
 let rec gen_ops ctx frame nenv elem (ops : Quil.op list) : final =
   match ops with
@@ -428,14 +554,27 @@ let rec gen_ops ctx frame nenv elem (ops : Quil.op list) : final =
       (app2 ctx nenv lam2 (Printf.sprintf "(!%s)" idx) elem);
     mark_edge ctx frame.mu;
     gen_ops ctx frame nenv elem' rest
-  | Quil.Pred lam :: rest ->
-    (* Fig. 6b: the paper emits [if (!p) continue]; structurally, the rest
-       of the loop body moves inside the conditional instead. *)
-    Block.linef frame.mu "if %s then begin" (app1 ctx nenv lam elem);
-    let body = Block.indented frame.mu in
-    Block.line frame.mu "end;";
-    mark_edge ctx body;
-    gen_ops ctx { frame with mu = body } nenv elem rest
+  | Quil.Pred { test; _ } :: rest -> (
+    match if ctx.probe_var = None then masked_run ops else None with
+    | Some (masks, agg, add) ->
+      (* Branch-free filter: the tests' masks weight the aggregate's step.
+         Profiled code keeps the branches, whose edges count rows. *)
+      let mask = fresh ctx "mask" in
+      Block.linef frame.mu "let %s = %s in" mask
+        (String.concat " land "
+           (List.map
+              (fun ((test : Quil.lam1), m) ->
+                m (test.Quil.bind1 elem nenv) ctx.tbl)
+              masks));
+      Final_scalar { var = gen_agg ~mask:(mask, add) ctx frame nenv elem agg }
+    | None ->
+      (* Fig. 6b: the paper emits [if (!p) continue]; structurally, the
+         rest of the loop body moves inside the conditional instead. *)
+      Block.linef frame.mu "if %s then begin" (app1 ctx nenv test elem);
+      let body = Block.indented frame.mu in
+      Block.line frame.mu "end;";
+      mark_edge ctx body;
+      gen_ops ctx { frame with mu = body } nenv elem rest)
   | Quil.Pred_idx lam2 :: rest ->
     let idx = fresh ctx "pos" in
     Block.linef frame.alpha "let %s = ref (-1) in" idx;
@@ -514,8 +653,12 @@ let rec gen_ops ctx frame nenv elem (ops : Quil.op list) : final =
     (* Build phase (once, in the loop prelude): index the inner chain's
        elements by key, preserving inner order within each bucket. *)
     let tbl = fresh ctx "jtbl" in
+    let table = table_of j.Quil.join_inner_range in
     let m = table_module j.Quil.join_key_ty in
-    Block.linef frame.alpha "let %s = %s.create 64 in" tbl m;
+    let pick = key_table frame tbl ~key_ty:j.Quil.join_key_ty ~empty:"[]" table in
+    (match table with
+    | Dense _ -> Block.linef frame.alpha "let %s_used = ref [] in" tbl
+    | Hashed -> ());
     let build = Block.inline frame.alpha in
     let build_frame, build_elem =
       gen_loop ctx ~at:build
@@ -526,10 +669,24 @@ let rec gen_ops ctx frame nenv elem (ops : Quil.op list) : final =
       let k = fresh ctx "k" in
       Block.linef mu "let %s = %s in" k
         (app1 ctx nenv j.Quil.join_inner_key ielem);
-      Block.linef mu
-        "(match %s.find %s %s with __b -> __b := %s :: !__b | exception \
-         Stdlib.Not_found -> %s.add %s %s (ref [ %s ]));"
-        m tbl k ielem m tbl k ielem
+      (* A dense build lists the slots it fills in [_used]. *)
+      let dense =
+        match table with
+        | Hashed -> ""
+        | Dense { lo; _ } ->
+          Printf.sprintf
+            "(let __s = %s in let __b = Stdlib.Array.get %s_slots __s in if \
+             __b == [] then %s_used := __s :: !%s_used; Stdlib.Array.set \
+             %s_slots __s (%s :: __b))"
+            (slot_of k lo) tbl tbl tbl tbl ielem
+      in
+      let hashed =
+        Printf.sprintf
+          "(match %s.find %s_tbl %s with __b -> __b := %s :: !__b | exception \
+           Stdlib.Not_found -> %s.add %s_tbl %s (ref [ %s ]))"
+          m tbl k ielem m tbl k ielem
+      in
+      Block.linef mu "%s;" (pick ~dense ~hashed)
     in
     (* The build side is a nested chain, not a top-level edge. *)
     (match
@@ -542,19 +699,55 @@ let rec gen_ops ctx frame nenv elem (ops : Quil.op list) : final =
       add_to_table f.mu e
     | Final_scalar _ ->
       raise (Invalid_chain "hash-join build side returned a scalar"));
-    Block.linef frame.alpha
-      "%s.iter (fun _ __b -> __b := Stdlib.List.rev !__b) %s;" m tbl;
-    (* Probe phase: per outer element, iterate the matching bucket. *)
+    (* Reverse the built buckets; a dense table reverses only the slots
+       the build filled, so it costs the build side's size, not the
+       range's. *)
+    Block.linef frame.alpha "%s;"
+      (pick
+         ~dense:
+           (Printf.sprintf
+              "Stdlib.List.iter (fun __s -> Stdlib.Array.set %s_slots __s \
+               (Stdlib.List.rev (Stdlib.Array.get %s_slots __s))) !%s_used"
+              tbl tbl tbl)
+         ~hashed:
+           (Printf.sprintf "%s.iter (fun _ __b -> __b := Stdlib.List.rev !__b) %s_tbl"
+              m tbl));
+    (* Probe phase: per outer element, iterate the matching bucket.  A
+       dense probe tests the key's range unless the outer key's own range
+       lies inside it. *)
     let bucket = fresh ctx "bucket" in
-    Block.linef frame.mu
-      "let %s = match %s.find %s %s with __b -> !__b | exception \
-       Stdlib.Not_found -> [] in"
-      bucket m tbl
+    let k = fresh ctx "k" in
+    Block.linef frame.mu "let %s = %s in" k
       (app1 ctx nenv j.Quil.join_outer_key elem);
+    let dense =
+      match table with
+      | Hashed -> ""
+      | Dense { lo; slots; _ } ->
+        let hi = lo + slots - 1 in
+        let get = Printf.sprintf "Stdlib.Array.get %s_slots %s" tbl (slot_of k lo) in
+        let contained =
+          match j.Quil.join_outer_range with
+          | Some (olo, ohi) -> lo <= olo && ohi <= hi
+          | None -> false
+        in
+        if contained then get
+        else Printf.sprintf "(if %s >= (%d) && %s <= (%d) then %s else [])" k lo k hi get
+    in
+    Block.linef frame.mu "let %s = ref (%s) in" bucket
+      (pick ~dense
+         ~hashed:
+           (Printf.sprintf
+              "(match %s.find %s_tbl %s with __b -> !__b | exception \
+               Stdlib.Not_found -> [])"
+              m tbl k));
+    (* Walk the bucket in a loop, not with [List.iter]: the closure would
+       allocate per outer element and keep the accumulators in memory. *)
     let probe_elem = fresh ctx "elem" in
-    Block.linef frame.mu "Stdlib.List.iter (fun %s ->" probe_elem;
+    Block.linef frame.mu
+      "while !%s != [] do match !%s with [] -> () | %s :: __tl -> %s := __tl;"
+      bucket bucket probe_elem bucket;
     let body = Block.indented frame.mu in
-    Block.linef frame.mu ") %s;" bucket;
+    Block.line frame.mu "done;";
     let joined = fresh ctx "elem" in
     Block.linef body "let %s = %s in" joined
       (app2 ctx nenv j.Quil.join_result elem probe_elem);

@@ -37,12 +37,14 @@ let render_expr e : Quil.render =
 
 let literal s : Quil.render = fun _ _ -> s
 
-let lam1_of (l : (_, _) Expr.lam) : Quil.lam1 =
-  let body = Expr.simplify l.Expr.body in
+(* [body] is [l]'s body, simplified. *)
+let lam1_with (l : (_, _) Expr.lam) body : Quil.lam1 =
   {
     Quil.bind1 = (fun name nenv -> Expr.name_env_add l.Expr.param name nenv);
     body1 = render_expr body;
   }
+
+let lam1_of (l : (_, _) Expr.lam) = lam1_with l (Expr.simplify l.Expr.body)
 
 let lam2_of (l : (_, _, _) Expr.lam2) : Quil.lam2 =
   let body = Expr.simplify l.Expr.body2 in
@@ -79,6 +81,7 @@ let fold_agg ~seed ~(step : Quil.lam2) ?(result : Quil.lam1 option) () : Quil.ag
     first_element = false;
     require_nonempty = false;
     early_exit = None;
+    additive = None;
     result =
       (fun ~accs nenv tbl ->
         acc1
@@ -89,7 +92,7 @@ let fold_agg ~seed ~(step : Quil.lam2) ?(result : Quil.lam1 option) () : Quil.ag
           accs);
   }
 
-let simple_fold ?early_exit ~seed ~step_code () : Quil.agg =
+let simple_fold ?early_exit ?additive ~seed ~step_code () : Quil.agg =
   {
     Quil.accs =
       [
@@ -102,11 +105,14 @@ let simple_fold ?early_exit ~seed ~step_code () : Quil.agg =
     first_element = false;
     require_nonempty = false;
     early_exit;
+    additive;
     result = (fun ~accs _ _ -> acc1 (fun a -> a) accs);
   }
 
 let sum_int_agg =
-  simple_fold ~seed:"0" ~step_code:(fun a e -> Printf.sprintf "(%s + %s)" a e) ()
+  simple_fold ~additive:Quil.Adds_elem ~seed:"0"
+    ~step_code:(fun a e -> Printf.sprintf "(%s + %s)" a e)
+    ()
 
 let sum_float_agg =
   simple_fold ~seed:"0."
@@ -114,7 +120,9 @@ let sum_float_agg =
     ()
 
 let count_agg =
-  simple_fold ~seed:"0" ~step_code:(fun a _ -> Printf.sprintf "(%s + 1)" a) ()
+  simple_fold ~additive:Quil.Adds_one ~seed:"0"
+    ~step_code:(fun a _ -> Printf.sprintf "(%s + 1)" a)
+    ()
 
 let average_agg : Quil.agg =
   {
@@ -138,6 +146,7 @@ let average_agg : Quil.agg =
     first_element = false;
     require_nonempty = true;
     early_exit = None;
+    additive = None;
     result =
       (fun ~accs _ _ ->
         acc2
@@ -168,6 +177,7 @@ let extremum_agg (type a) ~(is_min : bool) (ty : a Ty.t) : Quil.agg =
       first_element = false;
       require_nonempty = true;
       early_exit = None;
+      additive = None;
       result = (fun ~accs _ _ -> acc1 (fun a -> a) accs);
     }
   | Ty.Int ->
@@ -184,6 +194,7 @@ let extremum_agg (type a) ~(is_min : bool) (ty : a Ty.t) : Quil.agg =
       first_element = false;
       require_nonempty = true;
       early_exit = None;
+      additive = None;
       result = (fun ~accs _ _ -> acc1 (fun a -> a) accs);
     }
   | other -> (
@@ -206,6 +217,7 @@ let extremum_agg (type a) ~(is_min : bool) (ty : a Ty.t) : Quil.agg =
         first_element = true;
         require_nonempty = true;
         early_exit = None;
+        additive = None;
         result = (fun ~accs _ _ -> acc1 (fun a -> a) accs);
       })
 
@@ -257,6 +269,7 @@ let extremum_by_agg (type a k) ~(is_min : bool) (elt_ty : a Ty.t)
     first_element = true;
     require_nonempty = true;
     early_exit = None;
+    additive = None;
     result = (fun ~accs _ _ -> acc2 (fun best _ -> best) accs);
   }
 
@@ -278,6 +291,7 @@ let first_agg (type a) (elt_ty : a Ty.t) : Quil.agg =
     first_element = true;
     require_nonempty = true;
     early_exit = Some (fun ~accs:_ _ _ -> "true");
+    additive = None;
     result = (fun ~accs _ _ -> acc1 (fun a -> a) accs);
   }
 
@@ -299,6 +313,7 @@ let last_agg (type a) (elt_ty : a Ty.t) : Quil.agg =
     first_element = false;
     require_nonempty = true;
     early_exit = None;
+    additive = None;
     result = (fun ~accs _ _ -> acc1 (fun a -> a) accs);
   }
 
@@ -327,6 +342,7 @@ let exists_agg (p : Quil.lam1) : Quil.agg =
     first_element = false;
     require_nonempty = false;
     early_exit = Some (fun ~accs _ _ -> acc1 (fun a -> a) accs);
+    additive = None;
     result = (fun ~accs _ _ -> acc1 (fun a -> a) accs);
   }
 
@@ -349,6 +365,7 @@ let for_all_agg (p : Quil.lam1) : Quil.agg =
     first_element = false;
     require_nonempty = false;
     early_exit = Some (fun ~accs _ _ -> acc1 (fun a -> Printf.sprintf "(not %s)" a) accs);
+    additive = None;
     result = (fun ~accs _ _ -> acc1 (fun a -> a) accs);
   }
 
@@ -370,8 +387,48 @@ let contains_agg (v : Quil.render) : Quil.agg =
     first_element = false;
     require_nonempty = false;
     early_exit = Some (fun ~accs _ _ -> acc1 (fun a -> a) accs);
+    additive = None;
     result = (fun ~accs _ _ -> acc1 (fun a -> a) accs);
   }
+
+(* Interval facts for the code generator (DESIGN.md "Interval facts in
+   generated loops").  Both come from {!Check_purity}, which treats every
+   capture as unknown, so a fact holds for any values a plan memo hit
+   rebinds. *)
+
+let key_range : type a k. (a, k) Expr.lam -> Quil.key_range =
+ fun key ->
+  match Expr.ty_of key.Expr.body with
+  | Ty.Int -> (
+    match Check_purity.interval key.Expr.body with
+    | { Check_purity.lo = Some lo; hi = Some hi } -> Some (lo, hi)
+    | _ -> None)
+  | _ -> None
+
+let rec mask_text :
+    Expr.name_env -> Expr.Capture_table.t -> bool Expr.t -> string =
+ fun nenv tbl e ->
+  let both a b =
+    Printf.sprintf "(%s land %s)" (mask_text nenv tbl a) (mask_text nenv tbl b)
+  in
+  match e with
+  | Expr.Prim2 (Prim.And, a, b) -> both a b
+  (* where-fuse joins two tests with this form of [&&]. *)
+  | Expr.If (a, b, Expr.Const_bool false) -> both a b
+  | e -> Printf.sprintf "(Stdlib.Bool.to_int %s)" (Expr.print ~captures:tbl nenv e)
+
+let pred_of (l : (_, bool) Expr.lam) =
+  let body = Expr.simplify l.Expr.body in
+  let mask =
+    if Check_purity.total body then
+      Some
+        {
+          Quil.bits = (fun nenv tbl -> mask_text nenv tbl body);
+          cost = (Check_purity.census body).Check_purity.c_cost;
+        }
+    else None
+  in
+  Quil.Pred { test = lam1_with l body; mask }
 
 (* Lowering. *)
 
@@ -415,7 +472,7 @@ let rec lower : type a. a Query.t -> Quil.chain = function
     append (lower q)
       (Quil.Trans_nested
          { Quil.bind_outer_s = bind_var v; inner_s = lower_scalar sq })
-  | Query.Where (q, lam) -> append (lower q) (Quil.Pred (lam1_of lam))
+  | Query.Where (q, lam) -> append (lower q) (pred_of lam)
   | Query.Where_i (q, lam2) ->
     append (lower q) (Quil.Pred_idx (lam2_of lam2))
   | Query.Where_q (q, v, sq) ->
@@ -457,6 +514,8 @@ let rec lower : type a. a Query.t -> Quil.chain = function
              join_inner_key = ik1;
              join_outer_key = ok1;
              join_key_ty = key_ty_of ok;
+             join_inner_range = key_range ik;
+             join_outer_range = key_range ok;
              join_result = res2;
            })
     else begin
@@ -476,7 +535,9 @@ let rec lower : type a. a Query.t -> Quil.chain = function
                 (ok1.Quil.body1 nenv tbl));
         }
       in
-      let inner_chain = append (lower inner) (Quil.Pred pred) in
+      let inner_chain =
+        append (lower inner) (Quil.Pred { test = pred; mask = None })
+      in
       append (lower outer)
         (Quil.Nested
            { Quil.bind_outer; inner = inner_chain; result2 = Some res2 })
@@ -484,12 +545,22 @@ let rec lower : type a. a Query.t -> Quil.chain = function
   | Query.Group_by (q, key) ->
     append (lower q)
       (Quil.Sink
-         (Quil.Group_by_sink { key = lam1_of key; key_ty = key_ty_of key }))
+         (Quil.Group_by_sink
+            {
+              key = lam1_of key;
+              key_ty = key_ty_of key;
+              key_range = key_range key;
+            }))
   | Query.Group_by_elem (q, key, elem) ->
     append (lower q)
       (Quil.Sink
          (Quil.Group_by_elem_sink
-            { key = lam1_of key; key_ty = key_ty_of key; elem = lam1_of elem }))
+            {
+              key = lam1_of key;
+              key_ty = key_ty_of key;
+              key_range = key_range key;
+              elem = lam1_of elem;
+            }))
   | Query.Group_by_agg (q, key, seed, step) -> (
     let hash_sink () =
       Quil.Sink
@@ -497,6 +568,7 @@ let rec lower : type a. a Query.t -> Quil.chain = function
            {
              key = lam1_of key;
              key_ty = key_ty_of key;
+             key_range = key_range key;
              seed = render_expr (Expr.simplify seed);
              step = lam2_of step;
            })

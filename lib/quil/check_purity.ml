@@ -91,9 +91,31 @@ let neg_bound = function
   | Some v when v <> min_int -> Some (-v)
   | _ -> None
 
-let add_itv a b = { lo = add_bound a.lo b.lo; hi = add_bound a.hi b.hi }
+(* Native sums wrap: [max_int + 1] is [min_int].  An unbounded end
+   stands for [min_int] or [max_int], and the sum keeps its bounds only
+   when neither end can pass the native range; otherwise any value is
+   possible.  Ends that land on [min_int]/[max_int] are reported
+   unbounded, so a bounded interval's width never overflows. *)
+let add_itv a b =
+  let lo_of i = Option.value i.lo ~default:min_int in
+  let hi_of i = Option.value i.hi ~default:max_int in
+  match
+    add_bound (Some (lo_of a)) (Some (lo_of b)),
+    add_bound (Some (hi_of a)) (Some (hi_of b))
+  with
+  | Some lo, Some hi ->
+    {
+      lo = (if lo = min_int then None else Some lo);
+      hi = (if hi = max_int then None else Some hi);
+    }
+  | _ -> top
 
-let neg_itv i = { lo = neg_bound i.hi; hi = neg_bound i.lo }
+(* [-min_int] is [min_int]: an input that may hold [min_int] may come
+   out as any value. *)
+let neg_itv i =
+  match i.lo with
+  | Some l when l <> min_int -> { lo = neg_bound i.hi; hi = Some (-l) }
+  | _ -> top
 
 let sub_itv a b = add_itv a (neg_itv b)
 
@@ -167,18 +189,15 @@ let max_itv a b =
       | _ -> None);
   }
 
+(* [abs min_int] is [min_int], so only an input bounded above
+   [min_int] has a non-negative absolute value. *)
 let abs_itv i =
   match i.lo, i.hi with
   | Some l, _ when l >= 0 -> i
   | _, Some h when h <= 0 -> neg_itv i
-  | lo, hi ->
-    {
-      lo = Some 0;
-      hi =
-        (match neg_bound lo, hi with
-        | Some a, Some b -> Some (max a b)
-        | _ -> None);
-    }
+  | Some l, hi when l <> min_int ->
+    { lo = Some 0; hi = Option.map (fun h -> max (-l) h) hi }
+  | _ -> top
 
 let join a b =
   {
@@ -325,6 +344,47 @@ let always_nonpositive e =
   match (interval_rec [] e).hi with
   | Some h -> h <= 0
   | None -> false
+
+(* Polymorphic comparison raises on functional values. *)
+let rec holds_function : type a. a Ty.t -> bool = function
+  | Ty.Unit | Ty.Bool | Ty.Int | Ty.Float | Ty.String -> false
+  | Ty.Pair (a, b) -> holds_function a || holds_function b
+  | Ty.Triple (a, b, c) ->
+    holds_function a || holds_function b || holds_function c
+  | Ty.Array a -> holds_function a
+  | Ty.List a -> holds_function a
+  | Ty.Option a -> holds_function a
+  | Ty.Func (_, _) -> true
+
+let total e =
+  let rec go : type b. env -> b Expr.t -> bool =
+   fun env e ->
+    match e with
+    | Expr.Var _ | Expr.Const_unit | Expr.Const_bool _ | Expr.Const_int _
+    | Expr.Const_float _ | Expr.Const_string _ | Expr.Capture _ ->
+      true
+    | Expr.Apply _ | Expr.Array_get _ -> false
+    | Expr.If (c, a, b) -> go env c && go env a && go env b
+    | Expr.Let (v, rhs, body) -> go env rhs && go (bind_let env v rhs) body
+    | Expr.Pair (a, b) -> go env a && go env b
+    | Expr.Triple (a, b, c) -> go env a && go env b && go env c
+    | Expr.Fst a -> go env a
+    | Expr.Snd a -> go env a
+    | Expr.Proj3_1 a -> go env a
+    | Expr.Proj3_2 a -> go env a
+    | Expr.Proj3_3 a -> go env a
+    | Expr.Array_length a -> go env a
+    | Expr.Prim1 (_, a) -> go env a
+    | Expr.Prim2 (Prim.Div_int, a, b) ->
+      (not (contains_zero (interval_rec env b))) && go env a && go env b
+    | Expr.Prim2 (Prim.Mod_int, a, b) ->
+      (not (contains_zero (interval_rec env b))) && go env a && go env b
+    | Expr.Prim2 ((Prim.Eq | Prim.Ne | Prim.Lt | Prim.Le | Prim.Gt | Prim.Ge), a, b)
+      ->
+      (not (holds_function (Expr.ty_of a))) && go env a && go env b
+    | Expr.Prim2 (_, a, b) -> go env a && go env b
+  in
+  go [] e
 
 let zero_division_sites e =
   let count = ref 0 in

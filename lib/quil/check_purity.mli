@@ -66,6 +66,14 @@ val always_nonpositive : int Expr.t -> bool
 (** The expression's upper bound is proven [<= 0] — e.g. a [Take] count
     that can never admit an element. *)
 
+val total : 'a Expr.t -> bool
+(** Evaluating the expression cannot raise, for any values of its free
+    variables and captures: it applies no host function, reads no array,
+    divides (or takes a modulo) only by an expression whose interval
+    excludes zero, and compares no values of a type that holds a
+    function.  A total predicate may be evaluated on elements it would
+    not have been asked about, as the branch-free filters do. *)
+
 val zero_division_sites : 'a Expr.t -> int
 (** Number of integer division/modulo nodes whose divisor is provably
     the constant zero: each such site raises [Division_by_zero] whenever

@@ -21,12 +21,20 @@ type stateful_pred =
   | Take_while_p of lam1
   | Skip_while_p of lam1
 
+type key_range = (int * int) option
+
 type sink =
-  | Group_by_sink of { key : lam1; key_ty : string }
-  | Group_by_elem_sink of { key : lam1; key_ty : string; elem : lam1 }
+  | Group_by_sink of { key : lam1; key_ty : string; key_range : key_range }
+  | Group_by_elem_sink of {
+      key : lam1;
+      key_ty : string;
+      key_range : key_range;
+      elem : lam1;
+    }
   | Group_by_agg_sink of {
       key : lam1;
       key_ty : string;
+      key_range : key_range;
       seed : render;
       step : lam2;
     }
@@ -47,18 +55,28 @@ type acc = {
   first : (elem:string -> render) option;
 }
 
+type additive =
+  | Adds_one
+  | Adds_elem
+
 type agg = {
   accs : acc list;
   first_element : bool;
   require_nonempty : bool;
   early_exit : (accs:string list -> render) option;
   result : accs:string list -> render;
+  additive : additive option;
+}
+
+type mask = {
+  bits : render;
+  cost : int;
 }
 
 type op =
   | Trans of lam1
   | Trans_nested of nested_scalar
-  | Pred of lam1
+  | Pred of { test : lam1; mask : mask option }
   | Pred_nested of nested_scalar
   | Pred_stateful of stateful_pred
   | Trans_idx of lam2
@@ -73,6 +91,8 @@ and hash_join = {
   join_inner_key : lam1;
   join_outer_key : lam1;
   join_key_ty : string;
+  join_inner_range : key_range;
+  join_outer_range : key_range;
   join_result : lam2;
 }
 

@@ -46,16 +46,29 @@ type stateful_pred =
   | Take_while_p of lam1
   | Skip_while_p of lam1
 
+type key_range = (int * int) option
+(** [Some (lo, hi)]: every key the selector can return lies in
+    [[lo, hi]], by {!Check_purity.interval} on the key's body (so never
+    from a capture's value, which may be rebound per run).  [None] for a
+    key that is not an [int] or whose interval is unbounded. *)
+
 (** Sinks that hash their input carry the printed OCaml type of the key
     ([key_ty]; the element type for [Distinct_sink]), as [Src_array]
     carries its element type, so the code generator can pick a table
-    specialized to that type. *)
+    specialized to that type; grouping sinks also carry the key's
+    {!key_range}, so a small one can index an array instead. *)
 type sink =
-  | Group_by_sink of { key : lam1; key_ty : string }
-  | Group_by_elem_sink of { key : lam1; key_ty : string; elem : lam1 }
+  | Group_by_sink of { key : lam1; key_ty : string; key_range : key_range }
+  | Group_by_elem_sink of {
+      key : lam1;
+      key_ty : string;
+      key_range : key_range;
+      elem : lam1;
+    }
   | Group_by_agg_sink of {
       key : lam1;
       key_ty : string;
+      key_range : key_range;
       seed : render;
       step : lam2;
     }
@@ -87,6 +100,13 @@ type acc = {
       (** Value taken from the first element when [first_element]. *)
 }
 
+(** An aggregate whose one accumulator starts at [0] and grows by a
+    fixed amount per element: a filter in front of it can weight that
+    amount by a 0/1 mask instead of branching. *)
+type additive =
+  | Adds_one  (** Count *)
+  | Adds_elem  (** Sum over [int] elements *)
+
 type agg = {
   accs : acc list;
   first_element : bool;
@@ -96,12 +116,22 @@ type agg = {
           change the result (Any, All, First, Contains, ...): the
           generated loop breaks out as soon as it holds. *)
   result : accs:string list -> render;
+  additive : additive option;
+}
+
+(** A filter test rendered as an [int] that is 1 where it holds and 0
+    where not, with no branch ([&&] as [land]), in the environment the
+    test's [bind1] makes.  Canon gives one only to a test that
+    {!Check_purity.total} accepts, so it may run on every element. *)
+type mask = {
+  bits : render;
+  cost : int;  (** the test's {!Check_purity.census} cost *)
 }
 
 type op =
   | Trans of lam1
   | Trans_nested of nested_scalar
-  | Pred of lam1
+  | Pred of { test : lam1; mask : mask option }
   | Pred_nested of nested_scalar
   | Pred_stateful of stateful_pred
   | Trans_idx of lam2
@@ -120,6 +150,8 @@ and hash_join = {
   join_inner_key : lam1;
   join_outer_key : lam1;
   join_key_ty : string;  (** printed OCaml type of both keys *)
+  join_inner_range : key_range;  (** of the build side's keys *)
+  join_outer_range : key_range;  (** of the probing keys *)
   join_result : lam2;  (** outer element, inner element -> output element *)
 }
 

@@ -556,29 +556,56 @@ module Engine = struct
         (* The plan memo, keyed by [Cost.shape] and bounded and sharded
            like [cache].  Shared by derived engine copies: the key holds
            every configuration flag the front half reads. *)
-    memo_hit_c : Metrics.counter;
-    memo_miss_c : Metrics.counter;
+    ins : instruments;
   }
+
+  (* A counter registered on its first use and kept from then on.
+     Registering only then keeps a scrape from listing a series nothing
+     has counted into; two domains racing on the first use register the
+     same series and store the same handle. *)
+  and lazy_counter = {
+    lc_make : unit -> Metrics.counter;
+    lc_cell : Metrics.counter option Atomic.t;
+  }
+
+  (* The engine's counters on the prepare path, built once per registry
+     so a prepare takes no registry lock and renders no labels. *)
+  and instruments = {
+    compile_ok : lazy_counter;
+        (* Every actual plugin build counts: with the single-flight
+           group, "N concurrent identical prepares run exactly one
+           compile" is an invariant tests can assert on it. *)
+    compile_error : lazy_counter;
+    verify_accepted : lazy_counter;
+        (* Once per validated plan (not per obligation), and only when
+           the optimizer fired something. *)
+    verify_rejected : lazy_counter;
+    prepare_dedup : lazy_counter;
+    pda_checks : lazy_counter;
+    pcache_hits : lazy_counter;
+    pcache_misses : lazy_counter;
+    pcache_evictions : lazy_counter;
+    memo_hit : lazy_counter;
+    memo_miss : lazy_counter;
+  }
+
+  let lazy_counter make = { lc_make = make; lc_cell = Atomic.make None }
+
+  let counter lc =
+    match Atomic.get lc.lc_cell with
+    | Some c -> c
+    | None ->
+      let c = lc.lc_make () in
+      Atomic.set lc.lc_cell (Some c);
+      c
+
+  let count lc = Metrics.inc (counter lc)
 
   let default_config = Config.default
 
-  (* Instrument handles for the optional subsystems.  [Metrics.counter]
-     is get-or-register on (name, labels), so these are cheap to call on
-     the hot path and safe from any domain. *)
-  let pcache_hits_c eng =
-    Metrics.counter eng.cfg.metrics "steno_pcache_hits"
-      ~help:"Plugin loads served from the persistent on-disk cache"
-
-  let pcache_misses_c eng =
-    Metrics.counter eng.cfg.metrics "steno_pcache_misses"
-      ~help:
-        "Persistent-cache lookups that found no usable entry (including \
-         corrupt artifacts dropped at load time)"
-
-  let pcache_evictions_c eng =
-    Metrics.counter eng.cfg.metrics "steno_pcache_evictions"
-      ~help:"Entries evicted from the persistent on-disk cache by its caps"
-
+  (* Handles for the optional subsystems' counters that are looked up
+     rarely.  [Metrics.counter] is get-or-register on (name, labels), so
+     these are safe from any domain. *)
   let tier_promotions_c eng result =
     Metrics.counter eng.cfg.metrics "steno_tier_promotions"
       ~help:
@@ -592,12 +619,50 @@ module Engine = struct
         "Decisions taken by the cost-based adaptive optimization phase"
       ~labels:[ "decision", decision ]
 
-  let plan_memo_c m result =
-    Metrics.counter m "steno_plan_memo"
-      ~help:
+  let instruments m =
+    let c ?(labels = []) name help =
+      lazy_counter (fun () -> Metrics.counter m name ~help ~labels)
+    in
+    let compile result =
+      c "steno_compile"
+        "External compiler invocations (cache hits and deduplicated \
+         prepares do not count)"
+        ~labels:[ "result", result ]
+    in
+    let verify result =
+      c "steno_verify" "Translation-validation outcomes for optimizer rewrites"
+        ~labels:[ "result", result ]
+    in
+    let plan_memo result =
+      c "steno_plan_memo"
         "Native prepares eligible for the plan memo, by whether an earlier \
          prepare of the same root served them"
-      ~labels:[ "result", result ]
+        ~labels:[ "result", result ]
+    in
+    {
+      compile_ok = compile "ok";
+      compile_error = compile "error";
+      verify_accepted = verify "accepted";
+      verify_rejected = verify "rejected";
+      prepare_dedup =
+        c "steno_prepare_dedup"
+          "Prepares that joined another domain's in-flight compile instead \
+           of invoking the compiler";
+      pda_checks =
+        c "steno_pda_checks" "Strict-mode PDA acceptance checks at prepare time";
+      pcache_hits =
+        c "steno_pcache_hits"
+          "Plugin loads served from the persistent on-disk cache";
+      pcache_misses =
+        c "steno_pcache_misses"
+          "Persistent-cache lookups that found no usable entry (including \
+           corrupt artifacts dropped at load time)";
+      pcache_evictions =
+        c "steno_pcache_evictions"
+          "Entries evicted from the persistent on-disk cache by its caps";
+      memo_hit = plan_memo "hit";
+      memo_miss = plan_memo "miss";
+    }
 
   let create cfg =
     let tracer =
@@ -634,8 +699,7 @@ module Engine = struct
           (Pcache.create ~max_bytes ~max_entries
              ~fingerprint:(Dynload.fingerprint ()) ~dir ())
     in
-    let memo_hit_c = plan_memo_c cfg.metrics "hit" in
-    let memo_miss_c = plan_memo_c cfg.metrics "miss" in
+    let ins = instruments cfg.metrics in
     let eng =
       {
         cfg;
@@ -646,16 +710,18 @@ module Engine = struct
         pcache;
         cost = Cost.create ();
         memo = Steno_lru.create ~shards ~capacity:cfg.cache_capacity ();
-        memo_hit_c;
-        memo_miss_c;
+        ins;
       }
     in
-    (* Register the optional-feature families eagerly, so a scrape shows
-       them at zero before the first disk lookup or promotion. *)
+    (* Register the memo and optional-feature families eagerly, so a
+       scrape shows them at zero before the first memo lookup, disk lookup
+       or promotion. *)
+    ignore (counter ins.memo_hit);
+    ignore (counter ins.memo_miss);
     if pcache <> None then begin
-      ignore (pcache_hits_c eng);
-      ignore (pcache_misses_c eng);
-      ignore (pcache_evictions_c eng)
+      ignore (counter ins.pcache_hits);
+      ignore (counter ins.pcache_misses);
+      ignore (counter ins.pcache_evictions)
     end;
     if cfg.tiering <> None then ignore (tier_promotions_c eng "ok");
     if cfg.adaptive <> None then begin
@@ -800,18 +866,6 @@ module Engine = struct
     | Dynload.Compile_error msg -> Compile_error msg
     | Dynload.Load_error msg -> Load_error msg
 
-  (* Count every actual plugin build into the engine's
-     metrics registry.  With the single-flight group below, "N
-     concurrent identical prepares run exactly one compile" is an
-     invariant tests can assert on this counter. *)
-  let count_compile eng result =
-    Metrics.inc
-      (Metrics.counter eng.cfg.metrics "steno_compile"
-         ~help:
-           "External compiler invocations (cache hits and deduplicated \
-            prepares do not count)"
-         ~labels:[ "result", result ])
-
   (* The end of every Native preparation, whether it ran the pipeline
      ([compile_native]) or the plan memo replayed one ([memo_hit]): bind
      the environment, wrap the plugin's entry point, and account. *)
@@ -923,7 +977,7 @@ module Engine = struct
             Trace.with_span eng.tracer "pcache.lookup" @@ fun () ->
             match Pcache.find pc ~key:cache_key with
             | None ->
-              Metrics.inc (pcache_misses_c eng);
+              count eng.ins.pcache_misses;
               None
             | Some path -> (
               match
@@ -931,7 +985,7 @@ module Engine = struct
                 with _ -> Error (Dynload.Load_error "cached plugin raised")
               with
               | Ok p ->
-                Metrics.inc (pcache_hits_c eng);
+                count eng.ins.pcache_hits;
                 Telemetry.count sink "pcache.hit" 1;
                 Telemetry.emit sink "dynlink" ~start_ms:t1
                   ~duration_ms:p.Dynload.timings.Dynload.load_ms ();
@@ -939,7 +993,7 @@ module Engine = struct
               | Error _ ->
                 (* The store re-counts this lookup as a miss too. *)
                 Pcache.reject pc ~key:cache_key;
-                Metrics.inc (pcache_misses_c eng);
+                count eng.ins.pcache_misses;
                 None))
         in
         match from_disk with
@@ -955,7 +1009,7 @@ module Engine = struct
               ~source:out.Codegen.source ()
           with
           | Error e ->
-            count_compile eng "error";
+            count eng.ins.compile_error;
             Error (error_to_reason e)
           | Ok a -> (
             match
@@ -966,7 +1020,7 @@ module Engine = struct
             with
             | Error e ->
               Dynload.remove_artifact a;
-              count_compile eng "error";
+              count eng.ins.compile_error;
               Error (error_to_reason e)
             | Ok loaded ->
               let p =
@@ -990,9 +1044,9 @@ module Engine = struct
                   Pcache.store pc ~key:cache_key ~cmxs:a.Dynload.a_cmxs
                 in
                 if evicted > 0 then
-                  Metrics.add (pcache_evictions_c eng) evicted);
+                  Metrics.add (counter eng.ins.pcache_evictions) evicted);
               Dynload.remove_artifact a;
-              count_compile eng "ok";
+              count eng.ins.compile_ok;
               Telemetry.count sink "cache.miss" 1;
               if Steno_lru.add eng.cache cache_key p then
                 Telemetry.count sink "cache.eviction" 1;
@@ -1013,11 +1067,7 @@ module Engine = struct
           | Some leader_trace -> [ "leader_trace", leader_trace ]
           | None -> [])
         ();
-      Metrics.inc
-        (Metrics.counter eng.cfg.metrics "steno_prepare_dedup"
-           ~help:
-             "Prepares that joined another domain's in-flight compile \
-              instead of invoking the compiler")
+      count eng.ins.prepare_dedup
     end;
     match looked_up with
     | Error reason -> Error reason
@@ -1157,15 +1207,6 @@ module Engine = struct
              ~fallback:(Some reason) plan.stage_fused)
       | Error reason -> Error reason)
 
-  (* One tick of the translation-validation outcome counter.  Counted
-     once per validated plan (not per obligation), and only when the
-     optimizer actually fired something. *)
-  let count_verify eng result =
-    Metrics.inc
-      (Metrics.counter eng.cfg.metrics "steno_verify"
-         ~help:"Translation-validation outcomes for optimizer rewrites"
-         ~labels:[ "result", result ])
-
   let event_names events =
     List.map (fun (e : Opt.event) -> e.Opt.ev_rule) events
 
@@ -1195,11 +1236,11 @@ module Engine = struct
             (fun () -> Check.Equiv.validate ~before:r ~after:r' events)
         in
         if Check.Equiv.accepted obligations then begin
-          count_verify eng "accepted";
+          count eng.ins.verify_accepted;
           Ok (r', event_names events, [])
         end
         else begin
-          count_verify eng "rejected";
+          count eng.ins.verify_rejected;
           let detail =
             String.concat "; " (Check.Equiv.failures obligations)
           in
@@ -1235,12 +1276,12 @@ module Engine = struct
               (fun () -> Check.Equiv.validate_chain ~before:c ~after:c' events)
           in
           if Check.Equiv.accepted obligations then begin
-            count_verify eng "accepted";
+            count eng.ins.verify_accepted;
             fired := event_names events;
             c'
           end
           else begin
-            count_verify eng "rejected";
+            count eng.ins.verify_rejected;
             let detail =
               String.concat "; " (Check.Equiv.failures obligations)
             in
@@ -1348,12 +1389,12 @@ module Engine = struct
           (fun () -> Check.Equiv.validate ~before:r ~after:r' events)
       in
       if Check.Equiv.accepted obligations then begin
-        count_verify eng "accepted";
+        count eng.ins.verify_accepted;
         List.iter (fun _ -> Metrics.inc (adaptive_c eng "reorder")) events;
         Ok (r', event_names events, [], reorder_decisions events)
       end
       else begin
-        count_verify eng "rejected";
+        count eng.ins.verify_rejected;
         Metrics.inc (adaptive_c eng "rejected");
         let detail = String.concat "; " (Check.Equiv.failures obligations) in
         let d = Check.rejected_rewrite detail in
@@ -1599,10 +1640,7 @@ module Engine = struct
       | exception Canon.Unsupported _ -> Ok ()
       | c -> (
         let c = if eng.cfg.optimize then fst (Opt.chain c) else c in
-        Metrics.inc
-          (Metrics.counter eng.cfg.metrics "steno_pda_checks"
-             ~help:"Strict-mode PDA acceptance checks at prepare time"
-             ~labels:[]);
+        count eng.ins.pda_checks;
         match Check.verify c with
         | Ok () -> Ok ()
         | Error msg -> Error [ Check.malformed msg ])
@@ -1800,10 +1838,10 @@ module Engine = struct
       in
       match memo_hit eng shape ~t0 with
       | Some p ->
-        Metrics.inc eng.memo_hit_c;
+        count eng.ins.memo_hit;
         Ok p
       | None ->
-        Metrics.inc eng.memo_miss_c;
+        count eng.ins.memo_miss;
         prepare_full ?backend ~shape eng r
     end
 
@@ -2053,7 +2091,17 @@ module Session = struct
     let cfg = Engine.config engine in
     let cfg = match config with None -> cfg | Some f -> f cfg in
     {
-      s_engine = { engine with Engine.cfg };
+      s_engine =
+        {
+          engine with
+          Engine.cfg;
+          (* A session counting into its own registry needs handles
+             there. *)
+          ins =
+            (if cfg.Engine.metrics == engine.Engine.cfg.Engine.metrics then
+               engine.Engine.ins
+             else Engine.instruments cfg.Engine.metrics);
+        };
       s_client = client_id;
       s_labels = labels;
       s_prepares = Atomic.make 0;

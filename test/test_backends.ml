@@ -285,6 +285,178 @@ let test_key_edges_pair () =
     [| 1, "a"; 1, "b"; -1, "a"; 1, "a"; min_int, ""; -1, "a"; max_int, "" |]
     [| 1, "a"; min_int, ""; 2, "a"; -1, "a" |]
 
+(* {2 Interval facts}
+
+   Int keys with a small bounded range index an array, and cheap total
+   filters in front of a Count or an int Sum add a 0/1 mask.  Each case
+   first checks that the generated code takes the path under test. *)
+
+let check_source name src needle =
+  let nl = String.length needle and sl = String.length src in
+  let rec found i =
+    i + nl <= sl && (String.sub src i nl = needle || found (i + 1))
+  in
+  if not (found 0) then Alcotest.failf "%s: source lacks %S:\n%s" name needle src
+
+(* [table] names the code the keys must take. *)
+let dense_table = "Stdlib.Array.make"
+let hash_table = "Steno_rt.Int_tbl"
+
+(* The shared engines fall back to Fused when a plugin fails to build;
+   this one raises instead, so the new code is what runs. *)
+let strict_native =
+  lazy
+    (Steno.Engine.create
+       Steno.Config.(
+         default |> with_backend Steno.Native |> with_fallback false))
+
+let checked table name q =
+  check_source name (Steno.generated_source q) table;
+  check_exact name q;
+  if Steno.native_available () then begin
+    let ty = Ty.Array (Query.elem_ty q) in
+    let expected = Array.of_list (Reference.to_list q) in
+    let got = Steno.Engine.to_array (Lazy.force strict_native) q in
+    if Ty.compare_values ty got expected <> 0 then
+      Alcotest.failf "%s/strict native: got %s, want %s" name (show ty got)
+        (show ty expected)
+  end
+
+let checked_sq name (sq : int Query.sq) =
+  check_source name (Steno.generated_source_scalar sq) "Stdlib.Bool.to_int";
+  check_sq name sq;
+  if Steno.native_available () then
+    Alcotest.(check int)
+      (name ^ "/strict native")
+      (Reference.scalar sq)
+      (Steno.Engine.scalar (Lazy.force strict_native) sq)
+
+let clamp lo hi x =
+  Expr.Prim2 (Prim.Max_int, Expr.int lo, Expr.Prim2 (Prim.Min_int, Expr.int hi, x))
+
+(* The three grouping sinks over the same key. *)
+let groupings table label key xs =
+  let src = ints xs in
+  checked table (label ^ " group_by") (src |> Query.group_by key);
+  checked table (label ^ " group_by_elem")
+    (src |> Query.group_by_elem ~key ~elem:(fun x -> I.(x * Expr.int 2)));
+  checked table (label ^ " group_by_agg")
+    (src
+    |> Query.group_by_agg ~key ~seed:(Expr.int 0) ~step:(fun acc x -> I.(acc + x)))
+
+let signed = Array.init 200 (fun i -> ((i * 7919) mod 401) - 200)
+
+let test_dense_keys () =
+  let m7 x = I.(x mod Expr.int 7) in
+  groupings dense_table "x mod 7, negative inputs" m7 signed;
+  groupings dense_table "x mod 7, all negative" m7
+    (Array.map (fun x -> -1 - abs x) signed);
+  groupings dense_table "clamp both ends" (fun x -> clamp (-3) 3 x)
+    [| 10; -10; 0; 3; -3; max_int; min_int; 2; -2; 4; -4 |];
+  (* 8192 slots is the cap: the array is used in a run of at least 4096
+     rows, the hash table in a shorter one; one more slot is hashed. *)
+  let edges = [| 0; 8191; 8192; -1; 5000; max_int; 8191; min_int; 1 |] in
+  let long =
+    Array.append edges (Array.init 4096 (fun i -> ((i * 7919) mod 9000) - 400))
+  in
+  groupings dense_table "8192 slots, short run" (fun x -> clamp 0 8191 x) edges;
+  groupings dense_table "8192 slots, long run" (fun x -> clamp 0 8191 x) long;
+  groupings hash_table "8193 slots" (fun x -> clamp 0 8192 x) long
+
+let test_dense_joins () =
+  let join ~outer_key ~inner_key outer inner =
+    ints outer
+    |> Query.join ~inner:(ints inner) ~outer_key ~inner_key
+         ~result:(fun x y -> Expr.Pair (x, y))
+  in
+  let m5 x = I.(x mod Expr.int 5) in
+  (* 8191 slots: the outer side's length picks the array or the table. *)
+  let m4096 x = I.(x mod Expr.int 4096) in
+  let wide = Array.init 4100 (fun i -> ((i * 7919) mod 20011) - 10000) in
+  checked dense_table "8191 slots, long outer"
+    (join ~outer_key:m4096 ~inner_key:m4096 wide signed);
+  checked dense_table "8191 slots, short outer"
+    (join ~outer_key:m4096 ~inner_key:m4096 signed wide);
+  checked dense_table "8191 slots, unbounded long outer"
+    (join ~outer_key:(fun x -> x) ~inner_key:m4096 wide signed);
+  checked dense_table "signed keys, outer range inside"
+    (join ~outer_key:m5 ~inner_key:m5 signed signed);
+  checked dense_table "empty inner" (join ~outer_key:m5 ~inner_key:m5 signed [||]);
+  checked dense_table "empty outer" (join ~outer_key:m5 ~inner_key:m5 [||] signed);
+  (* Duplicate inner keys keep their inner order within a bucket. *)
+  checked dense_table "duplicate inner keys"
+    (join ~outer_key:m5 ~inner_key:m5 [| 1; -1; 6; 3 |]
+       [| 1; 11; -4; 6; 21; 1; -9 |]);
+  (* An unbounded outer key probes outside the build side's range. *)
+  checked dense_table "outer range outside"
+    (join ~outer_key:(fun x -> x) ~inner_key:m5
+       [| 0; 4; -4; 5; -5; 100; max_int; min_int; 1 |]
+       [| 3; -3; 4; 14; -14; 0; 1 |])
+
+(* [abs min_int] is [min_int] and [max_int + 1] is [min_int], so these
+   keys can be negative however they look: their tables must cover the
+   negative slots, and a join probing with them must keep its range
+   test. *)
+let test_wrapping_keys () =
+  let abs_mod x = I.(Expr.Prim1 (Prim.Abs_int, x) mod Expr.int 7) in
+  let succ_mod x =
+    I.((Expr.Prim2 (Prim.Max_int, x, Expr.int 0) + Expr.int 1) mod Expr.int 7)
+  in
+  let with_ends = [| 3; min_int; -10; 12; min_int; max_int; 0; -3 |] in
+  groupings dense_table "abs x mod 7" abs_mod with_ends;
+  groupings dense_table "(max x 0 + 1) mod 7" succ_mod with_ends;
+  let join outer inner =
+    ints outer
+    |> Query.join ~inner:(ints inner) ~outer_key:abs_mod ~inner_key:abs_mod
+         ~result:(fun x y -> Expr.Pair (x, y))
+  in
+  checked dense_table "join, min_int outer" (join with_ends [| 4; 10; 0; 3; 11 |]);
+  checked dense_table "join, min_int inner" (join [| 4; 10; 0; 3 |] with_ends)
+
+let test_masked_filters () =
+  let data = Array.init 300 (fun i -> ((i * 37) mod 211) - 105) in
+  let evens = Array.map (fun x -> 2 * x) data in
+  let odds = Array.map (fun x -> (2 * x) + 1) data in
+  let chain xs =
+    ints xs
+    |> Query.where (fun x -> I.(x mod Expr.int 2 = Expr.int 0))
+    |> Query.where (fun x -> I.(x > Expr.int (-1000)))
+  in
+  List.iter
+    (fun (label, xs) ->
+      List.iter
+        (fun (agg, sq) ->
+          checked_sq (Printf.sprintf "%s %s" agg label) sq)
+        [ "count", Query.count (chain xs); "sum", Query.sum_int (chain xs) ])
+    [ "0%", odds; "50%", data; "100%", evens; "empty", [||] ];
+  (* [&&] inside one test, a [||] masked whole, and extreme elements
+     under the mask. *)
+  let extremes = [| max_int; min_int; -1; 0; 1; max_int; min_int + 1 |] in
+  checked_sq "sum, extremes"
+    (ints extremes
+    |> Query.where (fun x ->
+           I.((x <> Expr.int 0) && (x mod Expr.int 3 <> Expr.int 1)))
+    |> Query.sum_int);
+  checked_sq "count, or"
+    (ints data
+    |> Query.where (fun x -> I.((x < Expr.int (-50)) || (x > Expr.int 50)))
+    |> Query.count);
+  (* The second test divides by the element: it must stay behind the
+     first, and no backend may raise. *)
+  let guarded xs =
+    ints xs
+    |> Query.where (fun x -> I.(x <> Expr.int 0))
+    |> Query.where (fun x -> I.(Expr.int 100 / x > Expr.int 3))
+    |> Query.count
+  in
+  let src = Steno.generated_source_scalar (guarded [||]) in
+  check_source "guarded division" src "then begin";
+  check_sq "guarded division" (guarded [| 0; 5; 0; -5; 20; 40; 0; 1 |]);
+  if Steno.native_available () then
+    Alcotest.(check int) "guarded division/strict native" 3
+      (Steno.Engine.scalar (Lazy.force strict_native)
+         (guarded [| 0; 5; 0; -5; 20; 40; 0; 1 |]))
+
 let test_sorted_group_agg () =
   let q =
     ints sample_ints
@@ -533,6 +705,13 @@ let () =
           Alcotest.test_case "map_scalar" `Quick test_map_scalar;
           Alcotest.test_case "empty aggregates" `Quick test_empty_aggregates;
           Alcotest.test_case "nested aggregates" `Quick test_nested_aggregate_positions;
+        ] );
+      ( "intervals",
+        [
+          Alcotest.test_case "dense keys" `Quick test_dense_keys;
+          Alcotest.test_case "dense joins" `Quick test_dense_joins;
+          Alcotest.test_case "wrapping keys" `Quick test_wrapping_keys;
+          Alcotest.test_case "masked filters" `Quick test_masked_filters;
         ] );
       ( "random",
         [

@@ -124,6 +124,7 @@ let dummy_agg : Quil.agg =
     require_nonempty = false;
     early_exit = None;
     result = (fun ~accs:_ -> r "0");
+    additive = None;
   }
 
 let chain ops : Quil.chain =
@@ -167,7 +168,11 @@ let test_pda_malformed_chains () =
   | Ok () -> Alcotest.fail "validate accepted trans-after-agg"
   | Error _ -> ());
   (* A correct hand-built chain is accepted as scalar. *)
-  match Check.Pda.accepts (chain [ Quil.Pred dummy_lam1; Quil.Agg dummy_agg ]) with
+  match
+    Check.Pda.accepts
+      (chain
+         [ Quil.Pred { test = dummy_lam1; mask = None }; Quil.Agg dummy_agg ])
+  with
   | Ok k -> Alcotest.(check bool) "scalar kind" true (k = Check.Pda.Scalar)
   | Error e -> Alcotest.failf "well-formed fixture rejected: %s" e
 
@@ -206,6 +211,79 @@ let test_intervals () =
   itv_check "let"
     (Expr.let_ "y" (Expr.int 4) (fun y -> I.(y + y)))
     (Some 8) (Some 8)
+
+(* Native ints wrap: [max_int + 1] is [min_int], and [-min_int] and
+   [abs min_int] are [min_int].  An operand that may reach an end of the
+   range gives no bounds, however the operator looks. *)
+let test_wrapping_intervals () =
+  let abs_ e = Expr.Prim1 (Prim.Abs_int, e) in
+  let neg e = Expr.Prim1 (Prim.Neg_int, e) in
+  let nonneg x = Expr.Prim2 (Prim.Max_int, x, Expr.int 0) in
+  let clamp x =
+    Expr.Prim2 (Prim.Max_int, Expr.int 0, Expr.Prim2 (Prim.Min_int, Expr.int 10, x))
+  in
+  itv_check "abs" (int_body abs_) None None;
+  itv_check "abs mod" (int_body (fun x -> I.(abs_ x mod Expr.int 7))) (Some (-6)) (Some 6);
+  itv_check "abs of mod" (int_body (fun x -> abs_ I.(x mod Expr.int 7))) (Some 0) (Some 6);
+  itv_check "abs of bounded" (int_body (fun x -> abs_ I.(clamp x - Expr.int 4))) (Some 0) (Some 6);
+  itv_check "neg of nonpositive"
+    (int_body (fun x -> neg (Expr.Prim2 (Prim.Min_int, x, Expr.int 0))))
+    None None;
+  itv_check "neg of min_int" (neg (Expr.int min_int)) None None;
+  itv_check "successor of nonnegative" (int_body (fun x -> I.(nonneg x + Expr.int 1))) None None;
+  itv_check "nonnegative minus" (int_body (fun x -> I.(nonneg x - Expr.int 5)))
+    (Some (-5)) (Some (max_int - 5));
+  itv_check "clamp plus" (int_body (fun x -> I.(clamp x + Expr.int 1))) (Some 1) (Some 11);
+  itv_check "max_int plus one" I.(Expr.int max_int + Expr.int 1) None None;
+  itv_check "capture minus" I.(Expr.int 0 - Expr.capture Ty.Int 3) None None
+
+(* Random integer expressions over one variable, evaluated at the ends
+   of the native range and near zero: every value that does not raise
+   lies inside the interval. *)
+let interval_sound =
+  let open QCheck.Gen in
+  let consts =
+    oneofl [ min_int; min_int + 1; -7; -1; 0; 1; 3; 64; max_int - 1; max_int ]
+  in
+  let ops =
+    oneofl
+      [
+        Prim.Add_int; Prim.Sub_int; Prim.Mul_int; Prim.Div_int; Prim.Mod_int;
+        Prim.Min_int; Prim.Max_int;
+      ]
+  in
+  let gen =
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof [ return (fun x -> x); map (fun c _ -> Expr.int c) consts ]
+           in
+           if n <= 0 then leaf
+           else
+             let sub = self (n / 2) in
+             frequency
+               [
+                 1, leaf;
+                 1, map (fun a x -> Expr.Prim1 (Prim.Neg_int, a x)) sub;
+                 1, map (fun a x -> Expr.Prim1 (Prim.Abs_int, a x)) sub;
+                 4, map3 (fun p a b x -> Expr.Prim2 (p, a x, b x)) ops sub sub;
+               ])
+  in
+  let lam f = Expr.lam "x" Ty.Int f in
+  let print f = Format.asprintf "%a" Expr.pp_debug (lam f).Expr.body in
+  QCheck.Test.make ~count:2000 ~name:"intervals enclose wrapped values"
+    (QCheck.make ~print gen) (fun f ->
+      let l = lam f in
+      let i = Check.Purity.interval l.Expr.body in
+      let run = Expr.stage l in
+      List.for_all
+        (fun x ->
+          match run x with
+          | v ->
+            (match i.Check.Purity.lo with Some lo -> lo <= v | None -> true)
+            && (match i.Check.Purity.hi with Some hi -> v <= hi | None -> true)
+          | exception Division_by_zero -> true)
+        [ min_int; min_int + 1; -65; -1; 0; 1; 2; 65; max_int - 1; max_int ])
 
 let bool_body f = (Expr.lam "x" Ty.Int f).Expr.body
 
@@ -725,7 +803,16 @@ let test_interval_rewrites () =
     (Steno.Engine.to_list (fused_engine ()) clamped);
   (* an undecidable predicate is left alone *)
   let _, log = Opt.plan (Query.Rows (ints data |> Query.where even)) in
-  Alcotest.(check (list string)) "undecidable" [] log
+  Alcotest.(check (list string)) "undecidable" [] log;
+  (* [abs min_int] is negative, so [abs x >= 0] is no tautology *)
+  let wrapped =
+    ints [| min_int; -3; 0; max_int |]
+    |> Query.where (fun x -> I.(Expr.Prim1 (Prim.Abs_int, x) >= Expr.int 0))
+  in
+  let _, log = Opt.plan (Query.Rows wrapped) in
+  Alcotest.(check (list string)) "wrapped log" [] log;
+  Alcotest.(check (list int)) "wrapped results" [ -3; 0; max_int ]
+    (Steno.Engine.to_list (fused_engine ()) wrapped)
 
 (* {2 Rewrite-log dedup} *)
 
@@ -790,6 +877,9 @@ let () =
         [
           Alcotest.test_case "census" `Quick test_purity_census;
           Alcotest.test_case "intervals" `Quick test_intervals;
+          Alcotest.test_case "wrapping intervals" `Quick
+            test_wrapping_intervals;
+          QCheck_alcotest.to_alcotest interval_sound;
           Alcotest.test_case "truth" `Quick test_truth;
           Alcotest.test_case "zero division" `Quick
             test_zero_division_and_nonpositive;

@@ -47,9 +47,8 @@ let test_flat_query_is_one_loop () =
   check_absent src "move_next"
 
 let test_predicate_moves_body_inside_conditional () =
-  let src =
-    gen_s (ints [| 1 |] |> Query.where (fun x -> I.(x > Expr.int 0)) |> Query.count)
-  in
+  (* A filter feeding rows, not a count: no mask applies. *)
+  let src = gen_q (ints [| 1 |] |> Query.where (fun x -> I.(x > Expr.int 0))) in
   check_contains src "if (";
   check_contains src "then begin"
 
@@ -96,9 +95,10 @@ let test_agg_declarations_in_prelude () =
   check_contains src "__result := Stdlib.Obj.repr"
 
 let test_group_by_sink () =
-  let src = gen_q (ints [| 1 |] |> Query.group_by (fun x -> I.(x mod Expr.int 2))) in
-  (* An int key takes the precompiled int table, probed with [find]:
-     no [caml_hash], no polymorphic compare, no option per row. *)
+  let src = gen_q (ints [| 1 |] |> Query.group_by (fun x -> x)) in
+  (* An int key with no bounded range takes the precompiled int table,
+     probed with [find]: no [caml_hash], no polymorphic compare, no
+     option per row. *)
   check_contains src "Steno_rt.Int_tbl.create";
   check_contains src "Steno_rt.Int_tbl.find";
   check_contains src "exception Stdlib.Not_found";
@@ -165,7 +165,7 @@ let test_group_by_agg_stores_partials () =
     gen_q
       (ints [| 1 |]
       |> Query.group_by_agg
-           ~key:(fun x -> I.(x mod Expr.int 2))
+           ~key:(fun x -> x)
            ~seed:(Expr.int 0)
            ~step:(fun acc _ -> I.(acc + Expr.int 1)))
   in
@@ -173,6 +173,216 @@ let test_group_by_agg_stores_partials () =
   check_absent src "Stdlib.Hashtbl";
   (* Aggregating sink: no per-key bags. *)
   check_absent src ":: !__b"
+
+let clamp lo hi x =
+  Expr.Prim2 (Prim.Max_int, Expr.int lo, Expr.Prim2 (Prim.Min_int, Expr.int hi, x))
+
+let test_dense_group_tables () =
+  (* [x mod 2] lies in [-1, 1]: three slots, read with the bounds-checked
+     [Stdlib.Array.get]; no table module at all. *)
+  let dense =
+    gen_q (ints [| 1 |] |> Query.group_by (fun x -> I.(x mod Expr.int 2)))
+  in
+  check_contains dense "Stdlib.Array.make 3 None";
+  check_contains dense "Stdlib.Array.get __sink";
+  check_contains dense "(Some __cell)";
+  check_contains dense "_order";
+  check_absent dense "Steno_rt";
+  check_absent dense "Hashtbl";
+  check_absent dense "unsafe_get __sink";
+  let agg =
+    gen_q
+      (ints [| 1 |]
+      |> Query.group_by_agg
+           ~key:(fun x -> clamp 0 63 x)
+           ~seed:(Expr.int 0)
+           ~step:(fun acc _ -> I.(acc + Expr.int 1)))
+  in
+  check_contains agg "Stdlib.Array.make 64 None";
+  check_absent agg "Steno_rt";
+  check_absent agg ":: !__b";
+  (* Up to 256 slots the array is always used; past that, only in a run
+     whose loop makes at least half as many trips as there are slots;
+     past 8192 slots the keys are always hashed. *)
+  let group_clamped hi =
+    gen_q (ints [| 1 |] |> Query.group_by (fun x -> clamp 0 hi x))
+  in
+  let young = group_clamped 255 in
+  check_contains young "Stdlib.Array.make 256 None";
+  check_absent young "Steno_rt";
+  check_absent young "_dense";
+  let past_young = group_clamped 256 in
+  check_contains past_young "_dense = Stdlib.Array.length __src";
+  check_contains past_young " >= 129 in";
+  check_contains past_young "then Stdlib.Array.make 257 None else [||]";
+  check_contains past_young "Steno_rt.Int_tbl.create";
+  let at_cap = group_clamped 8191 in
+  check_contains at_cap " >= 4096 in";
+  check_contains at_cap "Stdlib.Array.make 8192 None";
+  check_contains at_cap "Steno_rt.Int_tbl.find";
+  let past_cap = gen_q (ints [| 1 |] |> Query.group_by (fun x -> clamp 0 8192 x)) in
+  check_contains past_cap "Steno_rt.Int_tbl.create";
+  check_absent past_cap "Stdlib.Array.make";
+  (* A captured modulus is unknown at code generation: hashed. *)
+  let captured =
+    gen_q
+      (ints [| 1 |]
+      |> Query.group_by (fun x -> I.(x mod Expr.capture Ty.Int 4)))
+  in
+  check_contains captured "Steno_rt.Int_tbl.create"
+
+let test_dense_join_tables () =
+  let join ~outer_key =
+    gen_q
+      (ints [| 1 |]
+      |> Query.join ~inner:(ints [| 1 |]) ~outer_key
+           ~inner_key:(fun y -> I.(y mod Expr.int 4096))
+           ~result:(fun x y -> I.(x + y)))
+  in
+  (* Both keys in [-4095, 4095]: the probe indexes without a range test.
+     8191 slots go dense only in a run whose outer loop makes at least
+     4096 trips, so the hash table is there too. *)
+  let inside = join ~outer_key:(fun x -> I.(x mod Expr.int 4096)) in
+  check_contains inside "Stdlib.Array.make 8191 []";
+  check_contains inside " >= 4096 in";
+  check_contains inside "Stdlib.Array.get __jtbl";
+  check_contains inside "Steno_rt.Int_tbl.find";
+  check_absent inside "else []";
+  (* Only the buckets the build filled are reversed, not every slot. *)
+  check_contains inside "_used := __s :: !";
+  check_contains inside "Stdlib.List.rev (Stdlib.Array.get __jtbl";
+  check_absent inside "map_inplace";
+  (* 127 slots: always dense, no hash table. *)
+  let young =
+    gen_q
+      (ints [| 1 |]
+      |> Query.join ~inner:(ints [| 1 |])
+           ~outer_key:(fun x -> I.(x mod Expr.int 64))
+           ~inner_key:(fun y -> I.(y mod Expr.int 64))
+           ~result:(fun x y -> I.(x + y)))
+  in
+  check_contains young "Stdlib.Array.make 127 []";
+  check_absent young "Steno_rt";
+  check_absent young "_dense";
+  (* An unbounded outer key is tested against the build side's range. *)
+  let outside = join ~outer_key:(fun x -> x) in
+  check_contains outside "Stdlib.Array.make 8191 []";
+  check_contains outside ">= (-4095) &&";
+  check_contains outside "else []"
+
+let test_masked_filters () =
+  let where3 agg =
+    gen_s
+      (ints [| 1 |]
+      |> Query.where (fun x -> I.(x mod Expr.int 3 <> Expr.int 0))
+      |> Query.where (fun x -> I.(x mod Expr.int 5 <> Expr.int 0))
+      |> agg)
+  in
+  let count = where3 Query.count in
+  check_contains count "Stdlib.Bool.to_int";
+  check_contains count " land ";
+  check_absent count "if ";
+  check_absent count "then begin";
+  let sum = where3 Query.sum_int in
+  check_contains sum "land (-__mask";
+  check_absent sum "then begin";
+  (* [&&] inside one test is masked the same way. *)
+  let conj =
+    gen_s
+      (ints [| 1 |]
+      |> Query.where (fun x -> I.((x > Expr.int 2) && (x < Expr.int 9)))
+      |> Query.count)
+  in
+  check_contains conj "land";
+  check_absent conj "&&";
+  check_absent conj "then begin";
+  (* So is the conditional form where-fuse joins two filters with. *)
+  let fused =
+    match
+      Opt.plan
+        (Query.Scalar
+           (ints [| 1 |]
+           |> Query.where (fun x -> I.(x mod Expr.int 3 <> Expr.int 0))
+           |> Query.where (fun x -> I.(x > Expr.int 7))
+           |> Query.count))
+    with
+    | Query.Scalar sq, log ->
+      Alcotest.(check (list string)) "fused" [ "where-fuse" ] log;
+      gen_s sq
+  in
+  check_contains fused " land ";
+  check_absent fused "then begin";
+  let branchy name src =
+    check_contains src "then begin";
+    if contains ~needle:"Bool.to_int" src then
+      Alcotest.failf "%s: should keep its branch:\n%s" name src
+  in
+  (* Float sums keep their branches: [inf *. 0.] is [nan]. *)
+  branchy "float sum"
+    (gen_s
+       (Query.of_array Ty.Float [| 1. |]
+       |> Query.where (fun x -> I.(x > Expr.float 0.))
+       |> Query.sum_float));
+  (* A division by a value that may be zero must stay guarded. *)
+  branchy "guarded division"
+    (gen_s
+       (ints [| 1 |]
+       |> Query.where (fun x -> I.(x <> Expr.int 0))
+       |> Query.where (fun x -> I.(Expr.int 100 / x > Expr.int 3))
+       |> Query.count));
+  branchy "array read"
+    (gen_s
+       (ints [| 1 |]
+       |> Query.where (fun x ->
+              I.(Expr.Array_get (Expr.capture (Ty.Array Ty.Int) [| 1 |], x)
+                 > Expr.int 0))
+       |> Query.count));
+  branchy "host function"
+    (gen_s
+       (ints [| 1 |]
+       |> Query.where (fun x ->
+              Expr.Apply
+                (Expr.capture (Ty.Func (Ty.Int, Ty.Bool)) (fun _ -> true), x))
+       |> Query.count));
+  (* The mask's cost limit holds for the masked tests together: four
+     [mod] tests cost 4 * 2 + 3 = 11 in one fused test and are masked,
+     five cost 14 and branch.  Of three separate tests of cost 4, the
+     first branches and the last two (8) are masked. *)
+  let mods k =
+    let test x =
+      List.filteri (fun i _ -> i < k) [ 3; 5; 7; 11; 13 ]
+      |> List.map (fun p -> I.(x mod Expr.int p <> Expr.int 0))
+      |> List.fold_left
+           (fun acc t ->
+             match acc with
+             | None -> Some t
+             | Some a -> Some (Expr.If (a, t, Expr.bool false)))
+           None
+      |> Option.get
+    in
+    gen_s (ints [| 1 |] |> Query.where test |> Query.count)
+  in
+  check_contains (mods 4) "Stdlib.Bool.to_int";
+  check_absent (mods 4) "then begin";
+  branchy "five mod tests" (mods 5);
+  let three =
+    gen_s
+      (ints [| 1 |]
+      |> Query.where (fun x -> I.((x mod Expr.int 3 <> Expr.int 0) && (x > Expr.int 1)))
+      |> Query.where (fun x -> I.((x mod Expr.int 5 <> Expr.int 0) && (x > Expr.int 2)))
+      |> Query.where (fun x -> I.((x mod Expr.int 7 <> Expr.int 0) && (x > Expr.int 3)))
+      |> Query.count)
+  in
+  check_contains three "(__elem0 > 1)) then begin";
+  check_contains three "(Stdlib.Bool.to_int (__elem0 > 2))";
+  check_contains three "(Stdlib.Bool.to_int (__elem0 > 3))";
+  (* Profiled code keeps its branches, so the edges count rows. *)
+  let chain =
+    Canon.of_scalar
+      (ints [| 1 |] |> Query.where (fun x -> I.(x > Expr.int 0)) |> Query.count)
+  in
+  branchy "profiled"
+    (Codegen.generate ~probe:(Codegen.probe_of_chain chain) chain).Codegen.source
 
 let test_sinking_state_starts_new_loop () =
   let q =
@@ -209,7 +419,9 @@ let test_hash_join_structure () =
   check_contains src "Steno_rt.Int_tbl.find";
   check_absent src "find_opt";
   check_absent src "Stdlib.Hashtbl";
-  check_contains src "Stdlib.List.iter";
+  (* The bucket is walked in place, with no closure per outer element. *)
+  check_contains src "while !__bucket";
+  check_absent src "Stdlib.List.iter";
   (* The build side loops before the probe loop; two loops total. *)
   let count_for s =
     let n = ref 0 in
@@ -262,6 +474,7 @@ let test_invalid_chain_rejected () =
       require_nonempty = false;
       early_exit = None;
       result = (fun ~accs:_ _ _ -> "0");
+      additive = None;
     }
   in
   let chain =
@@ -304,6 +517,23 @@ let test_generated_code_compiles () =
                ~outer_key:(fun x -> x)
                ~inner_key:(fun y -> y)
                ~result:(fun x y -> I.(x + y)));
+        (* Dense key tables and masked filters. *)
+        gen_q (ints [| 1 |] |> Query.group_by (fun x -> I.(x mod Expr.int 7)));
+        gen_q
+          (ints [| 1 |]
+          |> Query.group_by_elem
+               ~key:(fun x -> I.(x mod Expr.int 7))
+               ~elem:(fun x -> I.(x + Expr.int 1)));
+        gen_q
+          (ints [| 1 |]
+          |> Query.join ~inner:(ints [| 1 |])
+               ~outer_key:(fun x -> x)
+               ~inner_key:(fun y -> I.(y mod Expr.int 9))
+               ~result:(fun x y -> I.(x + y)));
+        gen_s
+          (ints [| 1 |]
+          |> Query.where (fun x -> I.((x > Expr.int 2) || (x < Expr.int (-2))))
+          |> Query.sum_int);
       ]
     in
     List.iter (fun source -> ignore (Dynload.compile ~source)) sources
@@ -324,6 +554,9 @@ let () =
           Alcotest.test_case "group_by sink" `Quick test_group_by_sink;
           Alcotest.test_case "group_by_agg" `Quick test_group_by_agg_stores_partials;
           Alcotest.test_case "table per key type" `Quick test_table_per_key_type;
+          Alcotest.test_case "dense group tables" `Quick test_dense_group_tables;
+          Alcotest.test_case "dense join tables" `Quick test_dense_join_tables;
+          Alcotest.test_case "masked filters" `Quick test_masked_filters;
           Alcotest.test_case "int min/max monomorphic" `Quick
             test_int_min_max_monomorphic;
           Alcotest.test_case "sinking restarts loop" `Quick

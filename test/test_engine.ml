@@ -525,6 +525,132 @@ let test_memo_host_function =
          host_fns (scale 2) (scale 9);
        ])
 
+(* A captured modulus is unknown when the plugin is built, so its keys
+   take a hash table, never a dense array sized for one modulus: a memo
+   hit that rebinds a larger modulus must still answer in range. *)
+let group_mod_q xs p =
+  ints xs
+  |> Query.group_by (fun x -> I.(x mod Expr.capture Ty.Int p))
+  |> Query.select (fun g ->
+         Expr.Pair (Expr.Fst g, Expr.Array_length (Expr.Snd g)))
+
+let group_mod xs p =
+  let show l =
+    String.concat ";" (List.map (fun (k, n) -> Printf.sprintf "%d:%d" k n) l)
+  in
+  rows_step show (group_mod_q xs p)
+
+let test_memo_captured_modulus () =
+  let src = Steno.generated_source (group_mod_q [| 1 |] 3) in
+  let needle = "Steno_rt.Int_tbl.find" in
+  let n = String.length needle in
+  let rec has i =
+    i + n <= String.length src && (String.sub src i n = needle || has (i + 1))
+  in
+  if not (has 0) then Alcotest.failf "captured modulus not hashed:\n%s" src;
+  let xs n = Array.init n (fun i -> ((i * 7919) mod 20011) - 10005) in
+  check_memo_case
+    [
+      group_mod (xs 40) 3;
+      group_mod (xs 90) 5;
+      group_mod (xs 40) 1000;
+      group_mod (xs 90) 100_000;
+    ]
+    ()
+
+(* {2 Metrics}
+
+   The engine keeps its prepare-path counters as handles built once; a
+   scrape after a fixed sequence of prepares must read exactly as when
+   every prepare looked them up in the registry. *)
+
+let metrics_script () =
+  with_temp_dir @@ fun dir ->
+  let reg = Metrics.create () in
+  let first = memo_engine ~dir reg in
+  let prep eng sq = ignore (Steno.Engine.scalar eng sq) in
+  prep first (sum_above [| 1; 5; 2; 9 |] 2);
+  prep first (sum_above [| 4; 8; 3; 3 |] 3);
+  prep first (host_fns (scale 2) (scale 3));
+  prep first (between 2 7);
+  prep first
+    (ints [| 3; 1; 4; 1; 5 |]
+    |> Query.where (fun x -> I.(x > Expr.int 0))
+    |> Query.where (fun x -> I.(x > Expr.int 1))
+    |> Query.count);
+  let second = memo_engine ~dir reg in
+  prep second (sum_above [| 7 |] 4);
+  let strict =
+    Steno.Session.create ~config:Steno.Config.(with_strict true) second
+      ~client_id:"strict"
+  in
+  ignore (Steno.Session.prepare_scalar strict (sum_above [| 6; 2 |] 1));
+  Metrics.render reg
+
+(* The scrape before the handles were cached, byte for byte. *)
+let metrics_golden =
+  {|# HELP check_diagnostics Diagnostics emitted by prepare-time static checks
+# TYPE check_diagnostics counter
+check_diagnostics_total{rule="SC001",severity="warning"} 1
+check_diagnostics_total{rule="SC011",severity="hint"} 1
+# HELP steno_compile External compiler invocations (cache hits and deduplicated prepares do not count)
+# TYPE steno_compile counter
+steno_compile_total{result="ok"} 4
+# HELP steno_pcache_evictions Entries evicted from the persistent on-disk cache by its caps
+# TYPE steno_pcache_evictions counter
+steno_pcache_evictions_total 0
+# HELP steno_pcache_hits Plugin loads served from the persistent on-disk cache
+# TYPE steno_pcache_hits counter
+steno_pcache_hits_total 1
+# HELP steno_pcache_misses Persistent-cache lookups that found no usable entry (including corrupt artifacts dropped at load time)
+# TYPE steno_pcache_misses counter
+steno_pcache_misses_total 4
+# HELP steno_pda_checks Strict-mode PDA acceptance checks at prepare time
+# TYPE steno_pda_checks counter
+steno_pda_checks_total 1
+# HELP steno_plan_memo Native prepares eligible for the plan memo, by whether an earlier prepare of the same root served them
+# TYPE steno_plan_memo counter
+steno_plan_memo_total{result="hit"} 1
+steno_plan_memo_total{result="miss"} 6
+# HELP steno_run_ms Wall time of profiled query runs (milliseconds)
+# TYPE steno_run_ms histogram
+steno_run_ms_bucket{backend="native",client="strict",le="0.001"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="0.002"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="0.004"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="0.008"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="0.016"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="0.032"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="0.064"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="0.128"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="0.256"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="0.512"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="1.024"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="2.048"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="4.096"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="8.192"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="16.384"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="32.768"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="65.536"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="131.072"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="262.144"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="524.288"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="1048.576"} 0
+steno_run_ms_bucket{backend="native",client="strict",le="+Inf"} 0
+steno_run_ms_sum{backend="native",client="strict"} 0
+steno_run_ms_count{backend="native",client="strict"} 0
+# HELP steno_runs Profiled query runs
+# TYPE steno_runs counter
+steno_runs_total{backend="native",client="strict"} 0
+# HELP steno_verify Translation-validation outcomes for optimizer rewrites
+# TYPE steno_verify counter
+steno_verify_total{result="accepted"} 2
+# EOF
+|}
+
+let test_metrics_render () =
+  with_native @@ fun () ->
+  Alcotest.(check string) "scrape" metrics_golden (metrics_script ())
+
 (* An empty array that is captured but is no source has no length in
    the key, and the capture table merges it with the empty array that
    replaces a collapsed subquery.  Such a plugin stays out of the memo: a
@@ -721,6 +847,7 @@ let () =
           Alcotest.test_case "equal and unequal int captures" `Quick
             test_memo_int_aliasing;
           Alcotest.test_case "host functions" `Quick test_memo_host_function;
+          Alcotest.test_case "captured modulus" `Quick test_memo_captured_modulus;
           Alcotest.test_case "captured empty array" `Quick
             test_memo_unsized_empty;
           Alcotest.test_case "evicted plugin" `Quick test_memo_evicted_plugin;
@@ -729,4 +856,6 @@ let () =
           Alcotest.test_case "clear_cache" `Quick test_memo_clear_cache;
           Alcotest.test_case "domains" `Quick test_memo_domains;
         ] );
+      ( "metrics",
+        [ Alcotest.test_case "scrape after prepares" `Quick test_metrics_render ] );
     ]

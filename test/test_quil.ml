@@ -106,6 +106,7 @@ let dummy_agg : Quil.agg =
     require_nonempty = false;
     early_exit = None;
     result = (fun ~accs:_ _ _ -> "0");
+    additive = None;
   }
 
 let dummy_src : Quil.src =

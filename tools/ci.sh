@@ -136,11 +136,21 @@ else
   fi
 fi
 
-echo "== type-specialized hash tables in generated code =="
+echo "== type-specialized hash tables and dense key tables in generated code =="
+# histogram's key, x mod 16, lies in [-15, 15]: an array indexes it.
+# join's keys (Fst of a pair) have no bounded range: Steno_rt.Int_tbl.
 for demo in histogram join; do
   plugin_src=$(./_build/default/bin/stenoc.exe show "$demo" -n 2000)
-  if ! printf '%s\n' "$plugin_src" | grep -qF 'Steno_rt.Int_tbl'; then
-    echo "stenoc show $demo: int keys do not use Steno_rt.Int_tbl" >&2
+  case $demo in
+    histogram) want='Stdlib.Array.make 31 None'; unwanted='Steno_rt.Int_tbl' ;;
+    join) want='Steno_rt.Int_tbl'; unwanted='Stdlib.Array.make' ;;
+  esac
+  if ! printf '%s\n' "$plugin_src" | grep -qF "$want"; then
+    echo "stenoc show $demo: generated code lacks $want" >&2
+    exit 1
+  fi
+  if printf '%s\n' "$plugin_src" | grep -qF "$unwanted"; then
+    echo "stenoc show $demo: generated code uses $unwanted" >&2
     exit 1
   fi
   # Polymorphic min/max (not max_int) and the option-allocating probe.
@@ -151,6 +161,17 @@ for demo in histogram join; do
     fi
   done
 done
+
+echo "== branch-free filters feeding a count =="
+plugin_src=$(./_build/default/bin/stenoc.exe show where3 -n 2000)
+if ! printf '%s\n' "$plugin_src" | grep -qF 'Stdlib.Bool.to_int'; then
+  echo "stenoc show where3: the filters are not masked" >&2
+  exit 1
+fi
+if printf '%s\n' "$plugin_src" | grep -qF 'then begin'; then
+  echo "stenoc show where3: the filters still branch" >&2
+  exit 1
+fi
 
 echo "== stenoc analyze (annotated plans, all backends) =="
 dune exec bin/stenoc.exe -- analyze redundant -n 2000 > /dev/null

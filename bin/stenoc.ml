@@ -734,6 +734,7 @@ let cmd_pcache_stats dir =
   Printf.printf "fingerprint:  %s\n" (Dynload.fingerprint ());
   Printf.printf "store dir:    %s\n" (Pcache.dir pc);
   Printf.printf "entries:      %d\n" s.Pcache.st_entries;
+  Printf.printf "plan records: %d\n" s.Pcache.st_records;
   Printf.printf "bytes:        %d\n" s.Pcache.st_bytes;
   0
 
@@ -917,7 +918,9 @@ let list_cmd =
 let show_cmd =
   Cmd.v
     (Cmd.info "show"
-       ~doc:"Print a query's operator chain, QUIL sentence and generated code.")
+       ~doc:
+         "Print a query's operator chain, and the QUIL sentence and \
+          generated code a Native prepare compiles for it.")
     Term.(const cmd_show $ query_arg $ size)
 
 let trace_arg =

@@ -345,6 +345,10 @@ and elab_finisher :
   | Surface.Select_f e -> (
     let v = Expr.fresh_var "row" row_ty in
     match elab_body inputs env row_ty v projections e with
+    | Plain (Packed_expr (_, Expr.Var w)) when w.Expr.id = v.Expr.id ->
+      (* [select x] over the row itself: the query unchanged, so no
+         identity transform stands between a filter and an aggregate. *)
+      Packed_query (row_ty, q)
     | Plain (Packed_expr (ty, body)) ->
       Packed_query (ty, Query.Select (q, { Expr.param = v; body }))
     | With_subquery (Packed_scalar (sty, sq), (sty', rv), Packed_expr (ty, post))

@@ -372,22 +372,21 @@ let schema_of : type r. sel_oracle -> r Query.root -> rec_op list =
    validation, specialization, canonicalization and code generation: it
    finds the earlier plugin in the plugin cache, binds this root's
    captures into its environment, and runs.  An entry holds what that
-   takes, plus what the skipped stages reported. *)
+   takes, plus what the skipped stages reported ([Steno_memo]).  With a
+   disk cache, the entry is also a [Pcache] record, so a restarted
+   process skips the same stages. *)
 
-(* Where a plugin's environment slot takes its value on a hit: one of
-   the root's capture classes ([Cost.shape]), or the empty array the
-   optimizer puts in place of a collapsed source ([Opt.empty]). *)
-type memo_slot = Class of int | Empty_array
+type memo_slot = Steno_memo.slot = Class of int | Empty_array
 
 type memo_entry = {
-  m_source : string;  (* the plugin-cache key *)
-  m_slots : memo_slot array;
-  m_rules : string list;
-  m_diags : Check.diagnostic list;
-  m_plan : string;
-      (* the QUIL rendering an active trace carries; empty on an engine
-         that does not trace *)
+  m_plugin : Digest.t;  (* the MD5 of the plugin-cache key *)
+  m_entry : Steno_memo.entry;
 }
+
+(* The name of a shape's disk record.  The generator digest makes a
+   store written by another build of the front half and code generator
+   miss: its plans, slot maps and logs need not be this build's. *)
+let memo_record_name (sh : Cost.shape) = Steno_generator.digest ^ sh.Cost.key
 
 (* The slot map of a fresh plugin, or [None] when a slot cannot be
    traced back to the root.  A slot holding a capture maps to its class,
@@ -420,6 +419,14 @@ let memo_slots (sh : Cost.shape) entries =
   with
   | slots -> Some slots
   | exception Unmapped -> None
+
+(* A slot map read from disk binds only classes this shape has. *)
+let memo_slots_fit (sh : Cost.shape) slots =
+  Array.for_all
+    (function
+      | Class i -> i >= 0 && i < Array.length sh.Cost.captures
+      | Empty_array -> true)
+    slots
 
 let memo_env (sh : Cost.shape) slots () =
   Array.map
@@ -506,6 +513,8 @@ module Config = struct
   let without_admin t = { t with admin_port = None }
 end
 
+module String_map = Map.Make (String)
+
 module Engine = struct
   (* Re-exported so existing [{ default_config with backend = ... }]
      record syntax keeps working; [Config.t] with its combinators is the
@@ -587,6 +596,9 @@ module Engine = struct
     pcache_evictions : lazy_counter;
     memo_hit : lazy_counter;
     memo_miss : lazy_counter;
+    diagnostics : Metrics.counter String_map.t Atomic.t;
+        (* [check_diagnostics] by severity and rule code, each
+           registered on its first diagnostic. *)
   }
 
   let lazy_counter make = { lc_make = make; lc_cell = Atomic.make None }
@@ -662,6 +674,7 @@ module Engine = struct
           "Entries evicted from the persistent on-disk cache by its caps";
       memo_hit = plan_memo "hit";
       memo_miss = plan_memo "miss";
+      diagnostics = Atomic.make String_map.empty;
     }
 
   let create cfg =
@@ -917,11 +930,22 @@ module Engine = struct
       p_decisions = [];
     }
 
+  (* The in-memory copy of a memo entry keeps its plan text only where a
+     hit can show it: sessions share the tracer, so one that is off now
+     stays off for every hit. *)
+  let memo_add eng (shape : Cost.shape) m_plugin (e : Steno_memo.entry) =
+    let m_entry =
+      if Trace.enabled eng.tracer then e else { e with Steno_memo.plan = "" }
+    in
+    ignore (Steno_lru.add eng.memo shape.Cost.key { m_plugin; m_entry })
+
   (* The full Native pipeline: specialize/canon/codegen (spans emitted by
      the plan), then the bounded plugin cache, then compile+load under
-     the engine's timeout, then environment binding.  [on_plugin] hears
-     the plugin-cache key, capture table and chain of the plugin the
-     preparation runs (the plan memo records them).
+     the engine's timeout, then environment binding.  With [memo =
+     (shape, entry_of)], a prepare that gets a plugin records
+     [entry_of]'s entry for it under [shape]: in the plan memo, and with
+     a disk cache as a record, inside the published [.key] when this
+     prepare compiled the plugin, in a file of its own when it did not.
 
      Cache lookup and compilation run inside a single-flight call keyed
      by the plugin cache key: when several domains prepare the same
@@ -929,7 +953,7 @@ module Engine = struct
      and — on a miss — the compile; the others block until it finishes
      and share its plugin (or its failure), instead of racing N compiler
      invocations for one cache slot. *)
-  let compile_native ?on_plugin eng (plan : 'r plan) ~t0 :
+  let compile_native ?memo eng (plan : 'r plan) ~t0 :
       ('r prep, fallback_reason) result =
     let sink = eng.cfg.telemetry in
     let chain = plan.chain sink in
@@ -952,13 +976,22 @@ module Engine = struct
       ^ (if eng.cfg.optimize then "O1:" else "O0:")
       ^ out.Codegen.source
     in
+    (* The plugin cache, the single-flight group and the memo key a
+       plugin by the MD5 of [cache_key], which also names it in the disk
+       cache; the disk cache compares [cache_key] itself. *)
+    let digest = Digest.string cache_key in
+    let entry =
+      lazy
+        (Option.bind memo (fun (shape, entry_of) ->
+             Option.map (fun e -> shape, e) (entry_of out.Codegen.table chain)))
+    in
     (* The leader registers its trace id as the flight note, so a
        follower from another request can record which trace actually
        paid for the compile it joined. *)
     let note = Option.map Trace.ctx_id (Trace.current ()) in
     let led, leader_note, looked_up =
-      Steno_flight.run ?note eng.flight cache_key @@ fun () ->
-      match Steno_lru.find eng.cache cache_key with
+      Steno_flight.run ?note eng.flight digest @@ fun () ->
+      match Steno_lru.find eng.cache digest with
       | Some p ->
         Telemetry.count sink "cache.hit" 1;
         Ok (true, p)
@@ -998,7 +1031,7 @@ module Engine = struct
         in
         match from_disk with
         | Some p ->
-          if Steno_lru.add eng.cache cache_key p then
+          if Steno_lru.add eng.cache digest p then
             Telemetry.count sink "cache.eviction" 1;
           (* No compile happened: for this preparation's cost accounting
              a disk hit is a cache hit. *)
@@ -1040,15 +1073,22 @@ module Engine = struct
               (match eng.pcache with
               | None -> ()
               | Some pc ->
+                let record =
+                  Option.map
+                    (fun (shape, e) ->
+                      memo_record_name shape, Steno_memo.encode e)
+                    (Lazy.force entry)
+                in
                 let evicted =
-                  Pcache.store pc ~key:cache_key ~cmxs:a.Dynload.a_cmxs
+                  Pcache.store ?record pc ~key:cache_key
+                    ~cmxs:a.Dynload.a_cmxs
                 in
                 if evicted > 0 then
                   Metrics.add (counter eng.ins.pcache_evictions) evicted);
               Dynload.remove_artifact a;
               count eng.ins.compile_ok;
               Telemetry.count sink "cache.miss" 1;
-              if Steno_lru.add eng.cache cache_key p then
+              if Steno_lru.add eng.cache digest p then
                 Telemetry.count sink "cache.eviction" 1;
               Telemetry.emit sink "compile" ~start_ms:t1
                 ~duration_ms:p.Dynload.timings.Dynload.compile_ms ();
@@ -1081,7 +1121,19 @@ module Engine = struct
           "cache", (if cache_hit then "hit" else "miss");
           "dedup", (if led then "leader" else "follower");
         ];
-      Option.iter (fun f -> f cache_key out.Codegen.table chain) on_plugin;
+      (match Lazy.force entry with
+      | None -> ()
+      | Some (shape, e) -> (
+        memo_add eng shape digest e;
+        match eng.pcache with
+        | Some pc when cache_hit ->
+          Pcache.add_record pc
+            {
+              Pcache.plugin = digest;
+              name = memo_record_name shape;
+              payload = Steno_memo.encode e;
+            }
+        | Some _ | None -> ()));
       Ok
         (native_prep eng ~t0 ~t1 ~cache_hit ?native_probe plugin ~env:(fun () ->
              Expr.Capture_table.to_env out.Codegen.table))
@@ -1128,7 +1180,7 @@ module Engine = struct
       p_decisions = [];
     }
 
-  let prepare_plan_result (eng : t) ?backend ?on_plugin (plan : 'r plan) :
+  let prepare_plan_result (eng : t) ?backend ?memo (plan : 'r plan) :
       ('r prep, fallback_reason) result =
     let requested = Option.value backend ~default:eng.cfg.backend in
     let sink = eng.cfg.telemetry in
@@ -1195,7 +1247,7 @@ module Engine = struct
       in
       Ok { base with run_fn }
     | Native -> (
-      match compile_native ?on_plugin eng plan ~t0 with
+      match compile_native ?memo eng plan ~t0 with
       | Ok p -> Ok p
       | Error reason when eng.cfg.fallback ->
         Telemetry.count sink "engine.fallback" 1;
@@ -1575,19 +1627,28 @@ module Engine = struct
   (* Count every diagnostic into the metrics registry and the telemetry
      sink.  Recording never raises: strictness is the caller's policy
      decision, applied on the result. *)
+  let diagnostic_counter eng (d : Check.diagnostic) =
+    let severity = Check.severity_string d.Check.d_severity in
+    let key = severity ^ "/" ^ d.Check.d_code in
+    let cell = eng.ins.diagnostics in
+    match String_map.find_opt key (Atomic.get cell) with
+    | Some c -> c
+    | None ->
+      let c =
+        Metrics.counter eng.cfg.metrics "check_diagnostics"
+          ~help:"Diagnostics emitted by prepare-time static checks"
+          ~labels:[ "severity", severity; "rule", d.Check.d_code ]
+      in
+      let rec publish () =
+        let m = Atomic.get cell in
+        if not (Atomic.compare_and_set cell m (String_map.add key c m)) then
+          publish ()
+      in
+      publish ();
+      c
+
   let record_diagnostics eng diags =
-    let m = eng.cfg.metrics in
-    List.iter
-      (fun (d : Check.diagnostic) ->
-        Metrics.inc
-          (Metrics.counter m "check_diagnostics"
-             ~help:"Diagnostics emitted by prepare-time static checks"
-             ~labels:
-               [
-                 "severity", Check.severity_string d.Check.d_severity;
-                 "rule", d.Check.d_code;
-               ]))
-      diags;
+    List.iter (fun d -> Metrics.inc (diagnostic_counter eng d)) diags;
     if diags <> [] then
       Telemetry.count eng.cfg.telemetry "check.diagnostics"
         (List.length diags)
@@ -1690,50 +1751,85 @@ module Engine = struct
         let c = if eng.cfg.optimize then fst (Opt.chain c) else c in
         Trace.annotate eng.tracer [ "plan", Quil.symbol_string c ]
 
-  let memo_record eng (shape : Cost.shape) ~source ~table ~chain (p : _ prep)
-      =
-    match memo_slots shape (Expr.Capture_table.entries table) with
-    | None -> ()
-    | Some slots ->
-      ignore
-        (Steno_lru.add eng.memo shape.Cost.key
-           {
-             m_source = source;
-             m_slots = slots;
-             m_rules = p.p_rules;
-             m_diags = p.p_diags;
-             m_plan =
-               (* Sessions share the tracer, so one that is off now stays
-                  off for every hit. *)
-               (if Trace.enabled eng.tracer then Quil.symbol_string chain
-                else "");
-           })
+  (* A memo hit runs the plugin an entry names on this root's captures.
+     It replays what the skipped stages reported (diagnostic counts, the
+     rewrite log, the trace's plan) but runs no check, validation or
+     compile, so their counters do not move. *)
+  let memo_replay eng (shape : Cost.shape) ~t0 (e : Steno_memo.entry) plugin =
+    let sink = eng.cfg.telemetry in
+    Telemetry.with_span sink "prepare" ~attrs:[ "backend", "native" ]
+    @@ fun () ->
+    record_diagnostics eng e.Steno_memo.diags;
+    if Trace.active eng.tracer then
+      Trace.annotate eng.tracer [ "plan", e.Steno_memo.plan; "cache", "hit" ];
+    Telemetry.count sink "cache.hit" 1;
+    let p =
+      native_prep eng ~t0 ~t1:t0 ~cache_hit:true plugin
+        ~env:(memo_env shape e.Steno_memo.slots)
+    in
+    { p with p_rules = e.Steno_memo.rules; p_diags = e.Steno_memo.diags }
 
-  (* A memo hit runs the plugin its entry names, provided the plugin
-     cache still holds it, on this root's captures.  It replays what the
-     skipped stages reported (diagnostic counts, the rewrite log, the
-     trace's plan) but runs no check, validation or compile, so their
-     counters do not move.  The probe counts only a hit: after a miss,
-     the full pipeline looks the plugin up again. *)
+  (* An in-memory hit needs the plugin cache to still hold the plugin.
+     The probe counts only a hit: after a miss, the disk record or the
+     full pipeline looks the plugin up again. *)
   let memo_hit eng (shape : Cost.shape) ~t0 =
     match Steno_lru.find eng.memo shape.Cost.key with
     | None -> None
-    | Some m -> (
-      match Steno_lru.probe eng.cache m.m_source with
+    | Some m ->
+      Option.map
+        (memo_replay eng shape ~t0 m.m_entry)
+        (Steno_lru.probe eng.cache m.m_plugin)
+
+  (* A disk record is the entry an earlier process, or another engine on
+     the same store, made.  Its lookup reads one file and freshens the
+     plugin; the plugin then comes from the plugin cache or is loaded,
+     through the single-flight group as in a full prepare.  A hit also
+     fills the memo.  A plugin that does not load is rejected with its
+     record, and the prepare runs in full. *)
+  let memo_disk_hit eng (shape : Cost.shape) ~t0 =
+    match eng.pcache with
+    | None -> None
+    | Some pc -> (
+      let found =
+        Trace.with_span eng.tracer "pcache.lookup" @@ fun () ->
+        Pcache.find_record pc ~name:(memo_record_name shape) (fun payload ->
+            match Steno_memo.decode payload with
+            | Some e when memo_slots_fit shape e.Steno_memo.slots -> Some e
+            | Some _ | None -> None)
+      in
+      match found with
       | None -> None
-      | Some plugin ->
+      | Some (e, r, cmxs) -> (
         let sink = eng.cfg.telemetry in
-        Telemetry.with_span sink "prepare" ~attrs:[ "backend", "native" ]
-        @@ fun () ->
-        record_diagnostics eng m.m_diags;
-        if Trace.active eng.tracer then
-          Trace.annotate eng.tracer [ "plan", m.m_plan; "cache", "hit" ];
-        Telemetry.count sink "cache.hit" 1;
-        let p =
-          native_prep eng ~t0 ~t1:t0 ~cache_hit:true plugin
-            ~env:(memo_env shape m.m_slots)
+        let digest = r.Pcache.plugin in
+        let _, _, plugin =
+          Steno_flight.run eng.flight digest @@ fun () ->
+          match Steno_lru.find eng.cache digest with
+          | Some p -> Ok (true, p)
+          | None -> (
+            let t1 = now_ms () in
+            match
+              try Dynload.load_file ~path:cmxs ()
+              with _ -> Error (Dynload.Load_error "cached plugin raised")
+            with
+            | Ok p ->
+              Telemetry.emit sink "dynlink" ~start_ms:t1
+                ~duration_ms:p.Dynload.timings.Dynload.load_ms ();
+              if Steno_lru.add eng.cache digest p then
+                Telemetry.count sink "cache.eviction" 1;
+              Ok (true, p)
+            | Error e -> Error (error_to_reason e))
         in
-        Some { p with p_rules = m.m_rules; p_diags = m.m_diags })
+        match plugin with
+        | Ok (_, plugin) ->
+          count eng.ins.pcache_hits;
+          Telemetry.count sink "pcache.hit" 1;
+          memo_add eng shape digest e;
+          Some (memo_replay eng shape ~t0 e plugin)
+        | Error _ ->
+          Pcache.reject_record pc r;
+          count eng.ins.pcache_misses;
+          None))
 
   (* The whole pipeline.  With a memo [shape], a Native preparation is
      recorded in the memo under it.
@@ -1747,12 +1843,6 @@ module Engine = struct
       'r Query.root -> ('r prep, error) result =
    fun ?backend ?shape eng r_orig ->
     let r = r_orig in
-    let built = ref None in
-    let on_plugin =
-      Option.map
-        (fun _ source table chain -> built := Some (source, table, chain))
-        shape
-    in
     match run_checks_result eng (lint_all r) with
     | Error errs -> Error (Check_error errs)
     | Ok diags -> (
@@ -1790,8 +1880,33 @@ module Engine = struct
               | Some (_, key, _) -> backend_choice eng ~key r backend
               | None -> backend, []
             in
+            (* Read once the chain is built, when [chain_rules] holds the
+               chain pass's log. *)
+            let rules () =
+              dedup_consecutive (ast_rules @ ad_rules @ !chain_rules)
+            in
+            let p_diags = verify_diags @ ad_diags @ diags in
+            let memo =
+              Option.map
+                (fun sh ->
+                  ( sh,
+                    fun table chain ->
+                      Option.map
+                        (fun slots ->
+                          {
+                            Steno_memo.slots;
+                            rules = rules ();
+                            diags = p_diags;
+                            plan =
+                              (if eng.pcache <> None || Trace.enabled eng.tracer
+                               then Quil.symbol_string chain
+                               else "");
+                          })
+                        (memo_slots sh (Expr.Capture_table.entries table)) ))
+                shape
+            in
             match
-              prepare_plan_result eng ?backend:backend' ?on_plugin
+              prepare_plan_result eng ?backend:backend' ?memo
                 (with_verified_chain plan)
             with
             | Error reason -> Error (Compile_failure reason)
@@ -1799,17 +1914,11 @@ module Engine = struct
               let p =
                 {
                   p with
-                  p_rules =
-                    dedup_consecutive (ast_rules @ ad_rules @ !chain_rules);
-                  p_diags = verify_diags @ ad_diags @ diags;
+                  p_rules = rules ();
+                  p_diags;
                   p_decisions = ad_decisions @ be_decisions;
                 }
               in
-              (match shape, !built with
-              | Some sh, Some (source, table, chain)
-                when p.p_info.backend = Native ->
-                memo_record eng sh ~source ~table ~chain p
-              | _ -> ());
               let p =
                 match actx with
                 | Some (a, key, _) when eng.cfg.profile ->
@@ -1836,7 +1945,12 @@ module Engine = struct
       let shape =
         Cost.shape ~optimize:eng.cfg.optimize ~strict:eng.cfg.strict r
       in
-      match memo_hit eng shape ~t0 with
+      let hit =
+        match memo_hit eng shape ~t0 with
+        | Some _ as hit -> hit
+        | None -> memo_disk_hit eng shape ~t0
+      in
+      match hit with
       | Some p ->
         count eng.ins.memo_hit;
         Ok p
@@ -1882,6 +1996,23 @@ module Engine = struct
     properties : (string * string) list;
     diagnostics : Check.diagnostic list;
   }
+
+  (* The chain a Native prepare of [r] codegens: the validated AST
+     optimizer, specialization and canonicalization, and the validated
+     chain pass.  Inspection runs it on a copy of the engine that counts
+     into a registry of its own and reports to no sink. *)
+  let native_chain eng r =
+    let eng =
+      {
+        eng with
+        cfg = { eng.cfg with telemetry = Telemetry.null };
+        ins = instruments (Metrics.create ());
+      }
+    in
+    let r =
+      match optimize_verified eng r with Ok (r, _, _) -> r | Error _ -> r
+    in
+    (fst (with_chain_pass eng (plan_of r))).chain Telemetry.null
 
   let explain_root eng r =
     let before = canon_of r in
@@ -2238,13 +2369,15 @@ let to_list ?backend q = Array.to_list (to_array ?backend q)
 
 let scalar ?backend sq = Prepared.run (prepare_scalar ?backend sq)
 
-let generated_source_root r = (Codegen.generate (canon_of r)).Codegen.source
+let native_chain r = Engine.native_chain (default_engine ()) r
+
+let generated_source_root r = (Codegen.generate (native_chain r)).Codegen.source
 
 let generated_source q = generated_source_root (Query.Rows q)
 
 let generated_source_scalar sq = generated_source_root (Query.Scalar sq)
 
-let quil_root r = Quil.symbol_string (canon_of r)
+let quil_root r = Quil.symbol_string (native_chain r)
 
 let quil q = quil_root (Query.Rows q)
 

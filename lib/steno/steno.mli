@@ -773,12 +773,15 @@ val prepare_scalar : ?backend:backend -> 's Query.sq -> 's prepared_scalar
 (** {1 Inspection} *)
 
 val generated_source : 'a Query.t -> string
-(** The OCaml module Steno generates for this query. *)
+(** The OCaml module a Native prepare on the default engine compiles for
+    this query: after its optimizer, specialization, canonicalization
+    and chain pass. *)
 
 val generated_source_scalar : 's Query.sq -> string
 
 val quil : 'a Query.t -> string
-(** The QUIL sentence, e.g. ["Src Pred Trans Agg Ret"]. *)
+(** The QUIL sentence of the chain {!generated_source} is generated
+    from, e.g. ["Src Pred Trans Agg Ret"]. *)
 
 val quil_scalar : 's Query.sq -> string
 

@@ -310,8 +310,19 @@ let strict_native =
        Steno.Config.(
          default |> with_backend Steno.Native |> with_fallback false))
 
-let checked table name q =
-  check_source name (Steno.generated_source q) table;
+(* Over an empty captured input the optimizer drops the operator under
+   test, so the engine builds no such code; [~unoptimized] checks the
+   code of the chain as written, which an engine with [optimize] off
+   builds. *)
+let unoptimized_source q = (Codegen.generate (Canon.of_query q)).Codegen.source
+
+let unoptimized_source_sq sq =
+  (Codegen.generate (Canon.of_scalar sq)).Codegen.source
+
+let checked ?(unoptimized = false) table name q =
+  check_source name
+    (if unoptimized then unoptimized_source q else Steno.generated_source q)
+    table;
   check_exact name q;
   if Steno.native_available () then begin
     let ty = Ty.Array (Query.elem_ty q) in
@@ -322,8 +333,11 @@ let checked table name q =
         (show ty expected)
   end
 
-let checked_sq name (sq : int Query.sq) =
-  check_source name (Steno.generated_source_scalar sq) "Stdlib.Bool.to_int";
+let checked_sq ?(unoptimized = false) name (sq : int Query.sq) =
+  check_source name
+    (if unoptimized then unoptimized_source_sq sq
+     else Steno.generated_source_scalar sq)
+    "Stdlib.Bool.to_int";
   check_sq name sq;
   if Steno.native_available () then
     Alcotest.(check int)
@@ -381,8 +395,10 @@ let test_dense_joins () =
     (join ~outer_key:(fun x -> x) ~inner_key:m4096 wide signed);
   checked dense_table "signed keys, outer range inside"
     (join ~outer_key:m5 ~inner_key:m5 signed signed);
-  checked dense_table "empty inner" (join ~outer_key:m5 ~inner_key:m5 signed [||]);
-  checked dense_table "empty outer" (join ~outer_key:m5 ~inner_key:m5 [||] signed);
+  checked ~unoptimized:true dense_table "empty inner"
+    (join ~outer_key:m5 ~inner_key:m5 signed [||]);
+  checked ~unoptimized:true dense_table "empty outer"
+    (join ~outer_key:m5 ~inner_key:m5 [||] signed);
   (* Duplicate inner keys keep their inner order within a bucket. *)
   checked dense_table "duplicate inner keys"
     (join ~outer_key:m5 ~inner_key:m5 [| 1; -1; 6; 3 |]
@@ -426,7 +442,9 @@ let test_masked_filters () =
     (fun (label, xs) ->
       List.iter
         (fun (agg, sq) ->
-          checked_sq (Printf.sprintf "%s %s" agg label) sq)
+          checked_sq ~unoptimized:(xs = [||])
+            (Printf.sprintf "%s %s" agg label)
+            sq)
         [ "count", Query.count (chain xs); "sum", Query.sum_int (chain xs) ])
     [ "0%", odds; "50%", data; "100%", evens; "empty", [||] ];
   (* [&&] inside one test, a [||] masked whole, and extreme elements
@@ -449,7 +467,7 @@ let test_masked_filters () =
     |> Query.where (fun x -> I.(Expr.int 100 / x > Expr.int 3))
     |> Query.count
   in
-  let src = Steno.generated_source_scalar (guarded [||]) in
+  let src = Steno.generated_source_scalar (guarded [| 1 |]) in
   check_source "guarded division" src "then begin";
   check_sq "guarded division" (guarded [| 0; 5; 0; -5; 20; 40; 0; 1 |]);
   if Steno.native_available () then

@@ -355,13 +355,25 @@ let compiles reg =
 
 (* The sources of every plugin in an engine's disk store. *)
 let store_sources eng =
+  (* A [.key] file holds the plugin's key, then the record of the prepare
+     that compiled it. *)
+  let key_of content =
+    match Pcache.decode_record content with
+    | None -> content
+    | Some r ->
+      String.sub content 0
+        (String.length content
+        - String.length (Pcache.encode_record ~key:"" r))
+  in
   match Steno.Engine.pcache_dir eng with
   | None -> []
   | Some d ->
     Sys.readdir d |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".key")
     |> List.map (fun f ->
-           In_channel.with_open_bin (Filename.concat d f) In_channel.input_all)
+           key_of
+             (In_channel.with_open_bin (Filename.concat d f)
+                In_channel.input_all))
     |> List.sort compare
 
 type view = {
@@ -739,6 +751,159 @@ let test_memo_traced () =
       (List.sort compare [ get a "cache"; get b "cache" ])
   | l -> Alcotest.failf "%d request traces" (List.length l)
 
+(* {2 The plan memo on disk}
+
+   Engine A prepares a root; a fresh engine B on the same store prepares
+   it again with other capture values of the same lengths, as a
+   restarted process does.  The two filters give the plan a rewrite
+   (where-fuse), and the skip a diagnostic (SC002). *)
+
+let filtered xs p =
+  ints xs
+  |> Query.where (fun x -> I.(x > Expr.capture Ty.Int p))
+  |> Query.where (fun x -> I.(x < Expr.int 100))
+  |> Query.skip 1
+  |> Query.select (fun x -> I.(x * Expr.int 3))
+
+let strict_engine ~dir reg =
+  Steno.Engine.create
+    Steno.Config.(
+      default |> with_backend Steno.Native |> with_metrics reg
+      |> with_fallback false |> with_strict true |> with_disk_cache ~dir)
+
+let counter reg name labels =
+  Metrics.counter_value (Metrics.counter reg name ~labels)
+
+(* Every [check_diagnostics] series in a registry. *)
+let diagnostic_series reg =
+  String.split_on_char '\n' (Metrics.render reg)
+  |> List.filter (String.starts_with ~prefix:"check_diagnostics")
+
+let prepare_filtered eng xs p =
+  let q = filtered xs p in
+  let got = Steno.Engine.prepare eng q in
+  Alcotest.(check (list int)) "reference" (Reference.to_list q)
+    (Array.to_list (Steno.Prepared.run got));
+  got
+
+let store_files eng suffix =
+  match Steno.Engine.pcache_dir eng with
+  | None -> []
+  | Some d ->
+    Sys.readdir d |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f suffix)
+    |> List.map (Filename.concat d)
+
+let test_memo_disk_hit () =
+  with_native @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let reg_a = Metrics.create () in
+  let a = strict_engine ~dir reg_a in
+  let pa = prepare_filtered a [| 5; 1; 9; 12; 3 |] 2 in
+  Alcotest.(check int) "A compiles" 1 (compiles reg_a);
+  Alcotest.(check bool) "A validates a rewrite" true
+    (counter reg_a "steno_verify" [ "result", "accepted" ] > 0);
+  Alcotest.(check bool) "A has a diagnostic" true
+    (diagnostic_series reg_a <> []);
+  Alcotest.(check int) "one record" 1 (List.length (store_files a ".rec"));
+  let reg_b = Metrics.create () in
+  let b = strict_engine ~dir reg_b in
+  let pb = prepare_filtered b [| 8; 0; 4; 11; 6 |] 4 in
+  Alcotest.(check int) "B: a memo hit" 1 (memo_count reg_b "hit");
+  Alcotest.(check int) "B: no compile" 0 (compiles reg_b);
+  Alcotest.(check int) "B: no validation" 0
+    (counter reg_b "steno_verify" [ "result", "accepted" ]
+    + counter reg_b "steno_verify" [ "result", "rejected" ]);
+  Alcotest.(check int) "B: no PDA check" 0
+    (counter reg_b "steno_pda_checks" []);
+  Alcotest.(check bool) "A ran a PDA check" true
+    (counter reg_a "steno_pda_checks" [] > 0);
+  Alcotest.(check (list string)) "diagnostic counts replay"
+    (diagnostic_series reg_a) (diagnostic_series reg_b);
+  Alcotest.(check (list string)) "rewrite log" (Steno.Prepared.rewrite_log pa)
+    (Steno.Prepared.rewrite_log pb);
+  Alcotest.(check (list string)) "diagnostics"
+    (List.map Check.to_string (Steno.Prepared.diagnostics pa))
+    (List.map Check.to_string (Steno.Prepared.diagnostics pb));
+  let i = Steno.Prepared.compile_info pb in
+  Alcotest.(check bool) "cache hit, no codegen" true
+    (i.Steno.cache_hit && i.Steno.codegen_ms = 0.0 && i.Steno.compile_ms = 0.0);
+  (* The hit filled B's memo: the next prepare is served in memory. *)
+  ignore (prepare_filtered b [| 2; 2; 2; 2; 2 |] 1);
+  Alcotest.(check int) "B: second hit" 2 (memo_count reg_b "hit");
+  Alcotest.(check int) "B: one disk hit" 1
+    (counter reg_b "steno_pcache_hits" []);
+  (* Another length is another shape: B prepares it in full, finds the
+     plugin by its source, and writes the new shape's record. *)
+  ignore (prepare_filtered b [| 1; 2; 3 |] 1);
+  Alcotest.(check int) "B: still no compile" 0 (compiles reg_b);
+  Alcotest.(check int) "two records" 2 (List.length (store_files b ".rec"));
+  let reg_c = Metrics.create () in
+  ignore (prepare_filtered (strict_engine ~dir reg_c) [| 9; 8; 7 |] 0);
+  Alcotest.(check int) "C: the later record hits" 1 (memo_count reg_c "hit")
+
+(* A record written by another build of the generator misses, and the
+   prepare that follows writes this build's. *)
+let test_memo_disk_other_generator () =
+  with_native @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let a = strict_engine ~dir (Metrics.create ()) in
+  ignore (prepare_filtered a [| 5; 1; 9 |] 2);
+  List.iter
+    (fun path ->
+      let bytes = In_channel.with_open_bin path In_channel.input_all in
+      match Pcache.decode_record bytes with
+      | None -> Alcotest.fail "undecodable record"
+      | Some r ->
+        let name = r.Pcache.name in
+        let other =
+          String.make 32 '0' ^ String.sub name 32 (String.length name - 32)
+        in
+        (* Renamed into place: the record is a hard link to the plugin's
+           [.key], which must keep its content. *)
+        let tmp = path ^ ".planted" in
+        Out_channel.with_open_bin tmp (fun oc ->
+            output_string oc
+              (Pcache.encode_record ~key:"" { r with Pcache.name = other }));
+        Sys.rename tmp path)
+    (store_files a ".rec");
+  let reg_b = Metrics.create () in
+  let b = strict_engine ~dir reg_b in
+  ignore (prepare_filtered b [| 8; 0; 4 |] 4);
+  Alcotest.(check int) "B: a memo miss" 0 (memo_count reg_b "hit");
+  Alcotest.(check int) "B: the plugin found by its source" 0 (compiles reg_b);
+  Alcotest.(check bool) "B validated again" true
+    (counter reg_b "steno_verify" [ "result", "accepted" ] > 0);
+  let reg_c = Metrics.create () in
+  ignore (prepare_filtered (strict_engine ~dir reg_c) [| 3; 3; 3 |] 1);
+  Alcotest.(check int) "C: B's record hits" 1 (memo_count reg_c "hit")
+
+(* A record whose plugin was evicted misses and goes; the prepare
+   compiles again and records afresh. *)
+let test_memo_disk_evicted () =
+  with_native @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let a = strict_engine ~dir (Metrics.create ()) in
+  ignore (prepare_filtered a [| 5; 1; 9 |] 2);
+  let recs = store_files a ".rec" in
+  List.iter Sys.remove (store_files a ".cmxs" @ store_files a ".key");
+  let reg_b = Metrics.create () in
+  let b = strict_engine ~dir reg_b in
+  (match Steno.Engine.pcache_stats b with
+  | Some st ->
+    Alcotest.(check int) "the stale record is there" 1 st.Pcache.st_records
+  | None -> Alcotest.fail "no store");
+  ignore (prepare_filtered b [| 8; 0; 4 |] 4);
+  Alcotest.(check int) "B: a memo miss" 0 (memo_count reg_b "hit");
+  Alcotest.(check int) "B: compiles" 1 (compiles reg_b);
+  (* The stale record was deleted, and the compile linked a new one
+     under the same name. *)
+  Alcotest.(check (list string)) "one record, same name" recs
+    (store_files b ".rec");
+  let reg_c = Metrics.create () in
+  ignore (prepare_filtered (strict_engine ~dir reg_c) [| 3; 3; 3 |] 1);
+  Alcotest.(check int) "C: hits" 1 (memo_count reg_c "hit")
+
 (* Ten thousand plans that differ only in their source's length: one
    plugin, ten thousand memo keys, a memo bounded by the capacity. *)
 let test_memo_bounded () =
@@ -855,6 +1020,11 @@ let () =
           Alcotest.test_case "bounded" `Quick test_memo_bounded;
           Alcotest.test_case "clear_cache" `Quick test_memo_clear_cache;
           Alcotest.test_case "domains" `Quick test_memo_domains;
+          Alcotest.test_case "disk record" `Quick test_memo_disk_hit;
+          Alcotest.test_case "disk record, other generator" `Quick
+            test_memo_disk_other_generator;
+          Alcotest.test_case "disk record, evicted plugin" `Quick
+            test_memo_disk_evicted;
         ] );
       ( "metrics",
         [ Alcotest.test_case "scrape after prepares" `Quick test_metrics_render ] );

@@ -254,6 +254,37 @@ let test_explain_mentions_quil () =
   Alcotest.(check bool) "has QUIL line" true
     (String.length s > 10 && String.sub s 0 5 = "QUIL:")
 
+(* [select x] over the row is no operator at all: a filtered count
+   reaches its aggregate straight from the filter, and so takes the
+   branch-free mask. *)
+let test_identity_select () =
+  let src = "count(from x in xs where x % 3 <> 0 select x)" in
+  (match Lang.elaborate ~inputs src with
+  | Elab.Pgm_scalar (Elab.Packed_scalar (_, sq)) ->
+    Alcotest.(check string) "no transform" "Src Pred Agg Ret"
+      (Steno.quil_scalar sq)
+  | Elab.Pgm_collection _ -> Alcotest.fail "expected a scalar");
+  let s = Lang.explain ~inputs src in
+  let has needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "masked, no branch" true
+    (has "Stdlib.Bool.to_int" && not (has "then begin"));
+  (match Lang.elaborate ~inputs "from x in xs select x" with
+  | Elab.Pgm_collection (Elab.Packed_query (_, q)) ->
+    Alcotest.(check string) "bare source" "Src Ret" (Steno.quil q)
+  | Elab.Pgm_scalar _ -> Alcotest.fail "expected a collection");
+  (* Over two generators the row is a pair: [select x] projects. *)
+  match Lang.elaborate ~inputs "from x in xs from y in xs select x" with
+  | Elab.Pgm_collection (Elab.Packed_query (_, q)) ->
+    Alcotest.(check bool) "projection kept" true
+      (String.length (Steno.quil q) > String.length "Src Ret")
+  | Elab.Pgm_scalar _ -> Alcotest.fail "expected a collection"
+
 let () =
   Alcotest.run "lang"
     [
@@ -276,6 +307,7 @@ let () =
           Alcotest.test_case "backends agree" `Quick
             test_backends_agree_on_textual_queries;
           Alcotest.test_case "explain" `Quick test_explain_mentions_quil;
+          Alcotest.test_case "identity select" `Quick test_identity_select;
           QCheck_alcotest.to_alcotest prop_pp_parse_roundtrip;
         ] );
     ]

@@ -69,6 +69,14 @@ let group_query () =
        ~seed:(Expr.int 0)
        ~step:(fun acc x -> I.(acc + x))
 
+(* A query over captured values: a restarted process prepares it with
+   other values of the same lengths through the plan memo's record. *)
+let captured_query ys k =
+  Query.of_array Ty.Int ys
+  |> Query.where (fun x -> I.(x > Expr.capture Ty.Int k))
+  |> Query.select (fun x -> I.(x * Expr.int 2))
+  |> Query.sum_int
+
 let compiles_ok reg =
   Metrics.counter_value
     (Metrics.counter reg "steno_compile" ~labels:[ "result", "ok" ])
@@ -94,16 +102,19 @@ let native_engine ?tiering ?dir reg =
 let child_main dir =
   let reg = Metrics.create () in
   let eng = native_engine ~dir reg in
+  let c = captured_query [| 1; 5; 9 |] 2 in
   match
     ( Steno.Engine.try_prepare_scalar eng (shared_query ()),
-      Steno.Engine.try_prepare eng (group_query ()) )
+      Steno.Engine.try_prepare eng (group_query ()),
+      Steno.Engine.try_prepare_scalar eng c )
   with
-  | Error _, _ | _, Error _ -> exit 3
-  | Ok p, Ok g ->
+  | Error _, _, _ | _, Error _, _ | _, _, Error _ -> exit 3
+  | Ok p, Ok g, Ok pc ->
     let ok =
       Steno.Prepared_scalar.run p = shared_expected
       && Array.to_list (Steno.Prepared.run g) = Reference.to_list (group_query ())
-      && compiles_ok reg = 2
+      && Steno.Prepared_scalar.run pc = Reference.scalar c
+      && compiles_ok reg = 3
     in
     exit (if ok then 0 else 1)
 
@@ -251,6 +262,216 @@ let test_corrupt_store_never_raises () =
     (Pcache.store dead ~key:"k" ~cmxs:payload);
   rm_rf dir
 
+(* {2 Records} *)
+
+let record ~key name payload =
+  { Pcache.plugin = Digest.string key; name; payload }
+
+let some_payload s = if s = "" then None else Some s
+
+(* A store with a record serves both lookups: by name, and (through the
+   [.key] that holds the record) by key. *)
+let test_record_roundtrip () =
+  let dir = fresh_dir () in
+  let payload = Filename.concat dir "payload.bin" in
+  write_file payload "plugin bytes";
+  let pc = mk_store dir in
+  ignore
+    (Pcache.store ~record:("gen-A/shape-1", "entry-1") pc ~key:"k1"
+       ~cmxs:payload);
+  Alcotest.(check bool) "key lookup hits" true
+    (Pcache.find pc ~key:"k1" <> None);
+  (match Pcache.find_record pc ~name:"gen-A/shape-1" some_payload with
+  | Some (v, r, cmxs) ->
+    Alcotest.(check string) "payload" "entry-1" v;
+    Alcotest.(check string) "plugin" (Digest.string "k1") r.Pcache.plugin;
+    Alcotest.(check (option string)) "the key's plugin"
+      (Pcache.find pc ~key:"k1") (Some cmxs)
+  | None -> Alcotest.fail "record lookup missed");
+  Alcotest.(check bool) "other name misses" true
+    (Pcache.find_record pc ~name:"gen-A/shape-2" some_payload = None);
+  Pcache.add_record pc (record ~key:"k1" "gen-A/shape-2" "entry-2");
+  (match Pcache.find_record pc ~name:"gen-A/shape-2" some_payload with
+  | Some (v, _, _) -> Alcotest.(check string) "second record" "entry-2" v
+  | None -> Alcotest.fail "second record missed");
+  let st = Pcache.stats pc in
+  Alcotest.(check int) "one entry" 1 st.Pcache.st_entries;
+  Alcotest.(check int) "two records" 2 st.Pcache.st_records;
+  Alcotest.(check int) "hits: two by name, two by key" 4 st.Pcache.st_hits;
+  Alcotest.(check int) "a miss by name counts nothing" 0 st.Pcache.st_misses;
+  Alcotest.(check int) "clear" 1 (Pcache.clear pc);
+  Alcotest.(check int) "no records left" 0 (Pcache.stats pc).Pcache.st_records;
+  rm_rf dir
+
+(* A record whose name differs, as one written under another generator
+   digest does, is a miss at its path, and goes. *)
+let test_record_other_generator () =
+  let dir = fresh_dir () in
+  let payload = Filename.concat dir "payload.bin" in
+  write_file payload "plugin bytes";
+  let pc = mk_store dir in
+  ignore (Pcache.store pc ~key:"k1" ~cmxs:payload);
+  let path = Pcache.record_path pc ~name:"gen-A/shape" in
+  write_file path
+    (Pcache.encode_record ~key:"" (record ~key:"k1" "gen-B/shape" "e"));
+  Alcotest.(check bool) "planted record misses" true
+    (Pcache.find_record pc ~name:"gen-A/shape" some_payload = None);
+  Alcotest.(check bool) "and is deleted" false (Sys.file_exists path);
+  (* The same for a payload the caller refuses. *)
+  Pcache.add_record pc (record ~key:"k1" "gen-A/shape" "");
+  Alcotest.(check bool) "refused payload misses" true
+    (Pcache.find_record pc ~name:"gen-A/shape" some_payload = None);
+  Alcotest.(check bool) "and is deleted too" false (Sys.file_exists path);
+  Alcotest.(check int) "no hit counted" 0 (Pcache.stats pc).Pcache.st_hits;
+  rm_rf dir
+
+(* A record outlives its plugin (eviction unlinks the [.key] and the
+   [.cmxs], not every record): the lookup that finds the plugin gone
+   misses and deletes the record. *)
+let test_record_plugin_gone () =
+  let dir = fresh_dir () in
+  let payload = Filename.concat dir "payload.bin" in
+  write_file payload "plugin bytes";
+  let pc = mk_store dir in
+  ignore (Pcache.store pc ~key:"k1" ~cmxs:payload);
+  Pcache.add_record pc (record ~key:"k1" "later shape" "e");
+  (match Pcache.find pc ~key:"k1" with
+  | Some cmxs ->
+    Sys.remove cmxs;
+    Sys.remove (Filename.chop_suffix cmxs ".cmxs" ^ ".key")
+  | None -> Alcotest.fail "plugin missing");
+  let path = Pcache.record_path pc ~name:"later shape" in
+  Alcotest.(check bool) "record still there" true (Sys.file_exists path);
+  Alcotest.(check bool) "lookup misses" true
+    (Pcache.find_record pc ~name:"later shape" some_payload = None);
+  Alcotest.(check bool) "record deleted" false (Sys.file_exists path);
+  rm_rf dir
+
+(* Eviction takes a victim's first record with it, and the records of
+   ten thousand shapes stay within [max_entries]. *)
+let test_records_bounded () =
+  let dir = fresh_dir () in
+  let payload = Filename.concat dir "payload.bin" in
+  write_file payload "plugin bytes";
+  let cap = 64 in
+  let pc = mk_store ~max_entries:cap dir in
+  for i = 0 to 9_999 do
+    let key = Printf.sprintf "plugin %d" (i / 50) in
+    let name = Printf.sprintf "shape %d" i in
+    if i mod 50 = 0 then
+      ignore (Pcache.store ~record:(name, "e") pc ~key ~cmxs:payload)
+    else Pcache.add_record pc (record ~key name "e")
+  done;
+  let st = Pcache.stats pc in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d records <= %d" st.Pcache.st_records cap)
+    true (st.Pcache.st_records <= cap);
+  Alcotest.(check bool) "entries capped" true (st.Pcache.st_entries <= cap);
+  Alcotest.(check int) "200 plugins stored" 200 st.Pcache.st_stores;
+  (* Past the cap, eviction removed the oldest plugins' first records:
+     none of them is left to find. *)
+  let pc = mk_store ~max_entries:1 dir in
+  ignore (Pcache.clear pc);
+  ignore (Pcache.store ~record:("a", "e") pc ~key:"ka" ~cmxs:payload);
+  let a = Pcache.record_path pc ~name:"a" in
+  Alcotest.(check bool) "record linked" true (Sys.file_exists a);
+  ignore (Pcache.store ~record:("b", "e") pc ~key:"kb" ~cmxs:payload);
+  let live =
+    Pcache.find pc ~key:"ka" <> None, Pcache.find pc ~key:"kb" <> None
+  in
+  let victim_record = if fst live then "b" else "a" in
+  Alcotest.(check bool) "one plugin left" true (fst live <> snd live);
+  Alcotest.(check bool) "the victim's record went with it" false
+    (Sys.file_exists (Pcache.record_path pc ~name:victim_record));
+  rm_rf dir
+
+(* Every truncation and every single-byte flip of a record decodes to
+   nothing or to the record itself, and never raises; the same for the
+   plan memo's entry codec, which sits inside the checksum. *)
+let record_gen =
+  QCheck.Gen.(
+    map3
+      (fun key name payload -> key, name, payload)
+      (string_size (int_bound 40))
+      (string_size (int_range 1 40))
+      (string_size (int_bound 60)))
+
+let record_damage =
+  QCheck.Test.make ~name:"damaged records decode to a miss or the record"
+    ~count:40
+    (QCheck.make record_gen)
+    (fun (key, name, payload) ->
+      let r = record ~key name payload in
+      let bytes = Pcache.encode_record ~key r in
+      let ok s =
+        match Pcache.decode_record s with
+        | None -> true
+        | Some r' -> r' = r
+      in
+      Pcache.decode_record bytes = Some r
+      && List.for_all
+           (fun n -> ok (String.sub bytes 0 n))
+           (List.init (String.length bytes) Fun.id)
+      && List.for_all
+           (fun i ->
+             List.for_all
+               (fun x ->
+                 let b = Bytes.of_string bytes in
+                 Bytes.set b i (Char.chr (Char.code bytes.[i] lxor x));
+                 ok (Bytes.to_string b))
+               [ 1; 0x80; 0xff ])
+           (List.init (String.length bytes) Fun.id))
+
+let entry_gen =
+  QCheck.Gen.(
+    let str = string_size (int_bound 12) in
+    let diag =
+      map3
+        (fun (d_code, d_rule) (sev, d_index) (d_op, d_message) ->
+          {
+            Check.d_code;
+            d_rule;
+            d_severity =
+              (match sev with 0 -> Check.Error | 1 -> Warning | _ -> Hint);
+            d_index;
+            d_op;
+            d_message;
+          })
+        (pair str str) (pair (int_bound 2) int) (pair str str)
+    in
+    map3
+      (fun slots (rules, diags) plan ->
+        {
+          Steno_memo.slots =
+            Array.of_list
+              (List.map
+                 (fun i -> if i < 0 then Steno_memo.Empty_array else Class i)
+                 slots);
+          rules;
+          diags;
+          plan;
+        })
+      (list_size (int_bound 6) (int_range (-1) 1000))
+      (pair (list_size (int_bound 4) str) (list_size (int_bound 3) diag))
+      str)
+
+let entry_damage =
+  QCheck.Test.make ~name:"damaged memo entries never raise" ~count:100
+    (QCheck.make entry_gen)
+    (fun e ->
+      let bytes = Steno_memo.encode e in
+      Steno_memo.decode bytes = Some e
+      && List.for_all
+           (fun n -> Steno_memo.decode (String.sub bytes 0 n) = None)
+           (List.init (String.length bytes) Fun.id)
+      && List.for_all
+           (fun i ->
+             let b = Bytes.of_string bytes in
+             Bytes.set b i (Char.chr (Char.code bytes.[i] lxor 0xff));
+             ignore (Steno_memo.decode (Bytes.to_string b));
+             true)
+           (List.init (String.length bytes) Fun.id))
+
 (* {2 Config} *)
 
 let test_config_builders () =
@@ -309,6 +530,52 @@ let skip_without_native () =
     true
   end
   else false
+
+let run_child dir =
+  let env =
+    Array.append (Unix.environment ()) [| "STENO_PCACHE_CHILD=" ^ dir |]
+  in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process_env Sys.executable_name [| Sys.executable_name |] env
+      Unix.stdin devnull devnull
+  in
+  Unix.close devnull;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _, Unix.WEXITED c -> Alcotest.failf "child compile process: exit %d" c
+  | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
+    Alcotest.failf "child compile process: signal %d" s
+
+(* The plan memo across a restart: the child compiled [captured_query]
+   with some values; this process prepares it with others through the
+   record, running no check, optimizer, validation or compile. *)
+let test_cross_process_record () =
+  if skip_without_native () then ()
+  else begin
+    let dir = fresh_dir () in
+    run_child dir;
+    let reg = Metrics.create () in
+    let eng = native_engine ~dir reg in
+    let c = captured_query [| 7; 0; 4 |] 3 in
+    let p = Steno.Engine.prepare_scalar eng c in
+    Alcotest.(check int) "result" (Reference.scalar c)
+      (Steno.Prepared_scalar.run p);
+    let value name labels =
+      Metrics.counter_value (Metrics.counter reg name ~labels)
+    in
+    Alcotest.(check int) "a memo hit" 1
+      (value "steno_plan_memo" [ "result", "hit" ]);
+    Alcotest.(check int) "no compile" 0 (compiles_ok reg);
+    Alcotest.(check int) "no validation" 0
+      (value "steno_verify" [ "result", "accepted" ]
+      + value "steno_verify" [ "result", "rejected" ]);
+    Alcotest.(check int) "one disk hit" 1 (value "steno_pcache_hits" []);
+    let i = Steno.Prepared_scalar.compile_info p in
+    Alcotest.(check bool) "no codegen" true
+      (i.Steno.cache_hit && i.Steno.codegen_ms = 0.0);
+    rm_rf dir
+  end
 
 let test_cross_process_persistence () =
   if skip_without_native () then ()
@@ -553,12 +820,24 @@ let () =
           Alcotest.test_case "corruption never raises" `Quick
             test_corrupt_store_never_raises;
         ] );
+      ( "records",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_record_roundtrip;
+          Alcotest.test_case "other generator" `Quick
+            test_record_other_generator;
+          Alcotest.test_case "plugin gone" `Quick test_record_plugin_gone;
+          Alcotest.test_case "bounded" `Quick test_records_bounded;
+          QCheck_alcotest.to_alcotest record_damage;
+          QCheck_alcotest.to_alcotest entry_damage;
+        ] );
       ( "config",
         [ Alcotest.test_case "builders" `Quick test_config_builders ] );
       ( "persistence",
         [
           Alcotest.test_case "cross-process reuse" `Quick
             test_cross_process_persistence;
+          Alcotest.test_case "cross-process record" `Quick
+            test_cross_process_record;
           Alcotest.test_case "corrupted entry recovery" `Quick
             test_corrupted_entry_recovers;
         ] );

@@ -172,6 +172,22 @@ if printf '%s\n' "$plugin_src" | grep -qF 'then begin'; then
   echo "stenoc show where3: the filters still branch" >&2
   exit 1
 fi
+# show prints what the engine compiles: where-fuse joins the three
+# filters into one test.
+if ! printf '%s\n' "$plugin_src" | grep -qx 'QUIL:  Src Pred Agg Ret'; then
+  echo "stenoc show where3: not a single fused test" >&2
+  exit 1
+fi
+# The text front end adds no identity transform for [select x], so a
+# filtered count takes the mask too.
+explain_src=$(./_build/default/bin/stenoc.exe explain \
+  "count(from x in xs where x % 3 <> 0 select x)")
+if ! printf '%s\n' "$explain_src" | grep -qx 'QUIL: Src Pred Agg Ret' ||
+    ! printf '%s\n' "$explain_src" | grep -qF 'Stdlib.Bool.to_int' ||
+    printf '%s\n' "$explain_src" | grep -qF 'then begin'; then
+  echo "stenoc explain: select x is not elided, or the count branches" >&2
+  exit 1
+fi
 
 echo "== stenoc analyze (annotated plans, all backends) =="
 dune exec bin/stenoc.exe -- analyze redundant -n 2000 > /dev/null
@@ -326,6 +342,21 @@ need(any("trace_id" in e.get("args", {}) for e in events),
      "no root span carries a trace_id")
 sys.exit(0 if ok else 1)
 EOF
+
+echo "== warm restart through the plan memo's disk records =="
+# Fresh processes over a populated store: every prepare must be served
+# by its record, with no check or code generation.
+bench_exe="$PWD/_build/default/stenobench/steno_bench.exe"
+warm_out=$(cd "$work_dir" && "$bench_exe" --workload warm-restart --smoke \
+  --seconds 1 --trace 1)
+for want in 'codegen.calls 0 count' 'check.calls 0 count' \
+    'pcache.hit_ratio 1 ratio'; do
+  if ! printf '%s\n' "$warm_out" | grep -qx "$want"; then
+    echo "warm-restart: expected '$want'" >&2
+    printf '%s\n' "$warm_out" | grep -E '^(codegen|check|pcache)\.' >&2
+    exit 1
+  fi
+done
 
 echo "== bench smoke (scale 0.01) =="
 dune exec bench/main.exe -- --scale 0.01 fig1 optimizer profiling par-agg tier

@@ -267,9 +267,37 @@ let preview : type a. a Ty.t -> a array -> string =
     (if n > shown then "; ..." else "")
     n
 
-let engine_with backend sink =
-  Steno.Engine.(
-    create { default_config with backend; telemetry = sink })
+let engine_with ?(trace = false) backend =
+  let cfg = Steno.Config.(default |> with_backend backend) in
+  Steno.Engine.create
+    (if trace then Steno.Config.with_tracing ~sample:1.0 cfg else cfg)
+
+(* Run [f] as one trace on a fresh engine's tracer; the trace, when the
+   engine traces. *)
+let traced eng name f =
+  let tracer = Steno.Engine.tracer eng in
+  Trace.with_trace tracer name f;
+  List.nth_opt (Trace.traces tracer) 0
+
+(* The trace's events, each summed by name over its ["n"] attributes. *)
+let print_counters tr =
+  let sums = Hashtbl.create 8 in
+  List.iter
+    (fun sp ->
+      match sp.Trace.sp_kind, List.assoc_opt "n" sp.Trace.sp_attrs with
+      | Trace.Instant, Some n ->
+        let name = sp.Trace.sp_name in
+        Hashtbl.replace sums name
+          (int_of_string n
+          + Option.value ~default:0 (Hashtbl.find_opt sums name))
+      | _ -> ())
+    (Trace.spans tr);
+  if Hashtbl.length sums > 0 then begin
+    print_endline "counters:";
+    List.iter
+      (fun (k, v) -> Printf.printf "  %-22s %d\n" k v)
+      (List.sort compare (List.of_seq (Hashtbl.to_seq sums)))
+  end
 
 let describe_fallback info =
   match info.Steno.fallback with
@@ -290,58 +318,57 @@ let cmd_run name backend n trace =
     prerr_endline e;
     1
   | Ok demo, Ok b ->
-    let collector = Telemetry.Collector.create () in
-    let sink =
-      if trace then Telemetry.Collector.sink collector else Telemetry.null
+    let eng = engine_with ~trace b in
+    let tr =
+      traced eng name @@ fun () ->
+      match demo with
+      | Collection { elem; build; _ } ->
+        let p, t_prep = time (fun () -> Steno.Engine.prepare eng (build n)) in
+        let result, t_run = time (fun () -> Steno.Prepared.run p) in
+        Printf.printf "%s\nprepare: %.1f ms, run: %.1f ms\n"
+          (preview elem result) t_prep t_run;
+        describe_fallback (Steno.Prepared.compile_info p);
+        if trace then describe_rewrites (Steno.Prepared.rewrite_log p)
+      | Scalar { ty; build; _ } ->
+        let p, t_prep =
+          time (fun () -> Steno.Engine.prepare_scalar eng (build n))
+        in
+        let result, t_run = time (fun () -> Steno.Prepared_scalar.run p) in
+        Format.printf "%a@." (Ty.pp_value ty) result;
+        Printf.printf "prepare: %.1f ms, run: %.1f ms\n" t_prep t_run;
+        describe_fallback (Steno.Prepared_scalar.compile_info p);
+        if trace then describe_rewrites (Steno.Prepared_scalar.rewrite_log p)
     in
-    let eng = engine_with b sink in
-    (match demo with
-    | Collection { elem; build; _ } ->
-      let p, t_prep = time (fun () -> Steno.Engine.prepare eng (build n)) in
-      let result, t_run = time (fun () -> Steno.Prepared.run p) in
-      Printf.printf "%s\nprepare: %.1f ms, run: %.1f ms\n" (preview elem result)
-        t_prep t_run;
-      describe_fallback (Steno.Prepared.compile_info p);
-      if trace then describe_rewrites (Steno.Prepared.rewrite_log p)
-    | Scalar { ty; build; _ } ->
-      let p, t_prep =
-        time (fun () -> Steno.Engine.prepare_scalar eng (build n))
-      in
-      let result, t_run = time (fun () -> Steno.Prepared_scalar.run p) in
-      Format.printf "%a@." (Ty.pp_value ty) result;
-      Printf.printf "prepare: %.1f ms, run: %.1f ms\n" t_prep t_run;
-      describe_fallback (Steno.Prepared_scalar.compile_info p);
-      if trace then describe_rewrites (Steno.Prepared_scalar.rewrite_log p));
-    if trace then begin
-      Printf.printf "\ntrace:\n%s" (Telemetry.Collector.tree collector);
-      match Telemetry.Collector.counters collector with
-      | [] -> ()
-      | counters ->
-        print_endline "counters:";
-        List.iter
-          (fun (k, v) -> Printf.printf "  %-18s %d\n" k v)
-          counters
-    end;
+    Option.iter
+      (fun tr ->
+        Printf.printf "\ntrace:\n%s" (Trace.report tr);
+        print_counters tr)
+      tr;
     0
 
-(* Repeated prepare+run of one query through a fresh engine: the cache /
-   telemetry roll-up view. *)
+(* Repeated prepare+run of one query through a fresh engine, traced as
+   one request: the cache and per-stage roll-up view. *)
 let cmd_stats name backend n reps =
   match find name, backend_of_string backend with
   | Error e, _ | _, Error e ->
     prerr_endline e;
     1
   | Ok demo, Ok b ->
-    let collector = Telemetry.Collector.create () in
-    let eng = engine_with b (Telemetry.Collector.sink collector) in
+    let eng = engine_with ~trace:true b in
     let reps = max 1 reps in
-    for _ = 1 to reps do
-      match demo with
-      | Collection { build; _ } ->
-        ignore (Steno.Prepared.run (Steno.Engine.prepare eng (build n)))
-      | Scalar { build; _ } ->
-        ignore (Steno.Prepared_scalar.run (Steno.Engine.prepare_scalar eng (build n)))
-    done;
+    let tr =
+      traced eng name @@ fun () ->
+      for _ = 1 to reps do
+        match demo with
+        | Collection { build; _ } ->
+          ignore (Steno.Prepared.run (Steno.Engine.prepare eng (build n)))
+        | Scalar { build; _ } ->
+          ignore
+            (Steno.Prepared_scalar.run
+               (Steno.Engine.prepare_scalar eng (build n)))
+      done
+    in
+    let spans = match tr with Some tr -> Trace.spans tr | None -> [] in
     Printf.printf "%d x prepare+run of %S on %s (n = %d)\n\n" reps name
       (Steno.backend_name b) n;
     let stats = Steno.Engine.cache_stats eng in
@@ -361,14 +388,18 @@ let cmd_stats name backend n reps =
         stats.Steno.Engine.evictions;
     Printf.printf "%-12s %8s %12s %12s\n" "stage" "spans" "total(ms)"
       "mean(ms)";
-    let spans = Telemetry.Collector.spans collector in
     List.iter
       (fun stage ->
         let matching =
-          List.filter (fun s -> s.Telemetry.name = stage) spans
+          List.filter
+            (fun sp -> sp.Trace.sp_kind = Trace.Interval && sp.Trace.sp_name = stage)
+            spans
         in
         if matching <> [] then begin
-          let total = Telemetry.Collector.total_ms collector stage in
+          let total =
+            List.fold_left (fun acc sp -> acc +. sp.Trace.sp_duration_ms) 0.0
+              matching
+          in
           Printf.printf "%-12s %8d %12.3f %12.3f\n" stage
             (List.length matching) total
             (total /. float_of_int (List.length matching))
@@ -377,12 +408,11 @@ let cmd_stats name backend n reps =
         "prepare"; "optimize"; "specialize"; "canon"; "codegen"; "compile";
         "dynlink"; "env-bind"; "stage"; "run";
       ];
-    (match Telemetry.Collector.counters collector with
-    | [] -> ()
-    | counters ->
-      print_newline ();
-      print_endline "counters:";
-      List.iter (fun (k, v) -> Printf.printf "  %-18s %d\n" k v) counters);
+    Option.iter
+      (fun tr ->
+        print_newline ();
+        print_counters tr)
+      tr;
     0
 
 (* Profiled execution of one demo on every available backend: the
@@ -399,7 +429,7 @@ let cmd_analyze name n =
     in
     List.iter
       (fun b ->
-        let eng = engine_with b Telemetry.null in
+        let eng = engine_with b in
         let a =
           match demo with
           | Collection { build; _ } ->
@@ -497,7 +527,6 @@ let cmd_metrics n =
           default_config with
           profile = true;
           metrics = reg;
-          telemetry = Telemetry.metrics reg;
           adaptive = Some { Steno.Config.drift = 0.3; fused_below = 64 };
         })
   in
@@ -927,7 +956,9 @@ let trace_arg =
   Arg.(
     value & flag
     & info [ "trace" ]
-        ~doc:"Print the telemetry span tree of the pipeline after running.")
+        ~doc:
+          "Print the run's trace after running: every pipeline stage span \
+           and event, and the events summed by name.")
 
 let reps_arg =
   Arg.(
@@ -943,7 +974,7 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Repeatedly prepare and run a demo query through one engine and \
-          report its plugin-cache statistics and per-stage telemetry \
+          report its plugin-cache statistics and per-stage trace \
           roll-up.")
     Term.(const cmd_stats $ query_arg $ backend_arg $ size $ reps_arg)
 

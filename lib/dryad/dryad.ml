@@ -42,13 +42,14 @@ let reset_metrics c =
 
 (* One stage = one vertex per partition, fanned out on the pool.  The
    whole stage runs under a "stage" span; each vertex records its own
-   "vertex" span from the domain that executed it, so the sink sees both
-   the stage wall time and the per-vertex distribution.  The same
+   "vertex" span from the domain that executed it, into the caller's
+   trace, so a traced stage shows both the stage wall time and the
+   per-vertex distribution.  The same
    quantities feed the engine's metrics registry: stage wall time and
    per-vertex queue wait (stage start to vertex start) as histograms,
    cumulative stage/vertex counts as gauges. *)
 let run_stage c f parts =
-  let sink = Steno.Engine.telemetry c.engine in
+  let tracer = Steno.Engine.tracer c.engine in
   let reg = Steno.Engine.metrics c.engine in
   let stage_h =
     Metrics.histogram reg "steno_stage_ms"
@@ -75,19 +76,20 @@ let run_stage c f parts =
     (float_of_int c.m.vertices);
   let t0 = Telemetry.now_ms () in
   let out =
-    Telemetry.with_span sink "stage"
+    Trace.with_span tracer "stage"
       ~attrs:
         [
           "stage", string_of_int stage_id;
           "vertices", string_of_int (Array.length parts);
         ]
       (fun () ->
-        Domain_pool.run ~workers:c.workers ~tasks:(Array.length parts)
+        Domain_pool.run ?ctx:(Trace.current ()) ~workers:c.workers
+          ~tasks:(Array.length parts)
           (fun i ->
             let vstart = Telemetry.now_ms () in
             Metrics.observe vertex_wait_h (vstart -. t0);
             let r =
-              Telemetry.with_span sink "vertex"
+              Trace.with_span tracer "vertex"
                 ~attrs:
                   [ "stage", string_of_int stage_id; "index", string_of_int i ]
                 (fun () -> f parts.(i))
@@ -163,9 +165,7 @@ let exchange c ~parts ~key ds =
       (Dataset.partitions ds)
   in
   c.m.exchanged <- c.m.exchanged + Dataset.total_length ds;
-  Telemetry.count
-    (Steno.Engine.telemetry c.engine)
-    "dryad.exchanged" (Dataset.total_length ds);
+  Steno.Engine.event c.engine ~n:(Dataset.total_length ds) "dryad.exchanged";
   (* Stage 2: each destination vertex concatenates its incoming chunks. *)
   let dests =
     run_stage c
@@ -176,9 +176,7 @@ let exchange c ~parts ~key ds =
 
 let gather c ds =
   c.m.gathered <- c.m.gathered + Dataset.total_length ds;
-  Telemetry.count
-    (Steno.Engine.telemetry c.engine)
-    "dryad.gathered" (Dataset.total_length ds);
+  Steno.Engine.event c.engine ~n:(Dataset.total_length ds) "dryad.gathered";
   Dataset.collect ds
 
 let sort_by c ?(sample_rate = 16) ~key ds =

@@ -20,10 +20,10 @@ val create : ?workers:int -> ?engine:Steno.Engine.t -> unit -> cluster
 (** A simulated cluster executing up to [workers] vertices concurrently
     (default: the machine's recommended domain count).  Vertex queries
     prepare and run through [engine] (default:
-    [Steno.default_engine ()]); its telemetry sink receives one
-    ["stage"] span per stage and one ["vertex"] span per vertex — the
-    per-stage / per-vertex roll-up — plus ["dryad.exchanged"] /
-    ["dryad.gathered"] counters. *)
+    [Steno.default_engine ()]); a traced call (under [Trace.with_trace]
+    on its tracer) records one ["stage"] span per stage and one
+    ["vertex"] span per vertex — the per-stage / per-vertex roll-up —
+    plus ["dryad.exchanged"] / ["dryad.gathered"] events. *)
 
 val workers : cluster -> int
 

@@ -23,11 +23,11 @@ let engine_of = function
 let row_buckets = Metrics.log_buckets ~base:4.0 ~lo:1.0 ~hi:1e9 ()
 
 (* One vertex per partition, each under a "partition" span so per-domain
-   timings reach the engine's telemetry sink, and recorded in the
-   engine's metrics registry: rows fed to each partition, the wait
-   between job submission and a worker picking the partition up, and the
-   partition's wall time. *)
-let traced_task ~eng ~sink f parts =
+   timings reach the caller's trace, and recorded in the engine's metrics
+   registry: rows fed to each partition, the wait between job submission
+   and a worker picking the partition up, and the partition's wall
+   time. *)
+let traced_task ~eng f parts =
   let m = Steno.Engine.metrics eng in
   let rows_h =
     Metrics.histogram m "steno_partition_rows"
@@ -47,25 +47,27 @@ let traced_task ~eng ~sink f parts =
     Metrics.observe rows_h (float_of_int (Array.length parts.(i)));
     Metrics.observe wait_h (max 0.0 (start_ms -. submit_ms));
     let r =
-      Telemetry.with_span sink "partition"
+      Trace.with_span (Steno.Engine.tracer eng) "partition"
         ~attrs:[ "index", string_of_int i ]
         (fun () -> f parts.(i))
     in
     Metrics.observe time_h (max 0.0 (Telemetry.now_ms () -. start_ms));
     r
 
-let map_partitions_traced ~eng ~sink ~workers f parts =
-  Domain_pool.run ~workers ~tasks:(Array.length parts)
-    (traced_task ~eng ~sink f parts)
+(* The caller's trace context travels with the tasks, so the partitions
+   that worker domains run land in the same trace. *)
+let map_partitions_traced ~eng ~workers f parts =
+  Domain_pool.run ?ctx:(Trace.current ()) ~workers ~tasks:(Array.length parts)
+    (traced_task ~eng f parts)
 
-let map_partitions_until ~eng ~sink ~workers ~stop f parts =
-  Domain_pool.run_until ~workers ~tasks:(Array.length parts) ~stop
-    (traced_task ~eng ~sink f parts)
+let map_partitions_until ~eng ~workers ~stop f parts =
+  Domain_pool.run_until ?ctx:(Trace.current ()) ~workers
+    ~tasks:(Array.length parts) ~stop
+    (traced_task ~eng f parts)
 
-(* The trailing Agg* of Fig. 12, timed: an "agg-merge" span on the
-   telemetry side and a [steno_agg_merge_ms] observation on the metrics
-   side. *)
-let merge_partials ~eng ~sink ~count merge =
+(* The trailing Agg* of Fig. 12, timed: an "agg-merge" span in the trace
+   and a [steno_agg_merge_ms] observation on the metrics side. *)
+let merge_partials ~eng ~count merge =
   let m = Steno.Engine.metrics eng in
   let merge_h =
     Metrics.histogram m "steno_agg_merge_ms"
@@ -73,7 +75,7 @@ let merge_partials ~eng ~sink ~count merge =
   in
   let t0 = Telemetry.now_ms () in
   let r =
-    Telemetry.with_span sink "agg-merge"
+    Trace.with_span (Steno.Engine.tracer eng) "agg-merge"
       ~attrs:[ "partials", string_of_int count ]
       merge
   in
@@ -82,7 +84,6 @@ let merge_partials ~eng ~sink ~count merge =
 
 let homomorphic_apply ?engine ?backend ?workers _ty build parts =
   let eng = engine_of engine in
-  let sink = Steno.Engine.telemetry eng in
   let workers =
     Option.value workers ~default:(Domain_pool.recommended_workers ())
   in
@@ -90,20 +91,19 @@ let homomorphic_apply ?engine ?backend ?workers _ty build parts =
      source, so the parallel runs below are cache hits. *)
   if Array.length parts > 0 then
     ignore (Steno.Engine.prepare ?backend eng (build parts.(0)));
-  map_partitions_traced ~eng ~sink ~workers
+  map_partitions_traced ~eng ~workers
     (fun part -> Steno.Engine.to_array ?backend eng (build part))
     parts
 
 let scalar_per_partition ?engine ?backend ?workers build ~combine parts =
   let eng = engine_of engine in
-  let sink = Steno.Engine.telemetry eng in
   let workers =
     Option.value workers ~default:(Domain_pool.recommended_workers ())
   in
   if Array.length parts > 0 then
     ignore (Steno.Engine.prepare_scalar ?backend eng (build parts.(0)));
   let partials =
-    map_partitions_traced ~eng ~sink ~workers
+    map_partitions_traced ~eng ~workers
       (fun part ->
         match Steno.Engine.scalar ?backend eng (build part) with
         | s -> Some s
@@ -111,7 +111,7 @@ let scalar_per_partition ?engine ?backend ?workers build ~combine parts =
       parts
   in
   let merged =
-    merge_partials ~eng ~sink ~count:(Array.length partials) (fun () ->
+    merge_partials ~eng ~count:(Array.length partials) (fun () ->
         Array.fold_left
           (fun acc p ->
             match acc, p with
@@ -360,7 +360,6 @@ let rec decompose : type r. r Query.sq -> r decomposed option =
 let run_decomposed (type row p r) ?engine ?backend ?workers
     (d : (row, p, r) decomposition) (parts : row partitioned) : r =
   let eng = engine_of engine in
-  let sink = Steno.Engine.telemetry eng in
   let workers =
     Option.value workers ~default:(Domain_pool.recommended_workers ())
   in
@@ -375,14 +374,14 @@ let run_decomposed (type row p r) ?engine ?backend ?workers
     match d.short_circuit with
     | None ->
       Array.map Option.some
-        (map_partitions_traced ~eng ~sink ~workers task parts)
+        (map_partitions_traced ~eng ~workers task parts)
     | Some sc ->
-      map_partitions_until ~eng ~sink ~workers
+      map_partitions_until ~eng ~workers
         ~stop:(function Some v -> sc v | None -> false)
         task parts
   in
   let merged =
-    merge_partials ~eng ~sink ~count:(Array.length parts) (fun () ->
+    merge_partials ~eng ~count:(Array.length parts) (fun () ->
         Array.fold_left
           (fun acc po ->
             match acc, po with
@@ -453,7 +452,6 @@ let group_aggregate (type k s) ?engine ?backend ?workers ?parts
     | Some (Rerooted rt) ->
       if Array.length rt.arr = 0 then fallback ()
       else begin
-        let sink = Steno.Engine.telemetry eng in
         let workers =
           Option.value workers ~default:(Domain_pool.recommended_workers ())
         in
@@ -465,7 +463,7 @@ let group_aggregate (type k s) ?engine ?backend ?workers ?parts
         ignore (Steno.Engine.prepare ?backend eng (build partitions.(0)));
         let seed_v = Expr.eval seed in
         let tables =
-          map_partitions_traced ~eng ~sink ~workers
+          map_partitions_traced ~eng ~workers
             (fun part ->
               let pairs = Steno.Engine.to_array ?backend eng (build part) in
               let t =
@@ -477,7 +475,7 @@ let group_aggregate (type k s) ?engine ?backend ?workers ?parts
             partitions
         in
         let merged =
-          merge_partials ~eng ~sink ~count:(Array.length tables) (fun () ->
+          merge_partials ~eng ~count:(Array.length tables) (fun () ->
               let rec rounds = function
                 | [] -> Lookup.Agg.create ~seed:seed_v ()
                 | [ t ] -> t

@@ -22,9 +22,9 @@ val concat : 'a partitioned -> 'a array
 
     Every operator takes an optional [?engine]: the queries prepare and
     run through it (its backend, plugin cache and failure policy), and
-    its telemetry sink receives one ["partition"] span per vertex — timed
-    on the worker domain that ran it — plus an ["agg-merge"] span for the
-    combining step.  Default: [Steno.default_engine ()].  [?backend]
+    a traced call (under [Trace.with_trace] on its tracer) records one
+    ["partition"] span per vertex — timed on the worker domain that ran
+    it — plus an ["agg-merge"] span for the combining step.  Default: [Steno.default_engine ()].  [?backend]
     overrides the engine's backend per call. *)
 
 val homomorphic_apply :

@@ -195,11 +195,12 @@ let translate_exn : exn -> exn = function
   | e -> e
 
 (* How each backend stages one plan, packaged so the engine's prepare
-   logic (timing, caching, fallback, telemetry) exists once. *)
+   logic (timing, caching, fallback, tracing) exists once.  The stagers
+   take the probe a profiled prepare allocates. *)
 type 'r plan = {
-  stage_linq : ?probe:Metrics.Probe.t -> Telemetry.sink -> unit -> 'r;
-  stage_fused : ?probe:Metrics.Probe.t -> Telemetry.sink -> unit -> 'r;
-  chain : Telemetry.sink -> Quil.chain;
+  stage_linq : Metrics.Probe.t option -> unit -> 'r;
+  stage_fused : Metrics.Probe.t option -> unit -> 'r;
+  chain : unit -> Quil.chain;
 }
 
 let linq_wrapper = function
@@ -274,24 +275,24 @@ let stage_fused : type r. Fused.wrapper -> r Query.root -> unit -> r =
     let staged = Fused.stage_sq_probed w sq in
     fun () -> staged Expr.Open.empty
 
-let plan_of (r : 'r Query.root) : 'r plan =
-  let specialized sink =
-    Telemetry.with_span sink "specialize" (fun () -> specialize r)
+let plan_of tracer (r : 'r Query.root) : 'r plan =
+  let specialized () =
+    Trace.with_span tracer "specialize" (fun () -> specialize r)
   in
   {
     stage_linq =
-      (fun ?probe sink ->
+      (fun probe ->
         let w = linq_wrapper probe in
-        Telemetry.with_span sink "stage" (fun () -> stage_linq w r));
+        Trace.with_span tracer "stage" (fun () -> stage_linq w r));
     stage_fused =
-      (fun ?probe sink ->
+      (fun probe ->
         let w = fused_wrapper probe in
-        let spec = specialized sink in
-        Telemetry.with_span sink "stage" (fun () -> stage_fused w spec));
+        let spec = specialized () in
+        Trace.with_span tracer "stage" (fun () -> stage_fused w spec));
     chain =
-      (fun sink ->
-        let spec = specialized sink in
-        Telemetry.with_span sink "canon" (fun () -> canon_of_specialized spec));
+      (fun () ->
+        let spec = specialized () in
+        Trace.with_span tracer "canon" (fun () -> canon_of_specialized spec));
   }
 
 (* The recording schema for adaptive statistics: the probed operator
@@ -451,7 +452,6 @@ module Config = struct
     optimize : bool;
     compile_timeout_ms : int option;
     cache_capacity : int;
-    telemetry : Telemetry.sink;
     profile : bool;
     metrics : Metrics.t;
     strict : bool;
@@ -469,7 +469,6 @@ module Config = struct
       optimize = true;
       compile_timeout_ms = None;
       cache_capacity = 128;
-      telemetry = Telemetry.null;
       profile = false;
       metrics = Metrics.default ();
       strict = false;
@@ -485,7 +484,6 @@ module Config = struct
   let with_optimize optimize t = { t with optimize }
   let with_compile_timeout compile_timeout_ms t = { t with compile_timeout_ms }
   let with_cache_capacity cache_capacity t = { t with cache_capacity }
-  let with_telemetry telemetry t = { t with telemetry }
   let with_profile profile t = { t with profile }
   let with_metrics metrics t = { t with metrics }
   let with_strict strict t = { t with strict }
@@ -525,7 +523,6 @@ module Engine = struct
     optimize : bool;
     compile_timeout_ms : int option;
     cache_capacity : int;
-    telemetry : Telemetry.sink;
     profile : bool;
     metrics : Metrics.t;
     strict : bool;
@@ -540,9 +537,9 @@ module Engine = struct
     cfg : config;
     tracer : Trace.t;
         (* Request-scoped tracing (see [Trace]); [Trace.disabled] unless
-           the configuration asked for it.  The engine's telemetry sink
-           is teed into the tracer at creation, so existing pipeline
-           spans and counters flow into the active trace. *)
+           the configuration asked for it.  Every stage span and event
+           the engine reports is recorded here, in the trace of the
+           request it served. *)
     cache : (string, Dynload.compiled) Steno_lru.t;
     flight :
       (string, (bool * Dynload.compiled, fallback_reason) result)
@@ -596,6 +593,8 @@ module Engine = struct
     pcache_evictions : lazy_counter;
     memo_hit : lazy_counter;
     memo_miss : lazy_counter;
+    tier_ok : lazy_counter;
+    tier_failed : lazy_counter;
     diagnostics : Metrics.counter String_map.t Atomic.t;
         (* [check_diagnostics] by severity and rule code, each
            registered on its first diagnostic. *)
@@ -613,18 +612,31 @@ module Engine = struct
 
   let count lc = Metrics.inc (counter lc)
 
+  (* The events the engine reports, by name.  Each is an instant in the
+     active trace, with its count as ["n"]; the events the engine also
+     counts in its registry name their counter here, so one [event] call
+     records both. *)
+  let event_counter ins = function
+    | "cache.miss" -> Some ins.compile_ok
+    | "pcache.hit" -> Some ins.pcache_hits
+    | "flight.join" -> Some ins.prepare_dedup
+    | "tier.promote" -> Some ins.tier_ok
+    | _ -> None
+
+  let record_event tracer ins ?(n = 1) name =
+    if Trace.active tracer then
+      Trace.instant tracer name ~attrs:[ "n", string_of_int n ] ();
+    match event_counter ins name with
+    | Some lc -> Metrics.add (counter lc) n
+    | None -> ()
+
+  let event eng ?n name = record_event eng.tracer eng.ins ?n name
+
   let default_config = Config.default
 
   (* Handles for the optional subsystems' counters that are looked up
      rarely.  [Metrics.counter] is get-or-register on (name, labels), so
      these are safe from any domain. *)
-  let tier_promotions_c eng result =
-    Metrics.counter eng.cfg.metrics "steno_tier_promotions"
-      ~help:
-        "Background tier promotions of hot prepared queries (Fused -> \
-         Native)"
-      ~labels:[ "result", result ]
-
   let adaptive_c eng decision =
     Metrics.counter eng.cfg.metrics "steno_adaptive"
       ~help:
@@ -643,6 +655,12 @@ module Engine = struct
     in
     let verify result =
       c "steno_verify" "Translation-validation outcomes for optimizer rewrites"
+        ~labels:[ "result", result ]
+    in
+    let tier result =
+      c "steno_tier_promotions"
+        "Background tier promotions of hot prepared queries (Fused -> \
+         Native)"
         ~labels:[ "result", result ]
     in
     let plan_memo result =
@@ -674,6 +692,8 @@ module Engine = struct
           "Entries evicted from the persistent on-disk cache by its caps";
       memo_hit = plan_memo "hit";
       memo_miss = plan_memo "miss";
+      tier_ok = tier "ok";
+      tier_failed = tier "failed";
       diagnostics = Atomic.make String_map.empty;
     }
 
@@ -684,21 +704,11 @@ module Engine = struct
       | Some { Config.sample; ring; slow_ms } ->
         Trace.create ~sample ~ring ?slow_ms ~metrics:cfg.metrics ()
     in
-    (* Forward pipeline telemetry into active traces: every stage span
-       and counter the engine already reports lands in the trace of the
-       request it served, with no second instrumentation point. *)
-    let cfg =
-      if Trace.enabled tracer then
-        {
-          cfg with
-          telemetry = Telemetry.tee cfg.telemetry (Trace.telemetry_sink tracer);
-        }
-      else cfg
-    in
+    let ins = instruments cfg.metrics in
     (* Dynlink cannot unload plugin code, so a released handle is only
        dropped — but the release is now observable rather than silent. *)
     let on_evict _key (_ : Dynload.compiled) =
-      Telemetry.count cfg.telemetry "cache.release" 1
+      record_event tracer ins "cache.release"
     in
     (* Shard the plugin-cache lock once the cache is large enough that
        shard-local LRU order is a good approximation of global order;
@@ -712,7 +722,6 @@ module Engine = struct
           (Pcache.create ~max_bytes ~max_entries
              ~fingerprint:(Dynload.fingerprint ()) ~dir ())
     in
-    let ins = instruments cfg.metrics in
     let eng =
       {
         cfg;
@@ -736,7 +745,7 @@ module Engine = struct
       ignore (counter ins.pcache_misses);
       ignore (counter ins.pcache_evictions)
     end;
-    if cfg.tiering <> None then ignore (tier_promotions_c eng "ok");
+    if cfg.tiering <> None then ignore (counter ins.tier_ok);
     if cfg.adaptive <> None then begin
       ignore (adaptive_c eng "reorder");
       ignore (adaptive_c eng "backend-fused");
@@ -755,8 +764,6 @@ module Engine = struct
   let cost_store e = e.cost
 
   let tracer e = e.tracer
-
-  let telemetry e = e.cfg.telemetry
 
   let metrics e = e.cfg.metrics
 
@@ -786,13 +793,11 @@ module Engine = struct
 
   let memo_size e = Steno_lru.length e.memo
 
-  let traced_run sink backend f =
-    if not (Telemetry.enabled sink) then f
+  let traced_run eng backend f =
+    if not (Trace.enabled eng.tracer) then f
     else
-      fun () ->
-        Telemetry.with_span sink "run"
-          ~attrs:[ "backend", backend_name backend ]
-          f
+      let attrs = [ "backend", backend_name backend ] in
+      fun () -> Trace.with_span eng.tracer "run" ~attrs f
 
   (* Wrap a preparation's run function with the profile bookkeeping:
      accumulate wall time and native row deltas into the probe points,
@@ -884,9 +889,8 @@ module Engine = struct
      the environment, wrap the plugin's entry point, and account. *)
   let native_prep eng ~t0 ~t1 ~cache_hit ?native_probe ~env
       (plugin : Dynload.compiled) : 'r prep =
-    let sink = eng.cfg.telemetry in
     let t2 = now_ms () in
-    let env = Telemetry.with_span sink "env-bind" env in
+    let env = Trace.with_span eng.tracer "env-bind" env in
     let raw_run () =
       try plugin.Dynload.run env with e -> raise (translate_exn e)
     in
@@ -912,7 +916,7 @@ module Engine = struct
     let run () = Obj.obj (raw_run ()) in
     let run = match prof with None -> run | Some p -> wrap_profiled eng p run in
     {
-      run_fn = traced_run sink Native run;
+      run_fn = traced_run eng Native run;
       p_info =
         {
           backend = Native;
@@ -939,6 +943,13 @@ module Engine = struct
     in
     ignore (Steno_lru.add eng.memo shape.Cost.key { m_plugin; m_entry })
 
+  (* Load a stored plugin under a ["dynlink"] span.  A plugin that raises
+     while loading is as unusable as one that fails to load. *)
+  let load_stored eng path =
+    Trace.with_span eng.tracer "dynlink" @@ fun () ->
+    try Dynload.load_file ~path ()
+    with _ -> Error (Dynload.Load_error "cached plugin raised")
+
   (* The full Native pipeline: specialize/canon/codegen (spans emitted by
      the plan), then the bounded plugin cache, then compile+load under
      the engine's timeout, then environment binding.  With [memo =
@@ -955,13 +966,12 @@ module Engine = struct
      invocations for one cache slot. *)
   let compile_native ?memo eng (plan : 'r plan) ~t0 :
       ('r prep, fallback_reason) result =
-    let sink = eng.cfg.telemetry in
-    let chain = plan.chain sink in
+    let chain = plan.chain () in
     let native_probe =
       if eng.cfg.profile then Some (Codegen.probe_of_chain chain) else None
     in
     let out =
-      Telemetry.with_span sink "codegen" (fun () ->
+      Trace.with_span eng.tracer "codegen" (fun () ->
           Codegen.generate ?probe:native_probe chain)
     in
     let t1 = now_ms () in
@@ -993,7 +1003,7 @@ module Engine = struct
       Steno_flight.run ?note eng.flight digest @@ fun () ->
       match Steno_lru.find eng.cache digest with
       | Some p ->
-        Telemetry.count sink "cache.hit" 1;
+        event eng "cache.hit";
         Ok (true, p)
       | None -> (
         (* Between the in-process LRU and the compiler sits the
@@ -1007,21 +1017,17 @@ module Engine = struct
           match eng.pcache with
           | None -> None
           | Some pc -> (
-            Trace.with_span eng.tracer "pcache.lookup" @@ fun () ->
-            match Pcache.find pc ~key:cache_key with
+            match
+              Trace.with_span eng.tracer "pcache.lookup" (fun () ->
+                  Pcache.find pc ~key:cache_key)
+            with
             | None ->
               count eng.ins.pcache_misses;
               None
             | Some path -> (
-              match
-                try Dynload.load_file ~path ()
-                with _ -> Error (Dynload.Load_error "cached plugin raised")
-              with
+              match load_stored eng path with
               | Ok p ->
-                count eng.ins.pcache_hits;
-                Telemetry.count sink "pcache.hit" 1;
-                Telemetry.emit sink "dynlink" ~start_ms:t1
-                  ~duration_ms:p.Dynload.timings.Dynload.load_ms ();
+                event eng "pcache.hit";
                 Some p
               | Error _ ->
                 (* The store re-counts this lookup as a miss too. *)
@@ -1031,25 +1037,27 @@ module Engine = struct
         in
         match from_disk with
         | Some p ->
-          if Steno_lru.add eng.cache digest p then
-            Telemetry.count sink "cache.eviction" 1;
+          if Steno_lru.add eng.cache digest p then event eng "cache.eviction";
           (* No compile happened: for this preparation's cost accounting
              a disk hit is a cache hit. *)
           Ok (true, p)
         | None -> (
           match
-            Dynload.compile_artifact ?timeout_ms:eng.cfg.compile_timeout_ms
-              ~source:out.Codegen.source ()
+            Trace.with_span eng.tracer "compile" (fun () ->
+                Dynload.compile_artifact
+                  ?timeout_ms:eng.cfg.compile_timeout_ms
+                  ~source:out.Codegen.source ())
           with
           | Error e ->
             count eng.ins.compile_error;
             Error (error_to_reason e)
           | Ok a -> (
             match
-              try Dynload.load_file ~path:a.Dynload.a_cmxs ()
-              with e ->
-                Dynload.remove_artifact a;
-                raise e
+              Trace.with_span eng.tracer "dynlink" (fun () ->
+                  try Dynload.load_file ~path:a.Dynload.a_cmxs ()
+                  with e ->
+                    Dynload.remove_artifact a;
+                    raise e)
             with
             | Error e ->
               Dynload.remove_artifact a;
@@ -1080,34 +1088,29 @@ module Engine = struct
                     (Lazy.force entry)
                 in
                 let evicted =
-                  Pcache.store ?record pc ~key:cache_key
-                    ~cmxs:a.Dynload.a_cmxs
+                  Trace.with_span eng.tracer "pcache.store" (fun () ->
+                      Pcache.store ?record pc ~key:cache_key
+                        ~cmxs:a.Dynload.a_cmxs)
                 in
                 if evicted > 0 then
                   Metrics.add (counter eng.ins.pcache_evictions) evicted);
               Dynload.remove_artifact a;
-              count eng.ins.compile_ok;
-              Telemetry.count sink "cache.miss" 1;
+              (* Counts [steno_compile_total{result="ok"}] too. *)
+              event eng "cache.miss";
               if Steno_lru.add eng.cache digest p then
-                Telemetry.count sink "cache.eviction" 1;
-              Telemetry.emit sink "compile" ~start_ms:t1
-                ~duration_ms:p.Dynload.timings.Dynload.compile_ms ();
-              Telemetry.emit sink "dynlink"
-                ~start_ms:(t1 +. p.Dynload.timings.Dynload.compile_ms)
-                ~duration_ms:p.Dynload.timings.Dynload.load_ms ();
+                event eng "cache.eviction";
               Ok (false, p))))
     in
     if not led then begin
       (* This prepare joined another domain's in-flight compile. *)
-      Telemetry.count sink "flight.join" 1;
+      event eng "flight.join";
       (* Link this trace to the one that ran the compile. *)
       Trace.instant eng.tracer "flight.follow"
         ~attrs:
           (match leader_note with
           | Some leader_trace -> [ "leader_trace", leader_trace ]
           | None -> [])
-        ();
-      count eng.ins.prepare_dedup
+        ()
     end;
     match looked_up with
     | Error reason -> Error reason
@@ -1138,12 +1141,12 @@ module Engine = struct
         (native_prep eng ~t0 ~t1 ~cache_hit ?native_probe plugin ~env:(fun () ->
              Expr.Capture_table.to_env out.Codegen.table))
 
-  let prep_of_staged eng ~sink ~t0 ~requested ~actual ~fallback staged =
+  let prep_of_staged eng ~t0 ~requested ~actual ~fallback staged =
     let probe =
       if eng.cfg.profile then Some (Metrics.Probe.create ()) else None
     in
     let ts = now_ms () in
-    let run = staged ?probe sink in
+    let run = staged probe in
     let staging_ms = now_ms () -. ts in
     let prof =
       match probe with
@@ -1162,7 +1165,7 @@ module Engine = struct
       match prof with None -> run | Some p -> wrap_profiled eng p run
     in
     {
-      run_fn = traced_run sink actual run;
+      run_fn = traced_run eng actual run;
       p_info =
         {
           backend = actual;
@@ -1183,19 +1186,18 @@ module Engine = struct
   let prepare_plan_result (eng : t) ?backend ?memo (plan : 'r plan) :
       ('r prep, fallback_reason) result =
     let requested = Option.value backend ~default:eng.cfg.backend in
-    let sink = eng.cfg.telemetry in
     let t0 = now_ms () in
-    Telemetry.with_span sink "prepare"
+    Trace.with_span eng.tracer "prepare"
       ~attrs:[ "backend", backend_name requested ]
     @@ fun () ->
     match requested with
     | Linq ->
       Ok
-        (prep_of_staged eng ~sink ~t0 ~requested ~actual:Linq ~fallback:None
+        (prep_of_staged eng ~t0 ~requested ~actual:Linq ~fallback:None
            plan.stage_linq)
     | Fused ->
       Ok
-        (prep_of_staged eng ~sink ~t0 ~requested ~actual:Fused ~fallback:None
+        (prep_of_staged eng ~t0 ~requested ~actual:Fused ~fallback:None
            plan.stage_fused)
     | Native when eng.cfg.tiering <> None && not eng.cfg.profile ->
       (* Tiered execution: return instantly on the staged Fused tier and
@@ -1210,7 +1212,7 @@ module Engine = struct
         | None -> assert false
       in
       let base =
-        prep_of_staged eng ~sink ~t0 ~requested ~actual:Fused ~fallback:None
+        prep_of_staged eng ~t0 ~requested ~actual:Fused ~fallback:None
           plan.stage_fused
       in
       let cell = Atomic.make base.run_fn in
@@ -1227,10 +1229,9 @@ module Engine = struct
         | Ok p ->
           Atomic.set cell p.run_fn;
           Atomic.set base.p_tier Native;
-          Telemetry.count sink "tier.promote" 1;
-          Metrics.inc (tier_promotions_c eng "ok")
-        | Error _ -> Metrics.inc (tier_promotions_c eng "failed")
-        | exception _ -> Metrics.inc (tier_promotions_c eng "failed")
+          event eng "tier.promote"
+        | Error _ -> count eng.ins.tier_failed
+        | exception _ -> count eng.ins.tier_failed
       in
       let run_fn () =
         let n = 1 + Atomic.fetch_and_add runs 1 in
@@ -1250,19 +1251,19 @@ module Engine = struct
       match compile_native ?memo eng plan ~t0 with
       | Ok p -> Ok p
       | Error reason when eng.cfg.fallback ->
-        Telemetry.count sink "engine.fallback" 1;
-        Telemetry.emit sink "fallback"
+        event eng "engine.fallback";
+        Trace.instant eng.tracer "fallback"
           ~attrs:[ "reason", fallback_reason_label reason ]
-          ~start_ms:(now_ms ()) ~duration_ms:0.0 ();
+          ();
         Ok
-          (prep_of_staged eng ~sink ~t0 ~requested ~actual:Fused
+          (prep_of_staged eng ~t0 ~requested ~actual:Fused
              ~fallback:(Some reason) plan.stage_fused)
       | Error reason -> Error reason)
 
   let event_names events =
     List.map (fun (e : Opt.event) -> e.Opt.ev_rule) events
 
-  (* AST-level rewriting, as its own telemetry span, followed by
+  (* AST-level rewriting, as its own traced span, followed by
      translation validation of the rewrite log.
 
      The optimizer is not trusted: every firing carries the facts that
@@ -1273,17 +1274,16 @@ module Engine = struct
   let optimize_verified eng r =
     if not eng.cfg.optimize then Ok (r, [], [])
     else begin
-      let sink = eng.cfg.telemetry in
       let r', events =
-        Telemetry.with_span sink "optimize"
+        Trace.with_span eng.tracer "optimize"
           ~attrs:[ "level", "ast" ]
           (fun () -> Opt.plan_ev r)
       in
-      Telemetry.count sink "optimize.rules_applied" (List.length events);
+      event eng ~n:(List.length events) "optimize.rules_applied";
       if events = [] then Ok (r', [], [])
       else begin
         let obligations =
-          Telemetry.with_span sink "verify"
+          Trace.with_span eng.tracer "verify"
             ~attrs:[ "level", "ast" ]
             (fun () -> Check.Equiv.validate ~before:r ~after:r' events)
         in
@@ -1312,18 +1312,18 @@ module Engine = struct
     if not eng.cfg.optimize then plan, ref []
     else begin
       let fired = ref [] in
-      let chain sink =
-        let c = plan.chain sink in
+      let chain () =
+        let c = plan.chain () in
         let c', events =
-          Telemetry.with_span sink "optimize"
+          Trace.with_span eng.tracer "optimize"
             ~attrs:[ "level", "quil" ]
             (fun () -> Opt.chain_ev c)
         in
-        Telemetry.count sink "optimize.rules_applied" (List.length events);
+        event eng ~n:(List.length events) "optimize.rules_applied";
         if events = [] then c
         else begin
           let obligations =
-            Telemetry.with_span sink "verify"
+            Trace.with_span eng.tracer "verify"
               ~attrs:[ "level", "quil" ]
               (fun () -> Check.Equiv.validate_chain ~before:c ~after:c' events)
           in
@@ -1422,10 +1422,9 @@ module Engine = struct
      decisions; rejected → fall back to the plan as given (SC012), or
      refuse outright under [strict]. *)
   let adaptive_rewrite eng ~est r =
-    let sink = eng.cfg.telemetry in
     let split = eng.cfg.profile in
     let r', events =
-      Telemetry.with_span sink "optimize"
+      Trace.with_span eng.tracer "optimize"
         ~attrs:[ "level", "adaptive" ]
         (fun () -> Opt.adaptive_ev est ~split r)
     in
@@ -1436,7 +1435,7 @@ module Engine = struct
       Ok ((if split then r' else r), [], [], [])
     else begin
       let obligations =
-        Telemetry.with_span sink "verify"
+        Trace.with_span eng.tracer "verify"
           ~attrs:[ "level", "adaptive" ]
           (fun () -> Check.Equiv.validate ~before:r ~after:r' events)
       in
@@ -1624,9 +1623,10 @@ module Engine = struct
     in
     go [] None names
 
-  (* Count every diagnostic into the metrics registry and the telemetry
-     sink.  Recording never raises: strictness is the caller's policy
-     decision, applied on the result. *)
+  (* Count every diagnostic into the metrics registry, by severity and
+     rule, and report them as one event.  Recording never raises:
+     strictness is the caller's policy decision, applied on the
+     result. *)
   let diagnostic_counter eng (d : Check.diagnostic) =
     let severity = Check.severity_string d.Check.d_severity in
     let key = severity ^ "/" ^ d.Check.d_code in
@@ -1649,18 +1649,14 @@ module Engine = struct
 
   let record_diagnostics eng diags =
     List.iter (fun d -> Metrics.inc (diagnostic_counter eng d)) diags;
-    if diags <> [] then
-      Telemetry.count eng.cfg.telemetry "check.diagnostics"
-        (List.length diags)
+    if diags <> [] then event eng ~n:(List.length diags) "check.diagnostics"
 
-  (* Lint under its own telemetry span, record, then apply strictness:
+  (* Lint under its own traced span, record, then apply strictness:
      on a [strict] engine, [Error]-level diagnostics make the query
      unpreparable ([Error errs]); otherwise every diagnostic is merely
      reported alongside the preparation ([Ok diags]). *)
   let run_checks_result eng lint =
-    let diags =
-      Telemetry.with_span eng.cfg.telemetry "check" (fun () -> lint ())
-    in
+    let diags = Trace.with_span eng.tracer "check" lint in
     record_diagnostics eng diags;
     if eng.cfg.strict then
       match Check.errors diags with
@@ -1681,8 +1677,8 @@ module Engine = struct
     {
       plan with
       chain =
-        (fun sink ->
-          let c = plan.chain sink in
+        (fun () ->
+          let c = plan.chain () in
           Check.assert_well_formed c;
           c);
     }
@@ -1756,13 +1752,12 @@ module Engine = struct
      rewrite log, the trace's plan) but runs no check, validation or
      compile, so their counters do not move. *)
   let memo_replay eng (shape : Cost.shape) ~t0 (e : Steno_memo.entry) plugin =
-    let sink = eng.cfg.telemetry in
-    Telemetry.with_span sink "prepare" ~attrs:[ "backend", "native" ]
+    Trace.with_span eng.tracer "prepare" ~attrs:[ "backend", "native" ]
     @@ fun () ->
     record_diagnostics eng e.Steno_memo.diags;
     if Trace.active eng.tracer then
       Trace.annotate eng.tracer [ "plan", e.Steno_memo.plan; "cache", "hit" ];
-    Telemetry.count sink "cache.hit" 1;
+    event eng "cache.hit";
     let p =
       native_prep eng ~t0 ~t1:t0 ~cache_hit:true plugin
         ~env:(memo_env shape e.Steno_memo.slots)
@@ -1800,30 +1795,22 @@ module Engine = struct
       match found with
       | None -> None
       | Some (e, r, cmxs) -> (
-        let sink = eng.cfg.telemetry in
         let digest = r.Pcache.plugin in
         let _, _, plugin =
           Steno_flight.run eng.flight digest @@ fun () ->
           match Steno_lru.find eng.cache digest with
           | Some p -> Ok (true, p)
           | None -> (
-            let t1 = now_ms () in
-            match
-              try Dynload.load_file ~path:cmxs ()
-              with _ -> Error (Dynload.Load_error "cached plugin raised")
-            with
+            match load_stored eng cmxs with
             | Ok p ->
-              Telemetry.emit sink "dynlink" ~start_ms:t1
-                ~duration_ms:p.Dynload.timings.Dynload.load_ms ();
               if Steno_lru.add eng.cache digest p then
-                Telemetry.count sink "cache.eviction" 1;
+                event eng "cache.eviction";
               Ok (true, p)
             | Error e -> Error (error_to_reason e))
         in
         match plugin with
         | Ok (_, plugin) ->
-          count eng.ins.pcache_hits;
-          Telemetry.count sink "pcache.hit" 1;
+          event eng "pcache.hit";
           memo_add eng shape digest e;
           Some (memo_replay eng shape ~t0 e plugin)
         | Error _ ->
@@ -1874,7 +1861,7 @@ module Engine = struct
           | Error errs -> Error (Check_error errs)
           | Ok () -> (
             annotate_plan eng r;
-            let plan, chain_rules = with_chain_pass eng (plan_of r) in
+            let plan, chain_rules = with_chain_pass eng (plan_of eng.tracer r) in
             let backend', be_decisions =
               match actx with
               | Some (_, key, _) -> backend_choice eng ~key r backend
@@ -2000,19 +1987,15 @@ module Engine = struct
   (* The chain a Native prepare of [r] codegens: the validated AST
      optimizer, specialization and canonicalization, and the validated
      chain pass.  Inspection runs it on a copy of the engine that counts
-     into a registry of its own and reports to no sink. *)
+     into a registry of its own and traces nothing. *)
   let native_chain eng r =
     let eng =
-      {
-        eng with
-        cfg = { eng.cfg with telemetry = Telemetry.null };
-        ins = instruments (Metrics.create ());
-      }
+      { eng with tracer = Trace.disabled; ins = instruments (Metrics.create ()) }
     in
     let r =
       match optimize_verified eng r with Ok (r, _, _) -> r | Error _ -> r
     in
-    (fst (with_chain_pass eng (plan_of r))).chain Telemetry.null
+    (fst (with_chain_pass eng (plan_of eng.tracer r))).chain ()
 
   let explain_root eng r =
     let before = canon_of r in

@@ -24,7 +24,7 @@
 
     All execution goes through an {!Engine}: an explicit value packaging
     the backend choice, the bounded plugin cache, the failure policy for
-    the native compiler, and a telemetry sink.  Engines are safe to
+    the native compiler, and a request tracer.  Engines are safe to
     share across domains: the plugin cache takes sharded locks,
     concurrent identical prepares are collapsed onto one compile
     (single-flight), and the metrics write path is lock-free.  Clients
@@ -45,7 +45,7 @@ val backend_name : backend -> string
 (** ["linq"], ["fused"] or ["native"]. *)
 
 (** Why a [Native] preparation executed on the [Fused] backend instead
-    (recorded in {!compile_info.fallback} and in telemetry). *)
+    (recorded in {!compile_info.fallback} and in the request's trace). *)
 type fallback_reason =
   | Compiler_unavailable
   | Compile_timeout of int  (** the engine's [compile_timeout_ms] *)
@@ -230,7 +230,6 @@ module Config : sig
     optimize : bool;
     compile_timeout_ms : int option;
     cache_capacity : int;
-    telemetry : Telemetry.sink;
     profile : bool;
     metrics : Metrics.t;
     strict : bool;
@@ -244,15 +243,14 @@ module Config : sig
   val default : t
   (** [Native] when a compiler is available ([Fused] otherwise),
       [fallback = true], [optimize = true], no timeout, capacity 128,
-      null telemetry, [profile = false], the process-wide metrics
-      registry, [strict = false], no tiering, no disk cache. *)
+      [profile = false], the process-wide metrics registry,
+      [strict = false], no tiering, no disk cache, no tracing. *)
 
   val with_backend : backend -> t -> t
   val with_fallback : bool -> t -> t
   val with_optimize : bool -> t -> t
   val with_compile_timeout : int option -> t -> t
   val with_cache_capacity : int -> t -> t
-  val with_telemetry : Telemetry.sink -> t -> t
   val with_profile : bool -> t -> t
   val with_metrics : Metrics.t -> t -> t
   val with_strict : bool -> t -> t
@@ -299,8 +297,8 @@ end
 
     An engine is the host-side runtime contract made explicit: which
     backend to use, how many compiled plugins to keep (bounded LRU),
-    what to do when the native compiler fails or stalls, and where
-    pipeline telemetry goes.  Engines are independent — each has its own
+    what to do when the native compiler fails or stalls, and whether
+    requests are traced.  Engines are independent — each has its own
     cache and counters — and safe to share across domains. *)
 
 module Engine : sig
@@ -319,9 +317,9 @@ module Engine : sig
             {!Opt} algebraic rewrite engine over the query AST, and the
             Native path additionally runs the chain-level pass over the
             canonicalized QUIL.  The applied rules are recorded in the
-            preparation ({!Prepared.rewrite_log}) and counted in
-            telemetry ([optimize.rules_applied], under an ["optimize"]
-            span).  The plugin cache key incorporates this flag, so
+            preparation ({!Prepared.rewrite_log}) and, in a traced
+            request, counted as an [optimize.rules_applied] event after
+            an ["optimize"] span.  The plugin cache key incorporates this flag, so
             optimized and unoptimized compilations never alias.  Set
             [false] to run plans exactly as written (the escape hatch
             for debugging a suspected rewrite). *)
@@ -331,11 +329,6 @@ module Engine : sig
     cache_capacity : int;
         (** Bound on cached compiled plugins (per engine, LRU).  [0]
             disables caching. *)
-    telemetry : Telemetry.sink;
-        (** Receives a span per pipeline stage (optimize, specialize,
-            canon, codegen, compile, dynlink, env-bind, run) and cache /
-            fallback / rewrite counters.  {!Telemetry.null} costs one
-            branch per stage. *)
     profile : bool;
         (** When true, preparations carry per-operator probe points (see
             {!type-op_profile}): staged backends wrap every operator,
@@ -417,9 +410,11 @@ module Engine : sig
             compiled code in-process only. *)
     tracing : Config.tracing option;
         (** When set, the engine carries an enabled {!Trace.t} (see
-            {!tracer}) and tees its telemetry into it, so every pipeline
-            span and counter recorded while a trace context is installed
-            (e.g. under [Server.submit]) lands in that request's trace —
+            {!tracer}), and every pipeline span (check, optimize, verify,
+            specialize, canon, codegen, pcache.lookup, compile, dynlink,
+            pcache.store, env-bind, run) and event (see {!event})
+            recorded while a trace context is installed (e.g. under
+            [Server.submit]) lands in that request's trace —
             including spans from other domains: background tier
             promotions and single-flight leaders re-root the context via
             [Domain_pool]'s [?ctx].  Completed traces land in a bounded
@@ -453,7 +448,17 @@ module Engine : sig
       [Trace.with_trace (Engine.tracer e) "request" f] to trace it;
       [Server.submit] does this per request. *)
 
-  val telemetry : t -> Telemetry.sink
+  val event : t -> ?n:int -> string -> unit
+  (** [event e ~n name] reports an event the engine counts: an instant
+      [name] with attribute ["n"] (default [1]) in the active trace, and
+      [n] more on the registry counter the engine keeps for [name], if
+      it keeps one.  The engine's own events are [cache.hit],
+      [cache.miss] (with [steno_compile_total{result="ok"}]),
+      [cache.eviction], [cache.release], [pcache.hit] (with
+      [steno_pcache_hits_total]), [flight.join] (with
+      [steno_prepare_dedup_total]), [tier.promote] (with
+      [steno_tier_promotions_total{result="ok"}]), [engine.fallback],
+      [optimize.rules_applied] and [check.diagnostics]. *)
 
   val metrics : t -> Metrics.t
 
@@ -511,7 +516,7 @@ module Engine : sig
       The {!Check} passes — plan linter, expression analysis,
       parallelizability classifier, and the QUIL well-formedness PDA on
       the lowered chain — run automatically inside {!prepare} (under a
-      ["check"] telemetry span, counted into [check_diagnostics_total]
+      ["check"] span, counted into [check_diagnostics_total]
       by severity and rule).  [check] runs them alone, without
       preparing: diagnostics are sorted by plan position and carry
       stable rule codes (SC000–SC007, see {!Check.rules}).  On a
@@ -687,7 +692,7 @@ module Session : sig
       compose the {!Config} combinators, e.g.
       [~config:Config.(with_strict true)] or
       [~config:(fun c -> Config.(c |> with_backend Fused))]; everything
-      outside the configuration (cache, single-flight group, telemetry,
+      outside the configuration (cache, single-flight group, tracer,
       metrics registry) is the engine's.  Overriding [optimize] or
       [profile] is safe on a shared cache: both flags are part of the
       plugin cache key, so sessions never alias each other's compiled

@@ -1,26 +1,3 @@
-type attr = string * string
-
-type span = {
-  name : string;
-  path : string list;
-  start_ms : float;
-  duration_ms : float;
-  attrs : attr list;
-}
-
-type sink = {
-  enabled : bool;
-  on_span : span -> unit;
-  on_count : string -> int -> unit;
-}
-
-let null = { enabled = false; on_span = ignore; on_count = (fun _ _ -> ()) }
-
-let enabled s = s.enabled
-
-let make ?(on_span = ignore) ?(on_count = fun _ _ -> ()) () =
-  { enabled = true; on_span; on_count }
-
 (* Monotonic: wall-clock time steps (NTP slews, manual resets) must not
    produce negative or wildly wrong span durations.  The bechamel stub
    reads CLOCK_MONOTONIC in nanoseconds. *)
@@ -29,64 +6,6 @@ let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1e6
 (* Belt and braces: even a monotonic source can observe a 0-length
    interval; never report a negative duration. *)
 let duration_since start_ms = Float.max 0.0 (now_ms () -. start_ms)
-
-(* The current nesting of open spans, innermost first, per domain: spans
-   recorded by worker domains nest under their own stack, not the
-   master's. *)
-let stack_key : string list Domain.DLS.key = Domain.DLS.new_key (fun () -> [])
-
-let current_path () = List.rev (Domain.DLS.get stack_key)
-
-let count sink name n = if sink.enabled then sink.on_count name n
-
-let emit sink name ?(attrs = []) ~start_ms ~duration_ms () =
-  if sink.enabled then
-    sink.on_span { name; path = current_path (); start_ms; duration_ms; attrs }
-
-let with_span sink name ?(attrs = []) f =
-  if not sink.enabled then f ()
-  else begin
-    let stack = Domain.DLS.get stack_key in
-    let path = List.rev stack in
-    Domain.DLS.set stack_key (name :: stack);
-    let start_ms = now_ms () in
-    let finish attrs =
-      let duration_ms = duration_since start_ms in
-      Domain.DLS.set stack_key stack;
-      sink.on_span { name; path; start_ms; duration_ms; attrs }
-    in
-    match f () with
-    | v ->
-      finish attrs;
-      v
-    | exception e ->
-      finish (("error", Printexc.to_string e) :: attrs);
-      raise e
-  end
-
-(* Logs sink. *)
-
-let src = Logs.Src.create "steno.telemetry" ~doc:"Steno pipeline telemetry"
-
-let logs ?(level = Logs.Debug) () =
-  make
-    ~on_span:(fun s ->
-      Logs.msg ~src level (fun m ->
-          m "%s%s %.3f ms%s"
-            (String.make (2 * List.length s.path) ' ')
-            s.name s.duration_ms
-            (match s.attrs with
-            | [] -> ""
-            | attrs ->
-              " ["
-              ^ String.concat ", "
-                  (List.map (fun (k, v) -> k ^ "=" ^ v) attrs)
-              ^ "]")))
-    ~on_count:(fun name n ->
-      Logs.msg ~src level (fun m -> m "count %s += %d" name n))
-    ()
-
-(* JSON sink. *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 2) in
@@ -103,147 +22,3 @@ let json_escape s =
       | c -> Buffer.add_char b c)
     s;
   Buffer.contents b
-
-let span_to_json s =
-  Printf.sprintf
-    {|{"kind":"span","name":"%s","path":[%s],"start_ms":%.3f,"duration_ms":%.3f,"attrs":{%s}}|}
-    (json_escape s.name)
-    (String.concat ","
-       (List.map (fun p -> "\"" ^ json_escape p ^ "\"") s.path))
-    s.start_ms s.duration_ms
-    (String.concat ","
-       (List.map
-          (fun (k, v) ->
-            Printf.sprintf {|"%s":"%s"|} (json_escape k) (json_escape v))
-          s.attrs))
-
-let json oc =
-  let mu = Mutex.create () in
-  (* Each event is formatted into one string first and written with a
-     single [output_string] under the mutex: channel writes are not
-     atomic across domains, so interleaving two [fprintf]s would corrupt
-     the line-oriented output even with each call individually locked. *)
-  let write_line line =
-    Mutex.protect mu (fun () ->
-        output_string oc line;
-        flush oc)
-  in
-  make
-    ~on_span:(fun s -> write_line (span_to_json s ^ "\n"))
-    ~on_count:(fun name n ->
-      write_line
-        (Printf.sprintf {|{"kind":"count","name":"%s","n":%d}|}
-           (json_escape name) n
-        ^ "\n"))
-    ()
-
-(* Metrics bridge. *)
-
-let metrics m =
-  make
-    ~on_span:(fun s ->
-      Metrics.observe
-        (Metrics.histogram m "steno_span_ms"
-           ~help:"Duration of telemetry spans by stage name (milliseconds)"
-           ~labels:[ "name", s.name ])
-        s.duration_ms)
-    ~on_count:(fun name n ->
-      Metrics.add
-        (Metrics.counter m "steno_events"
-           ~help:"Telemetry counter events by name"
-           ~labels:[ "name", name ])
-        n)
-    ()
-
-let tee a b =
-  if not a.enabled then b
-  else if not b.enabled then a
-  else
-    make
-      ~on_span:(fun s ->
-        a.on_span s;
-        b.on_span s)
-      ~on_count:(fun name n ->
-        a.on_count name n;
-        b.on_count name n)
-      ()
-
-(* In-memory collector. *)
-
-module Collector = struct
-  type t = {
-    mutable recorded : span list;  (* reverse completion order *)
-    counts : (string, int) Hashtbl.t;
-    mu : Mutex.t;
-  }
-
-  let create () =
-    { recorded = []; counts = Hashtbl.create 8; mu = Mutex.create () }
-
-  let sink c =
-    make
-      ~on_span:(fun s ->
-        Mutex.protect c.mu (fun () -> c.recorded <- s :: c.recorded))
-      ~on_count:(fun name n ->
-        Mutex.protect c.mu (fun () ->
-            Hashtbl.replace c.counts name
-              (n + Option.value ~default:0 (Hashtbl.find_opt c.counts name))))
-      ()
-
-  let spans c = Mutex.protect c.mu (fun () -> List.rev c.recorded)
-
-  let find c name = List.find_opt (fun s -> s.name = name) (spans c)
-
-  let counters c =
-    Mutex.protect c.mu (fun () ->
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.counts []
-        |> List.sort compare)
-
-  let counter c name =
-    Mutex.protect c.mu (fun () ->
-        Option.value ~default:0 (Hashtbl.find_opt c.counts name))
-
-  let total_ms c name =
-    List.fold_left
-      (fun acc s -> if s.name = name then acc +. s.duration_ms else acc)
-      0.0 (spans c)
-
-  let tree c =
-    (* Start order is a pre-order of the span forest; indentation by
-       nesting depth reconstructs the tree visually. *)
-    let ordered =
-      (* Ties in start time (a parent entered and its first child started
-         within clock resolution) break toward the shallower span. *)
-      List.sort
-        (fun a b ->
-          compare
-            (a.start_ms, List.length a.path)
-            (b.start_ms, List.length b.path))
-        (spans c)
-    in
-    let b = Buffer.create 256 in
-    List.iter
-      (fun s ->
-        Buffer.add_string b (String.make (2 * List.length s.path) ' ');
-        Buffer.add_string b s.name;
-        Buffer.add_string b (Printf.sprintf " %.3f ms" s.duration_ms);
-        List.iter
-          (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %s=%s" k v))
-          s.attrs;
-        Buffer.add_char b '\n')
-      ordered;
-    Buffer.contents b
-
-  let to_json c =
-    Printf.sprintf {|{"spans":[%s],"counters":{%s}}|}
-      (String.concat "," (List.map span_to_json (spans c)))
-      (String.concat ","
-         (List.map
-            (fun (k, v) -> Printf.sprintf {|"%s":%d|} (json_escape k) v)
-            (counters c)))
-
-  let reset c =
-    Mutex.protect c.mu (fun () ->
-        c.recorded <- [];
-        Hashtbl.reset c.counts)
-end

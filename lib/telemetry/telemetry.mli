@@ -1,87 +1,6 @@
-(** Pipeline telemetry: spans and counters with pluggable sinks.
-
-    Every stage of the Steno pipeline — specialize, canon, codegen,
-    compile, dynlink, env-bind, run — reports a {!span} to the engine's
-    sink; cache and fallback events report {!val-count}ers.  A sink is a
-    passive pair of callbacks, so the instrumented code never depends on
-    where the data goes:
-
-    - {!null} discards everything and disables timing entirely (a single
-      branch per instrumentation point — safe to leave on hot paths);
-    - {!logs} emits spans and counters through the [Logs] library;
-    - {!json} writes one JSON object per event to a channel;
-    - {!Collector} accumulates in memory, for tests and for the
-      [stenoc --trace] / [stenoc stats] views.
-
-    Span nesting is tracked per domain (a [Domain.DLS] stack), so spans
-    recorded from worker domains (e.g. per-partition vertex spans) nest
-    independently of the master's. *)
-
-type attr = string * string
-
-type span = {
-  name : string;  (** stage name, e.g. ["codegen"] *)
-  path : string list;  (** enclosing spans, outermost first *)
-  start_ms : float;  (** [Unix.gettimeofday] based, milliseconds *)
-  duration_ms : float;
-  attrs : attr list;
-}
-
-type sink
-
-val null : sink
-(** Discards everything; {!with_span} runs its body with no timing. *)
-
-val enabled : sink -> bool
-(** [false] only for {!null}: lets callers skip argument preparation. *)
-
-val make :
-  ?on_span:(span -> unit) -> ?on_count:(string -> int -> unit) -> unit -> sink
-(** A custom sink from callbacks.  Callbacks must be thread-safe if the
-    sink is shared across domains. *)
-
-val logs : ?level:Logs.level -> unit -> sink
-(** Report through [Logs] (source ["steno.telemetry"], default level
-    [Debug]). *)
-
-val json : out_channel -> sink
-(** One JSON object per line per event:
-    [{"kind":"span","name":...,"path":[...],"start_ms":...,"duration_ms":...,"attrs":{...}}]
-    and [{"kind":"count","name":...,"n":...}].  Each event is one atomic
-    channel write, so lines from concurrent domains never interleave. *)
-
-val metrics : Metrics.t -> sink
-(** Bridge into a metrics registry: every span observes the
-    [steno_span_ms] histogram (labelled by span name) and every counter
-    event adds to the [steno_events_total] counter (labelled by event
-    name).  Registration is by name+label lookup per event, so this sink
-    suits pipeline-stage telemetry, not per-element hot paths. *)
-
-val tee : sink -> sink -> sink
-(** Both sinks receive every event (a disabled side is dropped). *)
-
-(** {1 Recording} *)
-
-val with_span : sink -> string -> ?attrs:attr list -> (unit -> 'a) -> 'a
-(** [with_span sink name f] times [f] and reports a span on completion.
-    If [f] raises, the span is still reported with an ["error"] attribute
-    and the exception is re-raised.  Nested calls record their enclosing
-    span names in {!span.path}. *)
-
-val emit :
-  sink -> string -> ?attrs:attr list -> start_ms:float -> duration_ms:float ->
-  unit -> unit
-(** Report an already-measured interval (e.g. timings returned by a
-    subsystem) as a span under the current nesting path. *)
-
-val count : sink -> string -> int -> unit
-(** Bump a named counter. *)
-
-val json_escape : string -> string
-(** JSON string-content escaping (quotes, backslashes, control
-    characters as [\uXXXX]): the helper behind the {!json} sink, shared
-    by every Steno JSON emitter so attr values — compile errors, plan
-    text — can never produce invalid JSON. *)
+(** The clock every Steno timing reads, and the JSON escaping every
+    Steno JSON emitter shares.  Spans and events are recorded by
+    {!Trace}. *)
 
 val now_ms : unit -> float
 (** Milliseconds on a monotonic clock (CLOCK_MONOTONIC): a timestamp for
@@ -92,34 +11,8 @@ val duration_since : float -> float
 (** [duration_since start] is [now_ms () -. start], clamped at [0.]: an
     observed duration is never negative. *)
 
-(** {1 In-memory collection} *)
-
-module Collector : sig
-  type t
-
-  val create : unit -> t
-  val sink : t -> sink
-
-  val spans : t -> span list
-  (** In completion order (a post-order of the span tree). *)
-
-  val find : t -> string -> span option
-  (** First recorded span with that name, in completion order. *)
-
-  val counters : t -> (string * int) list
-  (** Accumulated counters, sorted by name. *)
-
-  val counter : t -> string -> int
-  (** A single counter's value; [0] when never bumped. *)
-
-  val total_ms : t -> string -> float
-  (** Summed duration of every span with that name. *)
-
-  val tree : t -> string
-  (** The span forest rendered as an indented text tree, in start order. *)
-
-  val to_json : t -> string
-  (** The full collection as one JSON document. *)
-
-  val reset : t -> unit
-end
+val json_escape : string -> string
+(** JSON string-content escaping (quotes, backslashes, control
+    characters as [\uXXXX]), shared by every Steno JSON emitter so attr
+    values — compile errors, plan text — can never produce invalid
+    JSON. *)

@@ -1,11 +1,10 @@
-(* Request-scoped tracing: the identity layer telemetry lacks.
+(* Request-scoped tracing: the engine's one recorder.
 
-   Telemetry spans nest via a per-domain stack, so a request that hops
-   domains (Server.submit -> single-flight compile leader ->
-   Domain_pool.async tier promotion) loses its identity.  A trace
-   context is an explicit value: the root creates it, every span
+   A trace context is an explicit value: the root creates it, every span
    recorded while it is installed (on any domain) lands in the same
-   per-trace accumulator, and [with_ctx] re-roots it on a worker.  One
+   per-trace accumulator, and [with_ctx] re-roots it on a worker, so a
+   request that hops domains (Server.submit -> single-flight compile
+   leader -> Domain_pool.async tier promotion) keeps its identity.  One
    logical request is thereby shredded into flat per-stage records —
    ordering and nesting are reconstructed from timestamps and domain
    ids, never from stack shape. *)
@@ -339,25 +338,6 @@ let with_trace t name ?(attrs = []) f =
     end
   end
 
-(* {2 Telemetry bridge}
-
-   Every span the pipeline already reports (prepare, optimize, codegen,
-   compile, dynlink, run, ...) is forwarded into the active trace, and
-   every counter event becomes an instant — so the engine's existing
-   instrumentation points need no second annotation. *)
-
-let telemetry_sink t =
-  if not t.t_enabled then Telemetry.null
-  else
-    Telemetry.make
-      ~on_span:(fun (s : Telemetry.span) ->
-        record t s.Telemetry.name ~attrs:s.Telemetry.attrs
-          ~start_ms:s.Telemetry.start_ms ~duration_ms:s.Telemetry.duration_ms
-          ())
-      ~on_count:(fun name n ->
-        instant t name ~attrs:[ "n", string_of_int n ] ())
-      ()
-
 (* {2 Reading} *)
 
 let traces t = ring_snapshot t.t_ring
@@ -482,6 +462,21 @@ let span_line buf (d : data) sp =
       "  "
       ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) attrs))
 
+let add_report buf d =
+  Printf.bprintf buf "trace %s %s %.3f ms%s\n" d.d_id d.d_root (duration_ms d)
+    (match attrs d with
+    | [] -> ""
+    | attrs ->
+      "  " ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) attrs));
+  List.iter (fun sp -> span_line buf d sp) (spans d);
+  let tr = truncated d in
+  if tr > 0 then Printf.bprintf buf "  ... %d spans truncated\n" tr
+
+let report d =
+  let buf = Buffer.create 1024 in
+  add_report buf d;
+  Buffer.contents buf
+
 let slow_report t =
   let buf = Buffer.create 1024 in
   let entries = slow t in
@@ -490,18 +485,7 @@ let slow_report t =
     Printf.bprintf buf "# slow queries (threshold %.1f ms): %d captured\n"
       threshold (List.length entries)
   | None -> Buffer.add_string buf "# slow-query capture disabled (no slow_ms)\n");
-  List.iter
-    (fun d ->
-      Printf.bprintf buf "trace %s %s %.3f ms%s\n" d.d_id d.d_root
-        (duration_ms d)
-        (match attrs d with
-        | [] -> ""
-        | attrs ->
-          "  "
-          ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) attrs));
-      List.iter (fun sp -> span_line buf d sp) (spans d);
-      let tr = truncated d in
-      if tr > 0 then Printf.bprintf buf "  ... %d spans truncated\n" tr)
-    (* Worst first. *)
+  (* Worst first. *)
+  List.iter (add_report buf)
     (List.sort (fun a b -> compare (duration_ms b) (duration_ms a)) entries);
   Buffer.contents buf

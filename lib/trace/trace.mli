@@ -1,9 +1,9 @@
-(** Request-scoped tracing that survives domain hops.
+(** Request-scoped tracing that survives domain hops: the one recorder
+    of the engine's stage spans and events.
 
-    {!Telemetry} spans nest via a per-domain stack, so one logical
-    request that crosses domains — [Server.submit] → single-flight
-    compile leader → [Domain_pool.async] tier promotion — loses its
-    identity.  A {!ctx} is that identity made explicit: {!with_trace}
+    One logical request may cross domains — [Server.submit] →
+    single-flight compile leader → [Domain_pool.async] tier promotion.
+    A {!ctx} is its identity made explicit: {!with_trace}
     creates it at the request root, installs it in domain-local storage,
     and {!with_ctx} re-roots it on any worker domain, so every span
     recorded while it is installed lands in the same per-trace
@@ -105,29 +105,15 @@ val with_trace :
 
 val with_span :
   t -> string -> ?attrs:(string * string) list -> (unit -> 'a) -> 'a
-
-val record :
-  t ->
-  string ->
-  ?attrs:(string * string) list ->
-  start_ms:float ->
-  duration_ms:float ->
-  unit ->
-  unit
-(** An already-measured interval. *)
+(** [with_span t name f] records [f]'s extent as an {!Interval}.  When
+    not {!active} it is [f ()] and reads no clock.  If [f] raises, the
+    span gets an ["error"] attribute and the exception is re-raised. *)
 
 val instant : t -> string -> ?attrs:(string * string) list -> unit -> unit
 
 val annotate : t -> (string * string) list -> unit
 (** Attach attributes to the current trace itself (shown on the root
     span in exports): plan text, backend/tier used, cache outcomes. *)
-
-val telemetry_sink : t -> Telemetry.sink
-(** A sink forwarding every telemetry span into the active trace and
-    every counter event as an {!Instant} — tee it onto an engine's
-    telemetry so existing pipeline instrumentation (prepare, optimize,
-    codegen, compile, dynlink, run, cache/pcache/dedup counts) flows
-    into traces with no second annotation. *)
 
 (** {1 Reading} *)
 
@@ -169,7 +155,11 @@ val export_chrome : t -> string
 val export_chrome_traces : trace list -> string
 (** Export an explicit trace list (e.g. {!slow}). *)
 
+val report : trace -> string
+(** One trace as human-readable text: a header line (id, root, duration,
+    request attributes) and one line per span in completion order
+    (offset from the root's start, name, duration, domain, attrs). *)
+
 val slow_report : t -> string
-(** The slow-query ring as human-readable text, worst first: one header
-    line per trace (id, root, duration, request attributes) and one line
-    per span (offset, name, duration, domain, attrs). *)
+(** The slow-query ring as human-readable text: a threshold line, then
+    each captured trace as {!report} renders it, worst first. *)

@@ -32,7 +32,6 @@ let engines =
                backend = b;
                profile = true;
                metrics = Metrics.create ();
-               telemetry = Telemetry.null;
              } ))
        backends)
 

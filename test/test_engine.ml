@@ -8,7 +8,7 @@ let ints xs = Query.of_array Ty.Int xs
 let with_native f = if Steno.native_available () then f () else ()
 
 let engine ?(fallback = true) ?(optimize = true) ?compile_timeout_ms
-    ?(cache_capacity = 128) ?(telemetry = Telemetry.null) backend =
+    ?(cache_capacity = 128) backend =
   Steno.Engine.create
     {
       Steno.Engine.default_config with
@@ -17,7 +17,6 @@ let engine ?(fallback = true) ?(optimize = true) ?compile_timeout_ms
       optimize;
       compile_timeout_ms;
       cache_capacity;
-      telemetry;
     }
 
 (* A family of structurally distinct scalar queries: [nth_query k] sums
@@ -663,6 +662,144 @@ let test_metrics_render () =
   with_native @@ fun () ->
   Alcotest.(check string) "scrape" metrics_golden (metrics_script ())
 
+(* The events the engine counts beside the prepare path: a tier
+   promotion on a threshold-1 engine, a Native prepare that falls back
+   under [Dynload.disabled], and one request through a [Server].  The
+   bucket and sum values of the millisecond histograms (the server's
+   queue wait, the session's profiled run) are times, so they are
+   masked; everything else is compared byte for byte. *)
+let events_script () =
+  let reg = Metrics.create () in
+  let native cfg =
+    Steno.Engine.create
+      Steno.Config.(
+        default |> with_backend Steno.Native |> with_metrics reg |> cfg)
+  in
+  let tiered = native (Steno.Config.with_tiering ~threshold:1) in
+  let p = Steno.Engine.prepare_scalar tiered (sum_above [| 1; 5; 2; 9 |] 2) in
+  ignore (Steno.Prepared_scalar.run p);
+  let promoted () =
+    Steno.Prepared_scalar.backend_used p = Steno.Native
+    && Metrics.counter_value
+         (Metrics.counter reg "steno_tier_promotions"
+            ~labels:[ "result", "ok" ])
+       = 1
+  in
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while (not (promoted ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  Alcotest.(check bool) "promoted" true (promoted ());
+  let fallback = native Fun.id in
+  Dynload.disabled := true;
+  Fun.protect ~finally:(fun () -> Dynload.disabled := false) (fun () ->
+      Alcotest.(check int) "fallback answer" 14
+        (Steno.Engine.scalar fallback (sum_above [| 1; 5; 9 |] 2)));
+  let srv = Server.create ~max_inflight:1 ~max_queue:0 (native Fun.id) in
+  (match
+     Server.submit srv ~client_id:"golden" (fun sess ->
+         Steno.Prepared_scalar.run
+           (Steno.Session.prepare_scalar sess (sum_above [| 3; 4 |] 3)))
+   with
+  | Server.Done v -> Alcotest.(check int) "served" 4 v
+  | _ -> Alcotest.fail "request not served");
+  Server.shutdown srv;
+  String.split_on_char '\n' (Metrics.render reg)
+  |> List.map (fun line ->
+         let name =
+           List.hd (String.split_on_char '{' line)
+           |> String.split_on_char ' ' |> List.hd
+         in
+         let timed =
+           List.exists
+             (fun suffix -> String.ends_with ~suffix name)
+             [ "_ms_bucket"; "_ms_sum" ]
+         in
+         match String.rindex_opt line ' ' with
+         | Some i when timed -> String.sub line 0 i ^ " _"
+         | _ -> line)
+  |> String.concat "\n"
+
+(* The scrape before the events were counted through one table, byte for
+   byte. *)
+let events_golden =
+  {|# HELP steno_compile External compiler invocations (cache hits and deduplicated prepares do not count)
+# TYPE steno_compile counter
+steno_compile_total{result="ok"} 2
+steno_compile_total{result="error"} 1
+# HELP steno_plan_memo Native prepares eligible for the plan memo, by whether an earlier prepare of the same root served them
+# TYPE steno_plan_memo counter
+steno_plan_memo_total{result="hit"} 0
+steno_plan_memo_total{result="miss"} 2
+# HELP steno_run_ms Wall time of profiled query runs (milliseconds)
+# TYPE steno_run_ms histogram
+steno_run_ms_bucket{backend="native",client="golden",le="0.001"} _
+steno_run_ms_bucket{backend="native",client="golden",le="0.002"} _
+steno_run_ms_bucket{backend="native",client="golden",le="0.004"} _
+steno_run_ms_bucket{backend="native",client="golden",le="0.008"} _
+steno_run_ms_bucket{backend="native",client="golden",le="0.016"} _
+steno_run_ms_bucket{backend="native",client="golden",le="0.032"} _
+steno_run_ms_bucket{backend="native",client="golden",le="0.064"} _
+steno_run_ms_bucket{backend="native",client="golden",le="0.128"} _
+steno_run_ms_bucket{backend="native",client="golden",le="0.256"} _
+steno_run_ms_bucket{backend="native",client="golden",le="0.512"} _
+steno_run_ms_bucket{backend="native",client="golden",le="1.024"} _
+steno_run_ms_bucket{backend="native",client="golden",le="2.048"} _
+steno_run_ms_bucket{backend="native",client="golden",le="4.096"} _
+steno_run_ms_bucket{backend="native",client="golden",le="8.192"} _
+steno_run_ms_bucket{backend="native",client="golden",le="16.384"} _
+steno_run_ms_bucket{backend="native",client="golden",le="32.768"} _
+steno_run_ms_bucket{backend="native",client="golden",le="65.536"} _
+steno_run_ms_bucket{backend="native",client="golden",le="131.072"} _
+steno_run_ms_bucket{backend="native",client="golden",le="262.144"} _
+steno_run_ms_bucket{backend="native",client="golden",le="524.288"} _
+steno_run_ms_bucket{backend="native",client="golden",le="1048.576"} _
+steno_run_ms_bucket{backend="native",client="golden",le="+Inf"} _
+steno_run_ms_sum{backend="native",client="golden"} _
+steno_run_ms_count{backend="native",client="golden"} 1
+# HELP steno_runs Profiled query runs
+# TYPE steno_runs counter
+steno_runs_total{backend="native",client="golden"} 1
+# HELP steno_server_queue_ms Time admitted requests spent waiting for an execution slot
+# TYPE steno_server_queue_ms histogram
+steno_server_queue_ms_bucket{le="0.001"} _
+steno_server_queue_ms_bucket{le="0.002"} _
+steno_server_queue_ms_bucket{le="0.004"} _
+steno_server_queue_ms_bucket{le="0.008"} _
+steno_server_queue_ms_bucket{le="0.016"} _
+steno_server_queue_ms_bucket{le="0.032"} _
+steno_server_queue_ms_bucket{le="0.064"} _
+steno_server_queue_ms_bucket{le="0.128"} _
+steno_server_queue_ms_bucket{le="0.256"} _
+steno_server_queue_ms_bucket{le="0.512"} _
+steno_server_queue_ms_bucket{le="1.024"} _
+steno_server_queue_ms_bucket{le="2.048"} _
+steno_server_queue_ms_bucket{le="4.096"} _
+steno_server_queue_ms_bucket{le="8.192"} _
+steno_server_queue_ms_bucket{le="16.384"} _
+steno_server_queue_ms_bucket{le="32.768"} _
+steno_server_queue_ms_bucket{le="65.536"} _
+steno_server_queue_ms_bucket{le="131.072"} _
+steno_server_queue_ms_bucket{le="262.144"} _
+steno_server_queue_ms_bucket{le="524.288"} _
+steno_server_queue_ms_bucket{le="1048.576"} _
+steno_server_queue_ms_bucket{le="+Inf"} _
+steno_server_queue_ms_sum _
+steno_server_queue_ms_count 1
+# HELP steno_server_requests Requests submitted to the query server, by final outcome
+# TYPE steno_server_requests counter
+steno_server_requests_total 0
+steno_server_requests_total{client="golden",outcome="ok"} 1
+# HELP steno_tier_promotions Background tier promotions of hot prepared queries (Fused -> Native)
+# TYPE steno_tier_promotions counter
+steno_tier_promotions_total{result="ok"} 1
+# EOF
+|}
+
+let test_events_render () =
+  with_native @@ fun () ->
+  Alcotest.(check string) "scrape" events_golden (events_script ())
+
 (* An empty array that is captured but is no source has no length in
    the key, and the capture table merges it with the empty array that
    replaces a collapsed subquery.  Such a plugin stays out of the memo: a
@@ -1027,5 +1164,8 @@ let () =
             test_memo_disk_evicted;
         ] );
       ( "metrics",
-        [ Alcotest.test_case "scrape after prepares" `Quick test_metrics_render ] );
+        [
+          Alcotest.test_case "scrape after prepares" `Quick test_metrics_render;
+          Alcotest.test_case "scrape after events" `Quick test_events_render;
+        ] );
     ]

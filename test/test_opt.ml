@@ -413,47 +413,6 @@ let test_explain () =
   Alcotest.(check int) "same plan" ex0.Steno.Engine.operators_before
     ex0.Steno.Engine.operators_after
 
-let test_optimize_off_escape_hatch () =
-  (* optimize=false runs the plan as written: the telemetry trace shows
-     no optimize span and the results still agree. *)
-  let collector = Telemetry.Collector.create () in
-  let eng =
-    Steno.Engine.(
-      create
-        {
-          default_config with
-          backend = Steno.Fused;
-          optimize = false;
-          telemetry = Telemetry.Collector.sink collector;
-        })
-  in
-  let q = ints data |> Query.where even |> Query.where even in
-  ignore (Steno.Engine.to_array eng q);
-  let spans = Telemetry.Collector.spans collector in
-  Alcotest.(check bool) "no optimize span" false
-    (List.exists (fun s -> s.Telemetry.name = "optimize") spans)
-
-let test_optimize_telemetry () =
-  let collector = Telemetry.Collector.create () in
-  let eng =
-    Steno.Engine.(
-      create
-        {
-          default_config with
-          backend = Steno.Fused;
-          optimize = true;
-          telemetry = Telemetry.Collector.sink collector;
-        })
-  in
-  let q = ints data |> Query.where even |> Query.where even in
-  ignore (Steno.Engine.to_array eng q);
-  let spans = Telemetry.Collector.spans collector in
-  Alcotest.(check bool) "optimize span" true
-    (List.exists (fun s -> s.Telemetry.name = "optimize") spans);
-  Alcotest.(check bool) "rules counter" true
-    (List.mem_assoc "optimize.rules_applied"
-       (Telemetry.Collector.counters collector))
-
 (* Property tests: random redundant pipelines. *)
 
 let op_gen =
@@ -551,9 +510,6 @@ let () =
           Alcotest.test_case "native chain log" `Quick
             test_native_rewrite_log_has_chain_rules;
           Alcotest.test_case "explain" `Quick test_explain;
-          Alcotest.test_case "escape hatch" `Quick
-            test_optimize_off_escape_hatch;
-          Alcotest.test_case "telemetry" `Quick test_optimize_telemetry;
         ] );
       ( "property",
         [

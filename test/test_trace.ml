@@ -1,8 +1,9 @@
-(* PR 8: the tracing and ops plane.  Cross-domain trace propagation
+(* The tracing and ops plane.  Cross-domain trace propagation
    (tier promotion on the pool and single-flight leader notes carry the
    originating trace_id), ring head-drop accounting and deterministic
    sampling, slow-query capture with plan/tier outcomes, the JSON
-   escaping shared by the telemetry sink and the Chrome exporter, eager
+   escaping shared by every Steno JSON emitter, the spans and events the
+   engine records (what the benchmark's per-layer view reads), eager
    registration of the server metric families, and the HTTP admin
    endpoints (byte-identical /metrics). *)
 
@@ -132,6 +133,298 @@ let test_json_escape () =
     out;
   Alcotest.(check bool) "object form" true (contains out "\"traceEvents\"");
   Alcotest.(check bool) "root carries trace_id" true (contains out "trace_id")
+
+(* {2 Recording} *)
+
+(* The clock is monotonic and [duration_since] clamps at zero, so no
+   recorded span ever has a negative duration. *)
+let test_no_negative_durations () =
+  let a = Telemetry.now_ms () in
+  let b = Telemetry.now_ms () in
+  Alcotest.(check bool) "monotonic" true (b >= a);
+  Alcotest.(check (float 0.0)) "clamped" 0.0
+    (Telemetry.duration_since (Telemetry.now_ms () +. 1e9));
+  let t = Trace.create ~metrics:(Metrics.create ()) () in
+  Trace.with_trace t "root" (fun () ->
+      for i = 0 to 99 do
+        Trace.with_span t (Printf.sprintf "s%d" i) ignore
+      done);
+  List.iter
+    (fun tr ->
+      List.iter
+        (fun sp ->
+          if sp.Trace.sp_duration_ms < 0.0 then
+            Alcotest.failf "negative span duration: %s" sp.Trace.sp_name)
+        (Trace.spans tr))
+    (Trace.traces t)
+
+(* A raising body still records its span, with an ["error"] attribute,
+   and the exception propagates. *)
+let test_span_exception () =
+  let t = Trace.create ~metrics:(Metrics.create ()) () in
+  Trace.with_trace t "root" (fun () ->
+      Alcotest.check_raises "exception propagates" Exit (fun () ->
+          Trace.with_span t "failing" (fun () -> raise Exit)));
+  let tr = List.hd (Trace.traces t) in
+  match Trace.find_span tr "failing" with
+  | None -> Alcotest.fail "no span for the raising body"
+  | Some sp ->
+    Alcotest.(check bool) "error attr" true
+      (List.mem_assoc "error" sp.Trace.sp_attrs)
+
+(* A disabled tracer, or an enabled one outside any trace, runs the body
+   and records nothing. *)
+let test_span_untraced () =
+  Alcotest.(check int) "disabled pass-through" 7
+    (Trace.with_span Trace.disabled "x" (fun () -> 7));
+  let t = Trace.create ~metrics:(Metrics.create ()) () in
+  Alcotest.(check int) "no context pass-through" 8
+    (Trace.with_span t "x" (fun () -> 8));
+  Alcotest.(check int) "no trace kept" 0 (List.length (Trace.traces t))
+
+(* [report] renders one trace: its header, then a line per span. *)
+let test_report () =
+  let t = Trace.create ~metrics:(Metrics.create ()) () in
+  Trace.with_trace t "root" (fun () ->
+      Trace.with_span t "stage" ~attrs:[ "k", "v" ] ignore;
+      Trace.instant t "event" ~attrs:[ "n", "2" ] ());
+  let lines =
+    String.split_on_char '\n' (Trace.report (List.hd (Trace.traces t)))
+  in
+  Alcotest.(check bool) "header" true
+    (String.starts_with ~prefix:"trace " (List.hd lines));
+  List.iter
+    (fun needle ->
+      if not (List.exists (fun l -> contains l needle) lines) then
+        Alcotest.failf "report misses %S" needle)
+    [ "stage"; "k=v"; "event"; "n=2" ]
+
+(* {2 The engine's spans and events}
+
+   What the benchmark's per-layer view reads from a trace: stage spans
+   by name, and events as instants carrying ["n"]. *)
+
+let temp_seq = ref 0
+
+let with_temp_dir f =
+  incr temp_seq;
+  let d =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "steno-test-trace-%d-%d" (Unix.getpid ()) !temp_seq)
+  in
+  Unix.mkdir d 0o700;
+  let rec rm_rf d =
+    Array.iter
+      (fun f ->
+        let p = Filename.concat d f in
+        if Sys.is_directory p then rm_rf p else Sys.remove p)
+      (Sys.readdir d);
+    Unix.rmdir d
+  in
+  Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
+
+let traced_engine ?dir ?(optimize = true) backend =
+  let cfg =
+    Steno.Config.(
+      default |> with_backend backend |> with_optimize optimize
+      |> with_metrics (Metrics.create ())
+      |> with_tracing ~sample:1.0)
+  in
+  Steno.Engine.create
+    (match dir with
+    | None -> cfg
+    | Some dir -> Steno.Config.with_disk_cache ~dir cfg)
+
+(* Run [f] as one trace on [eng] and return that trace. *)
+let trace_of eng f =
+  let tracer = Steno.Engine.tracer eng in
+  Trace.with_trace tracer "test" f;
+  match List.rev (Trace.traces tracer) with
+  | tr :: _ -> tr
+  | [] -> Alcotest.fail "no trace recorded"
+
+let spans_named kind tr name =
+  List.filter
+    (fun sp -> sp.Trace.sp_kind = kind && sp.Trace.sp_name = name)
+    (Trace.spans tr)
+
+let interval tr name =
+  match spans_named Trace.Interval tr name with
+  | sp :: _ -> sp
+  | [] -> Alcotest.failf "no %s span" name
+
+(* An event's count: the ["n"] attributes of its instants, summed. *)
+let event_n tr name =
+  List.fold_left
+    (fun acc sp ->
+      match List.assoc_opt "n" sp.Trace.sp_attrs with
+      | Some n -> acc + int_of_string n
+      | None -> Alcotest.failf "%s instant without n" name)
+    0
+    (spans_named Trace.Instant tr name)
+
+let ends sp = sp.Trace.sp_start_ms +. sp.Trace.sp_duration_ms
+
+let disjoint a b =
+  ends a <= b.Trace.sp_start_ms || ends b <= a.Trace.sp_start_ms
+
+(* Each of [names] has a span inside the [outer] span. *)
+let check_within tr ~outer names =
+  let o = interval tr outer in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s inside %s" name outer)
+        true
+        (List.exists
+           (fun sp ->
+             sp.Trace.sp_start_ms >= o.Trace.sp_start_ms && ends sp <= ends o)
+           (spans_named Trace.Interval tr name)))
+    names
+
+(* No [name] span overlaps a [pcache.lookup] span. *)
+let check_outside_lookups tr name =
+  let lookups = spans_named Trace.Interval tr "pcache.lookup" in
+  Alcotest.(check bool) "store looked up" true (lookups <> []);
+  Alcotest.(check bool)
+    (name ^ " outside pcache.lookup")
+    true
+    (List.for_all (disjoint (interval tr name)) lookups)
+
+let test_engine_spans_fused () =
+  let eng = traced_engine Steno.Fused in
+  let tr =
+    trace_of eng (fun () ->
+        Alcotest.(check int) "result" 14
+          (Steno.Engine.scalar eng (sumsq [| 1; 2; 3 |])))
+  in
+  (* Fused never lowers to QUIL: it specializes and stages closures. *)
+  check_within tr ~outer:"prepare" [ "specialize"; "stage" ];
+  ignore (interval tr "run")
+
+(* A Native prepare on a fresh store: every stage inside [prepare], the
+   plugin published, and one [cache.miss]. *)
+let native_on_store dir =
+  let eng = traced_engine ~dir Steno.Native in
+  trace_of eng (fun () ->
+      Alcotest.(check int) "result" 14
+        (Steno.Engine.scalar eng (sumsq [| 1; 2; 3 |])))
+
+let test_engine_spans_native () =
+  with_native @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let tr = native_on_store dir in
+  check_within tr ~outer:"prepare"
+    [
+      "specialize"; "canon"; "codegen"; "pcache.lookup"; "compile"; "dynlink";
+      "pcache.store"; "env-bind";
+    ];
+  Alcotest.(check int) "one cache miss" 1 (event_n tr "cache.miss")
+
+(* [compile] and [dynlink] are live spans around their calls, so they
+   do not overlap the store lookups that missed. *)
+let test_lookup_before_compile () =
+  with_native @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let tr = native_on_store dir in
+  check_outside_lookups tr "compile";
+  check_outside_lookups tr "dynlink"
+
+(* A second engine on the same store loads the plugin: [pcache.hit], a
+   [dynlink] outside the lookup, and no compile. *)
+let test_disk_hit () =
+  with_native @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  ignore (native_on_store dir);
+  let tr = native_on_store dir in
+  Alcotest.(check int) "one pcache hit" 1 (event_n tr "pcache.hit");
+  Alcotest.(check int) "no compile" 0
+    (List.length (spans_named Trace.Interval tr "compile"));
+  check_outside_lookups tr "dynlink"
+
+let test_fallback_event () =
+  let eng = traced_engine Steno.Native in
+  Dynload.disabled := true;
+  Fun.protect ~finally:(fun () -> Dynload.disabled := false) @@ fun () ->
+  let tr =
+    trace_of eng (fun () ->
+        Alcotest.(check int) "answers via fused" 3
+          (Steno.Engine.scalar eng (Query.sum_int (ints [| 1; 2 |]))))
+  in
+  Alcotest.(check int) "fallback counted" 1 (event_n tr "engine.fallback");
+  match spans_named Trace.Instant tr "fallback" with
+  | [ fb ] ->
+    Alcotest.(check bool) "reason attr" true
+      (List.mem_assoc "reason" fb.Trace.sp_attrs)
+  | _ -> Alcotest.fail "expected one fallback instant"
+
+let redundant_where () =
+  ints data
+  |> Query.where (fun x -> I.(x mod Expr.int 2 = Expr.int 0))
+  |> Query.where (fun x -> I.(x mod Expr.int 2 = Expr.int 0))
+
+let trace_fused ~optimize q =
+  let eng = traced_engine ~optimize Steno.Fused in
+  trace_of eng (fun () -> ignore (Steno.Engine.to_array eng q))
+
+(* optimize=false runs the plan as written: no optimize span and no
+   rules event. *)
+let test_optimize_escape_hatch () =
+  let off = trace_fused ~optimize:false (redundant_where ()) in
+  Alcotest.(check int) "no optimize span" 0
+    (List.length (spans_named Trace.Interval off "optimize"));
+  Alcotest.(check int) "no rules event" 0
+    (List.length (spans_named Trace.Instant off "optimize.rules_applied"))
+
+(* optimize=true reports both the optimize span and the rules event. *)
+let test_optimize_telemetry () =
+  let on = trace_fused ~optimize:true (redundant_where ()) in
+  Alcotest.(check bool) "optimize span" true
+    (spans_named Trace.Interval on "optimize" <> []);
+  Alcotest.(check bool) "rules event" true (event_n on "optimize.rules_applied" > 0)
+
+(* [Engine.event] records the instant with its count, and bumps the
+   counter its table names for it; an event without one only records. *)
+let test_event_table () =
+  let m = Metrics.create () in
+  let eng =
+    Steno.Engine.create Steno.Config.(default |> with_metrics m |> with_tracing)
+  in
+  let tr =
+    trace_of eng (fun () ->
+        Steno.Engine.event eng ~n:2 "flight.join";
+        Steno.Engine.event eng "dryad.gathered")
+  in
+  Alcotest.(check int) "flight.join n" 2 (event_n tr "flight.join");
+  Alcotest.(check int) "dryad.gathered n" 1 (event_n tr "dryad.gathered");
+  Alcotest.(check int) "dedup counter" 2
+    (Metrics.counter_value (Metrics.counter m "steno_prepare_dedup"));
+  (* Untraced, the counter still moves. *)
+  Steno.Engine.event eng "flight.join";
+  Alcotest.(check int) "counted untraced" 3
+    (Metrics.counter_value (Metrics.counter m "steno_prepare_dedup"))
+
+(* The partitions that worker domains run reach the caller's trace: k
+   partitions are k [partition] spans, merged by one [agg-merge]. *)
+let test_partition_spans () =
+  if Domain_pool.recommended_workers () = 1 then ()
+  else begin
+    let k = 8 in
+    let eng = traced_engine Steno.Fused in
+    (* Partitions long enough that the workers wake up and take some. *)
+    let n = 1 lsl 20 in
+    let xs = Array.init n (fun i -> i) in
+    let tr =
+      trace_of eng (fun () ->
+          Alcotest.(check int) "sum" (n * (n - 1) / 2)
+            (Par.scalar_auto ~engine:eng ~parts:k (Query.sum_int (ints xs))))
+    in
+    Alcotest.(check int) "partition spans" k
+      (List.length (spans_named Trace.Interval tr "partition"));
+    Alcotest.(check int) "one agg-merge" 1
+      (List.length (spans_named Trace.Interval tr "agg-merge"))
+  end
 
 (* {2 Single-flight leader note} *)
 
@@ -467,7 +760,30 @@ let () =
           Alcotest.test_case "annotate replaces" `Quick test_annotate_replaces;
         ] );
       ( "export",
-        [ Alcotest.test_case "json escaping" `Quick test_json_escape ] );
+        [
+          Alcotest.test_case "json escaping" `Quick test_json_escape;
+          Alcotest.test_case "report" `Quick test_report;
+        ] );
+      ( "spans",
+        [
+          Alcotest.test_case "no negative durations" `Quick
+            test_no_negative_durations;
+          Alcotest.test_case "exception" `Quick test_span_exception;
+          Alcotest.test_case "untraced" `Quick test_span_untraced;
+        ] );
+      ( "engine",
+        [
+          Alcotest.test_case "fused spans" `Quick test_engine_spans_fused;
+          Alcotest.test_case "native spans" `Quick test_engine_spans_native;
+          Alcotest.test_case "lookup before compile" `Quick
+            test_lookup_before_compile;
+          Alcotest.test_case "disk hit" `Quick test_disk_hit;
+          Alcotest.test_case "fallback counter" `Quick test_fallback_event;
+          Alcotest.test_case "escape hatch" `Quick test_optimize_escape_hatch;
+          Alcotest.test_case "telemetry" `Quick test_optimize_telemetry;
+          Alcotest.test_case "event table" `Quick test_event_table;
+          Alcotest.test_case "partition spans" `Quick test_partition_spans;
+        ] );
       ( "propagation",
         [
           Alcotest.test_case "flight leader note" `Quick

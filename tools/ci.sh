@@ -136,6 +136,42 @@ else
   fi
 fi
 
+echo "== stenoc run --trace and stats read one trace =="
+# The demo runs as one trace on the engine's tracer: --trace prints a
+# line per stage span and the events summed by name, and stats rolls the
+# same spans up per stage.
+join_traced=$(./_build/default/bin/stenoc.exe run join -n 2000 --trace)
+if printf '%s\n' "$join_traced" | grep -qF 'fell back'; then
+  echo "(skipped: stenoc reports no Native backend)"
+else
+  for stage in prepare codegen compile dynlink run; do
+    if ! printf '%s\n' "$join_traced" | \
+        grep -qE "^ *[+-][0-9.]+ ms $stage "; then
+      echo "stenoc run join --trace printed no $stage span" >&2
+      printf '%s\n' "$join_traced" >&2
+      exit 1
+    fi
+  done
+  if ! printf '%s\n' "$join_traced" | grep -qE '^  cache\.miss +1$'; then
+    echo "stenoc run join --trace printed no cache.miss counter" >&2
+    printf '%s\n' "$join_traced" >&2
+    exit 1
+  fi
+fi
+stats_fused=$(./_build/default/bin/stenoc.exe stats sumsq -b fused)
+if ! printf '%s\n' "$stats_fused" | grep -qE '^prepare +[0-9]+ '; then
+  echo "stenoc stats sumsq -b fused printed no prepare row" >&2
+  printf '%s\n' "$stats_fused" >&2
+  exit 1
+fi
+
+echo "== one recorder =="
+# Stage spans and events go through Trace; Telemetry is only the clock.
+if grep -rnE 'Telemetry\.(with_span|emit|count|Collector)' lib bin; then
+  echo "lib/ or bin/ records spans or events through Telemetry" >&2
+  exit 1
+fi
+
 echo "== type-specialized hash tables and dense key tables in generated code =="
 # histogram's key, x mod 16, lies in [-15, 15]: an array indexes it.
 # join's keys (Fst of a pair) have no bounded range: Steno_rt.Int_tbl.

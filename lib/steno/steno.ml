@@ -147,7 +147,7 @@ type 'r prep = {
   p_rules : string list;
       (* Optimizer rewrite log for this preparation, AST rules first,
          then QUIL chain rules (the latter only when the preparation
-         actually lowered to QUIL, i.e. on the Native path). *)
+         compiled the chain on the Native path). *)
   p_profile : profile option;
       (* Present iff the engine had [profile = true] at prepare time. *)
   p_diags : Check.diagnostic list;
@@ -194,14 +194,56 @@ let translate_exn : exn -> exn = function
     Iterator.No_such_element
   | e -> e
 
+(* One optimizer pass and its translation validation: the plan the
+   prepare goes on with (the pass's output if accepted, its input if
+   not), the accepted firings, the obligations discharged, and the
+   [SC012] diagnostic of a rejection. *)
+type 'x rewritten = {
+  rw_out : 'x;
+  rw_fired : Opt.event list;
+  rw_obligations : Check.Equiv.obligation list;
+  rw_rejected : Check.diagnostic option;
+}
+
+let unchanged rw_out =
+  { rw_out; rw_fired = []; rw_obligations = []; rw_rejected = None }
+
+let event_names events =
+  List.map (fun (e : Opt.event) -> e.Opt.ev_rule) events
+
+(* Compress runs of one rule firing repeatedly (e.g. [where-fuse]
+   collapsing a long filter chain) into a single annotated entry, so
+   rewrite logs stay readable.  Non-adjacent repeats are preserved:
+   they record distinct phases of the rewrite. *)
+let dedup_consecutive names =
+  List.fold_left
+    (fun runs x ->
+      match runs with
+      | (y, n) :: rest when String.equal x y -> (y, n + 1) :: rest
+      | _ -> (x, 1) :: runs)
+    [] names
+  |> List.rev_map (fun (name, n) ->
+         if n > 1 then Printf.sprintf "%s (x%d)" name n else name)
+
 (* How each backend stages one plan, packaged so the engine's prepare
    logic (timing, caching, fallback, tracing) exists once.  The stagers
-   take the probe a profiled prepare allocates. *)
+   take the probe a profiled prepare allocates.  [lower] builds the
+   chain pass's outcome at most once, keeping what it raised (a root
+   outside the QUIL fragment, a chain the PDA refuses) for the Native
+   path to re-raise. *)
 type 'r plan = {
   stage_linq : Metrics.Probe.t option -> unit -> 'r;
   stage_fused : Metrics.Probe.t option -> unit -> 'r;
-  chain : unit -> Quil.chain;
+  lower : unit -> (Quil.chain rewritten, exn) result;
 }
+
+let lowered_exn plan = match plan.lower () with Ok rw -> rw | Error e -> raise e
+
+(* [f ()] computed at most once.  A domain forcing it while another one
+   does waits for that result, where a bare [Lazy.force] would raise. *)
+let once f =
+  let mu = Mutex.create () and v = lazy (f ()) in
+  fun () -> Mutex.protect mu (fun () -> Lazy.force v)
 
 let linq_wrapper = function
   | None -> Linq.unprobed
@@ -274,26 +316,6 @@ let stage_fused : type r. Fused.wrapper -> r Query.root -> unit -> r =
   | Query.Scalar sq ->
     let staged = Fused.stage_sq_probed w sq in
     fun () -> staged Expr.Open.empty
-
-let plan_of tracer (r : 'r Query.root) : 'r plan =
-  let specialized () =
-    Trace.with_span tracer "specialize" (fun () -> specialize r)
-  in
-  {
-    stage_linq =
-      (fun probe ->
-        let w = linq_wrapper probe in
-        Trace.with_span tracer "stage" (fun () -> stage_linq w r));
-    stage_fused =
-      (fun probe ->
-        let w = fused_wrapper probe in
-        let spec = specialized () in
-        Trace.with_span tracer "stage" (fun () -> stage_fused w spec));
-    chain =
-      (fun () ->
-        let spec = specialized () in
-        Trace.with_span tracer "canon" (fun () -> canon_of_specialized spec));
-  }
 
 (* The recording schema for adaptive statistics: the probed operator
    spine of the plan that will actually execute, in probe-point order
@@ -623,9 +645,9 @@ module Engine = struct
     | "tier.promote" -> Some ins.tier_ok
     | _ -> None
 
-  let record_event tracer ins ?(n = 1) name =
+  let record_event tracer ins ?(n = 1) ?(attrs = []) name =
     if Trace.active tracer then
-      Trace.instant tracer name ~attrs:[ "n", string_of_int n ] ();
+      Trace.instant tracer name ~attrs:(("n", string_of_int n) :: attrs) ();
     match event_counter ins name with
     | Some lc -> Metrics.add (counter lc) n
     | None -> ()
@@ -884,6 +906,34 @@ module Engine = struct
     | Dynload.Compile_error msg -> Compile_error msg
     | Dynload.Load_error msg -> Load_error msg
 
+  (* A preparation running [run] on [info.backend], profiled on
+     [probe] (with the native row cells, on Native). *)
+  let make_prep eng ?probe (p_info : compile_info) run =
+    let p_profile =
+      Option.map
+        (fun (prof_probe, prof_native_rows) ->
+          {
+            prof_backend = p_info.backend;
+            prof_probe;
+            prof_native_rows;
+            prof_runs = 0;
+            prof_run_ms = 0.0;
+          })
+        probe
+    in
+    let run =
+      match p_profile with None -> run | Some p -> wrap_profiled eng p run
+    in
+    {
+      run_fn = traced_run eng p_info.backend run;
+      p_info;
+      p_rules = [];
+      p_profile;
+      p_diags = [];
+      p_tier = Atomic.make p_info.backend;
+      p_decisions = [];
+    }
+
   (* The end of every Native preparation, whether it ran the pipeline
      ([compile_native]) or the plan memo replayed one ([memo_hit]): bind
      the environment, wrap the plugin's entry point, and account. *)
@@ -894,45 +944,29 @@ module Engine = struct
     let raw_run () =
       try plugin.Dynload.run env with e -> raise (translate_exn e)
     in
-    let prof =
-      match native_probe with
-      | None -> None
-      | Some np ->
-        (* One point per generated edge, same order as the labels; the
-           run wrapper folds the array's per-run deltas into them. *)
-        let pr = Metrics.Probe.create () in
-        Array.iter
-          (fun lbl -> ignore (Metrics.Probe.point pr lbl))
-          np.Codegen.probe_labels;
-        Some
-          {
-            prof_backend = Native;
-            prof_probe = pr;
-            prof_native_rows = Some np.Codegen.probe_rows;
-            prof_runs = 0;
-            prof_run_ms = 0.0;
-          }
+    let probe =
+      Option.map
+        (fun np ->
+          (* One point per generated edge, same order as the labels; the
+             run wrapper folds the array's per-run deltas into them. *)
+          let pr = Metrics.Probe.create () in
+          Array.iter
+            (fun lbl -> ignore (Metrics.Probe.point pr lbl))
+            np.Codegen.probe_labels;
+          pr, Some np.Codegen.probe_rows)
+        native_probe
     in
-    let run () = Obj.obj (raw_run ()) in
-    let run = match prof with None -> run | Some p -> wrap_profiled eng p run in
-    {
-      run_fn = traced_run eng Native run;
-      p_info =
-        {
-          backend = Native;
-          requested = Native;
-          cache_hit;
-          prepare_ms = now_ms () -. t0;
-          codegen_ms = t1 -. t0;
-          compile_ms = (if cache_hit then 0.0 else t2 -. t1);
-          fallback = None;
-        };
-      p_rules = [];
-      p_profile = prof;
-      p_diags = [];
-      p_tier = Atomic.make Native;
-      p_decisions = [];
-    }
+    make_prep eng ?probe
+      {
+        backend = Native;
+        requested = Native;
+        cache_hit;
+        prepare_ms = now_ms () -. t0;
+        codegen_ms = t1 -. t0;
+        compile_ms = (if cache_hit then 0.0 else t2 -. t1);
+        fallback = None;
+      }
+      (fun () -> Obj.obj (raw_run ()))
 
   (* The in-memory copy of a memo entry keeps its plan text only where a
      hit can show it: sessions share the tracer, so one that is off now
@@ -950,13 +984,14 @@ module Engine = struct
     try Dynload.load_file ~path ()
     with _ -> Error (Dynload.Load_error "cached plugin raised")
 
-  (* The full Native pipeline: specialize/canon/codegen (spans emitted by
-     the plan), then the bounded plugin cache, then compile+load under
-     the engine's timeout, then environment binding.  With [memo =
-     (shape, entry_of)], a prepare that gets a plugin records
-     [entry_of]'s entry for it under [shape]: in the plan memo, and with
-     a disk cache as a record, inside the published [.key] when this
-     prepare compiled the plugin, in a file of its own when it did not.
+  (* The full Native pipeline: the plan's chain, codegen, then the
+     bounded plugin cache, then compile+load under the engine's timeout,
+     then environment binding.  With [memo = (shape, rules, diags)], a
+     prepare that gets a plugin records an entry for it under [shape]
+     (its slot map, the front half's [rules] and then the chain pass's,
+     [diags] and the plan): in the plan memo, and with a disk cache as a
+     record, inside the published [.key] when this prepare compiled the
+     plugin, in a file of its own when it did not.
 
      Cache lookup and compilation run inside a single-flight call keyed
      by the plugin cache key: when several domains prepare the same
@@ -966,7 +1001,8 @@ module Engine = struct
      invocations for one cache slot. *)
   let compile_native ?memo eng (plan : 'r plan) ~t0 :
       ('r prep, fallback_reason) result =
-    let chain = plan.chain () in
+    let chain_pass = lowered_exn plan in
+    let chain = chain_pass.rw_out in
     let native_probe =
       if eng.cfg.profile then Some (Codegen.probe_of_chain chain) else None
     in
@@ -992,8 +1028,23 @@ module Engine = struct
     let digest = Digest.string cache_key in
     let entry =
       lazy
-        (Option.bind memo (fun (shape, entry_of) ->
-             Option.map (fun e -> shape, e) (entry_of out.Codegen.table chain)))
+        (Option.bind memo (fun (shape, rules, diags) ->
+             Option.map
+               (fun slots ->
+                 ( shape,
+                   {
+                     Steno_memo.slots;
+                     rules =
+                       dedup_consecutive
+                         (rules @ event_names chain_pass.rw_fired);
+                     diags;
+                     plan =
+                       (if eng.pcache <> None || Trace.enabled eng.tracer then
+                          Quil.symbol_string chain
+                        else "");
+                   } ))
+               (memo_slots shape
+                  (Expr.Capture_table.entries out.Codegen.table))))
     in
     (* The leader registers its trace id as the flight note, so a
        follower from another request can record which trace actually
@@ -1137,9 +1188,11 @@ module Engine = struct
               payload = Steno_memo.encode e;
             }
         | Some _ | None -> ()));
-      Ok
-        (native_prep eng ~t0 ~t1 ~cache_hit ?native_probe plugin ~env:(fun () ->
-             Expr.Capture_table.to_env out.Codegen.table))
+      let p =
+        native_prep eng ~t0 ~t1 ~cache_hit ?native_probe plugin ~env:(fun () ->
+            Expr.Capture_table.to_env out.Codegen.table)
+      in
+      Ok { p with p_rules = event_names chain_pass.rw_fired }
 
   let prep_of_staged eng ~t0 ~requested ~actual ~fallback staged =
     let probe =
@@ -1148,48 +1201,23 @@ module Engine = struct
     let ts = now_ms () in
     let run = staged probe in
     let staging_ms = now_ms () -. ts in
-    let prof =
-      match probe with
-      | None -> None
-      | Some pr ->
-        Some
-          {
-            prof_backend = actual;
-            prof_probe = pr;
-            prof_native_rows = None;
-            prof_runs = 0;
-            prof_run_ms = 0.0;
-          }
-    in
-    let run =
-      match prof with None -> run | Some p -> wrap_profiled eng p run
-    in
-    {
-      run_fn = traced_run eng actual run;
-      p_info =
-        {
-          backend = actual;
-          requested;
-          cache_hit = false;
-          prepare_ms = now_ms () -. t0;
-          codegen_ms = staging_ms;
-          compile_ms = 0.0;
-          fallback;
-        };
-      p_rules = [];
-      p_profile = prof;
-      p_diags = [];
-      p_tier = Atomic.make actual;
-      p_decisions = [];
-    }
+    make_prep eng
+      ?probe:(Option.map (fun pr -> pr, None) probe)
+      {
+        backend = actual;
+        requested;
+        cache_hit = false;
+        prepare_ms = now_ms () -. t0;
+        codegen_ms = staging_ms;
+        compile_ms = 0.0;
+        fallback;
+      }
+      run
 
   let prepare_plan_result (eng : t) ?backend ?memo (plan : 'r plan) :
       ('r prep, fallback_reason) result =
     let requested = Option.value backend ~default:eng.cfg.backend in
     let t0 = now_ms () in
-    Trace.with_span eng.tracer "prepare"
-      ~attrs:[ "backend", backend_name requested ]
-    @@ fun () ->
     match requested with
     | Linq ->
       Ok
@@ -1260,91 +1288,82 @@ module Engine = struct
              ~fallback:(Some reason) plan.stage_fused)
       | Error reason -> Error reason)
 
-  let event_names events =
-    List.map (fun (e : Opt.event) -> e.Opt.ev_rule) events
+  (* {2 The front half}
 
-  (* AST-level rewriting, as its own traced span, followed by
-     translation validation of the rewrite log.
+     Between the checks and the backends, every prepare rewrites its
+     plan, validates each rewrite and lowers the result to QUIL, here
+     and only here.  [explain], [verify] and [native_chain] read the
+     same steps on an inspection copy of the engine.
 
      The optimizer is not trusted: every firing carries the facts that
      justified it, and the validator re-derives them on the captured
-     terms.  An undischarged obligation rejects the optimized plan — the
-     engine falls back to the plan as written (surfacing an [SC012]
-     diagnostic) or, when [strict], refuses the preparation outright. *)
-  let optimize_verified eng r =
-    if not eng.cfg.optimize then Ok (r, [], [])
+     terms.  An undischarged obligation rejects the pass — the prepare
+     goes on with the pass's input and an [SC012] diagnostic or, when
+     [strict], refuses outright. *)
+
+  (* One pass at [level] ("ast", "adaptive" or "quil") under an
+     [optimize] span, then, when it fired, its rules event and the
+     validation of its log under a [verify] span, counted once into
+     [steno_verify_total]. *)
+  let rewrite eng ~level ~pass ~validate x =
+    let attrs = [ "level", level ] in
+    let x', events =
+      Trace.with_span eng.tracer "optimize" ~attrs (fun () -> pass x)
+    in
+    if events = [] then unchanged x'
     else begin
-      let r', events =
-        Trace.with_span eng.tracer "optimize"
-          ~attrs:[ "level", "ast" ]
-          (fun () -> Opt.plan_ev r)
+      record_event eng.tracer eng.ins ~n:(List.length events) ~attrs
+        "optimize.rules_applied";
+      let obligations =
+        Trace.with_span eng.tracer "verify" ~attrs (fun () ->
+            validate ~before:x ~after:x' events)
       in
-      event eng ~n:(List.length events) "optimize.rules_applied";
-      if events = [] then Ok (r', [], [])
-      else begin
-        let obligations =
-          Trace.with_span eng.tracer "verify"
-            ~attrs:[ "level", "ast" ]
-            (fun () -> Check.Equiv.validate ~before:r ~after:r' events)
-        in
-        if Check.Equiv.accepted obligations then begin
-          count eng.ins.verify_accepted;
-          Ok (r', event_names events, [])
-        end
-        else begin
-          count eng.ins.verify_rejected;
-          let detail =
-            String.concat "; " (Check.Equiv.failures obligations)
-          in
-          let d = Check.rejected_rewrite detail in
-          if eng.cfg.strict then Error [ d ] else Ok (r, [], [ d ])
-        end
-      end
+      let accepted = Check.Equiv.accepted obligations in
+      count
+        (if accepted then eng.ins.verify_accepted else eng.ins.verify_rejected);
+      if accepted then
+        { (unchanged x') with rw_fired = events; rw_obligations = obligations }
+      else
+        let detail = String.concat "; " (Check.Equiv.failures obligations) in
+        {
+          (unchanged x) with
+          rw_obligations = obligations;
+          rw_rejected = Some (Check.rejected_rewrite detail);
+        }
     end
 
-  (* Hook the QUIL chain pass into a plan.  The chain is only built on
-     the Native path, and synchronously within [prepare_plan], so the
-     returned ref holds the fired chain rules by the time the
-     preparation exists.  The chain rewrite log is validated the same
-     way as the AST one; a rejection falls back to the un-rewritten
-     chain (strict raises {!Check_failed} out of the preparation). *)
-  let with_chain_pass eng plan =
-    if not eng.cfg.optimize then plan, ref []
-    else begin
-      let fired = ref [] in
-      let chain () =
-        let c = plan.chain () in
-        let c', events =
-          Trace.with_span eng.tracer "optimize"
-            ~attrs:[ "level", "quil" ]
-            (fun () -> Opt.chain_ev c)
-        in
-        event eng ~n:(List.length events) "optimize.rules_applied";
-        if events = [] then c
-        else begin
-          let obligations =
-            Trace.with_span eng.tracer "verify"
-              ~attrs:[ "level", "quil" ]
-              (fun () -> Check.Equiv.validate_chain ~before:c ~after:c' events)
-          in
-          if Check.Equiv.accepted obligations then begin
-            count eng.ins.verify_accepted;
-            fired := event_names events;
-            c'
-          end
-          else begin
-            count eng.ins.verify_rejected;
-            let detail =
-              String.concat "; " (Check.Equiv.failures obligations)
-            in
-            if eng.cfg.strict then
-              raise (Check_failed [ Check.rejected_rewrite detail ])
-            else c
-          end
-        end
+  (* The stagers of a validated root, and the one chain it lowers to:
+     specialize, canonicalize, the chain pass, the PDA. *)
+  let plan_of eng (r : 'r Query.root) : 'r plan =
+    let specialized () =
+      Trace.with_span eng.tracer "specialize" (fun () -> specialize r)
+    in
+    let lower () =
+      let spec = specialized () in
+      let c =
+        Trace.with_span eng.tracer "canon" (fun () -> canon_of_specialized spec)
       in
-      { plan with chain }, fired
-    end
+      let rw =
+        if not eng.cfg.optimize then unchanged c
+        else
+          rewrite eng ~level:"quil" ~pass:Opt.chain_ev
+            ~validate:(Check.Equiv.validate_chain ?laws:None) c
+      in
+      Check.assert_well_formed rw.rw_out;
+      rw
+    in
+    {
+      stage_linq =
+        (fun probe ->
+          let w = linq_wrapper probe in
+          Trace.with_span eng.tracer "stage" (fun () -> stage_linq w r));
+      stage_fused =
+        (fun probe ->
+          let w = fused_wrapper probe in
+          let spec = specialized () in
+          Trace.with_span eng.tracer "stage" (fun () -> stage_fused w spec));
+      lower = once (fun () -> try Ok (lower ()) with e -> Error e);
+    }
 
   (* {2 Adaptive (cost-based) optimization}
 
@@ -1417,41 +1436,88 @@ module Engine = struct
         | _ -> None)
       events
 
-  (* Run the adaptive rewrite and validate its event log, mirroring
-     [optimize_verified]: accepted → the re-sorted plan plus display
-     decisions; rejected → fall back to the plan as given (SC012), or
-     refuse outright under [strict]. *)
-  let adaptive_rewrite eng ~est r =
-    let split = eng.cfg.profile in
-    let r', events =
-      Trace.with_span eng.tracer "optimize"
-        ~attrs:[ "level", "adaptive" ]
-        (fun () -> Opt.adaptive_ev est ~split r)
+  (* What the front half made of a root: the AST pass and, on an
+     adaptive engine, the adaptive pass with the plan key it read the
+     statistics under; then the validated root and its plan. *)
+  type 'r front = {
+    f_passes : 'r Query.root rewritten list;
+    f_adaptive : (Config.adaptive * string) option;
+    f_root : 'r Query.root;
+    f_plan : 'r plan;
+  }
+
+  let front_fired f = List.concat_map (fun rw -> rw.rw_fired) f.f_passes
+
+  let front_rejected f = List.filter_map (fun rw -> rw.rw_rejected) f.f_passes
+
+  (* A strict engine lowers before dispatch, whatever the backend: a
+     rejected chain pass, or a chain the PDA refuses, makes the plan
+     unpreparable.  A root outside the QUIL fragment has no chain to
+     check. *)
+  let strict_chain eng plan =
+    match plan.lower () with
+    | Error (Check.Malformed_chain msg) ->
+      count eng.ins.pda_checks;
+      Error [ Check.malformed msg ]
+    | Error _ -> Ok ()
+    | Ok rw -> (
+      count eng.ins.pda_checks;
+      match rw.rw_rejected with Some d -> Error [ d ] | None -> Ok ())
+
+  (* The front half of a prepare: the validated AST pass, the validated
+     adaptive pass, and the plan of the result.  Only a [strict] engine
+     turns a rejected pass into [Error]; it also forces the chain here.
+     A traced prepare forces it too, for the trace's [plan] attribute.
+     Otherwise the Native path is the first to build the chain. *)
+  let front eng r =
+    let ( let* ) = Result.bind in
+    let settle rw =
+      match rw.rw_rejected with
+      | Some d when eng.cfg.strict -> Error [ d ]
+      | Some _ | None -> Ok rw
     in
-    if events = [] then
-      (* Nothing moved.  [q'] may still differ from [q] under profiling
-         (pure conjuncts split into stacked filters so each gets its own
-         probe point) — an eventless structural identity. *)
-      Ok ((if split then r' else r), [], [], [])
-    else begin
-      let obligations =
-        Trace.with_span eng.tracer "verify"
-          ~attrs:[ "level", "adaptive" ]
-          (fun () -> Check.Equiv.validate ~before:r ~after:r' events)
-      in
-      if Check.Equiv.accepted obligations then begin
-        count eng.ins.verify_accepted;
-        List.iter (fun _ -> Metrics.inc (adaptive_c eng "reorder")) events;
-        Ok (r', event_names events, [], reorder_decisions events)
-      end
-      else begin
-        count eng.ins.verify_rejected;
-        Metrics.inc (adaptive_c eng "rejected");
-        let detail = String.concat "; " (Check.Equiv.failures obligations) in
-        let d = Check.rejected_rewrite detail in
-        if eng.cfg.strict then Error [ d ] else Ok (r, [], [ d ], [])
-      end
-    end
+    let* ast =
+      if not eng.cfg.optimize then Ok (unchanged r)
+      else
+        settle
+          (rewrite eng ~level:"ast" ~pass:Opt.plan_ev
+             ~validate:(Check.Equiv.validate ?laws:None) r)
+    in
+    (* The plan key is taken after the syntactic fixpoint but before the
+       adaptive pass: the fixpoint is deterministic, so a drift
+       re-preparation lands on the same key, while the key never depends
+       on the statistics-driven ordering it feeds.  Profiled engines
+       split fused conjuncts into stacked filters, one probe point
+       each. *)
+    let f_adaptive =
+      Option.map
+        (fun a -> a, Cost.plan_key ~optimize:eng.cfg.optimize ast.rw_out)
+        eng.cfg.adaptive
+    in
+    let* f_passes, f_root =
+      match f_adaptive with
+      | None -> Ok ([ ast ], ast.rw_out)
+      | Some (_, key) ->
+        let rw =
+          rewrite eng ~level:"adaptive"
+            ~pass:
+              (Opt.adaptive_ev (estimator_for eng ~key) ~split:eng.cfg.profile)
+            ~validate:(Check.Equiv.validate ?laws:None) ast.rw_out
+        in
+        (match rw.rw_rejected with
+        | None ->
+          Metrics.add (adaptive_c eng "reorder") (List.length rw.rw_fired)
+        | Some _ -> Metrics.inc (adaptive_c eng "rejected"));
+        Result.map (fun rw -> [ ast; rw ], rw.rw_out) (settle rw)
+    in
+    let f_plan = plan_of eng f_root in
+    let* () = if eng.cfg.strict then strict_chain eng f_plan else Ok () in
+    (if Trace.active eng.tracer then
+       match f_plan.lower () with
+       | Ok rw ->
+         Trace.annotate eng.tracer [ "plan", Quil.symbol_string rw.rw_out ]
+       | Error _ -> ());
+    Ok { f_passes; f_adaptive; f_root; f_plan }
 
   (* Cost-based backend choice: when the engine would dispatch to
      Native, a plan whose estimated input is tiny stays on the staged
@@ -1602,27 +1668,6 @@ module Engine = struct
 
   (* {2 Static checks} *)
 
-  (* Compress runs of one rule firing repeatedly (e.g. [where-fuse]
-     collapsing a long filter chain) into a single annotated entry, so
-     rewrite logs stay readable.  Non-adjacent repeats are preserved:
-     they record distinct phases of the rewrite. *)
-  let dedup_consecutive names =
-    let flush name n acc =
-      (if n > 1 then Printf.sprintf "%s (x%d)" name n else name) :: acc
-    in
-    let rec go acc current = function
-      | [] -> (
-        match current with
-        | None -> List.rev acc
-        | Some (name, n) -> List.rev (flush name n acc))
-      | x :: rest -> (
-        match current with
-        | Some (name, n) when String.equal name x -> go acc (Some (name, n + 1)) rest
-        | Some (name, n) -> go (flush name n acc) (Some (x, 1)) rest
-        | None -> go acc (Some (x, 1)) rest)
-    in
-    go [] None names
-
   (* Count every diagnostic into the metrics registry, by severity and
      rule, and report them as one event.  Recording never raises:
      strictness is the caller's policy decision, applied on the
@@ -1664,44 +1709,6 @@ module Engine = struct
       | errs -> Error errs
     else Ok diags
 
-  let run_checks eng lint =
-    match run_checks_result eng lint with
-    | Ok diags -> diags
-    | Error errs -> raise (Check_failed errs)
-
-  (* The PDA well-formedness assertion on the chain the Native path is
-     about to codegen — after canonicalization and the QUIL rewrite
-     pass, so it guards the optimizer's output, not just the
-     builders'. *)
-  let with_verified_chain plan =
-    {
-      plan with
-      chain =
-        (fun () ->
-          let c = plan.chain () in
-          Check.assert_well_formed c;
-          c);
-    }
-
-  (* Satellite to [with_verified_chain]: that assertion only fires when
-     the Native path actually builds the chain, so on the interpreted
-     backends a malformed post-optimization chain would go unnoticed.
-     On a [strict] engine, run the PDA acceptance eagerly on every
-     prepare — on the chain as it will be after the QUIL rewrite pass,
-     whatever backend executes.  Queries outside the QUIL fragment have
-     no chain to check. *)
-  let strict_pda eng r =
-    if not eng.cfg.strict then Ok ()
-    else
-      match canon_of r with
-      | exception Canon.Unsupported _ -> Ok ()
-      | c -> (
-        let c = if eng.cfg.optimize then fst (Opt.chain c) else c in
-        count eng.ins.pda_checks;
-        match Check.verify c with
-        | Ok () -> Ok ()
-        | Error msg -> Error [ Check.malformed msg ])
-
   (* An [SC000] diagnostic when the lowered chain fails the PDA.  Queries
      outside the QUIL fragment have no chain to verify. *)
   let chain_diags r =
@@ -1714,7 +1721,10 @@ module Engine = struct
 
   let lint_all r () = chain_diags r @ lint r
 
-  let check_root eng r = run_checks eng (lint_all r)
+  let check_root eng r =
+    match run_checks_result eng (lint_all r) with
+    | Ok diags -> diags
+    | Error errs -> raise (Check_failed errs)
 
   let check eng q = check_root eng (Query.Rows q)
 
@@ -1735,25 +1745,11 @@ module Engine = struct
       ^ String.concat "; " (List.map Check.to_string errs)
     | Compile_failure reason -> fallback_reason_message reason
 
-  (* Attach the optimized plan's QUIL rendering to the active trace, so
-     the slow-query log can show {e what} ran, not just how long.  Costs
-     a canonicalization, so only under an active trace; queries outside
-     the QUIL fragment simply have no plan attribute. *)
-  let annotate_plan eng r =
-    if Trace.active eng.tracer then
-      match canon_of r with
-      | exception _ -> ()
-      | c ->
-        let c = if eng.cfg.optimize then fst (Opt.chain c) else c in
-        Trace.annotate eng.tracer [ "plan", Quil.symbol_string c ]
-
   (* A memo hit runs the plugin an entry names on this root's captures.
      It replays what the skipped stages reported (diagnostic counts, the
      rewrite log, the trace's plan) but runs no check, validation or
      compile, so their counters do not move. *)
   let memo_replay eng (shape : Cost.shape) ~t0 (e : Steno_memo.entry) plugin =
-    Trace.with_span eng.tracer "prepare" ~attrs:[ "backend", "native" ]
-    @@ fun () ->
     record_diagnostics eng e.Steno_memo.diags;
     if Trace.active eng.tracer then
       Trace.annotate eng.tracer [ "plan", e.Steno_memo.plan; "cache", "hit" ];
@@ -1818,6 +1814,14 @@ module Engine = struct
           count eng.ins.pcache_misses;
           None))
 
+  (* The one [prepare] span of a prepare, around the memo lookups, the
+     checks, the front half and the backend. *)
+  let prepare_span eng backend f =
+    let requested = Option.value backend ~default:eng.cfg.backend in
+    Trace.with_span eng.tracer "prepare"
+      ~attrs:[ "backend", backend_name requested ]
+      f
+
   (* The whole pipeline.  With a memo [shape], a Native preparation is
      recorded in the memo under it.
 
@@ -1828,94 +1832,43 @@ module Engine = struct
      statistics, validation, and both plugin caches. *)
   let rec prepare_full : 'r. ?backend:backend -> ?shape:Cost.shape -> t ->
       'r Query.root -> ('r prep, error) result =
-   fun ?backend ?shape eng r_orig ->
-    let r = r_orig in
-    match run_checks_result eng (lint_all r) with
-    | Error errs -> Error (Check_error errs)
-    | Ok diags -> (
-      match optimize_verified eng r with
-      | Error errs -> Error (Check_error errs)
-      | Ok (r, ast_rules, verify_diags) -> (
-        record_diagnostics eng verify_diags;
-        (* The plan key is taken after the syntactic fixpoint but before
-           the adaptive pass: the fixpoint is deterministic, so a drift
-           re-preparation lands on the same key, while the key never
-           depends on the statistics-driven ordering it feeds. *)
-        let actx =
-          match eng.cfg.adaptive with
-          | None -> None
-          | Some a ->
-            let key = Cost.plan_key ~optimize:eng.cfg.optimize r in
-            Some (a, key, estimator_for eng ~key)
-        in
-        let adaptive =
-          match actx with
-          | None -> Ok (r, [], [], [])
-          | Some (_, _, est) -> adaptive_rewrite eng ~est r
-        in
-        match adaptive with
-        | Error errs -> Error (Check_error errs)
-        | Ok (r, ad_rules, ad_diags, ad_decisions) -> (
-          record_diagnostics eng ad_diags;
-          match strict_pda eng r with
-          | Error errs -> Error (Check_error errs)
-          | Ok () -> (
-            annotate_plan eng r;
-            let plan, chain_rules = with_chain_pass eng (plan_of eng.tracer r) in
-            let backend', be_decisions =
-              match actx with
-              | Some (_, key, _) -> backend_choice eng ~key r backend
-              | None -> backend, []
-            in
-            (* Read once the chain is built, when [chain_rules] holds the
-               chain pass's log. *)
-            let rules () =
-              dedup_consecutive (ast_rules @ ad_rules @ !chain_rules)
-            in
-            let p_diags = verify_diags @ ad_diags @ diags in
-            let memo =
-              Option.map
-                (fun sh ->
-                  ( sh,
-                    fun table chain ->
-                      Option.map
-                        (fun slots ->
-                          {
-                            Steno_memo.slots;
-                            rules = rules ();
-                            diags = p_diags;
-                            plan =
-                              (if eng.pcache <> None || Trace.enabled eng.tracer
-                               then Quil.symbol_string chain
-                               else "");
-                          })
-                        (memo_slots sh (Expr.Capture_table.entries table)) ))
-                shape
-            in
-            match
-              prepare_plan_result eng ?backend:backend' ?memo
-                (with_verified_chain plan)
-            with
-            | Error reason -> Error (Compile_failure reason)
-            | Ok p ->
-              let p =
-                {
-                  p with
-                  p_rules = rules ();
-                  p_diags;
-                  p_decisions = ad_decisions @ be_decisions;
-                }
-              in
-              let p =
-                match actx with
-                | Some (a, key, _) when eng.cfg.profile ->
-                  wrap_adaptive eng a ~key
-                    ~schema:(schema_of (oracle_for eng ~key) r)
-                    ~rebuild:(fun () -> prepare_full ?backend eng r_orig)
-                    p
-                | _ -> p
-              in
-              Ok p))))
+   fun ?backend ?shape eng r ->
+    let ( let* ) checked k =
+      match checked with Error errs -> Error (Check_error errs) | Ok v -> k v
+    in
+    let* diags = run_checks_result eng (lint_all r) in
+    let* f = front eng r in
+    let rejected = front_rejected f in
+    record_diagnostics eng rejected;
+    let rules = event_names (front_fired f) in
+    let p_diags = rejected @ diags in
+    let backend', be_decisions =
+      match f.f_adaptive with
+      | Some (_, key) -> backend_choice eng ~key f.f_root backend
+      | None -> backend, []
+    in
+    let memo = Option.map (fun sh -> sh, rules, p_diags) shape in
+    match prepare_plan_result eng ?backend:backend' ?memo f.f_plan with
+    | Error reason -> Error (Compile_failure reason)
+    | Ok p -> (
+      (* A Native compile's log holds its chain pass's rules. *)
+      let p =
+        {
+          p with
+          p_rules = dedup_consecutive (rules @ p.p_rules);
+          p_diags;
+          p_decisions = reorder_decisions (front_fired f) @ be_decisions;
+        }
+      in
+      match f.f_adaptive with
+      | Some (a, key) when eng.cfg.profile ->
+        Ok
+          (wrap_adaptive eng a ~key
+             ~schema:(schema_of (oracle_for eng ~key) f.f_root)
+             ~rebuild:(fun () ->
+               prepare_span eng backend (fun () -> prepare_full ?backend eng r))
+             p)
+      | Some _ | None -> Ok p)
 
   (* The plan memo serves Native requests only, and not on engines that
      tier or adapt (they start on Fused, or record statistics per
@@ -1926,6 +1879,7 @@ module Engine = struct
     && not eng.cfg.profile
 
   let try_prepare_root ?backend eng r =
+    prepare_span eng backend @@ fun () ->
     if not (memo_eligible eng backend) then prepare_full ?backend eng r
     else begin
       let t0 = now_ms () in
@@ -1984,36 +1938,42 @@ module Engine = struct
     diagnostics : Check.diagnostic list;
   }
 
-  (* The chain a Native prepare of [r] codegens: the validated AST
-     optimizer, specialization and canonicalization, and the validated
-     chain pass.  Inspection runs it on a copy of the engine that counts
-     into a registry of its own and traces nothing. *)
-  let native_chain eng r =
+  (* The front half of [r] and its chain, on a copy of the engine that
+     counts into a registry of its own, traces nothing and is not strict
+     (so it reports a rejected rewrite instead of refusing): what a
+     prepare compiles and discharges, without the prepare. *)
+  let inspect eng r =
+    let m = Metrics.create () in
     let eng =
-      { eng with tracer = Trace.disabled; ins = instruments (Metrics.create ()) }
+      {
+        eng with
+        tracer = Trace.disabled;
+        ins = instruments m;
+        cfg = { eng.cfg with metrics = m; strict = false };
+      }
     in
-    let r =
-      match optimize_verified eng r with Ok (r, _, _) -> r | Error _ -> r
-    in
-    (fst (with_chain_pass eng (plan_of eng.tracer r))).chain ()
+    Result.get_ok (front eng r)
+
+  let native_chain eng r = (lowered_exn (inspect eng r).f_plan).rw_out
 
   let explain_root eng r =
     let before = canon_of r in
-    let r', ast_rules = if eng.cfg.optimize then Opt.plan r else r, [] in
-    let after, chain_rules =
-      if eng.cfg.optimize then Opt.chain (canon_of r') else before, []
-    in
+    let f = inspect eng r in
+    let chain_pass = lowered_exn f.f_plan in
+    let after = chain_pass.rw_out in
     {
       quil_before = Quil.symbol_string before;
       quil_after = Quil.symbol_string after;
       operators_before = Quil.operator_count before;
       operators_after = Quil.operator_count after;
-      rules = dedup_consecutive (ast_rules @ chain_rules);
+      rules =
+        dedup_consecutive (event_names (front_fired f @ chain_pass.rw_fired));
       properties =
         List.map
           (fun (label, p) -> label, Check_flow.props_string p)
-          (flow_annotations r');
-      diagnostics = lint r;
+          (flow_annotations f.f_root);
+      diagnostics =
+        front_rejected f @ Option.to_list chain_pass.rw_rejected @ lint r;
     }
 
   let explain eng q = explain_root eng (Query.Rows q)
@@ -2048,25 +2008,13 @@ module Engine = struct
 
   (* {2 Verify} *)
 
-  (* Replay the whole optimization pipeline on [q] and return every
-     proof obligation the translation validator discharges for it: the
-     AST rewrite log first, then (when the optimized plan lowers into
-     the QUIL fragment) the chain rewrite log.  An engine with
-     [optimize = false] fires no rewrites and so owes no obligations. *)
+  (* The obligations a prepare of [r] discharges: its passes' logs in
+     order, the chain pass's last (when the plan lowers into the QUIL
+     fragment).  A pass that fired nothing owes nothing. *)
   let verify_root eng r =
-    if not eng.cfg.optimize then []
-    else begin
-      let r', events = Opt.plan_ev r in
-      let ast = Check.Equiv.validate ~before:r ~after:r' events in
-      let chain_obs =
-        match canon_of r' with
-        | exception Canon.Unsupported _ -> []
-        | c ->
-          let c', cev = Opt.chain_ev c in
-          Check.Equiv.validate_chain ~before:c ~after:c' cev
-      in
-      ast @ chain_obs
-    end
+    let f = inspect eng r in
+    List.concat_map (fun rw -> rw.rw_obligations) f.f_passes
+    @ match f.f_plan.lower () with Ok rw -> rw.rw_obligations | Error _ -> []
 
   let verify eng q = verify_root eng (Query.Rows q)
 
@@ -2094,23 +2042,12 @@ module Engine = struct
     let explanation = explain_root eng r in
     let p = prepare_root ?backend (force_profile eng) r in
     let result = p.run_fn () in
-    let prof =
-      match p.p_profile with
-      | Some prof -> profile_snapshot prof
-      | None ->
-        (* Unreachable: the preparation came from a profiling engine. *)
-        {
-          ps_backend = p.p_info.backend;
-          ps_runs = 0;
-          ps_run_ms = 0.0;
-          ps_ops = [];
-        }
-    in
     {
       a_requested = requested;
       a_backend = p.p_info.backend;
       a_explanation = explanation;
-      a_profile = prof;
+      (* The preparation came from a profiling engine. *)
+      a_profile = profile_snapshot (Option.get p.p_profile);
       a_result_rows = result_rows r result;
       a_decisions = p.p_decisions;
     }

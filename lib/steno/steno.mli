@@ -144,8 +144,8 @@ module Prepared : sig
 
   val rewrite_log : 'r t -> string list
   (** Optimizer rules applied while preparing this query, in order (AST
-      rules first, then QUIL chain rules — the latter only on the
-      Native path, which is the only one that builds the chain).
+      rules first, then QUIL chain rules — the latter only when this
+      prepare compiled the chain on the Native path).
       Consecutive firings of one rule are compressed to ["name (xN)"].
       Empty when the engine was configured with [optimize = false]. *)
 
@@ -317,10 +317,13 @@ module Engine : sig
             {!Opt} algebraic rewrite engine over the query AST, and the
             Native path additionally runs the chain-level pass over the
             canonicalized QUIL.  The applied rules are recorded in the
-            preparation ({!Prepared.rewrite_log}) and, in a traced
-            request, counted as an [optimize.rules_applied] event after
-            an ["optimize"] span.  The plugin cache key incorporates this flag, so
-            optimized and unoptimized compilations never alias.  Set
+            preparation ({!Prepared.rewrite_log}).  In a traced request
+            each pass runs under an ["optimize"] span, and a pass that
+            fired records an [optimize.rules_applied] event with its
+            rule count and its ["level"] (["ast"], ["adaptive"] or
+            ["quil"]); a pass that fired nothing records none.  The
+            plugin cache key incorporates this flag, so optimized and
+            unoptimized compilations never alias.  Set
             [false] to run plans exactly as written (the escape hatch
             for debugging a suspected rewrite). *)
     compile_timeout_ms : int option;
@@ -350,7 +353,11 @@ module Engine : sig
             [Error]-level diagnostic (e.g. a provable division by zero,
             or an aggregate over a provably empty source), instead of
             preparing a query that is guaranteed to raise at run time.
-            [Warning] and [Hint] diagnostics never block.  When false
+            [Warning] and [Hint] diagnostics never block.  A strict
+            engine also lowers every plan to QUIL before dispatch,
+            whatever the backend, and refuses a rewrite the translation
+            validator rejects ([SC012]) or a chain the PDA refuses
+            ([SC000]).  When false
             (the default), diagnostics are only recorded
             ({!Prepared.diagnostics}, the [check_diagnostics_total]
             metric family) and never change behaviour. *)
@@ -458,7 +465,8 @@ module Engine : sig
       [steno_pcache_hits_total]), [flight.join] (with
       [steno_prepare_dedup_total]), [tier.promote] (with
       [steno_tier_promotions_total{result="ok"}]), [engine.fallback],
-      [optimize.rules_applied] and [check.diagnostics]. *)
+      [optimize.rules_applied] (once per rewrite pass that fired, with
+      the pass's ["level"]) and [check.diagnostics]. *)
 
   val metrics : t -> Metrics.t
 
@@ -482,9 +490,10 @@ module Engine : sig
   (** Why an engine refused to prepare a query. *)
   type error =
     | Check_error of Check.diagnostic list
-        (** A [strict] engine found [Error]-level static diagnostics;
-            carries exactly those errors.  ({!prepare} raises these as
-            {!Check_failed}.) *)
+        (** A [strict] engine found [Error]-level static diagnostics,
+            rejected a rewrite ([SC012]) or lowered a malformed chain
+            ([SC000]); carries exactly those errors.  ({!prepare} raises
+            these as {!Check_failed}.) *)
     | Compile_failure of fallback_reason
         (** The [Native] backend could not compile and the engine has
             [fallback = false].  ({!prepare} raises this as
@@ -566,20 +575,27 @@ module Engine : sig
 
   (** {2 Explain}
 
-      What the optimizer would do to a query under this engine's
-      configuration, without preparing or running it.  With
-      [optimize = false] the before and after plans are identical and
-      [rules] is empty. *)
+      The validated plan a Native prepare of the query compiles under
+      this engine's configuration, without preparing or running it: the
+      same rewrite, validation and lowering steps, run on a copy of the
+      engine that counts into a registry of its own and traces nothing.
+      A rewrite the validator rejects is not shown as applied: the plan
+      stays as written and the rejection shows as an [SC012] diagnostic.
+      With [optimize = false] the before and after plans are identical
+      and [rules] is empty. *)
 
   type explanation = {
     quil_before : string;  (** QUIL sentence of the plan as written. *)
-    quil_after : string;  (** QUIL sentence after both rewrite passes. *)
+    quil_after : string;
+        (** QUIL sentence of the chain a Native prepare compiles: after
+            the accepted rewrite passes. *)
     operators_before : int;
     operators_after : int;
         (** {!Quil.operator_count} of each plan; rewriting never
             increases it. *)
     rules : string list;
-        (** Rules applied in order: AST rules, then chain rules.
+        (** Accepted rules in order: AST rules, then (on an adaptive
+            engine) statistics-driven reorders, then chain rules.
             Consecutive firings of the same rule are compressed into one
             ["name (xN)"] entry. *)
     properties : (string * string) list;
@@ -588,7 +604,8 @@ module Engine : sig
             {!Check.Flow} record (cardinality interval, distinctness,
             sortedness, emptiness, purity). *)
     diagnostics : Check.diagnostic list;
-        (** Static-check findings for the query as written. *)
+        (** An [SC012] per rejected rewrite pass, then the static-check
+            findings for the query as written. *)
   }
 
   val explain : t -> 'a Query.t -> explanation
@@ -602,16 +619,17 @@ module Engine : sig
   (** {2 Verify}
 
       The translation validator's view of a query under this engine's
-      configuration: replay the optimization pipeline and return every
-      proof obligation it discharges — one per rewrite event (AST pass
-      first, then the QUIL chain pass when the optimized plan lowers
-      into the fragment) plus the whole-plan invariants.  [prepare]
-      discharges the same obligations internally on every optimized
-      preparation, counting outcomes into [steno_verify_total]; a
-      rejected obligation there makes the engine fall back to the
-      unoptimized plan (strict engines refuse instead, raising
-      {!Check_failed} with an [SC012] diagnostic).  With
-      [optimize = false] there are no rewrites and the list is empty. *)
+      configuration: the proof obligations a prepare of the query
+      discharges, read from the same steps as {!explain} (and, like it,
+      counting nothing on the engine).  Each rewrite pass that fires
+      owes one obligation per rewrite event plus its whole-plan
+      invariants: the AST pass first, then the adaptive pass, then the
+      QUIL chain pass when the plan lowers into the fragment.  [prepare]
+      counts each validated pass into [steno_verify_total]; a rejected
+      obligation there makes the engine go on with the plan the pass
+      was given (strict engines refuse instead, with an [SC012]
+      diagnostic).  A pass that fires nothing owes nothing, so with
+      [optimize = false] the list is empty. *)
 
   val verify : t -> 'a Query.t -> Check.Equiv.obligation list
   val verify_scalar : t -> 's Query.sq -> Check.Equiv.obligation list

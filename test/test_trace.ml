@@ -300,7 +300,8 @@ let test_engine_spans_fused () =
           (Steno.Engine.scalar eng (sumsq [| 1; 2; 3 |])))
   in
   (* Fused never lowers to QUIL: it specializes and stages closures. *)
-  check_within tr ~outer:"prepare" [ "specialize"; "stage" ];
+  check_within tr ~outer:"prepare"
+    [ "check"; "optimize"; "specialize"; "stage" ];
   ignore (interval tr "run")
 
 (* A Native prepare on a fresh store: every stage inside [prepare], the
@@ -317,10 +318,18 @@ let test_engine_spans_native () =
   let tr = native_on_store dir in
   check_within tr ~outer:"prepare"
     [
-      "specialize"; "canon"; "codegen"; "pcache.lookup"; "compile"; "dynlink";
-      "pcache.store"; "env-bind";
+      "check"; "optimize"; "specialize"; "canon"; "codegen"; "pcache.lookup";
+      "compile"; "dynlink"; "pcache.store"; "env-bind";
     ];
   Alcotest.(check int) "one cache miss" 1 (event_n tr "cache.miss")
+
+(* No rule fires on [sumsq]: neither pass records a rules event. *)
+let test_no_rules_event () =
+  with_native @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  let tr = native_on_store dir in
+  Alcotest.(check int) "no rules event" 0
+    (List.length (spans_named Trace.Instant tr "optimize.rules_applied"))
 
 (* [compile] and [dynlink] are live spans around their calls, so they
    do not overlap the store lookups that missed. *)
@@ -342,6 +351,19 @@ let test_disk_hit () =
   Alcotest.(check int) "no compile" 0
     (List.length (spans_named Trace.Interval tr "compile"));
   check_outside_lookups tr "dynlink"
+
+(* A plan-memo hit on a stored record: the record lookup lies inside the
+   one [prepare] span of the request. *)
+let test_disk_memo_prepare_span () =
+  with_native @@ fun () ->
+  with_temp_dir @@ fun dir ->
+  ignore (native_on_store dir);
+  let tr = native_on_store dir in
+  Alcotest.(check int) "no codegen" 0
+    (List.length (spans_named Trace.Interval tr "codegen"));
+  Alcotest.(check int) "one prepare span" 1
+    (List.length (spans_named Trace.Interval tr "prepare"));
+  check_within tr ~outer:"prepare" [ "pcache.lookup" ]
 
 let test_fallback_event () =
   let eng = traced_engine Steno.Native in
@@ -377,12 +399,18 @@ let test_optimize_escape_hatch () =
   Alcotest.(check int) "no rules event" 0
     (List.length (spans_named Trace.Instant off "optimize.rules_applied"))
 
-(* optimize=true reports both the optimize span and the rules event. *)
+(* optimize=true reports both the optimize span and the rules event,
+   which names the pass that fired. *)
 let test_optimize_telemetry () =
   let on = trace_fused ~optimize:true (redundant_where ()) in
   Alcotest.(check bool) "optimize span" true
     (spans_named Trace.Interval on "optimize" <> []);
-  Alcotest.(check bool) "rules event" true (event_n on "optimize.rules_applied" > 0)
+  Alcotest.(check bool) "rules event" true (event_n on "optimize.rules_applied" > 0);
+  Alcotest.(check (list (option string)))
+    "level attr" [ Some "ast" ]
+    (List.map
+       (fun sp -> List.assoc_opt "level" sp.Trace.sp_attrs)
+       (spans_named Trace.Instant on "optimize.rules_applied"))
 
 (* [Engine.event] records the instant with its count, and bumps the
    counter its table names for it; an event without one only records. *)
@@ -778,6 +806,9 @@ let () =
           Alcotest.test_case "lookup before compile" `Quick
             test_lookup_before_compile;
           Alcotest.test_case "disk hit" `Quick test_disk_hit;
+          Alcotest.test_case "disk memo hit in prepare" `Quick
+            test_disk_memo_prepare_span;
+          Alcotest.test_case "no rules event" `Quick test_no_rules_event;
           Alcotest.test_case "fallback counter" `Quick test_fallback_event;
           Alcotest.test_case "escape hatch" `Quick test_optimize_escape_hatch;
           Alcotest.test_case "telemetry" `Quick test_optimize_telemetry;

@@ -88,6 +88,40 @@ let test_unsound_rewrite_strict_raises () =
       | Ok _ -> Alcotest.fail "try_prepare accepted an unsound rewrite"
       | Error _ -> Alcotest.fail "wrong refusal kind")
 
+(* Explain and verify read the front half a prepare runs: under the
+   unsound rewrite they show the plan as written, the SC012 rejection
+   and the failed obligation, and count nothing on the engine. *)
+let test_inspection_under_rejection () =
+  let q = ints data |> Query.where even in
+  with_hook (fun () ->
+      let reg = Metrics.create () in
+      let eng = engine ~metrics:reg Steno.Fused in
+      let ex = Steno.Engine.explain eng q in
+      Alcotest.(check string)
+        "plan after is the plan before" ex.Steno.Engine.quil_before
+        ex.Steno.Engine.quil_after;
+      Alcotest.(check (list string)) "no rules" [] ex.Steno.Engine.rules;
+      Alcotest.(check bool) "SC012 explained" true
+        (List.mem "SC012" (codes ex.Steno.Engine.diagnostics));
+      let obs = Steno.Engine.verify eng q in
+      Alcotest.(check bool) "obligations rejected" false
+        (Check.Equiv.accepted obs);
+      Alcotest.(check bool) "the unsound rule failed" true
+        (List.exists
+           (fun o ->
+             o.Check.Equiv.o_rule = "where-const-true"
+             && not o.Check.Equiv.o_ok)
+           obs);
+      Alcotest.(check int) "nothing counted" 0
+        (verify_count reg "rejected" + verify_count reg "accepted");
+      (* A prepare discharges (and counts) exactly these obligations. *)
+      let p = Steno.Engine.prepare eng q in
+      Alcotest.(check int) "prepare counts its rejection" 1
+        (verify_count reg "rejected");
+      Alcotest.(check (list string))
+        "explain's rules are the prepare's" ex.Steno.Engine.rules
+        (Steno.Prepared.rewrite_log p))
+
 let test_sound_rewrites_accepted () =
   let reg = Metrics.create () in
   let eng = engine ~metrics:reg Steno.Fused in
@@ -239,6 +273,8 @@ let () =
             test_unsound_rewrite_rejected;
           Alcotest.test_case "strict raises" `Quick
             test_unsound_rewrite_strict_raises;
+          Alcotest.test_case "explain and verify under rejection" `Quick
+            test_inspection_under_rejection;
           Alcotest.test_case "sound rewrites accepted" `Quick
             test_sound_rewrites_accepted;
           Alcotest.test_case "broken law table" `Quick

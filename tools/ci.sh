@@ -172,6 +172,22 @@ if grep -rnE 'Telemetry\.(with_span|emit|count|Collector)' lib bin; then
   exit 1
 fi
 
+echo "== one front half =="
+# The engine runs the optimizer only through its validating helper: no
+# unvalidated Opt.plan/Opt.chain, and one site opens each of the
+# "optimize" and "verify" spans.
+if grep -rnE --include='*.ml' 'Opt\.(plan|chain)([^_[:alnum:]]|$)' lib/steno; then
+  echo "lib/steno calls the unvalidated optimizer" >&2
+  exit 1
+fi
+for span in optimize verify; do
+  sites=$(grep -rnF --include='*.ml' "\"$span\"" lib/steno | wc -l)
+  if [ "$sites" -ne 1 ]; then
+    echo "lib/steno opens the $span span in $sites places, not one" >&2
+    exit 1
+  fi
+done
+
 echo "== type-specialized hash tables and dense key tables in generated code =="
 # histogram's key, x mod 16, lies in [-15, 15]: an array indexes it.
 # join's keys (Fst of a pair) have no bounded range: Steno_rt.Int_tbl.

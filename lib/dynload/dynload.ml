@@ -18,10 +18,17 @@ type error =
   | Compile_error of string
   | Load_error of string
 
+(* The programs a plugin build runs: on Linux/amd64 the worker encodes
+   each object itself and only [ld] runs. *)
+let build_tools =
+  if Steno_worker_build.system = "linux" && Steno_worker_build.architecture = "amd64"
+  then "the linker (ld)"
+  else "an assembler (as) or linker"
+
 let error_message = function
   | Unavailable ->
-    "no native compiler: the compile worker, or an assembler or linker on \
-     its PATH, is missing"
+    Printf.sprintf "no native compiler: the compile worker, or %s on its PATH, is missing"
+      build_tools
   | Timeout { timeout_ms } ->
     Printf.sprintf "compiler exceeded %d ms and was killed" timeout_ms
   | Compile_error out -> out

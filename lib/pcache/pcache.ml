@@ -12,6 +12,10 @@ type t = {
   root : string;  (* <dir>/<fingerprint-dir>; "" when unusable *)
   max_bytes : int;
   max_entries : int;
+  records : int Atomic.t;
+      (* record files: the count at the last listing, plus those written
+         since; the directory is listed again only when it passes
+         [max_entries] *)
   hits : int Atomic.t;
   misses : int Atomic.t;
   stores : int Atomic.t;
@@ -75,10 +79,20 @@ let create ?(max_bytes = 256 * 1024 * 1024) ?(max_entries = 512) ~fingerprint
       if st.Unix.st_kind = Unix.S_DIR then root else ""
     with _ -> ""
   in
+  let records =
+    if root = "" then 0
+    else
+      try
+        Array.fold_left
+          (fun n f -> if Filename.check_suffix f ".rec" then n + 1 else n)
+          0 (Sys.readdir root)
+      with Sys_error _ -> 0
+  in
   {
     root;
     max_bytes = max 0 max_bytes;
     max_entries = max 0 max_entries;
+    records = Atomic.make records;
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     stores = Atomic.make 0;
@@ -296,14 +310,19 @@ let delete_victim t h =
   delete_entry t h;
   record
 
-(* At most [max_entries] record files; the excess goes in name order,
-   which is a hash order, so no record is favoured. *)
-let cap_records t recs =
+(* At most [max_entries] record files: over the cap, record files go in
+   name order, which is a hash order, so no record is favoured, until
+   [keep] are left.  Sets the handle's count to what is left. *)
+let cap_records ?(keep = max_int) t recs =
   let n = List.length recs in
-  if n > t.max_entries then
+  let keep = min keep t.max_entries in
+  if n > t.max_entries then begin
     List.iteri
-      (fun i f -> if i < n - t.max_entries then unlink (t.root / f))
-      (List.sort compare recs)
+      (fun i f -> if i < n - keep then unlink (t.root / f))
+      (List.sort compare recs);
+    Atomic.set t.records keep
+  end
+  else Atomic.set t.records n
 
 let evict t =
   (* mtime is the LRU clock, but its granularity is a whole second on
@@ -399,7 +418,11 @@ let store ?record t ~key ~cmxs =
           | Some (name, payload) -> encode_record ~key { plugin; name; payload }
         in
         if publish ~dst:(key_path t h) content then begin
-          Option.iter (fun (name, _) -> link_record t ~h ~name) record;
+          Option.iter
+            (fun (name, _) ->
+              link_record t ~h ~name;
+              Atomic.incr t.records)
+            record;
           Atomic.incr t.stores;
           evict t
         end
@@ -418,9 +441,15 @@ let add_record t r =
     ignore
       (publish ~sync:false ~dst:(record_path t ~name:r.name)
          (encode_record ~key:"" r));
-    match Sys.readdir t.root with
-    | names -> cap_records t (List.filter is_record (Array.to_list names))
-    | exception Sys_error _ -> ()
+    (* The directory is listed only past the cap, which then trims the
+       records to seven eighths of it: a handle writing records lists
+       it once per [max_entries / 8] new records, not once per record. *)
+    if Atomic.fetch_and_add t.records 1 >= t.max_entries then
+      match Sys.readdir t.root with
+      | names ->
+        cap_records ~keep:(t.max_entries - Stdlib.(t.max_entries / 8)) t
+          (List.filter is_record (Array.to_list names))
+      | exception Sys_error _ -> ()
   end
 
 let reject t ~key =

@@ -94,8 +94,10 @@ val find_record :
 
 val add_record : t -> record -> unit
 (** Write a record for a plugin already in the store, in a file of its
-    own, then enforce the cap on records.  Not fsync'd: a torn record is
-    a miss. *)
+    own.  The handle counts record files (listed at {!create}, then each
+    one written); once the count passes [max_entries] the store is
+    listed and its records trimmed, in name order, to seven eighths of
+    the cap.  Not fsync'd: a torn record is a miss. *)
 
 val reject_record : t -> record -> unit
 (** Like {!reject}, for a plugin {!find_record} returned: delete the

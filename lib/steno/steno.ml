@@ -1332,17 +1332,36 @@ module Engine = struct
         }
     end
 
-  (* The stagers of a validated root, and the one chain it lowers to:
-     specialize, canonicalize, the chain pass, the PDA. *)
-  let plan_of eng (r : 'r Query.root) : 'r plan =
-    let specialized () =
-      Trace.with_span eng.tracer "specialize" (fun () -> specialize r)
+  (* A root specialized, and its canonical chain (or what
+     canonicalizing raised: [Canon.Unsupported] for a root outside the
+     QUIL fragment), each computed at most once.  A full prepare builds
+     it for the check's [SC000] lint; when no rewrite changes the root,
+     its plan lowers the same chain instead of specializing and
+     canonicalizing again. *)
+  type 'r lowering = {
+    l_spec : unit -> 'r Query.root;
+    l_chain : unit -> (Quil.chain, exn) result;
+  }
+
+  let lowering eng (r : 'r Query.root) =
+    let l_spec =
+      once (fun () ->
+          Trace.with_span eng.tracer "specialize" (fun () -> specialize r))
     in
+    let canon spec =
+      Trace.with_span eng.tracer "canon" (fun () -> canon_of_specialized spec)
+    in
+    let l_chain = once (fun () -> try Ok (canon (l_spec ())) with e -> Error e) in
+    { l_spec; l_chain }
+
+  (* The stagers of a validated root, and the one chain it lowers to:
+     specialize, canonicalize ([l], built for [r] unless given), the
+     chain pass, the PDA. *)
+  let plan_of ?lowered eng (r : 'r Query.root) : 'r plan =
+    let l = match lowered with Some l -> l | None -> lowering eng r in
+    let specialized = l.l_spec in
     let lower () =
-      let spec = specialized () in
-      let c =
-        Trace.with_span eng.tracer "canon" (fun () -> canon_of_specialized spec)
-      in
+      let c = match l.l_chain () with Ok c -> c | Error e -> raise e in
       let rw =
         if not eng.cfg.optimize then unchanged c
         else
@@ -1469,7 +1488,7 @@ module Engine = struct
      turns a rejected pass into [Error]; it also forces the chain here.
      A traced prepare forces it too, for the trace's [plan] attribute.
      Otherwise the Native path is the first to build the chain. *)
-  let front eng r =
+  let front ?lowered eng r =
     let ( let* ) = Result.bind in
     let settle rw =
       match rw.rw_rejected with
@@ -1510,7 +1529,15 @@ module Engine = struct
         | Some _ -> Metrics.inc (adaptive_c eng "rejected"));
         Result.map (fun rw -> [ ast; rw ], rw.rw_out) (settle rw)
     in
-    let f_plan = plan_of eng f_root in
+    (* An AST pass that fired nothing leaves the root as it was (only a
+       fired rule changes it, and only then is the change validated);
+       the adaptive pass may also split filters silently. *)
+    let lowered =
+      match lowered with
+      | Some _ when ast.rw_fired = [] && f_adaptive = None -> lowered
+      | Some _ | None -> None
+    in
+    let f_plan = plan_of ?lowered eng f_root in
     let* () = if eng.cfg.strict then strict_chain eng f_plan else Ok () in
     (if Trace.active eng.tracer then
        match f_plan.lower () with
@@ -1711,18 +1738,19 @@ module Engine = struct
 
   (* An [SC000] diagnostic when the lowered chain fails the PDA.  Queries
      outside the QUIL fragment have no chain to verify. *)
-  let chain_diags r =
-    match canon_of r with
-    | exception Canon.Unsupported _ -> []
-    | chain -> (
+  let chain_diags l =
+    match l.l_chain () with
+    | Error (Canon.Unsupported _) -> []
+    | Error e -> raise e
+    | Ok chain -> (
       match Check.verify chain with
       | Ok () -> []
       | Error msg -> [ Check.malformed msg ])
 
-  let lint_all r () = chain_diags r @ lint r
+  let lint_all l r () = chain_diags l @ lint r
 
   let check_root eng r =
-    match run_checks_result eng (lint_all r) with
+    match run_checks_result eng (lint_all (lowering eng r) r) with
     | Ok diags -> diags
     | Error errs -> raise (Check_failed errs)
 
@@ -1836,8 +1864,9 @@ module Engine = struct
     let ( let* ) checked k =
       match checked with Error errs -> Error (Check_error errs) | Ok v -> k v
     in
-    let* diags = run_checks_result eng (lint_all r) in
-    let* f = front eng r in
+    let lowered = lowering eng r in
+    let* diags = run_checks_result eng (lint_all lowered r) in
+    let* f = front ~lowered eng r in
     let rejected = front_rejected f in
     record_diagnostics eng rejected;
     let rules = event_names (front_fired f) in

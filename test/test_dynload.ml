@@ -623,10 +623,10 @@ let test_interface_appears () =
 
 (* --- The assembler ------------------------------------------------------
 
-   On Linux/amd64 a plugin build runs [as] once, for the unit and its
-   startup code together.  These tests put a script named [as] first on
-   the PATH of a worker of their own: a compile in a new domain starts
-   a fresh worker, which inherits the PATH of that moment and stops when
+   On Linux/amd64 a plugin's one object (the unit and its startup code)
+   is encoded inside the worker: no [as] runs.  These tests change the
+   PATH of a worker of their own: a compile in a new domain starts a
+   fresh worker, which inherits the PATH of that moment and stops when
    the domain exits. *)
 
 let with_merged_asm f =
@@ -635,31 +635,14 @@ let with_merged_asm f =
   then f ()
   else print_endline "(skipped: not a Linux/amd64 host with a native compiler)"
 
-let real_as () =
-  let path = Option.value (Sys.getenv_opt "PATH") ~default:"" in
-  match
-    List.find_opt
-      (fun d -> Sys.file_exists (Filename.concat d "as"))
-      (String.split_on_char ':' path)
-  with
-  | Some d -> Filename.concat d "as"
-  | None -> Alcotest.fail "no as on PATH"
-
 (* A directory holding [as]: a script that appends a line to [count],
-   then, while [fail] exists, prints a marker and exits 1, and otherwise
-   runs the real [as]. *)
-let fake_as_dir () =
+   prints a marker and exits 1. *)
+let failing_as_dir () =
   let dir = Filename.temp_dir "steno-as" "" in
   let file name = Filename.concat dir name in
   Out_channel.with_open_bin (file "as") (fun oc ->
-      Printf.fprintf oc
-        "#!/bin/sh\n\
-         echo \"$*\" >> %s\n\
-         if [ -e %s ]; then echo 'fake-as-marker'; exit 1; fi\n\
-         exec %s \"$@\"\n"
-        (Filename.quote (file "count"))
-        (Filename.quote (file "fail"))
-        (Filename.quote (real_as ())));
+      Printf.fprintf oc "#!/bin/sh\necho \"$*\" >> %s\necho 'fake-as-marker'\nexit 1\n"
+        (Filename.quote (file "count")));
   Unix.chmod (file "as") 0o755;
   dir
 
@@ -668,22 +651,59 @@ let lines_of path =
   | s -> List.filter (( <> ) "") (String.split_on_char '\n' s)
   | exception Sys_error _ -> []
 
-(* Run [f] in a new domain with [dir] first on PATH. *)
-let with_path_first dir f =
+(* Run [f] in a new domain with [path] as PATH. *)
+let with_path path f =
   let saved = Sys.getenv_opt "PATH" in
-  Unix.putenv "PATH" (dir ^ Option.fold ~none:"" ~some:(( ^ ) ":") saved);
+  Unix.putenv "PATH" path;
   Fun.protect
     ~finally:(fun () -> Unix.putenv "PATH" (Option.value saved ~default:""))
     (fun () -> Domain.join (Domain.spawn f))
 
-let test_one_as_run () =
+let with_path_first dir f =
+  with_path (dir ^ Option.fold ~none:"" ~some:(( ^ ) ":") (Sys.getenv_opt "PATH")) f
+
+(* An [as] that fails, first on PATH, neither starts nor stops a build. *)
+let test_no_as_run () =
   with_merged_asm @@ fun () ->
-  let dir = fake_as_dir () in
+  let dir = failing_as_dir () in
   Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
   with_path_first dir (fun () ->
       Alcotest.(check int) "value" 17 (compile_value 17));
-  Alcotest.(check int) "as runs for one plugin" 1
-    (List.length (lines_of (Filename.concat dir "count")))
+  Alcotest.(check (list string)) "as runs" []
+    (lines_of (Filename.concat dir "count"))
+
+(* A PATH holding [ld] and nothing else: the worker does not answer
+   "unavailable", and the plugin runs on Native, equal to [Reference]. *)
+let test_ld_without_as () =
+  with_merged_asm @@ fun () ->
+  let path = Option.value (Sys.getenv_opt "PATH") ~default:"" in
+  match
+    List.find_opt
+      (fun d -> Sys.file_exists (Filename.concat d "ld"))
+      (String.split_on_char ':' path)
+  with
+  | None -> print_endline "(skipped: no ld on PATH)"
+  | Some ld_dir ->
+    let dir = Filename.temp_dir "steno-ld-only" "" in
+    Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+    Unix.symlink (Filename.concat ld_dir "ld") (Filename.concat dir "ld");
+    let q =
+      Query.of_array Ty.Int [| 3; 1; 4; 1; 5; 9; 2; 6 |]
+      |> Query.where (fun x -> Expr.Infix.(x mod Expr.int 2 = Expr.int 1))
+      |> Query.select (fun x -> Expr.Infix.((x * x) + Expr.int 7_041))
+    in
+    with_path dir (fun () ->
+        let eng =
+          Steno.Engine.create
+            Steno.Config.(
+              default |> with_backend Steno.Native |> with_fallback false
+              |> without_disk_cache)
+        in
+        let p = Steno.Engine.prepare eng q in
+        Alcotest.(check string) "backend" "native"
+          (Steno.backend_name (Steno.Prepared.compile_info p).Steno.backend);
+        Alcotest.(check (list int)) "equals Reference" (Reference.to_list q)
+          (Array.to_list (Steno.Prepared.run p)))
 
 let scratch_files dir =
   Sys.readdir dir |> Array.to_list
@@ -694,31 +714,55 @@ let scratch_files dir =
          || String.starts_with ~prefix:"camlstartup" f)
   |> List.sort compare
 
-(* A failing [as] is a compile error carrying what it printed; it leaves
-   no assembler input or startup object behind, and the worker goes on
-   to build the next plugin. *)
-let test_as_failure () =
+(* A construct the encoder does not cover is the compiler's own
+   [Asmgen.Error]: the worker replies "error" ([Dynload.Compile_error]
+   on the host) with text that names the instruction, leaves no object
+   or assembler input behind, and builds the next plugin.  The worker
+   here is the production one, except that it ends the program of a
+   plugin named [*x87*] with [fld1]; it is driven over its own
+   protocol. *)
+let test_encoder_rejection () =
   with_merged_asm @@ fun () ->
-  let dir = fake_as_dir () in
+  let dir = Filename.temp_dir "steno-x87" "" in
   Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
-  let workdir = Dynload.workdir () in
-  with_path_first dir (fun () ->
-      ignore (compile_value 0);
-      let workers = live_workers () in
-      Out_channel.with_open_bin (Filename.concat dir "fail") ignore;
-      (match
-         Dynload.compile_result ~source:(minimal_plugin "Stdlib.Obj.repr 1") ()
-       with
-      | Error (Dynload.Compile_error msg) ->
-        Alcotest.(check bool) "as output reported" true
-          (contains msg "fake-as-marker")
-      | Error e -> Alcotest.fail (Dynload.error_message e)
-      | Ok _ -> Alcotest.fail "compiled with a failing as");
-      Alcotest.(check (list string)) "no .s or startup object left" []
-        (scratch_files workdir);
-      Sys.remove (Filename.concat dir "fail");
-      Alcotest.(check int) "next compile" 5 (compile_value 5);
-      Alcotest.(check (list int)) "on the same worker" workers (live_workers ()))
+  let exe = X87_worker_build.path in
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let rep_r, rep_w = Unix.pipe ~cloexec:true () in
+  let pid = Unix.create_process exe [| exe |] req_r rep_w Unix.stderr in
+  Unix.close req_r;
+  Unix.close rep_w;
+  let build name n =
+    let file ext = Filename.concat dir (name ^ ext) in
+    Out_channel.with_open_bin (file ".ml") (fun oc ->
+        output_string oc (minimal_plugin (Printf.sprintf "Stdlib.Obj.repr %d" n)));
+    Wire.write req_w [ file ".ml"; file ".cmxs"; dir ];
+    match Wire.read rep_r with
+    | Wire.Message [ status; text; _; retire ] ->
+      Alcotest.(check string) (name ^ ": worker stays") "0" retire;
+      (status, text, file)
+    | _ -> Alcotest.fail (name ^ ": no clean reply")
+  in
+  let run file =
+    match Dynload.load_file ~path:(file ".cmxs") () with
+    | Ok c -> (Obj.obj (c.Dynload.run [||]) : int)
+    | Error e -> Alcotest.fail (Dynload.error_message e)
+  in
+  let status, text, file = build "steno_plain_1" 1 in
+  Alcotest.(check string) ("first plugin: " ^ text) "ok" status;
+  Alcotest.(check int) "first value" 1 (run file);
+  let status, text, file = build "steno_x87_2" 2 in
+  Alcotest.(check string) "rejected" "error" status;
+  Alcotest.(check bool) ("names the instruction: " ^ text) true (contains text "fld1");
+  Alcotest.(check bool) "no object" false (Sys.file_exists (file ".o"));
+  Alcotest.(check bool) "no plugin" false (Sys.file_exists (file ".cmxs"));
+  Alcotest.(check (list string)) "no .s or startup object left" [] (scratch_files dir);
+  let status, text, file = build "steno_plain_3" 3 in
+  Alcotest.(check string) ("next plugin: " ^ text) "ok" status;
+  Alcotest.(check int) "next value" 3 (run file);
+  Unix.close req_w;
+  Unix.close rep_r;
+  Alcotest.(check bool) "one worker, which exits at end of input" true
+    (snd (Unix.waitpid [] pid) = Unix.WEXITED 0)
 
 let test_no_scratch_leak () =
   with_merged_asm @@ fun () ->
@@ -783,8 +827,9 @@ let () =
         ] );
       ( "assembler",
         [
-          Alcotest.test_case "one as run" `Quick test_one_as_run;
-          Alcotest.test_case "as failure" `Quick test_as_failure;
+          Alcotest.test_case "no as run" `Quick test_no_as_run;
+          Alcotest.test_case "encoder rejection" `Quick test_encoder_rejection;
+          Alcotest.test_case "ld without as" `Quick test_ld_without_as;
           Alcotest.test_case "no scratch leak" `Quick test_no_scratch_leak;
         ] );
     ]

@@ -331,6 +331,42 @@ let test_no_rules_event () =
   Alcotest.(check int) "no rules event" 0
     (List.length (spans_named Trace.Instant tr "optimize.rules_applied"))
 
+(* A full prepare specializes and canonicalizes its root once: the
+   check's [SC000] lint builds the chain, and the plan lowers the same
+   one when no rewrite changed the root.  A rewritten root lowers its
+   rewritten form, so its prepare does both twice, and the trace's plan
+   is the rewritten chain. *)
+let test_lowered_once () =
+  with_native @@ fun () ->
+  let eng = traced_engine Steno.Native in
+  let count tr name = List.length (spans_named Trace.Interval tr name) in
+  let tr =
+    trace_of eng (fun () ->
+        Alcotest.(check int) "result" 14
+          (Steno.Engine.scalar eng (sumsq [| 1; 2; 3 |])))
+  in
+  Alcotest.(check int) "unrewritten: no rules" 0 (event_n tr "optimize.rules_applied");
+  Alcotest.(check int) "unrewritten: one specialize" 1 (count tr "specialize");
+  Alcotest.(check int) "unrewritten: one canon" 1 (count tr "canon");
+  let q =
+    Query.of_array Ty.Int (Array.init 20 Fun.id)
+    |> Query.where (fun x -> Expr.Infix.(x >= Expr.int 2))
+    |> Query.where (fun x -> Expr.Infix.(x < Expr.int 18))
+    |> Query.take 10 |> Query.take 5
+  in
+  let tr =
+    trace_of eng (fun () ->
+        Alcotest.(check (list int)) "result" (Reference.to_list q)
+          (Array.to_list (Steno.Engine.to_array eng q)))
+  in
+  Alcotest.(check bool) "rewritten: rules fired" true
+    (event_n tr "optimize.rules_applied" > 0);
+  Alcotest.(check int) "rewritten: specialize for the check and the plan" 2
+    (count tr "specialize");
+  Alcotest.(check int) "rewritten: canon for the check and the plan" 2 (count tr "canon");
+  Alcotest.(check (option string)) "rewritten: plan is the rewritten chain"
+    (Some (Steno.quil q)) (List.assoc_opt "plan" (Trace.attrs tr))
+
 (* [compile] and [dynlink] are live spans around their calls, so they
    do not overlap the store lookups that missed. *)
 let test_lookup_before_compile () =
@@ -809,6 +845,7 @@ let () =
           Alcotest.test_case "disk memo hit in prepare" `Quick
             test_disk_memo_prepare_span;
           Alcotest.test_case "no rules event" `Quick test_no_rules_event;
+          Alcotest.test_case "lowered once" `Quick test_lowered_once;
           Alcotest.test_case "fallback counter" `Quick test_fallback_event;
           Alcotest.test_case "escape hatch" `Quick test_optimize_escape_hatch;
           Alcotest.test_case "telemetry" `Quick test_optimize_telemetry;

@@ -29,19 +29,20 @@ echo "== examples =="
 dune exec examples/quickstart.exe > /dev/null
 dune exec examples/wordcount.exe -- 20000 > /dev/null
 
-echo "== native -> fused fallback (no assembler on PATH) =="
+echo "== native -> fused fallback (no linker on PATH) =="
 dune build bin/stenoc.exe
-# Plugins build in a resident compile worker that runs as and ld from
-# its PATH; without them it answers "unavailable" and stenoc falls back.
-if env PATH=/nonexistent sh -c 'command -v as' > /dev/null; then
-  echo "(skipped: an assembler is on PATH=/nonexistent)"
+# Plugins build in a resident compile worker that runs ld (and, off
+# Linux/amd64, as) from its PATH; without them it answers "unavailable"
+# and stenoc falls back.
+if env PATH=/nonexistent sh -c 'command -v ld' > /dev/null; then
+  echo "(skipped: a linker is on PATH=/nonexistent)"
 else
   native_out=$(./_build/default/bin/stenoc.exe run sumsq -n 50000)
   fallback_out=$(env PATH=/nonexistent ./_build/default/bin/stenoc.exe \
     run sumsq -n 50000)
   if ! printf '%s\n' "$fallback_out" | \
       grep -qF 'fell back from native to fused: native compiler unavailable'; then
-    echo "stenoc without an assembler on PATH did not report the fused fallback" >&2
+    echo "stenoc without a linker on PATH did not report the fused fallback" >&2
     printf '%s\n' "$fallback_out" >&2
     exit 1
   fi
@@ -77,18 +78,18 @@ if [ "$(printf '%s\n' "$join_native" | head -1)" != \
   exit 1
 fi
 
-echo "== one assembler run per plugin =="
-# On Linux/amd64 the compile worker assembles a plugin's unit and its
-# startup code together: an as that counts its runs, first on PATH, runs
-# once for join's plugin, and join still agrees with Fused.
-real_as=$(command -v as || true)
-if [ "$(uname -sm)" != "Linux x86_64" ] || [ -z "$real_as" ]; then
-  echo "(skipped: not a Linux/amd64 host with an assembler)"
+echo "== no assembler run per plugin =="
+# On Linux/amd64 the compile worker encodes a plugin's unit and its
+# startup code itself, into one object: an as that counts its runs and
+# fails, first on PATH, never runs for join's plugin, and join still
+# agrees with Fused.
+if [ "$(uname -sm)" != "Linux x86_64" ]; then
+  echo "(skipped: not a Linux/amd64 host)"
 else
   count_bin="$work_dir/count-as"
   mkdir -p "$count_bin"
-  printf '#!/bin/sh\necho run >> "%s"\nexec "%s" "$@"\n' \
-    "$work_dir/as-runs" "$real_as" > "$count_bin/as"
+  printf '#!/bin/sh\necho run >> "%s"\nexit 1\n' \
+    "$work_dir/as-runs" > "$count_bin/as"
   chmod +x "$count_bin/as"
   join_counted=$(env PATH="$count_bin:$PATH" ./_build/default/bin/stenoc.exe \
     run join --size 2000)
@@ -96,18 +97,18 @@ else
     echo "(skipped: stenoc reports no Native backend)"
   else
     if printf '%s\n' "$join_counted" | grep -qF 'fell back'; then
-      echo "stenoc join fell back with a counting as on PATH" >&2
+      echo "stenoc join fell back with a failing as on PATH" >&2
       printf '%s\n' "$join_counted" >&2
       exit 1
     fi
     as_runs=$(cat "$work_dir/as-runs" 2>/dev/null | wc -l)
-    if [ "$as_runs" -ne 1 ]; then
-      echo "stenoc join: as ran $as_runs times for one plugin, expected 1" >&2
+    if [ "$as_runs" -ne 0 ]; then
+      echo "stenoc join: as ran $as_runs times for one plugin, expected none" >&2
       exit 1
     fi
     if [ "$(printf '%s\n' "$join_counted" | head -1)" != \
          "$(printf '%s\n' "$join_fused" | head -1)" ]; then
-      echo "stenoc join: native (one as run) and fused results differ" >&2
+      echo "stenoc join: native (no as run) and fused results differ" >&2
       printf '%s\n---\n%s\n' "$join_counted" "$join_fused" >&2
       exit 1
     fi
@@ -115,9 +116,8 @@ else
 fi
 
 echo "== native under BUILD_PATH_PREFIX_MAP =="
-# The compile worker starts as without a shell and passes the map's
-# --debug-prefix-map pairs as separate arguments; with a map set, join
-# still runs on Native and agrees with Fused.
+# Dune sets a prefix map for test actions; with one set, join still
+# runs on Native and agrees with Fused.
 join_mapped=$(env BUILD_PATH_PREFIX_MAP="/steno-src=$PWD" \
   ./_build/default/bin/stenoc.exe run join -n 2000)
 if printf '%s\n' "$join_mapped" | grep -qF 'native compiler unavailable'; then

@@ -18,17 +18,20 @@ type error =
   | Compile_error of string
   | Load_error of string
 
-(* The programs a plugin build runs: on Linux/amd64 the worker encodes
-   each object itself and only [ld] runs. *)
+(* The programs a plugin build runs: none on Linux/amd64, where the
+   worker encodes and links each plugin itself. *)
 let build_tools =
   if Steno_worker_build.system = "linux" && Steno_worker_build.architecture = "amd64"
-  then "the linker (ld)"
-  else "an assembler (as) or linker"
+  then None
+  else Some "an assembler (as) or linker"
 
 let error_message = function
-  | Unavailable ->
-    Printf.sprintf "no native compiler: the compile worker, or %s on its PATH, is missing"
-      build_tools
+  | Unavailable -> (
+    match build_tools with
+    | None -> "no native compiler: the compile worker is missing"
+    | Some tools ->
+      Printf.sprintf
+        "no native compiler: the compile worker, or %s on its PATH, is missing" tools)
   | Timeout { timeout_ms } ->
     Printf.sprintf "compiler exceeded %d ms and was killed" timeout_ms
   | Compile_error out -> out
@@ -122,7 +125,7 @@ let rec reap pid =
 
 (* Retire a worker and reap it.  Closing its request pipe ends an idle
    worker; [kill] SIGKILLs its process group (the worker leads its own
-   group), so an [as] or [ld] it started dies with it. *)
+   group), so any [as] or [ld] it started dies with it. *)
 let stop ?(kill = false) w =
   if kill then
     List.iter

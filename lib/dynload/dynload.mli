@@ -26,23 +26,24 @@
     interfaces plugins use ([Stdlib]'s units, [Steno_rt]) are paid once
     per worker rather than once per plugin: the worker keeps every
     interface it has loaded, re-reads only its load path per request,
-    and never writes or keeps a plugin's own interface.  Each build then
-    starts one [as] and one linker.  On ELF/Linux the linker
-    is [ld] itself, with the output flags [gcc -shared] would give it
-    ([--build-id --eh-frame-hdr --hash-style=gnu]) but without gcc's
-    crt objects and libraries, which a plugin does not need; on amd64
-    that [as] run assembles the module and its startup code together,
-    started without a shell.
-    Other systems keep the configured link command and assemble the two
-    separately.  [ocamlopt] itself is never started.
+    and never writes or keeps a plugin's own interface.  On Linux/amd64
+    a build then starts no process: the worker encodes the module and
+    its startup code into one object and links the plugin itself
+    ([worker/x86/]), byte for byte what [ld --build-id --eh-frame-hdr
+    --hash-style=gnu -shared] would write.  Elsewhere each build runs
+    [as] on the module and on its startup code, then one linker: on
+    ELF/Linux [ld] itself, with those output flags but without gcc's crt
+    objects and libraries, which a plugin does not need; other systems
+    keep the configured link command.  [ocamlopt] itself is never
+    started.
 
     Workers are pooled per domain: a compile takes an idle worker of its
     domain or starts one, so concurrent compiles never queue behind each
     other, sequential ones share a single worker, and a worker runs on
     the CPUs of the domain that started it (it inherits their affinity).
     A domain's idle workers stop when the domain exits.  A worker that misses a deadline, dies,
-    or answers garbage is killed with its process group ([as] and [ld]
-    included) and replaced on the next compile.  A worker retires by
+    or answers garbage is killed with its process group (any [as] or
+    [ld] included) and replaced on the next compile.  A worker retires by
     itself once its live heap has doubled since its first compile (the
     compiler keeps a few hundred words per plugin in tables no
     interface resets).  Workers exit when their host does.
@@ -76,13 +77,14 @@ type compiled = {
 type error =
   | Unavailable
       (** No compile worker executable, no assembler or linker on the
-          worker's PATH, native [Dynlink] unsupported, or {!disabled}
-          set. *)
+          worker's PATH (off Linux/amd64, where a build runs them),
+          native [Dynlink] unsupported, or {!disabled} set. *)
   | Timeout of { timeout_ms : int }
       (** The compile worker exceeded its deadline and was killed. *)
   | Compile_error of string
-      (** The compiler's diagnostics (type errors, and whatever [as] or
-          [ld] printed); or the source could not be written (a missing
+      (** The compiler's diagnostics (type errors, a construct the
+          in-process encoder or linker rejects, and whatever [as] or
+          [ld] printed where they run); or the source could not be written (a missing
           workdir, a full disk); or the worker could not be started,
           died, or sent an unreadable reply. *)
   | Load_error of string  (** [Dynlink] failure or a plugin that never
@@ -92,9 +94,9 @@ val error_message : error -> string
 
 val is_available : unit -> bool
 (** Whether the compile worker executable exists, native dynlink is
-    supported and {!disabled} is unset.  Starts no process: a missing
-    assembler or linker shows up as [Error Unavailable] from the first
-    compile. *)
+    supported and {!disabled} is unset.  Starts no process: off
+    Linux/amd64, a missing assembler or linker shows up as
+    [Error Unavailable] from the first compile. *)
 
 val compile_result :
   ?timeout_ms:int -> source:string -> unit -> (compiled, error) result

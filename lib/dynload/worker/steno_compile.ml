@@ -1,6 +1,6 @@
 (* A plugin build with compiler-libs, in-process: what the compile
    worker runs for each request.  The worker adds the protocol, the log
-   and the heap bound; the encoder's oracle test drives this directly. *)
+   and the heap bound; the oracle test drives this directly. *)
 
 (* How [ocamlopt] itself drives the native back end (its [Optmain]). *)
 module Backend = struct
@@ -17,22 +17,22 @@ end
 
 let backend = (module Backend : Backend_intf.S)
 
-(* On ELF/Linux, [ld] links the plugin directly with the output flags
-   [gcc -shared] would give it; gcc's crt objects and [-lc -lgcc
-   -lgcc_s] are left out ([--as-needed] drops those libraries from a
-   plugin anyway).  The [ld] is the one OCaml itself packs with.  Other
-   systems keep the configured link command. *)
+(* On Linux/amd64 the plugin is encoded and linked in this process
+   ([Plugin_link]): a build runs no program.  Elsewhere on ELF/Linux,
+   [ld] links the plugin directly with the output flags [gcc -shared]
+   would give it; gcc's crt objects and [-lc -lgcc -lgcc_s] are left
+   out ([--as-needed] drops those libraries from a plugin anyway).  The
+   [ld] is the one OCaml itself packs with.  Other systems keep the
+   configured link command. *)
+let in_process = Plugin_link.in_process
+
 let linker =
   match Config.system, String.split_on_char ' ' Config.native_pack_linker with
-  | "linux", ld :: _ when ld <> "" ->
+  | "linux", ld :: _ when ld <> "" && not in_process ->
     Some (ld ^ " --build-id --eh-frame-hdr --hash-style=gnu -shared")
   | _ -> None
 
-(* Where [ld] links directly, each plugin is one object, which amd64
-   assembles in-process ([Merged_asm]); elsewhere [as] still runs. *)
-let in_process_assembler = linker <> None && Merged_asm.in_process
-
-let install () = if linker <> None then Merged_asm.install ()
+let install () = Plugin_link.install ()
 
 let first_word cmd =
   match String.split_on_char ' ' (String.trim cmd) with
@@ -57,10 +57,11 @@ let on_path cmd =
         (String.split_on_char ':' path)
 
 let missing_tools () =
-  List.filter_map
-    (fun cmd -> if on_path cmd then None else Some (first_word cmd))
-    ((if in_process_assembler then [] else [ Config.asm ])
-    @ [ Option.value linker ~default:Config.mkdll ])
+  if in_process then []
+  else
+    List.filter_map
+      (fun cmd -> if on_path cmd then None else Some (first_word cmd))
+      [ Config.asm; Option.value linker ~default:Config.mkdll ]
 
 let pristine_warnings = Warnings.backup ()
 
@@ -84,11 +85,11 @@ let pristine_warnings = Warnings.backup ()
      back to its level at the first call, and the kept interfaces hold
      idents made after it, whose stamps new ones must not reuse.
 
-   Two tables cannot be reached from outside the compiler and grow with
-   every plugin: [Emit]'s sets of defined and used symbols (cleared only
-   for Win64's MASM output) and the list of units that [Asmlink] records
-   as requiring each global (drained only by an executable link).  The
-   worker's heap bound caps them. *)
+   [Emit]'s sets of defined and used symbols cannot be reached from
+   outside the compiler and grow with every plugin (they are cleared
+   only for Win64's MASM output); so does, where [Asmlink.link_shared]
+   links, its list of units requiring each global (drained only by an
+   executable link).  The worker's heap bound caps them. *)
 let loaded_for : (string * string list) option ref = ref None
 
 let reset ~dir =
@@ -98,7 +99,7 @@ let reset ~dir =
   Cmm.reset ();
   Asmlink.reset ();
   Profile.reset ();
-  Merged_asm.reset ();
+  Plugin_link.reset ();
   Clflags.native_code := true;
   Clflags.shared := true;
   Clflags.dont_write_files := true;
@@ -117,8 +118,8 @@ let reset ~dir =
 
 (* [Optcompile.implementation] without its [Compmisc.init_path] and
    [Compmisc.initial_env], which would empty the table of loaded
-   interfaces and reuse ident stamps.  The load path [reset] set also
-   serves the link. *)
+   interfaces and reuse ident stamps, then the link.  The load path
+   [reset] set also serves [Asmlink.link_shared]. *)
 let compile ~ml ~cmxs ~dir =
   reset ~dir;
   let output_prefix = Filename.remove_extension ml in
@@ -136,7 +137,7 @@ let compile ~ml ~cmxs ~dir =
       Compilenv.reset info.module_name;
       if Config.flambda then Optcompile.flambda info backend typed
       else Optcompile.clambda info backend typed);
-  Asmlink.link_shared ~ppf_dump:Format.err_formatter
-    [ output_prefix ^ ".cmx" ]
-    cmxs;
+  let cmx = output_prefix ^ ".cmx" in
+  if in_process then Plugin_link.link ~cmx ~cmxs
+  else Asmlink.link_shared ~ppf_dump:Format.err_formatter [ cmx ] cmxs;
   Warnings.check_fatal ()

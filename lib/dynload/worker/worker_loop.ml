@@ -14,15 +14,15 @@
    The worker exits at end of file on stdin, so it dies with its host.
 
    It leads its own process group ([setsid]), so a host that kills that
-   group at a deadline kills [ld] (and, off amd64, [as]) too.
+   group at a deadline kills any [as] or linker it started too.
 
    The build itself is [Steno_compile.compile], with the assembler hook
    the caller installed ([Steno_compile.install] for the worker).  On
-   Linux/amd64 it starts no assembler: the unit and its startup code are
-   encoded together, in this process, into one object ([Merged_asm]),
-   and [ld] is the only program a build runs. *)
+   Linux/amd64 it starts no process: the unit and its startup code are
+   encoded together into one object and linked into the plugin, in this
+   process ([Plugin_link]).  Elsewhere [as] and the linker run. *)
 
-(* What [ld], the compiler's own warnings and the encoder printed: the
+(* What the tools, if any, and the compiler's own warnings printed: the
    worker's stdout and stderr are this unlinked file, emptied before
    each request. *)
 let open_log () =
@@ -54,7 +54,8 @@ let log_contents log =
 
 (* Diagnostics for a failed build, and whether the worker's state is
    still to be trusted: exceptions with a compiler error printer (type
-   errors, assembler and linker failures) leave it sound. *)
+   errors, assembler and linker failures, a construct the in-process
+   encoder or linker rejects) leave it sound. *)
 let diagnose ~log ~cmxs e =
   (try Sys.remove (cmxs ^ ".startup" ^ Config.ext_obj) with Sys_error _ -> ());
   let b = Buffer.create 256 in
@@ -120,8 +121,8 @@ let run () =
   let missing_tools = Steno_compile.missing_tools () in
   (try ignore (Unix.setsid ()) with Unix.Unix_error _ -> ());
   let log = open_log () in
-  (* The pipes move to private descriptors; [ld] inherits only
-     /dev/null and the log. *)
+  (* The pipes move to private descriptors; a tool the build runs
+     inherits only /dev/null and the log. *)
   let requests = Unix.dup ~cloexec:true Unix.stdin
   and replies = Unix.dup ~cloexec:true Unix.stdout in
   let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in

@@ -1,15 +1,16 @@
-(* One object per plugin, through the compiler's internal-assembler
+(* One program per plugin, through the compiler's internal-assembler
    hook.  [Emit] hands the hook each finished program as an [X86_ast]
-   list; what the hook returns is what [X86_proc.assemble_file] later
-   calls with the object's path.  A plugin build finishes two programs
-   in order: the unit ([Optcompile.implementation]) and its startup code
-   ([Asmlink.link_shared]).  The unit's program waits here until the
-   startup's arrives; the two are then assembled together into the
-   unit's object. *)
+   list, and [X86_proc.assemble_file] then the object's path.  A plugin
+   build finishes two programs in order: the unit
+   ([Optcompile.implementation]) and its startup code.  Both are kept
+   here, in memory, and {!take} joins them; no object file is
+   written. *)
 
-let pending : (X86_ast.asm_program * string) option ref = ref None
+let programs : X86_ast.asm_program list ref = ref []
 
-let reset () = pending := None
+let reset () = programs := []
+
+let hook program _obj = programs := program :: !programs
 
 (* [Emit.begin_assembly] opens every program with the same constants
    ([caml_negf_mask], [caml_absf_mask]), everything before its first
@@ -28,18 +29,17 @@ let split_at_data program =
   in
   go [] program
 
-let startup_body ~unit_program startup =
-  match split_at_data unit_program, split_at_data startup with
-  | Some (prelude, _), Some (prelude', body) when prelude = prelude' -> body
-  | _ -> startup
+let merge unit_program startup =
+  let startup =
+    match split_at_data unit_program, split_at_data startup with
+    | Some (prelude, _), Some (prelude', body) when prelude = prelude' -> body
+    | _ -> startup
+  in
+  unit_program @ startup
 
-(* The linker is still handed the startup object, so it becomes a GNU
-   ld input script holding only a comment. *)
-let hook ~assemble program obj =
-  match !pending with
-  | None -> pending := Some (program, obj)
-  | Some (unit_program, unit_obj) ->
-    pending := None;
-    assemble (unit_program @ startup_body ~unit_program program) unit_obj;
-    Out_channel.with_open_text obj (fun oc ->
-        output_string oc "/* assembled into the unit's object */\n")
+let take () =
+  let finished = !programs in
+  programs := [];
+  match finished with
+  | [ startup; unit_program ] -> merge unit_program startup
+  | _ -> invalid_arg "X86_merge.take: not a unit and its startup code"

@@ -56,7 +56,7 @@ type field =
 
 type fixup = { frag : frag; offset : int; size : int; field : field }
 
-type section = {
+type asm_section = {
   name : string;
   sh_type : int;
   flags : int;
@@ -65,15 +65,15 @@ type section = {
   mutable frags : frag list;  (** newest first *)
   mutable fixups : fixup list;  (** newest first *)
   mutable contents : Bytes.t;
-  mutable relocs : reloc list;
+  mutable relocs : asm_reloc list;
 }
 
-and reloc = { r_offset : int; r_type : int; r_symbol : target; r_addend : int64 }
+and asm_reloc = { r_offset : int; r_type : int; r_symbol : asm_target; r_addend : int64 }
 
 (* What a relocation names: a symbol, or a section (its STT_SECTION
    symbol), which is what [as] turns a reference to a local label
    into. *)
-and target = Symbol of string | Section_of of section
+and asm_target = Symbol of string | Section_of of asm_section
 
 let current_frag s = List.hd s.frags
 
@@ -84,7 +84,7 @@ let new_frag s =
 let code s = s.flags land shf_execinstr <> 0
 
 (* A location: fragment and offset in its fixed part. *)
-type loc = { sec : section; at_frag : frag; at : int }
+type loc = { sec : asm_section; at_frag : frag; at : int }
 
 let address l = l.at_frag.address + l.at
 
@@ -101,8 +101,8 @@ type fde = {
 }
 
 type state = {
-  mutable sections : section list;  (** newest first *)
-  mutable cur : section;
+  mutable sections : asm_section list;  (** newest first *)
+  mutable cur : asm_section;
   labels : (string, loc) Hashtbl.t;
   globals : (string, unit) Hashtbl.t;
   types : (string, int) Hashtbl.t;
@@ -763,13 +763,13 @@ let eh_frame st =
 
 (* --- Symbols -------------------------------------------------------- *)
 
-type sym = {
-  s_name : string;
-  s_global : bool;
-  s_type : int;  (** STT_* *)
-  s_section : section option;  (** [None]: undefined *)
-  s_value : int;
-  s_size : int;
+type symbol = {
+  name : string;
+  global : bool;
+  kind : int;
+  section : int option;
+  value : int;
+  size : int;
 }
 
 let symbols st sections =
@@ -791,11 +791,18 @@ let symbols st sections =
         sec.relocs)
     sections;
   if Hashtbl.mem st.mentioned got_symbol then Hashtbl.replace referenced got_symbol ();
+  let index sec =
+    let rec go i = function
+      | s :: rest -> if s == sec then i else go (i + 1) rest
+      | [] -> assert false
+    in
+    go 0 sections
+  in
   let defined name (l : loc) =
-    { s_name = name; s_global = is_global st name;
-      s_type = Option.value (Hashtbl.find_opt st.types name) ~default:0;
-      s_section = Some l.sec; s_value = address l;
-      s_size = Option.value (Hashtbl.find_opt sizes name) ~default:0 }
+    { name; global = is_global st name;
+      kind = Option.value (Hashtbl.find_opt st.types name) ~default:0;
+      section = Some (index l.sec); value = address l;
+      size = Option.value (Hashtbl.find_opt sizes name) ~default:0 }
   in
   let syms =
     Hashtbl.fold
@@ -808,10 +815,7 @@ let symbols st sections =
     Hashtbl.fold
       (fun name () acc ->
         if Hashtbl.mem st.labels name then acc
-        else
-          { s_name = name; s_global = true; s_type = 0; s_section = None; s_value = 0;
-            s_size = 0 }
-          :: acc)
+        else { name; global = true; kind = 0; section = None; value = 0; size = 0 } :: acc)
       (let u = Hashtbl.copy referenced in
        Hashtbl.iter (fun g () -> Hashtbl.replace u g ()) st.globals;
        u)
@@ -820,51 +824,106 @@ let symbols st sections =
   (* [as]'s order, which [ld] follows when it numbers dynamic symbols
      and GOT and PLT slots: locals, then globals, each by first
      mention. *)
-  let rank s = Hashtbl.find st.mentioned s.s_name in
+  let rank (s : symbol) = Hashtbl.find st.mentioned s.name in
   List.sort
-    (fun a b -> compare (a.s_global, rank a) (b.s_global, rank b))
+    (fun (a : symbol) b -> compare (a.global, rank a) (b.global, rank b))
     (syms @ undefined)
+
+(* --- The object ----------------------------------------------------- *)
+
+type section = {
+  name : string;
+  sh_type : int;
+  flags : int;
+  entsize : int;
+  align : int;
+  contents : string;
+  relocs : reloc list;
+}
+
+and reloc = { offset : int; r_type : int; target : target; addend : int64 }
+
+and target = Symbol of string | Section of int
+
+type t = { sections : section list; symbols : symbol list }
+
+let of_program program =
+  let text =
+    make_section ".text" ~sh_type:sht_progbits ~flags:(shf_alloc lor shf_execinstr)
+      ~entsize:0
+  in
+  let st =
+    { sections = [ text ]; cur = text; labels = Hashtbl.create 256;
+      globals = Hashtbl.create 64; types = Hashtbl.create 64; sizes = []; fdes = [];
+      open_fde = None; mentioned = Hashtbl.create 256 }
+  in
+  switch_section st ".data" None [];
+  switch_section st ".bss" None [];
+  st.cur <- text;
+  List.iter (line st) program;
+  if st.open_fde <> None then unsupported "missing .cfi_endproc";
+  let sections = List.rev st.sections in
+  List.iter (relax st) sections;
+  List.iter (lay_out st) sections;
+  List.iter (fun sec -> List.iter (resolve st sec) (List.rev sec.fixups)) sections;
+  let sections = sections @ Option.to_list (eh_frame st) in
+  let index sec =
+    let rec go i = function
+      | s :: rest -> if s == sec then i else go (i + 1) rest
+      | [] -> assert false
+    in
+    go 0 sections
+  in
+  let section (s : asm_section) =
+    { name = s.name; sh_type = s.sh_type; flags = s.flags; entsize = s.entsize;
+      align = s.align; contents = Bytes.to_string s.contents;
+      relocs =
+        List.rev_map
+          (fun r ->
+            { offset = r.r_offset; r_type = r.r_type; addend = r.r_addend;
+              target =
+                (match r.r_symbol with
+                | Symbol s -> Symbol s
+                | Section_of x -> Section (index x)) })
+          s.relocs }
+  in
+  { symbols = symbols st sections; sections = List.map section sections }
 
 (* --- The ELF file --------------------------------------------------- *)
 
-let elf sections syms =
-  let section_syms =
-    List.filter
-      (fun sec ->
-        List.exists
-          (fun s ->
-            List.exists
-              (fun r -> match r.r_symbol with Section_of x -> x == sec | _ -> false)
-              s.relocs)
-          sections)
-      sections
-  in
-  let locals = List.filter (fun s -> not s.s_global) syms
-  and globals = List.filter (fun s -> s.s_global) syms in
+let to_elf { sections; symbols } =
+  let sections = Array.of_list sections in
+  let referenced = Array.make (Array.length sections) false in
+  Array.iter
+    (fun s ->
+      List.iter
+        (fun r -> match r.target with Section i -> referenced.(i) <- true | Symbol _ -> ())
+        s.relocs)
+    sections;
+  let locals = List.filter (fun (s : symbol) -> not s.global) symbols
+  and globals = List.filter (fun (s : symbol) -> s.global) symbols in
   (* Section header order: each section followed by its relocations,
      then the symbol and string tables. *)
   let headers =
-    List.concat_map
-      (fun s -> if s.relocs = [] then [ `Sec s ] else [ `Sec s; `Rela s ])
-      sections
+    List.concat
+      (List.init (Array.length sections) (fun i ->
+           if sections.(i).relocs = [] then [ `Sec i ] else [ `Sec i; `Rela i ]))
     @ [ `Symtab; `Strtab; `Shstrtab ]
   in
-  let header_name = function
-    | `Sec s -> s.name
-    | `Rela s -> ".rela" ^ s.name
-    | `Symtab -> ".symtab"
-    | `Strtab -> ".strtab"
-    | `Shstrtab -> ".shstrtab"
-  in
   let index_of h =
-    let name = header_name h in
     let rec go i = function
-      | x :: rest -> if header_name x = name then i else go (i + 1) rest
+      | x :: rest -> if x = h then i else go (i + 1) rest
       | [] -> assert false
     in
     go 1 headers
   in
-  let sec_index sec = index_of (`Sec sec) in
+  let header_name = function
+    | `Sec i -> sections.(i).name
+    | `Rela i -> ".rela" ^ sections.(i).name
+    | `Symtab -> ".symtab"
+    | `Strtab -> ".strtab"
+    | `Shstrtab -> ".shstrtab"
+  in
   let strtab = Buffer.create 1024 in
   Buffer.add_char strtab '\000';
   let add_str tbl s =
@@ -888,23 +947,27 @@ let elf sections syms =
   add_sym ~name:0 ~info:0 ~shndx:0 ~value:0 ~size:0;
   (* [X86_gas] opens every [.s] with [.file ""]. *)
   add_sym ~name:0 ~info:4 (* LOCAL FILE *) ~shndx:0xfff1 ~value:0 ~size:0;
-  let sym_index = Hashtbl.create 64 in
+  let section_sym = Array.make (Array.length sections) 0 in
   let next = ref 2 in
-  List.iter
-    (fun sec ->
-      add_sym ~name:0 ~info:3 (* LOCAL SECTION *) ~shndx:(sec_index sec) ~value:0 ~size:0;
-      Hashtbl.replace sym_index ("\000" ^ sec.name) !next;
-      incr next)
-    section_syms;
+  Array.iteri
+    (fun i r ->
+      if r then begin
+        add_sym ~name:0 ~info:3 (* LOCAL SECTION *) ~shndx:(index_of (`Sec i)) ~value:0
+          ~size:0;
+        section_sym.(i) <- !next;
+        incr next
+      end)
+    referenced;
+  let sym_index = Hashtbl.create 64 in
   let first_global = ref 0 in
   List.iter
-    (fun s ->
-      if s.s_global && !first_global = 0 then first_global := !next;
-      add_sym ~name:(add_str strtab s.s_name)
-        ~info:(((if s.s_global then 1 else 0) lsl 4) lor s.s_type)
-        ~shndx:(match s.s_section with Some sec -> sec_index sec | None -> 0)
-        ~value:s.s_value ~size:s.s_size;
-      Hashtbl.replace sym_index s.s_name !next;
+    (fun (s : symbol) ->
+      if s.global && !first_global = 0 then first_global := !next;
+      add_sym ~name:(add_str strtab s.name)
+        ~info:(((if s.global then 1 else 0) lsl 4) lor s.kind)
+        ~shndx:(match s.section with Some i -> index_of (`Sec i) | None -> 0)
+        ~value:s.value ~size:s.size;
+      Hashtbl.replace sym_index s.name !next;
       incr next)
     (locals @ globals);
   if !first_global = 0 then first_global := !next;
@@ -913,15 +976,15 @@ let elf sections syms =
     List.iter
       (fun r ->
         let sym =
-          match r.r_symbol with
+          match r.target with
           | Symbol s -> Hashtbl.find sym_index s
-          | Section_of x -> Hashtbl.find sym_index ("\000" ^ x.name)
+          | Section i -> section_sym.(i)
         in
-        add_le b 8 (Int64.of_int r.r_offset);
+        add_le b 8 (Int64.of_int r.offset);
         add_le b 8
           (Int64.logor (Int64.shift_left (Int64.of_int sym) 32) (Int64.of_int r.r_type));
-        add_le b 8 r.r_addend)
-      (List.rev sec.relocs);
+        add_le b 8 r.addend)
+      sec.relocs;
     Buffer.contents b
   in
   let shstrtab = Buffer.create 256 in
@@ -935,10 +998,12 @@ let elf sections syms =
         let name = add_str shstrtab (header_name h) in
         let t, flags, align, entsize, link, info, data =
           match h with
-          | `Sec s ->
-            (s.sh_type, s.flags, s.align, s.entsize, 0, 0, Bytes.to_string s.contents)
-          | `Rela s ->
-            (sht_rela, shf_info_link, 8, 24, index_of `Symtab, sec_index s, rela s)
+          | `Sec i ->
+            let s = sections.(i) in
+            (s.sh_type, s.flags, s.align, s.entsize, 0, 0, s.contents)
+          | `Rela i ->
+            (sht_rela, shf_info_link, 8, 24, index_of `Symtab, index_of (`Sec i),
+             rela sections.(i))
           | `Symtab ->
             ( sht_symtab, 0, 8, 24, index_of `Strtab, !first_global,
               Buffer.contents symtab )
@@ -986,38 +1051,3 @@ let elf sections syms =
   add_le header 2 (Int64.of_int (index_of `Shstrtab));
   Bytes.blit_string (Buffer.contents header) 0 file 0 64;
   Bytes.unsafe_to_string file
-
-(* --- Entry points --------------------------------------------------- *)
-
-let assemble program =
-  let text =
-    make_section ".text" ~sh_type:sht_progbits ~flags:(shf_alloc lor shf_execinstr)
-      ~entsize:0
-  in
-  let st =
-    { sections = [ text ]; cur = text; labels = Hashtbl.create 256;
-      globals = Hashtbl.create 64; types = Hashtbl.create 64; sizes = []; fdes = [];
-      open_fde = None; mentioned = Hashtbl.create 256 }
-  in
-  switch_section st ".data" None [];
-  switch_section st ".bss" None [];
-  st.cur <- text;
-  List.iter (line st) program;
-  if st.open_fde <> None then unsupported "missing .cfi_endproc";
-  let sections = List.rev st.sections in
-  List.iter (relax st) sections;
-  List.iter (lay_out st) sections;
-  List.iter (fun sec -> List.iter (resolve st sec) (List.rev sec.fixups)) sections;
-  let sections = sections @ Option.to_list (eh_frame st) in
-  let syms = symbols st sections in
-  elf sections syms
-
-(* A construct the encoder does not cover fails the build the way an
-   [as] failure would: with the compiler's own [Asmgen.Error], after a
-   line on stderr (the worker's log) that names it. *)
-let write program obj =
-  match assemble program with
-  | contents -> Out_channel.with_open_bin obj (fun oc -> output_string oc contents)
-  | exception (E.Unsupported what | Failure what | Invalid_argument what) ->
-    Printf.eprintf "x86 encoder: %s\n%!" what;
-    raise (Asmgen.Error (Asmgen.Assembler_error obj))

@@ -1,7 +1,8 @@
-(* Off amd64 plugins are assembled by [as] itself: nothing to compare. *)
+(* Off amd64 plugins are assembled by [as] and linked by the link
+   command themselves: nothing to compare. *)
 
 let () =
   set_binary_mode_in stdin true;
   ignore (In_channel.input_all stdin);
-  Printf.printf "oracle: skipped, %s has no in-process encoder (amd64 only)\n"
+  Printf.printf "oracle: skipped, %s has no in-process encoder or linker (amd64 only)\n"
     Config.architecture

@@ -621,29 +621,32 @@ let test_interface_appears () =
   Alcotest.(check bool) "exits at end of input" true
     (snd (Unix.waitpid [] pid) = Unix.WEXITED 0)
 
-(* --- The assembler ------------------------------------------------------
+(* --- The assembler and the linker ---------------------------------------
 
    On Linux/amd64 a plugin's one object (the unit and its startup code)
-   is encoded inside the worker: no [as] runs.  These tests change the
-   PATH of a worker of their own: a compile in a new domain starts a
-   fresh worker, which inherits the PATH of that moment and stops when
-   the domain exits. *)
+   is encoded and linked inside the worker: no [as] or [ld] runs.  These
+   tests change the PATH of a worker of their own: a compile in a new
+   domain starts a fresh worker, which inherits the PATH of that moment
+   and stops when the domain exits. *)
 
-let with_merged_asm f =
+let with_in_process f =
   if on_linux && Steno_worker_build.architecture = "amd64"
      && Dynload.is_available ()
   then f ()
   else print_endline "(skipped: not a Linux/amd64 host with a native compiler)"
 
-(* A directory holding [as]: a script that appends a line to [count],
-   prints a marker and exits 1. *)
-let failing_as_dir () =
-  let dir = Filename.temp_dir "steno-as" "" in
+(* A directory holding [as] and [ld]: scripts that append a line to
+   [count], print a marker and exit 1. *)
+let failing_tools_dir () =
+  let dir = Filename.temp_dir "steno-tools" "" in
   let file name = Filename.concat dir name in
-  Out_channel.with_open_bin (file "as") (fun oc ->
-      Printf.fprintf oc "#!/bin/sh\necho \"$*\" >> %s\necho 'fake-as-marker'\nexit 1\n"
-        (Filename.quote (file "count")));
-  Unix.chmod (file "as") 0o755;
+  List.iter
+    (fun tool ->
+      Out_channel.with_open_bin (file tool) (fun oc ->
+          Printf.fprintf oc "#!/bin/sh\necho \"%s $*\" >> %s\necho 'fake-%s-marker'\nexit 1\n"
+            tool (Filename.quote (file "count")) tool);
+      Unix.chmod (file tool) 0o755)
+    [ "as"; "ld" ];
   dir
 
 let lines_of path =
@@ -662,48 +665,41 @@ let with_path path f =
 let with_path_first dir f =
   with_path (dir ^ Option.fold ~none:"" ~some:(( ^ ) ":") (Sys.getenv_opt "PATH")) f
 
-(* An [as] that fails, first on PATH, neither starts nor stops a build. *)
-let test_no_as_run () =
-  with_merged_asm @@ fun () ->
-  let dir = failing_as_dir () in
+(* An [as] and an [ld] that fail, first on PATH, neither start nor stop
+   a build. *)
+let test_no_process_per_plugin () =
+  with_in_process @@ fun () ->
+  let dir = failing_tools_dir () in
   Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
   with_path_first dir (fun () ->
-      Alcotest.(check int) "value" 17 (compile_value 17));
-  Alcotest.(check (list string)) "as runs" []
+      Alcotest.(check int) "value" 17 (compile_value 17);
+      Alcotest.(check int) "second value" 18 (compile_value 18));
+  Alcotest.(check (list string)) "as and ld runs" []
     (lines_of (Filename.concat dir "count"))
 
-(* A PATH holding [ld] and nothing else: the worker does not answer
-   "unavailable", and the plugin runs on Native, equal to [Reference]. *)
-let test_ld_without_as () =
-  with_merged_asm @@ fun () ->
-  let path = Option.value (Sys.getenv_opt "PATH") ~default:"" in
-  match
-    List.find_opt
-      (fun d -> Sys.file_exists (Filename.concat d "ld"))
-      (String.split_on_char ':' path)
-  with
-  | None -> print_endline "(skipped: no ld on PATH)"
-  | Some ld_dir ->
-    let dir = Filename.temp_dir "steno-ld-only" "" in
-    Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
-    Unix.symlink (Filename.concat ld_dir "ld") (Filename.concat dir "ld");
-    let q =
-      Query.of_array Ty.Int [| 3; 1; 4; 1; 5; 9; 2; 6 |]
-      |> Query.where (fun x -> Expr.Infix.(x mod Expr.int 2 = Expr.int 1))
-      |> Query.select (fun x -> Expr.Infix.((x * x) + Expr.int 7_041))
-    in
-    with_path dir (fun () ->
-        let eng =
-          Steno.Engine.create
-            Steno.Config.(
-              default |> with_backend Steno.Native |> with_fallback false
-              |> without_disk_cache)
-        in
-        let p = Steno.Engine.prepare eng q in
-        Alcotest.(check string) "backend" "native"
-          (Steno.backend_name (Steno.Prepared.compile_info p).Steno.backend);
-        Alcotest.(check (list int)) "equals Reference" (Reference.to_list q)
-          (Array.to_list (Steno.Prepared.run p)))
+(* A PATH holding nothing: the worker does not answer "unavailable",
+   and the plugin runs on Native, equal to [Reference]. *)
+let test_no_tools_on_path () =
+  with_in_process @@ fun () ->
+  let dir = Filename.temp_dir "steno-empty-path" "" in
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  let q =
+    Query.of_array Ty.Int [| 3; 1; 4; 1; 5; 9; 2; 6 |]
+    |> Query.where (fun x -> Expr.Infix.(x mod Expr.int 2 = Expr.int 1))
+    |> Query.select (fun x -> Expr.Infix.((x * x) + Expr.int 7_041))
+  in
+  with_path dir (fun () ->
+      let eng =
+        Steno.Engine.create
+          Steno.Config.(
+            default |> with_backend Steno.Native |> with_fallback false
+            |> without_disk_cache)
+      in
+      let p = Steno.Engine.prepare eng q in
+      Alcotest.(check string) "backend" "native"
+        (Steno.backend_name (Steno.Prepared.compile_info p).Steno.backend);
+      Alcotest.(check (list int)) "equals Reference" (Reference.to_list q)
+        (Array.to_list (Steno.Prepared.run p)))
 
 let scratch_files dir =
   Sys.readdir dir |> Array.to_list
@@ -714,16 +710,17 @@ let scratch_files dir =
          || String.starts_with ~prefix:"camlstartup" f)
   |> List.sort compare
 
-(* A construct the encoder does not cover is the compiler's own
-   [Asmgen.Error]: the worker replies "error" ([Dynload.Compile_error]
-   on the host) with text that names the instruction, leaves no object
-   or assembler input behind, and builds the next plugin.  The worker
-   here is the production one, except that it ends the program of a
-   plugin named [*x87*] with [fld1]; it is driven over its own
-   protocol. *)
-let test_encoder_rejection () =
-  with_merged_asm @@ fun () ->
-  let dir = Filename.temp_dir "steno-x87" "" in
+(* A construct the encoder or the linker does not cover is a compiler
+   error: the worker replies "error" ([Dynload.Compile_error] on the
+   host) with text that names it, leaves no object, plugin or assembler
+   input behind, and builds the next plugin.  The worker here is the
+   production one, except that it ends the program of a plugin named
+   [*x87*] with [fld1], which the encoder rejects, and that of one named
+   [*abs32*] with a 32-bit absolute address, which the linker rejects in
+   a shared object; it is driven over its own protocol. *)
+let rejection_worker rejected ~names =
+  with_in_process @@ fun () ->
+  let dir = Filename.temp_dir "steno-rejection" "" in
   Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
   let exe = X87_worker_build.path in
   let req_r, req_w = Unix.pipe ~cloexec:true () in
@@ -750,9 +747,13 @@ let test_encoder_rejection () =
   let status, text, file = build "steno_plain_1" 1 in
   Alcotest.(check string) ("first plugin: " ^ text) "ok" status;
   Alcotest.(check int) "first value" 1 (run file);
-  let status, text, file = build "steno_x87_2" 2 in
+  let status, text, file = build rejected 2 in
   Alcotest.(check string) "rejected" "error" status;
-  Alcotest.(check bool) ("names the instruction: " ^ text) true (contains text "fld1");
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (Printf.sprintf "names %S: %s" name text) true (contains text name))
+    names;
+  Alcotest.(check bool) ("no input left: " ^ text) false (contains text "input left in file");
   Alcotest.(check bool) "no object" false (Sys.file_exists (file ".o"));
   Alcotest.(check bool) "no plugin" false (Sys.file_exists (file ".cmxs"));
   Alcotest.(check (list string)) "no .s or startup object left" [] (scratch_files dir);
@@ -764,8 +765,14 @@ let test_encoder_rejection () =
   Alcotest.(check bool) "one worker, which exits at end of input" true
     (snd (Unix.waitpid [] pid) = Unix.WEXITED 0)
 
+let test_encoder_rejection () =
+  rejection_worker "steno_x87_2" ~names:[ "x86 encoder: fld1" ]
+
+let test_linker_rejection () =
+  rejection_worker "steno_abs32_2" ~names:[ "x86 linker: R_X86_64_32"; "steno_absolute" ]
+
 let test_no_scratch_leak () =
-  with_merged_asm @@ fun () ->
+  with_in_process @@ fun () ->
   let tmp = Filename.get_temp_dir_name () and workdir = Dynload.workdir () in
   let before = scratch_files tmp in
   for i = 1 to 20 do
@@ -827,9 +834,10 @@ let () =
         ] );
       ( "assembler",
         [
-          Alcotest.test_case "no as run" `Quick test_no_as_run;
+          Alcotest.test_case "no process per plugin" `Quick test_no_process_per_plugin;
           Alcotest.test_case "encoder rejection" `Quick test_encoder_rejection;
-          Alcotest.test_case "ld without as" `Quick test_ld_without_as;
+          Alcotest.test_case "linker rejection" `Quick test_linker_rejection;
+          Alcotest.test_case "no tools on PATH" `Quick test_no_tools_on_path;
           Alcotest.test_case "no scratch leak" `Quick test_no_scratch_leak;
         ] );
     ]

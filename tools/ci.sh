@@ -29,29 +29,37 @@ echo "== examples =="
 dune exec examples/quickstart.exe > /dev/null
 dune exec examples/wordcount.exe -- 20000 > /dev/null
 
-echo "== native -> fused fallback (no linker on PATH) =="
+echo "== native with an empty PATH =="
 dune build bin/stenoc.exe
-# Plugins build in a resident compile worker that runs ld (and, off
-# Linux/amd64, as) from its PATH; without them it answers "unavailable"
-# and stenoc falls back.
-if env PATH=/nonexistent sh -c 'command -v ld' > /dev/null; then
+# Plugins build in a resident compile worker.  On Linux/amd64 it encodes
+# and links each plugin itself, so under PATH=/nonexistent sumsq still
+# runs on Native.  Elsewhere it runs as and a linker from its PATH and,
+# without them, answers "unavailable": stenoc falls back to Fused.
+# Either way the result matches the normal run.
+native_out=$(./_build/default/bin/stenoc.exe run sumsq -n 50000)
+empty_out=$(env PATH=/nonexistent ./_build/default/bin/stenoc.exe \
+  run sumsq -n 50000)
+if printf '%s\n' "$native_out" | grep -qF 'native compiler unavailable'; then
+  echo "(skipped: stenoc reports no Native backend)"
+elif [ "$(uname -sm)" = "Linux x86_64" ]; then
+  if printf '%s\n' "$empty_out" | grep -qF 'fell back'; then
+    echo "stenoc sumsq fell back under PATH=/nonexistent on Linux/amd64" >&2
+    printf '%s\n' "$empty_out" >&2
+    exit 1
+  fi
+elif env PATH=/nonexistent sh -c 'command -v ld' > /dev/null; then
   echo "(skipped: a linker is on PATH=/nonexistent)"
-else
-  native_out=$(./_build/default/bin/stenoc.exe run sumsq -n 50000)
-  fallback_out=$(env PATH=/nonexistent ./_build/default/bin/stenoc.exe \
-    run sumsq -n 50000)
-  if ! printf '%s\n' "$fallback_out" | \
-      grep -qF 'fell back from native to fused: native compiler unavailable'; then
-    echo "stenoc without a linker on PATH did not report the fused fallback" >&2
-    printf '%s\n' "$fallback_out" >&2
-    exit 1
-  fi
-  if [ "$(printf '%s\n' "$native_out" | head -1)" != \
-       "$(printf '%s\n' "$fallback_out" | head -1)" ]; then
-    echo "stenoc sumsq: the fused fallback's result differs from native's" >&2
-    printf '%s\n---\n%s\n' "$native_out" "$fallback_out" >&2
-    exit 1
-  fi
+elif ! printf '%s\n' "$empty_out" | \
+    grep -qF 'fell back from native to fused: native compiler unavailable'; then
+  echo "stenoc without tools on PATH did not report the fused fallback" >&2
+  printf '%s\n' "$empty_out" >&2
+  exit 1
+fi
+if [ "$(printf '%s\n' "$native_out" | head -1)" != \
+     "$(printf '%s\n' "$empty_out" | head -1)" ]; then
+  echo "stenoc sumsq: the result under PATH=/nonexistent differs" >&2
+  printf '%s\n---\n%s\n' "$native_out" "$empty_out" >&2
+  exit 1
 fi
 
 echo "== plugins build without starting ocamlopt =="
@@ -78,37 +86,41 @@ if [ "$(printf '%s\n' "$join_native" | head -1)" != \
   exit 1
 fi
 
-echo "== no assembler run per plugin =="
+echo "== no assembler or linker run per plugin =="
 # On Linux/amd64 the compile worker encodes a plugin's unit and its
-# startup code itself, into one object: an as that counts its runs and
-# fails, first on PATH, never runs for join's plugin, and join still
-# agrees with Fused.
+# startup code into one object and links it itself: an as and an ld
+# that count their runs and fail, first on PATH, never run for join's
+# plugin, and join still agrees with Fused.
 if [ "$(uname -sm)" != "Linux x86_64" ]; then
   echo "(skipped: not a Linux/amd64 host)"
 else
-  count_bin="$work_dir/count-as"
+  count_bin="$work_dir/count-tools"
   mkdir -p "$count_bin"
-  printf '#!/bin/sh\necho run >> "%s"\nexit 1\n' \
-    "$work_dir/as-runs" > "$count_bin/as"
-  chmod +x "$count_bin/as"
+  for tool in as ld; do
+    printf '#!/bin/sh\necho run >> "%s"\nexit 1\n' \
+      "$work_dir/$tool-runs" > "$count_bin/$tool"
+    chmod +x "$count_bin/$tool"
+  done
   join_counted=$(env PATH="$count_bin:$PATH" ./_build/default/bin/stenoc.exe \
     run join --size 2000)
   if printf '%s\n' "$join_counted" | grep -qF 'native compiler unavailable'; then
     echo "(skipped: stenoc reports no Native backend)"
   else
     if printf '%s\n' "$join_counted" | grep -qF 'fell back'; then
-      echo "stenoc join fell back with a failing as on PATH" >&2
+      echo "stenoc join fell back with a failing as and ld on PATH" >&2
       printf '%s\n' "$join_counted" >&2
       exit 1
     fi
-    as_runs=$(cat "$work_dir/as-runs" 2>/dev/null | wc -l)
-    if [ "$as_runs" -ne 0 ]; then
-      echo "stenoc join: as ran $as_runs times for one plugin, expected none" >&2
-      exit 1
-    fi
+    for tool in as ld; do
+      runs=$(cat "$work_dir/$tool-runs" 2>/dev/null | wc -l)
+      if [ "$runs" -ne 0 ]; then
+        echo "stenoc join: $tool ran $runs times for one plugin, expected none" >&2
+        exit 1
+      fi
+    done
     if [ "$(printf '%s\n' "$join_counted" | head -1)" != \
          "$(printf '%s\n' "$join_fused" | head -1)" ]; then
-      echo "stenoc join: native (no as run) and fused results differ" >&2
+      echo "stenoc join: native (no as or ld run) and fused results differ" >&2
       printf '%s\n---\n%s\n' "$join_counted" "$join_fused" >&2
       exit 1
     fi

@@ -267,8 +267,13 @@ let preview : type a. a Ty.t -> a array -> string =
     (if n > shown then "; ..." else "")
     n
 
-let engine_with ?(trace = false) backend =
+let engine_with ?(trace = false) ?pcache backend =
   let cfg = Steno.Config.(default |> with_backend backend) in
+  let cfg =
+    match pcache with
+    | Some dir -> Steno.Config.with_disk_cache ~dir cfg
+    | None -> cfg
+  in
   Steno.Engine.create
     (if trace then Steno.Config.with_tracing ~sample:1.0 cfg else cfg)
 
@@ -312,13 +317,13 @@ let describe_rewrites = function
   | [] -> print_endline "rewrites: (none)"
   | rules -> Printf.printf "rewrites: %s\n" (String.concat ", " rules)
 
-let cmd_run name backend n trace =
+let cmd_run name backend n trace pcache =
   match find name, backend_of_string backend with
   | Error e, _ | _, Error e ->
     prerr_endline e;
     1
   | Ok demo, Ok b ->
-    let eng = engine_with ~trace b in
+    let eng = engine_with ~trace ?pcache b in
     let tr =
       traced eng name @@ fun () ->
       match demo with
@@ -613,6 +618,9 @@ let cmd_metrics n =
      (* No compiler: still create the engines so the pcache/tiering
         families render (at zero). *)
      ignore (Steno.Engine.create pcfg));
+  (* The engines' stores are written in the background: let them land
+     before the scratch store goes. *)
+  Pcache.flush ();
   (try
      let rec rm d =
        Sys.readdir d
@@ -965,9 +973,19 @@ let reps_arg =
     value & opt int 5
     & info [ "reps" ] ~doc:"Number of prepare+run repetitions.")
 
+let run_pcache_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "pcache" ] ~docv:"DIR"
+        ~doc:
+          "Look plugins up in, and publish them to, the on-disk plugin store \
+           rooted at $(docv).")
+
 let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run a demo query on a chosen backend.")
-    Term.(const cmd_run $ query_arg $ backend_arg $ size $ trace_arg)
+    Term.(
+      const cmd_run $ query_arg $ backend_arg $ size $ trace_arg $ run_pcache_arg)
 
 let stats_cmd =
   Cmd.v

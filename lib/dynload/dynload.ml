@@ -266,12 +266,16 @@ type artifact = {
   a_compile_ms : float;
 }
 
+(* What a build leaves in the workdir: the source and the plugin, and
+   where an assembler and a linker program build it, the unit's [.cmx]
+   and object. *)
 let remove_files dir modname =
   List.iter
     (fun ext ->
       try Sys.remove (Filename.concat dir (modname ^ ext))
       with Sys_error _ -> ())
-    [ ".cmi"; ".cmx"; ".o"; ".cmxs"; ".ml" ]
+    (if build_tools = None then [ ".cmxs"; ".ml" ]
+     else [ ".cmx"; ".o"; ".cmxs"; ".ml" ])
 
 (* A missing workdir, a full disk, or a worker that cannot be started
    raise [Sys_error]/[Unix_error]; they are compile failures like any

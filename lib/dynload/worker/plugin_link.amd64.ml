@@ -30,9 +30,9 @@ let startup units =
   Emit.end_assembly ()
 
 (* [Asmlink.link_shared] for the one unit [Compilenv] holds: its CRC is
-   the digest of the [.cmx] the compiler wrote from it, and it goes
-   through the same consistency checks.  The record is copied, since
-   [Compilenv.reset] refills it for the startup code. *)
+   the digest of the [.cmx] [Compilenv.save_unit_info] would write from
+   it, and it goes through the same consistency checks.  The record is
+   copied, since [Compilenv.reset] refills it for the startup code. *)
 let link ~cmx ~cmxs =
   let ui = Compilenv.current_unit_infos () in
   let ui = { ui with Cmx_format.ui_name = ui.Cmx_format.ui_name } in

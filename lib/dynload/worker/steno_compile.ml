@@ -116,10 +116,28 @@ let reset ~dir =
     Ident.reinit ();
     loaded_for := Some (dir, Load_path.get_paths ())
 
+(* [Optcompile.clambda] without the file write of its
+   [Compilenv.save_unit_info]: where [Plugin_link] links, it takes the
+   unit infos from [Compilenv] in memory, and nothing reads a [.cmx].
+   The rest of [save_unit_info] stays: the unit's imported interfaces,
+   which the plugin header lists with their CRCs for Dynlink to check
+   against the host's. *)
+let clambda_in_memory (i : Compile_common.info) (typed : Typedtree.implementation) =
+  Clflags.use_inlining_arguments_set Clflags.classic_arguments;
+  (typed.structure, typed.coercion)
+  |> Profile.(record transl) (Translmod.transl_store_implementation i.module_name)
+  |> Profile.(record generate) (fun (program : Lambda.program) ->
+         Asmgen.compile_implementation ~backend ~prefixname:i.output_prefix
+           ~middle_end:Closure_middle_end.lambda_to_clambda ~ppf_dump:i.ppf_dump
+           { program with code = Simplif.simplify_lambda program.code });
+  (Compilenv.current_unit_infos ()).ui_imports_cmi <- Env.imports ()
+
 (* [Optcompile.implementation] without its [Compmisc.init_path] and
    [Compmisc.initial_env], which would empty the table of loaded
    interfaces and reuse ident stamps, then the link.  The load path
-   [reset] set also serves [Asmlink.link_shared]. *)
+   [reset] set also serves [Asmlink.link_shared].  A build leaves the
+   plugin's [.cmxs] and, where [as] and a linker program build it, the
+   unit's [.cmx] and object. *)
 let compile ~ml ~cmxs ~dir =
   reset ~dir;
   let output_prefix = Filename.remove_extension ml in
@@ -136,8 +154,12 @@ let compile ~ml ~cmxs ~dir =
   Compile_common.implementation info ~backend:(fun info typed ->
       Compilenv.reset info.module_name;
       if Config.flambda then Optcompile.flambda info backend typed
+      else if in_process then clambda_in_memory info typed
       else Optcompile.clambda info backend typed);
   let cmx = output_prefix ^ ".cmx" in
-  if in_process then Plugin_link.link ~cmx ~cmxs
+  if in_process then begin
+    Plugin_link.link ~cmx ~cmxs;
+    if Config.flambda then Misc.remove_file cmx
+  end
   else Asmlink.link_shared ~ppf_dump:Format.err_formatter [ cmx ] cmxs;
   Warnings.check_fatal ()

@@ -8,18 +8,56 @@
    channel carries a 64 KiB buffer that lives until the GC finalizes
    it. *)
 
+(* What this process knows of one store directory: its entries, by
+   hash, with their size and LRU clock, in eviction order, and its record
+   files.  Every live handle on the directory shares it ([indexes]), so
+   handles in one process see each other's stores and evictions exactly.
+   Other processes share the directory too, so it is only a hint: it is
+   listed again at [create], once per [max_entries / 8] stores, and when
+   an eviction finds a victim already gone.  Guarded by [lock]. *)
+type entry = { e_bytes : int; e_mtime : float }
+
+type change =
+  | Put of string * entry
+  | Drop of string
+  | Put_record of string
+  | Drop_record of string
+
+module Order = Set.Make (struct
+  type t = float * string
+
+  (* mtime is the LRU clock, but its granularity is a whole second on
+     some filesystems: entries published within the same second would
+     otherwise evict in readdir order, which differs across runs and
+     hosts.  The hash tie-break makes the victim deterministic. *)
+  let compare (ma, ha) (mb, hb) =
+    match Float.compare ma mb with 0 -> String.compare ha hb | c -> c
+end)
+
+type index = {
+  entries : (string, entry) Hashtbl.t;
+  mutable order : Order.t;  (* (mtime, hash) of every entry *)
+  mutable bytes : int;
+  records : (string, unit) Hashtbl.t;  (* record file names *)
+  mutable stored : int;  (* stores since the directory was last listed *)
+  mutable since : change list option;
+      (* while a listing runs, the changes made since it began, newest
+         first: applied again on top of what it read *)
+  listing : Mutex.t;  (* one listing at a time *)
+}
+
 type t = {
   root : string;  (* <dir>/<fingerprint-dir>; "" when unusable *)
   max_bytes : int;
   max_entries : int;
-  records : int Atomic.t;
-      (* record files: the count at the last listing, plus those written
-         since; the directory is listed again only when it passes
-         [max_entries] *)
+  queue_capacity : int;
+  index : index;
+  mutable queued : int;  (* this handle's jobs in [jobs]; under [lock] *)
   hits : int Atomic.t;
   misses : int Atomic.t;
   stores : int Atomic.t;
   evictions : int Atomic.t;
+  dropped : int Atomic.t;
 }
 
 type stats = {
@@ -30,7 +68,15 @@ type stats = {
   st_misses : int;
   st_stores : int;
   st_evictions : int;
+  st_dropped : int;
 }
+
+(* One lock for the indexes and the publisher's queue.  It is never held
+   across a file-system call that can block for long (a write, an
+   fsync). *)
+let lock = Mutex.create ()
+
+let locked f = Mutex.protect lock f
 
 let ( / ) = Filename.concat
 
@@ -69,43 +115,14 @@ let fingerprint_dirname fp =
   let h = Digest.to_hex (Digest.string fp) in
   Bytes.to_string b ^ "-" ^ String.sub h 0 8
 
-let create ?(max_bytes = 256 * 1024 * 1024) ?(max_entries = 512) ~fingerprint
-    ~dir () =
-  let root = dir / fingerprint_dirname fingerprint in
-  let root =
-    try
-      mkdir_p root;
-      let st = Unix.stat root in
-      if st.Unix.st_kind = Unix.S_DIR then root else ""
-    with _ -> ""
-  in
-  let records =
-    if root = "" then 0
-    else
-      try
-        Array.fold_left
-          (fun n f -> if Filename.check_suffix f ".rec" then n + 1 else n)
-          0 (Sys.readdir root)
-      with Sys_error _ -> 0
-  in
-  {
-    root;
-    max_bytes = max 0 max_bytes;
-    max_entries = max 0 max_entries;
-    records = Atomic.make records;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    stores = Atomic.make 0;
-    evictions = Atomic.make 0;
-  }
-
 let dir t = t.root
 let usable t = t.root <> ""
 
 let hash_key key = Digest.to_hex (Digest.string key)
 let cmxs_path t h = t.root / (h ^ ".cmxs")
 let key_path t h = t.root / (h ^ ".key")
-let record_path t ~name = t.root / (hash_key name ^ ".rec")
+let record_name name = hash_key name ^ ".rec"
+let record_path t ~name = t.root / record_name name
 
 let read_file path =
   match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
@@ -243,15 +260,197 @@ let holds_key stored key =
         | Some (kl, _) -> kl = String.length key
         | None -> false)
 
-(* Name a record by a hard link; a stale record in the way goes. *)
+(* Name a record by a hard link; a stale record in the way goes.  Whether
+   the record now has its name. *)
 let link_record t ~h ~name =
   let dst = record_path t ~name in
   let link () = Unix.link (key_path t h) dst in
-  try link ()
-  with Unix.Unix_error (Unix.EEXIST, _, _) -> (
+  try
+    link ();
+    true
+  with
+  | Unix.Unix_error (Unix.EEXIST, _, _) -> (
     unlink dst;
-    try link () with Unix.Unix_error _ -> ())
-  | Unix.Unix_error _ -> ()
+    try
+      link ();
+      true
+    with Unix.Unix_error _ -> false)
+  | Unix.Unix_error _ -> false
+
+(* {2 The index} *)
+
+let apply ix = function
+  | Put (h, e) ->
+    (match Hashtbl.find_opt ix.entries h with
+    | Some old ->
+      ix.order <- Order.remove (old.e_mtime, h) ix.order;
+      ix.bytes <- ix.bytes - old.e_bytes
+    | None -> ());
+    Hashtbl.replace ix.entries h e;
+    ix.order <- Order.add (e.e_mtime, h) ix.order;
+    ix.bytes <- ix.bytes + e.e_bytes
+  | Drop h -> (
+    match Hashtbl.find_opt ix.entries h with
+    | Some e ->
+      Hashtbl.remove ix.entries h;
+      ix.order <- Order.remove (e.e_mtime, h) ix.order;
+      ix.bytes <- ix.bytes - e.e_bytes
+    | None -> ())
+  | Put_record f -> Hashtbl.replace ix.records f ()
+  | Drop_record f -> Hashtbl.remove ix.records f
+
+(* Every change to an index, under [lock]. *)
+let change ix c =
+  apply ix c;
+  Option.iter (fun cs -> ix.since <- Some (c :: cs)) ix.since
+
+(* A lookup freshened [h]'s artifact, or found it gone.  An entry the
+   index does not hold (another process stored it) waits for a listing. *)
+let index_touch ix h ~present =
+  match Hashtbl.find_opt ix.entries h with
+  | Some e when present ->
+    change ix (Put (h, { e with e_mtime = Unix.gettimeofday () }))
+  | Some _ -> change ix (Drop h)
+  | None -> ()
+
+let is_record f = Filename.check_suffix f ".rec"
+
+(* The directory's entries, with each artifact's size and mtime, and its
+   record files. *)
+let scan root =
+  if root = "" then [], []
+  else
+    try
+      Array.fold_left
+        (fun (entries, recs) f ->
+          if Filename.check_suffix f ".key" then begin
+            let h = Filename.chop_suffix f ".key" in
+            match Unix.stat (root / (h ^ ".cmxs")) with
+            | st ->
+              ( (h, { e_bytes = st.Unix.st_size; e_mtime = st.Unix.st_mtime })
+                :: entries,
+                recs )
+            | exception _ ->
+              (* Key without artifact: half-deleted entry; drop it. *)
+              unlink (root / f);
+              entries, recs
+          end
+          else if is_record f then entries, f :: recs
+          else entries, recs)
+        ([], []) (Sys.readdir root)
+    with _ -> [], []
+
+(* The [.key] files the publisher renamed into place without an fsync.
+   It syncs them one at a time while no job waits, so a store costs the
+   queue one fsync, not two.  A [.key] a crash tears before its fsync is
+   a miss ({!holds_key}), since its [.cmxs] was synced before the [.key]
+   was written.  Deleting an entry, or a listing that no longer finds
+   it, forgets its [.key].  Under [lock]. *)
+let unsynced : (string, unit) Hashtbl.t = Hashtbl.create 64
+
+let sync_key path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | fd ->
+    (try Unix.fsync fd with Unix.Unix_error _ -> ());
+    (try Unix.close fd with Unix.Unix_error _ -> ())
+
+let forget_key t h = locked (fun () -> Hashtbl.remove unsynced (key_path t h))
+
+(* Make the index what the directory holds now.  This process's own
+   changes made while the directory is listed (the publisher storing and
+   evicting, a lookup) may or may not show in the listing, so they are
+   applied again on top of it. *)
+let rescan t =
+  let ix = t.index in
+  Mutex.protect ix.listing (fun () ->
+      locked (fun () -> ix.since <- Some []);
+      let entries, recs = scan t.root in
+      locked (fun () ->
+          let since = Option.value ix.since ~default:[] in
+          ix.since <- None;
+          Hashtbl.reset ix.entries;
+          ix.order <- Order.empty;
+          ix.bytes <- 0;
+          Hashtbl.reset ix.records;
+          List.iter (fun (h, e) -> apply ix (Put (h, e))) entries;
+          List.iter (fun f -> apply ix (Put_record f)) recs;
+          List.iter (apply ix) (List.rev since);
+          ix.stored <- 0;
+          Hashtbl.filter_map_inplace
+            (fun path () ->
+              if
+                String.equal (Filename.dirname path) t.root
+                && not
+                     (Hashtbl.mem ix.entries
+                        (Filename.chop_suffix (Filename.basename path) ".key"))
+              then None
+              else Some ())
+            unsynced))
+
+(* The index of each directory a live handle is open on.  A handle holds
+   its index; the table holds it weakly, so an index goes with its last
+   handle, and its slot at the next [create]. *)
+let indexes : (string, index Weak.t) Hashtbl.t = Hashtbl.create 4
+
+let new_index () =
+  {
+    entries = Hashtbl.create 64;
+    order = Order.empty;
+    bytes = 0;
+    records = Hashtbl.create 64;
+    stored = 0;
+    since = None;
+    listing = Mutex.create ();
+  }
+
+(* Four times the deepest queue a 20 s stenobench cold-prepare run
+   reached on a 2-vCPU x86-64 VM (8 jobs), and about 0.56 MB of plugin
+   bytes when full. *)
+let default_queue_capacity = 32
+
+let create ?(max_bytes = 256 * 1024 * 1024) ?(max_entries = 512)
+    ?(queue_capacity = default_queue_capacity) ~fingerprint ~dir () =
+  let root = dir / fingerprint_dirname fingerprint in
+  let root =
+    try
+      mkdir_p root;
+      let st = Unix.stat root in
+      if st.Unix.st_kind = Unix.S_DIR then root else ""
+    with _ -> ""
+  in
+  let index =
+    if root = "" then new_index ()
+    else
+      locked (fun () ->
+          Hashtbl.filter_map_inplace
+            (fun _ w -> if Weak.check w 0 then Some w else None)
+            indexes;
+          match Option.bind (Hashtbl.find_opt indexes root) (fun w -> Weak.get w 0) with
+          | Some ix -> ix
+          | None ->
+            let ix = new_index () and w = Weak.create 1 in
+            Weak.set w 0 (Some ix);
+            Hashtbl.replace indexes root w;
+            ix)
+  in
+  let t =
+    {
+      root;
+      max_bytes = max 0 max_bytes;
+      max_entries = max 0 max_entries;
+      queue_capacity = max 0 queue_capacity;
+      index;
+      queued = 0;
+      hits = Atomic.make 0;
+      misses = Atomic.make 0;
+      stores = Atomic.make 0;
+      evictions = Atomic.make 0;
+      dropped = Atomic.make 0;
+    }
+  in
+  rescan t;
+  t
 
 (* {2 Entries and eviction} *)
 
@@ -260,120 +459,280 @@ let link_record t ~h ~name =
    orphan .cmxs that eviction sweeps up. *)
 let delete_entry t h =
   unlink (key_path t h);
+  forget_key t h;
   unlink (cmxs_path t h)
 
-type entry = { e_hash : string; e_bytes : int; e_mtime : float }
-
-let is_record f = Filename.check_suffix f ".rec"
-
-(* The entries, and the names of the record files. *)
-let scan t =
-  if not (usable t) then [], []
-  else
-    try
-      Array.fold_left
-        (fun (entries, recs) f ->
-          if Filename.check_suffix f ".key" then begin
-            let h = Filename.chop_suffix f ".key" in
-            match Unix.stat (cmxs_path t h) with
-            | st ->
-              let e =
-                {
-                  e_hash = h;
-                  e_bytes = st.Unix.st_size;
-                  e_mtime = st.Unix.st_mtime;
-                }
-              in
-              e :: entries, recs
-            | exception _ ->
-              (* Key without artifact: half-deleted entry; drop it. *)
-              unlink (t.root / f);
-              entries, recs
-          end
-          else if is_record f then entries, f :: recs
-          else entries, recs)
-        ([], []) (Sys.readdir t.root)
-    with _ -> [], []
+let forget_record t f = locked (fun () -> change t.index (Drop_record f))
 
 (* A victim's first record is the hard link its [.key] names, which goes
    with it; later records of the plugin go when a lookup finds the
-   plugin gone, or with the count cap.  Returns the record's file name. *)
+   plugin gone, or with the count cap.  [false] when the [.key] was
+   already gone: another process changed the directory. *)
 let delete_victim t h =
-  let record =
-    match Option.bind (read_file (key_path t h)) split_record with
-    | Some (_, r) ->
-      let path = record_path t ~name:r.name in
-      unlink path;
-      Some (Filename.basename path)
-    | None -> None
+  (match Option.bind (read_file (key_path t h)) split_record with
+  | Some (_, r) ->
+    let f = record_name r.name in
+    unlink (t.root / f);
+    forget_record t f
+  | None -> ());
+  let present =
+    match Unix.unlink (key_path t h) with
+    | () -> true
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+    | exception Unix.Unix_error _ -> true
   in
-  delete_entry t h;
-  record
+  forget_key t h;
+  unlink (cmxs_path t h);
+  present
 
 (* At most [max_entries] record files: over the cap, record files go in
    name order, which is a hash order, so no record is favoured, until
-   [keep] are left.  Sets the handle's count to what is left. *)
-let cap_records ?(keep = max_int) t recs =
-  let n = List.length recs in
-  let keep = min keep t.max_entries in
-  if n > t.max_entries then begin
-    List.iteri
-      (fun i f -> if i < n - keep then unlink (t.root / f))
-      (List.sort compare recs);
-    Atomic.set t.records keep
-  end
-  else Atomic.set t.records n
-
-let evict t =
-  (* mtime is the LRU clock, but its granularity is a whole second on
-     some filesystems: entries published within the same second would
-     otherwise evict in readdir order, which differs across runs and
-     hosts.  The hash tie-break makes the victim deterministic. *)
-  let entries, recs = scan t in
-  let entries =
-    List.sort
-      (fun a b ->
-        match compare a.e_mtime b.e_mtime with
-        | 0 -> compare a.e_hash b.e_hash
-        | c -> c)
-      entries
+   [keep] are left. *)
+let cap_records ?(keep = max_int) t =
+  let gone =
+    locked (fun () ->
+        let recs = t.index.records in
+        let n = Hashtbl.length recs in
+        if n <= t.max_entries then []
+        else begin
+          let keep = min keep t.max_entries in
+          let gone =
+            List.filteri
+              (fun i _ -> i < n - keep)
+              (List.sort compare (List.of_seq (Hashtbl.to_seq_keys recs)))
+          in
+          List.iter (fun f -> change t.index (Drop_record f)) gone;
+          gone
+        end)
   in
-  let count = List.length entries in
-  let bytes = List.fold_left (fun acc e -> acc + e.e_bytes) 0 entries in
-  let rec drop entries count bytes dropped gone =
-    match entries with
-    | e :: rest when count > t.max_entries || bytes > t.max_bytes ->
-      let gone =
-        match delete_victim t e.e_hash with Some f -> f :: gone | None -> gone
+  List.iter (fun f -> unlink (t.root / f)) gone
+
+(* The oldest entries, out of the index, until both caps hold. *)
+let victims t =
+  locked (fun () ->
+      let ix = t.index in
+      let rec take acc =
+        if Hashtbl.length ix.entries > t.max_entries || ix.bytes > t.max_bytes
+        then
+          match Order.min_elt_opt ix.order with
+          | Some (_, h) ->
+            change ix (Drop h);
+            take (h :: acc)
+          | None -> acc
+        else acc
       in
-      Atomic.incr t.evictions;
-      drop rest (count - 1) (bytes - e.e_bytes) (dropped + 1) gone
-    | _ -> dropped, gone
-  in
-  let dropped, gone = drop entries count bytes 0 [] in
-  cap_records t (List.filter (fun f -> not (List.mem f gone)) recs);
-  dropped
+      List.rev (take []))
 
-(* {2 Operations} *)
+(* After a store: list the directory again once per [max_entries / 8]
+   stores (at every store under a cap of 16), evict from the index, and
+   list again if a victim was already gone.  Returns the entries
+   evicted. *)
+let evict t =
+  let due =
+    locked (fun () ->
+        t.index.stored <- t.index.stored + 1;
+        t.index.stored >= max 1 Stdlib.(t.max_entries / 8))
+  in
+  if due then rescan t;
+  let rec go evicted ~retry =
+    let vs = victims t in
+    let present = List.filter (delete_victim t) vs in
+    let evicted = evicted + List.length present in
+    if retry && List.length present < List.length vs then begin
+      rescan t;
+      go evicted ~retry:false
+    end
+    else evicted
+  in
+  let evicted = go 0 ~retry:true in
+  ignore (Atomic.fetch_and_add t.evictions evicted);
+  cap_records t;
+  evicted
+
+(* {2 Publication} *)
+
+(* [sync_key = false] leaves the [.key]'s fsync to the publisher's idle
+   time ([unsynced]). *)
+let store_bytes ?record ~sync_key t ~key bytes =
+  let plugin = Digest.string key in
+  let h = Digest.to_hex plugin in
+  if publish ~dst:(cmxs_path t h) bytes then begin
+    let content =
+      match record with
+      | None -> key
+      | Some (name, payload) -> encode_record ~key { plugin; name; payload }
+    in
+    if publish ~sync:sync_key ~dst:(key_path t h) content then begin
+      let named =
+        match record with
+        | Some (name, _) when link_record t ~h ~name -> Some (record_name name)
+        | Some _ | None -> None
+      in
+      locked (fun () ->
+          if not sync_key then Hashtbl.replace unsynced (key_path t h) ();
+          change t.index
+            (Put (h, { e_bytes = String.length bytes; e_mtime = Unix.gettimeofday () }));
+          Option.iter (fun f -> change t.index (Put_record f)) named);
+      Atomic.incr t.stores;
+      evict t
+    end
+    else begin
+      unlink (cmxs_path t h);
+      0
+    end
+  end
+  else 0
+
+let store ?record t ~key ~cmxs =
+  if not (usable t) then 0
+  else
+    match read_file cmxs with
+    | None -> 0
+    | Some bytes -> store_bytes ?record ~sync_key:true t ~key bytes
+
+let add_record t r =
+  if usable t then begin
+    (* Only an optimization: no fsync, and a torn file decodes to a
+       miss. *)
+    let f = record_name r.name in
+    if publish ~sync:false ~dst:(t.root / f) (encode_record ~key:"" r) then
+      (* Past the cap the records are trimmed to seven eighths of it, so
+         they are sorted once per [max_entries / 8] new records, not
+         once per record. *)
+      if
+        locked (fun () ->
+            change t.index (Put_record f);
+            Hashtbl.length t.index.records > t.max_entries)
+      then cap_records ~keep:Stdlib.(t.max_entries - (t.max_entries / 8)) t
+  end
+
+(* {2 The publisher}
+
+   [submit] queues a publication and returns; one thread per process
+   runs the queue in order, each job with {!store}'s or {!add_record}'s
+   own steps, except that a store's [.key] is synced once no job waits
+   ([unsynced]).  The submit that finds no thread running starts one,
+   and the thread ends when the queue is empty and every [.key] is
+   synced: [Domain.join] waits for every thread its domain started, so
+   a thread that waited for work for good would hang the join of a
+   worker domain that submitted.
+   The paths a queued job writes are [pending]; a lookup of one waits
+   for its job, so a lookup in this process never misses a store this
+   process queued. *)
+
+type job = { j_handle : t; j_paths : string list; j_run : unit -> unit }
+
+let jobs : job Queue.t = Queue.create ()
+let pending : (string, int) Hashtbl.t = Hashtbl.create 16
+let running = ref false
+let changed = Condition.create ()  (* a job ended, or the queue emptied *)
+let exit_hook = Atomic.make false
+
+let rec drain () =
+  Mutex.lock lock;
+  match Queue.take_opt jobs with
+  | None -> (
+    match Seq.uncons (Hashtbl.to_seq_keys unsynced) with
+    | Some (path, _) ->
+      Hashtbl.remove unsynced path;
+      Mutex.unlock lock;
+      sync_key path;
+      drain ()
+    | None ->
+      running := false;
+      Condition.broadcast changed;
+      Mutex.unlock lock)
+  | Some j ->
+    Mutex.unlock lock;
+    (try j.j_run () with _ -> ());
+    locked (fun () ->
+        j.j_handle.queued <- j.j_handle.queued - 1;
+        List.iter
+          (fun p ->
+            match Hashtbl.find_opt pending p with
+            | Some n when n > 1 -> Hashtbl.replace pending p (n - 1)
+            | Some _ | None -> Hashtbl.remove pending p)
+          j.j_paths;
+        Condition.broadcast changed);
+    drain ()
+
+let flush () =
+  locked (fun () -> while !running do Condition.wait changed lock done)
+
+let await path =
+  locked (fun () ->
+      while Hashtbl.mem pending path do
+        Condition.wait changed lock
+      done)
+
+let enqueue t ~paths run =
+  let queued, start =
+    locked (fun () ->
+        if t.queued >= t.queue_capacity then false, false
+        else begin
+          t.queued <- t.queued + 1;
+          Queue.push { j_handle = t; j_paths = paths; j_run = run } jobs;
+          List.iter
+            (fun p ->
+              Hashtbl.replace pending p
+                (1 + Option.value ~default:0 (Hashtbl.find_opt pending p)))
+            paths;
+          let start = not !running in
+          running := true;
+          true, start
+        end)
+  in
+  if start then begin
+    if not (Atomic.exchange exit_hook true) then at_exit flush;
+    match Thread.create drain () with
+    | (_ : Thread.t) -> ()
+    | exception _ -> drain ()
+  end;
+  if not queued then Atomic.incr t.dropped;
+  queued
+
+let submit ?record ?(evicted = ignore) t ~key ~cmxs =
+  if not (usable t) then true
+  else
+    match read_file cmxs with
+    | None -> true
+    | Some bytes ->
+      let paths =
+        key_path t (hash_key key)
+        :: Option.fold ~none:[] ~some:(fun (name, _) -> [ record_path t ~name ]) record
+      in
+      enqueue t ~paths (fun () ->
+          let n = store_bytes ?record ~sync_key:false t ~key bytes in
+          if n > 0 then evicted n)
+
+let submit_record t r =
+  (not (usable t))
+  || enqueue t ~paths:[ record_path t ~name:r.name ] (fun () -> add_record t r)
+
+(* {2 Lookups} *)
 
 (* Freshen a plugin's LRU clock (utimes with 0.0 0.0 means "now"), and
    say whether it is still there: eviction reads only the artifact's
    mtime, and [ENOENT] here is the existence check. *)
-let freshen cmxs =
-  match Unix.utimes cmxs 0.0 0.0 with
-  | () -> true
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
-  | exception Unix.Unix_error _ -> true
+let freshen t h =
+  let present =
+    match Unix.utimes (cmxs_path t h) 0.0 0.0 with
+    | () -> true
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
+    | exception Unix.Unix_error _ -> true
+  in
+  locked (fun () -> index_touch t.index h ~present);
+  present
 
 let find t ~key =
   if not (usable t) then None
   else begin
     let h = hash_key key in
+    await (key_path t h);
     let hit =
       match read_file (key_path t h) with
       | Some stored when holds_key stored key ->
-        let cmxs = cmxs_path t h in
-        if freshen cmxs then Some cmxs else None
+        if freshen t h then Some (cmxs_path t h) else None
       | Some _ | None -> None
     in
     (match hit with
@@ -386,6 +745,7 @@ let find_record t ~name decode =
   if not (usable t) then None
   else begin
     let path = record_path t ~name in
+    await path;
     match read_file path with
     | None -> None
     | Some stored ->
@@ -394,93 +754,58 @@ let find_record t ~name decode =
         | Some r when String.equal r.name name -> (
           match decode r.payload with
           | Some v ->
-            let cmxs = cmxs_path t (Digest.to_hex r.plugin) in
-            if freshen cmxs then Some (v, r, cmxs) else None
+            let h = Digest.to_hex r.plugin in
+            if freshen t h then Some (v, r, cmxs_path t h) else None
           | None -> None)
         | Some _ | None -> None
       in
-      (match hit with Some _ -> Atomic.incr t.hits | None -> unlink path);
+      (match hit with
+      | Some _ -> Atomic.incr t.hits
+      | None ->
+        unlink path;
+        forget_record t (record_name name));
       hit
-  end
-
-let store ?record t ~key ~cmxs =
-  if not (usable t) then 0
-  else begin
-    let plugin = Digest.string key in
-    let h = Digest.to_hex plugin in
-    match read_file cmxs with
-    | None -> 0
-    | Some bytes ->
-      if publish ~dst:(cmxs_path t h) bytes then begin
-        let content =
-          match record with
-          | None -> key
-          | Some (name, payload) -> encode_record ~key { plugin; name; payload }
-        in
-        if publish ~dst:(key_path t h) content then begin
-          Option.iter
-            (fun (name, _) ->
-              link_record t ~h ~name;
-              Atomic.incr t.records)
-            record;
-          Atomic.incr t.stores;
-          evict t
-        end
-        else begin
-          unlink (cmxs_path t h);
-          0
-        end
-      end
-      else 0
-  end
-
-let add_record t r =
-  if usable t then begin
-    (* Only an optimization: no fsync, and a torn file decodes to a
-       miss. *)
-    ignore
-      (publish ~sync:false ~dst:(record_path t ~name:r.name)
-         (encode_record ~key:"" r));
-    (* The directory is listed only past the cap, which then trims the
-       records to seven eighths of it: a handle writing records lists
-       it once per [max_entries / 8] new records, not once per record. *)
-    if Atomic.fetch_and_add t.records 1 >= t.max_entries then
-      match Sys.readdir t.root with
-      | names ->
-        cap_records ~keep:(t.max_entries - Stdlib.(t.max_entries / 8)) t
-          (List.filter is_record (Array.to_list names))
-      | exception Sys_error _ -> ()
   end
 
 let reject t ~key =
   if usable t then begin
-    delete_entry t (hash_key key);
+    let h = hash_key key in
+    delete_entry t h;
+    locked (fun () -> change t.index (Drop h));
     Atomic.decr t.hits;
     Atomic.incr t.misses
   end
 
 let reject_record t r =
   if usable t then begin
-    delete_entry t (Digest.to_hex r.plugin);
-    unlink (record_path t ~name:r.name);
+    let h = Digest.to_hex r.plugin in
+    delete_entry t h;
+    locked (fun () -> change t.index (Drop h));
+    let f = record_name r.name in
+    unlink (t.root / f);
+    forget_record t f;
     Atomic.decr t.hits;
     Atomic.incr t.misses
   end
 
 let clear t =
-  let entries, recs = scan t in
-  List.iter (fun e -> delete_entry t e.e_hash) entries;
+  flush ();
+  let entries, recs = scan t.root in
+  List.iter (fun (h, _) -> delete_entry t h) entries;
   List.iter (fun f -> unlink (t.root / f)) recs;
+  rescan t;
   List.length entries
 
 let stats t =
-  let entries, recs = scan t in
-  {
-    st_entries = List.length entries;
-    st_records = List.length recs;
-    st_bytes = List.fold_left (fun acc e -> acc + e.e_bytes) 0 entries;
-    st_hits = Atomic.get t.hits;
-    st_misses = Atomic.get t.misses;
-    st_stores = Atomic.get t.stores;
-    st_evictions = Atomic.get t.evictions;
-  }
+  flush ();
+  locked (fun () ->
+      {
+        st_entries = Hashtbl.length t.index.entries;
+        st_records = Hashtbl.length t.index.records;
+        st_bytes = t.index.bytes;
+        st_hits = Atomic.get t.hits;
+        st_misses = Atomic.get t.misses;
+        st_stores = Atomic.get t.stores;
+        st_evictions = Atomic.get t.evictions;
+        st_dropped = Atomic.get t.dropped;
+      })

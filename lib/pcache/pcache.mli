@@ -23,6 +23,28 @@
     fsync'd and [rename]d into place, cmxs first, key last, so a key
     file's presence implies a complete entry.
 
+    An engine publishes off its prepare path: {!submit} queues the
+    plugin's bytes and returns, and one background thread per process
+    publishes the queue in order, with {!store}'s steps, except that it
+    fsyncs the [.key] later, once no publication waits.  A published
+    entry is as crash-safe as one {!store} writes: a [.key] a crash tears
+    before its fsync is a miss, and its [.cmxs] was fsync'd before the
+    [.key] was written.  A submitted plugin is durable after {!flush} or
+    process exit (an [at_exit] hook flushes), not when [submit]
+    returns.  A lookup in this process waits for a
+    queued publication of what it looks up, so it never misses one.
+
+    Each handle on a directory shares one in-memory index of it with
+    every other live handle on it in the process: entries with their size
+    and mtime, and the record files.  The index goes with the last handle
+    that holds it.  Eviction takes its victims from the index, so a store
+    costs what it evicts, not a listing.  Other processes share the
+    directory, so the index is only a hint: it is listed again at every
+    {!create}, once per [max_entries / 8] stores and whenever a victim
+    turns out to be gone already.  A listing keeps what this process
+    changed in the directory while it ran, such as a store the publisher
+    made meanwhile.
+
     A {!record} names a plugin by the MD5 of its key and carries an
     opaque payload (the engine's plan-memo entry); a lookup by the
     record's [name] skips whatever produced the key.  The first record
@@ -49,23 +71,34 @@ type stats = {
   st_misses : int;  (** lookups that found nothing usable (this handle) *)
   st_stores : int;  (** successful publications (this handle) *)
   st_evictions : int;  (** entries evicted by the caps (this handle) *)
+  st_dropped : int;
+      (** submissions dropped because the queue was full (this handle) *)
 }
 
 val create :
-  ?max_bytes:int -> ?max_entries:int -> fingerprint:string -> dir:string ->
-  unit -> t
+  ?max_bytes:int ->
+  ?max_entries:int ->
+  ?queue_capacity:int ->
+  fingerprint:string ->
+  dir:string ->
+  unit ->
+  t
 (** Open (creating directories as needed) the store rooted at [dir] for
-    artifacts produced by the toolchain identified by [fingerprint].
-    [max_bytes] (default 256 MiB) and [max_entries] (default 512) cap the
-    fingerprint's subdirectory; {!store} evicts oldest-mtime entries
-    until both hold, and [max_entries] also caps the record files.
-    Creation never raises: an unusable directory yields a handle whose
-    operations all miss. *)
+    artifacts produced by the toolchain identified by [fingerprint], and
+    list it into the index.  [max_bytes] (default 256 MiB) and
+    [max_entries] (default 512) cap the fingerprint's subdirectory; a
+    store evicts oldest-mtime entries until both hold, and [max_entries]
+    also caps the record files.  At most [queue_capacity] (default 32)
+    of this handle's submissions wait for the publisher; one past that
+    is dropped.  Creation never raises: an unusable directory yields a
+    handle whose operations all miss. *)
 
 val find : t -> key:string -> string option
 (** [find t ~key] returns the path of the cached [.cmxs] for [key], or
     [None].  A hit verifies the stored key byte-for-byte and freshens
-    the artifact's mtime (the eviction clock is LRU-by-mtime). *)
+    the artifact's mtime (the eviction clock is LRU-by-mtime).  A
+    submission of [key] still queued in this process is waited for
+    first. *)
 
 type record = {
   plugin : Digest.t;  (** [Digest.string] of the plugin's key *)
@@ -75,12 +108,34 @@ type record = {
 
 val store : ?record:string * string -> t -> key:string -> cmxs:string -> int
 (** [store t ~key ~cmxs] publishes a copy of the file at [cmxs] (and the
-    key alongside) into the store, then enforces the caps; returns the
-    number of entries evicted doing so.  With [record = (name, payload)]
-    the [.key] also holds that record, and a hard link gives it its
-    name; when the link fails there is no record.  Failures are silent;
-    a racing store of the same key is harmless (last rename wins, both
-    files are identical). *)
+    key alongside) into the store now, in the caller's thread, then
+    enforces the caps; returns the number of entries evicted doing so.
+    With [record = (name, payload)] the [.key] also holds that record,
+    and a hard link gives it its name; when the link fails there is no
+    record.  Failures are silent; a racing store of the same key is
+    harmless (last rename wins, both files are identical).  The
+    publisher runs these steps for {!submit}, with the [.key]'s fsync
+    left until no submission waits. *)
+
+val submit :
+  ?record:string * string ->
+  ?evicted:(int -> unit) ->
+  t ->
+  key:string ->
+  cmxs:string ->
+  bool
+(** [submit t ~key ~cmxs] reads the file at [cmxs] now and queues its
+    {!store}; the caller may delete the file as soon as this returns.
+    [evicted n] runs on the publisher's thread when the store evicted
+    [n > 0] entries.  [false] when the handle's queue was full: the
+    store is dropped and counted in {!stats}' [st_dropped]. *)
+
+val submit_record : t -> record -> bool
+(** Queue an {!add_record}, as {!submit} queues a store. *)
+
+val flush : unit -> unit
+(** Wait until every publication this process queued has run and every
+    [.key] it wrote is fsync'd. *)
 
 val find_record :
   t -> name:string -> (string -> 'a option) -> ('a * record * string) option
@@ -90,14 +145,14 @@ val find_record :
     hit.  A missing, torn or foreign record is a miss (so is one whose
     payload [decode] refuses), and so is one whose plugin is gone; all
     but the first are deleted.  A miss counts nothing: the caller goes on
-    to prepare in full, and that {!find} counts it. *)
+    to prepare in full, and that {!find} counts it.  A queued submission
+    of a record under [name] is waited for first. *)
 
 val add_record : t -> record -> unit
 (** Write a record for a plugin already in the store, in a file of its
-    own.  The handle counts record files (listed at {!create}, then each
-    one written); once the count passes [max_entries] the store is
-    listed and its records trimmed, in name order, to seven eighths of
-    the cap.  Not fsync'd: a torn record is a miss. *)
+    own, now.  Once the index holds more than [max_entries] record files
+    they are trimmed, in name order, to seven eighths of the cap.  Not
+    fsync'd: a torn record is a miss. *)
 
 val reject_record : t -> record -> unit
 (** Like {!reject}, for a plugin {!find_record} returned: delete the
@@ -120,12 +175,13 @@ val reject : t -> key:string -> unit
     rather than a hit. *)
 
 val clear : t -> int
-(** Delete every entry and record under the handle's fingerprint;
-    returns the number of entries removed. *)
+(** {!flush}, then delete every entry and record under the handle's
+    fingerprint; returns the number of entries removed. *)
 
 val stats : t -> stats
-(** Disk figures are re-scanned on each call; hit/miss/store/eviction
-    counters are per-handle and monotonic. *)
+(** {!flush}, then the disk figures as the index holds them; the
+    hit/miss/store/eviction/drop counters are per-handle and
+    monotonic. *)
 
 val dir : t -> string
 (** The fingerprint subdirectory this handle reads and writes. *)

@@ -613,6 +613,7 @@ module Engine = struct
     pcache_hits : lazy_counter;
     pcache_misses : lazy_counter;
     pcache_evictions : lazy_counter;
+    pcache_dropped : lazy_counter;
     memo_hit : lazy_counter;
     memo_miss : lazy_counter;
     tier_ok : lazy_counter;
@@ -712,6 +713,10 @@ module Engine = struct
       pcache_evictions =
         c "steno_pcache_evictions"
           "Entries evicted from the persistent on-disk cache by its caps";
+      pcache_dropped =
+        c "steno_pcache_store_dropped"
+          "Plugins and records not written to the persistent on-disk cache \
+           because its publisher's queue was full";
       memo_hit = plan_memo "hit";
       memo_miss = plan_memo "miss";
       tier_ok = tier "ok";
@@ -765,7 +770,8 @@ module Engine = struct
     if pcache <> None then begin
       ignore (counter ins.pcache_hits);
       ignore (counter ins.pcache_misses);
-      ignore (counter ins.pcache_evictions)
+      ignore (counter ins.pcache_evictions);
+      ignore (counter ins.pcache_dropped)
     end;
     if cfg.tiering <> None then ignore (counter ins.tier_ok);
     if cfg.adaptive <> None then begin
@@ -1127,8 +1133,9 @@ module Engine = struct
                   source_path = a.Dynload.a_ml;
                 }
               in
-              (* Publish to the persistent store before the scratch
-                 artifact is deleted. *)
+              (* Hand the plugin's bytes to the store's publisher before
+                 the scratch artifact is deleted; the store is written
+                 off this path. *)
               (match eng.pcache with
               | None -> ()
               | Some pc ->
@@ -1138,13 +1145,12 @@ module Engine = struct
                       memo_record_name shape, Steno_memo.encode e)
                     (Lazy.force entry)
                 in
-                let evicted =
-                  Trace.with_span eng.tracer "pcache.store" (fun () ->
-                      Pcache.store ?record pc ~key:cache_key
-                        ~cmxs:a.Dynload.a_cmxs)
-                in
-                if evicted > 0 then
-                  Metrics.add (counter eng.ins.pcache_evictions) evicted);
+                if
+                  not
+                    (Pcache.submit ?record pc ~key:cache_key
+                       ~cmxs:a.Dynload.a_cmxs ~evicted:(fun n ->
+                         Metrics.add (counter eng.ins.pcache_evictions) n))
+                then count eng.ins.pcache_dropped);
               Dynload.remove_artifact a;
               (* Counts [steno_compile_total{result="ok"}] too. *)
               event eng "cache.miss";
@@ -1181,12 +1187,15 @@ module Engine = struct
         memo_add eng shape digest e;
         match eng.pcache with
         | Some pc when cache_hit ->
-          Pcache.add_record pc
-            {
-              Pcache.plugin = digest;
-              name = memo_record_name shape;
-              payload = Steno_memo.encode e;
-            }
+          if
+            not
+              (Pcache.submit_record pc
+                 {
+                   Pcache.plugin = digest;
+                   name = memo_record_name shape;
+                   payload = Steno_memo.encode e;
+                 })
+          then count eng.ins.pcache_dropped
         | Some _ | None -> ()));
       let p =
         native_prep eng ~t0 ~t1 ~cache_hit ?native_probe plugin ~env:(fun () ->

@@ -411,7 +411,11 @@ module Engine : sig
             process pays roughly a [Dynlink] load (sub-millisecond)
             instead of a full compile (tens of milliseconds) for any
             query some earlier process compiled.  Lookups and evictions
-            are counted in [steno_pcache_{hits,misses,evictions}_total];
+            are counted in [steno_pcache_{hits,misses,evictions}_total].
+            A compiled plugin is handed to the store's background
+            publisher ([Pcache.submit]), so no prepare waits for its
+            write; one the full queue drops is counted in
+            [steno_pcache_store_dropped_total];
             corrupt or incompatible entries are dropped and recompiled,
             never surfaced as errors.  [None] (the default) keeps
             compiled code in-process only. *)
@@ -419,7 +423,7 @@ module Engine : sig
         (** When set, the engine carries an enabled {!Trace.t} (see
             {!tracer}), and every pipeline span (check, optimize, verify,
             specialize, canon, codegen, pcache.lookup, compile, dynlink,
-            pcache.store, env-bind, run) and event (see {!event})
+            env-bind, run) and event (see {!event})
             recorded while a trace context is installed (e.g. under
             [Server.submit]) lands in that request's trace —
             including spans from other domains: background tier

@@ -1,10 +1,12 @@
 (* Just enough of an ELF64 little-endian relocatable object to compare
-   two of them: the allocated sections with their attributes and bytes,
-   the symbols, and the relocations. *)
+   two of them: the allocated sections with their attributes, addresses
+   and bytes, the symbols, and the relocations.  It also reads a
+   plugin's symbols and sections, to find its header. *)
 
 type section = {
   name : string;
   sh_type : int;
+  addr : int;
   flags : int;
   align : int;
   entsize : int;
@@ -35,13 +37,16 @@ let read contents =
   let shoff = u64 s 0x28 and shnum = u16 s 0x3c and shstrndx = u16 s 0x3e in
   let header i =
     let o = shoff + (i * 64) in
-    ( u32 s o, u32 s (o + 4), u64 s (o + 8), u64 s (o + 0x18), u64 s (o + 0x20),
-      u32 s (o + 0x28), u32 s (o + 0x2c), u64 s (o + 0x30), u64 s (o + 0x38) )
+    ( u32 s o, u32 s (o + 4), u64 s (o + 8), u64 s (o + 0x10), u64 s (o + 0x18),
+      u64 s (o + 0x20), u32 s (o + 0x28), u32 s (o + 0x2c), u64 s (o + 0x30),
+      u64 s (o + 0x38) )
   in
   let raw =
     Array.init shnum (fun i ->
-        let name, sh_type, flags, offset, size, link, info, align, entsize = header i in
-        (name, { name = ""; sh_type; flags; align; entsize; link; info;
+        let name, sh_type, flags, addr, offset, size, link, info, align, entsize =
+          header i
+        in
+        (name, { name = ""; sh_type; addr; flags; align; entsize; link; info;
                  data = (if sh_type = 8 then "" else String.sub s offset size) }))
   in
   let shstr = (snd raw.(shstrndx)).data in

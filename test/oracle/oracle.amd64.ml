@@ -10,7 +10,8 @@
    - the symbols as a set of (name, binding, type, section, value, size);
    - the relocations as a set of (section, offset, type, symbol, addend).
    The plugin the build wrote must equal, byte for byte, what [ld]
-   links from the encoder's object, and from [as]'s.  A program of every
+   links from the encoder's object, and from [as]'s, and its header must
+   name [Stdlib] and [Steno_rt] with their [.cmi] files' CRCs.  A program of every
    instruction form the encoder covers, over all registers and
    addressing modes, and 100 random programs of jumps and alignments
    are held to [as] the same way, and an object of every relocation the
@@ -450,9 +451,44 @@ let rec remove_tree path =
   end
   else Sys.remove path
 
+(* The header Dynlink reads from a plugin: its units, each with the
+   interfaces it imports and their CRCs. *)
+let plugin_header image =
+  let elf = Elf_read.read image in
+  let ( let* ) = Option.bind in
+  let* _, _, _, section, value, _ =
+    List.find_opt (fun (n, _, _, _, _, _) -> n = "caml_plugin_header") elf.symbols
+  in
+  let* s = List.find_opt (fun (s : Elf_read.section) -> s.name = section) elf.sections in
+  Some (Marshal.from_string s.data (value - s.addr) : Cmxs_format.dynheader)
+
+(* A plugin's header must name the interfaces every plugin uses with the
+   CRCs of the [.cmi] files the build read, which are the host's: with
+   an interface missing, Dynlink would load the plugin into a host built
+   against another version of it. *)
+let check_header ~dir name image =
+  let crc cmi unit =
+    Option.join (List.assoc_opt unit (Cmi_format.read_cmi cmi).Cmi_format.cmi_crcs)
+  in
+  let expected =
+    [ ("Stdlib", crc (Filename.concat Config.standard_library "stdlib.cmi") "Stdlib");
+      ("Steno_rt", crc (Filename.concat dir "steno_rt.cmi") "Steno_rt") ]
+  in
+  match plugin_header image with
+  | None -> report name [ "no caml_plugin_header" ]
+  | Some { dynu_magic; dynu_units = [ u ] } when dynu_magic = Config.cmxs_magic_number ->
+    List.iter
+      (fun (unit, crc) ->
+        match List.assoc_opt unit u.dynu_imports_cmi with
+        | Some (Some c) when Some c = crc -> ()
+        | Some (Some _) -> report name [ "the header's CRC of " ^ unit ^ " is not the .cmi's" ]
+        | Some None | None -> report name [ "the header does not import " ^ unit ])
+      expected
+  | Some _ -> report name [ "the header is not one unit's" ]
+
 (* Every corpus plugin, built in-process as the worker builds it, with
-   each merged program checked both ways and the plugin held to [ld]'s
-   link of either object. *)
+   each merged program checked both ways, the plugin held to [ld]'s
+   link of either object, and its header to the interfaces it imports. *)
 let plugins ~dir rt_cmi sources =
   Out_channel.with_open_bin (Filename.concat dir "steno_rt.cmi") (fun oc ->
       output_string oc rt_cmi);
@@ -480,6 +516,7 @@ let plugins ~dir rt_cmi sources =
           match check ~dir name (X86_merge.merge unit_program startup) with
           | None -> incr rejected
           | Some (_, mine, expected) ->
+            check_header ~dir name (read (file ".cmxs"));
             let plugin = Some (read (file ".cmxs")) in
             if link ~dir mine <> plugin then
               report name [ "the plugin differs from ld's link of the encoder's object" ];

@@ -781,6 +781,27 @@ let test_no_scratch_leak () =
   Alcotest.(check (list string)) "workdir" [] (scratch_files workdir);
   Alcotest.(check (list string)) "temp dir" [] (minus (scratch_files tmp) before)
 
+(* A build leaves only the source and the plugin: no [.cmx], which
+   nothing reads where the worker links in memory, and after
+   [remove_artifact] nothing of the plugin's. *)
+let test_no_unit_files () =
+  with_in_process @@ fun () ->
+  let plugin_files modname =
+    Sys.readdir (Dynload.workdir ()) |> Array.to_list
+    |> List.filter (String.starts_with ~prefix:modname)
+    |> List.sort compare
+  in
+  match Dynload.compile_artifact ~source:(minimal_plugin "Stdlib.Obj.repr 7") () with
+  | Error e -> Alcotest.fail (Dynload.error_message e)
+  | Ok a ->
+    let m = a.Dynload.a_modname in
+    Alcotest.(check (list string)) "a build leaves the source and the plugin"
+      [ m ^ ".cmxs"; m ^ ".ml" ] (plugin_files m);
+    Dynload.remove_artifact a;
+    Alcotest.(check (list string)) "nothing after remove_artifact" [] (plugin_files m);
+    Alcotest.(check (list string)) "no steno_plugin_ file left" []
+      (plugin_files "steno_plugin_")
+
 let test_workdir () =
   with_native @@ fun () ->
   let dir = Dynload.workdir () in
@@ -839,5 +860,6 @@ let () =
           Alcotest.test_case "linker rejection" `Quick test_linker_rejection;
           Alcotest.test_case "no tools on PATH" `Quick test_no_tools_on_path;
           Alcotest.test_case "no scratch leak" `Quick test_no_scratch_leak;
+          Alcotest.test_case "no unit files" `Quick test_no_unit_files;
         ] );
     ]

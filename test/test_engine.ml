@@ -328,7 +328,12 @@ let with_temp_dir f =
       (Sys.readdir d);
     Unix.rmdir d
   in
-  Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
+  (* Stores are written in the background: let them land first. *)
+  Fun.protect
+    ~finally:(fun () ->
+      Pcache.flush ();
+      rm_rf d)
+    (fun () -> f d)
 
 let memo_engine ?(cache_capacity = 128) ?dir reg =
   let cfg =
@@ -352,8 +357,10 @@ let compiles reg =
   Metrics.counter_value
     (Metrics.counter reg "steno_compile" ~labels:[ "result", "ok" ])
 
-(* The sources of every plugin in an engine's disk store. *)
+(* The sources of every plugin in an engine's disk store, once the
+   stores queued so far have landed. *)
 let store_sources eng =
+  Pcache.flush ();
   (* A [.key] file holds the plugin's key, then the record of the prepare
      that compiled it. *)
   let key_of content =
@@ -616,6 +623,9 @@ steno_pcache_hits_total 1
 # HELP steno_pcache_misses Persistent-cache lookups that found no usable entry (including corrupt artifacts dropped at load time)
 # TYPE steno_pcache_misses counter
 steno_pcache_misses_total 4
+# HELP steno_pcache_store_dropped Plugins and records not written to the persistent on-disk cache because its publisher's queue was full
+# TYPE steno_pcache_store_dropped counter
+steno_pcache_store_dropped_total 0
 # HELP steno_pda_checks Strict-mode PDA acceptance checks at prepare time
 # TYPE steno_pda_checks counter
 steno_pda_checks_total 1
@@ -924,6 +934,7 @@ let prepare_filtered eng xs p =
   got
 
 let store_files eng suffix =
+  Pcache.flush ();
   match Steno.Engine.pcache_dir eng with
   | None -> []
   | Some d ->

@@ -28,6 +28,8 @@ let fresh_dir () =
   d
 
 let rec rm_rf d =
+  (* Stores are written in the background: let them land first. *)
+  Pcache.flush ();
   if Sys.file_exists d then begin
     Sys.readdir d
     |> Array.iter (fun f ->
@@ -472,6 +474,220 @@ let entry_damage =
              true)
            (List.init (String.length bytes) Fun.id))
 
+(* {2 The publisher}
+
+   [submit] queues a store for the process's one publisher thread. *)
+
+let key_files root suffix =
+  Sys.readdir root |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f suffix)
+  |> List.map Filename.remove_extension
+  |> List.sort compare
+
+(* A handle's queue holds [queue_capacity] submissions; one past that is
+   dropped, and counted, and never written. *)
+let test_full_queue_drops () =
+  let dir = fresh_dir () in
+  let payload = Filename.concat dir "payload.bin" in
+  write_file payload "plugin bytes";
+  let none = Pcache.create ~queue_capacity:0 ~fingerprint:"test-fp-1" ~dir () in
+  for i = 1 to 5 do
+    Alcotest.(check bool) "store dropped" false
+      (Pcache.submit ~record:(Printf.sprintf "shape %d" i, "e") none
+         ~key:(Printf.sprintf "k%d" i) ~cmxs:payload)
+  done;
+  Alcotest.(check bool) "record dropped" false
+    (Pcache.submit_record none (record ~key:"k1" "shape" "e"));
+  let st = Pcache.stats none in
+  Alcotest.(check int) "six dropped" 6 st.Pcache.st_dropped;
+  Alcotest.(check int) "nothing stored" 0 st.Pcache.st_stores;
+  Alcotest.(check int) "no entry" 0 st.Pcache.st_entries;
+  Alcotest.(check int) "no record" 0 st.Pcache.st_records;
+  Alcotest.(check (list string)) "nothing written" [] (key_files (Pcache.dir none) "");
+  (* A queue of one: each submission is published or dropped, and the
+     counts say which. *)
+  let one = Pcache.create ~queue_capacity:1 ~fingerprint:"test-fp-1" ~dir () in
+  let queued =
+    List.length
+      (List.filter Fun.id
+         (List.init 100 (fun i ->
+              Pcache.submit one ~key:(Printf.sprintf "q%d" i) ~cmxs:payload)))
+  in
+  let st = Pcache.stats one in
+  Alcotest.(check int) "queued = stored" queued st.Pcache.st_stores;
+  Alcotest.(check int) "the rest dropped" (100 - queued) st.Pcache.st_dropped;
+  Alcotest.(check bool) "a queue of one drops" true (st.Pcache.st_dropped > 0);
+  Alcotest.(check int) "entries" queued st.Pcache.st_entries;
+  rm_rf dir
+
+(* Two handles on one directory, storing in turn past the cap: the
+   directory ends consistent (every [.key] with its [.cmxs], every record
+   with its plugin), within the cap, and both handles' indexes, and a
+   fresh listing, agree with it. *)
+let test_two_handles_converge () =
+  let dir = fresh_dir () in
+  let payload = Filename.concat dir "payload.bin" in
+  write_file payload "plugin bytes";
+  let cap = 32 in
+  let open_handle () =
+    Pcache.create ~max_entries:cap ~queue_capacity:1000 ~fingerprint:"test-fp-1"
+      ~dir ()
+  in
+  let a = open_handle () and b = open_handle () in
+  let root = Pcache.dir a in
+  for i = 0 to 199 do
+    Alcotest.(check bool) "queued" true
+      (Pcache.submit
+         ~record:(Printf.sprintf "shape %d" i, "e")
+         (if i mod 2 = 0 then a else b)
+         ~key:(Printf.sprintf "plugin %d" i) ~cmxs:payload);
+    if i mod 7 = 0 then begin
+      (* [stats] flushes first. *)
+      let sa = Pcache.stats a and sb = Pcache.stats b in
+      let on_disk = List.length (key_files root ".key") in
+      Alcotest.(check (pair int int)) "both indexes hold the directory"
+        (on_disk, on_disk)
+        (sa.Pcache.st_entries, sb.Pcache.st_entries)
+    end
+  done;
+  Pcache.flush ();
+  let keys = key_files root ".key" in
+  Alcotest.(check (list string)) "every .key has its .cmxs, and no more" keys
+    (key_files root ".cmxs");
+  Alcotest.(check int) "the cap holds" cap (List.length keys);
+  List.iter
+    (fun f ->
+      match
+        Option.bind
+          (In_channel.with_open_bin (Filename.concat root (f ^ ".rec"))
+             (fun ic -> Some (In_channel.input_all ic)))
+          Pcache.decode_record
+      with
+      | Some r ->
+        Alcotest.(check bool) "a record's plugin is there" true
+          (List.mem (Digest.to_hex r.Pcache.plugin) keys)
+      | None -> Alcotest.fail "undecodable record")
+    (key_files root ".rec");
+  let sa = Pcache.stats a and sb = Pcache.stats b in
+  List.iter
+    (fun (what, st) ->
+      Alcotest.(check int) (what ^ ": entries") cap st.Pcache.st_entries;
+      Alcotest.(check int) (what ^ ": records") (List.length (key_files root ".rec"))
+        st.Pcache.st_records)
+    [ "a", sa; "b", sb; "a fresh listing", Pcache.stats (open_handle ()) ];
+  Alcotest.(check int) "stores" 200 (sa.Pcache.st_stores + sb.Pcache.st_stores);
+  Alcotest.(check int) "evictions" (200 - cap)
+    (sa.Pcache.st_evictions + sb.Pcache.st_evictions);
+  rm_rf dir
+
+(* A handle opened while the publisher stores lists the directory into
+   the index the handles share; a store that lands during the listing
+   must stay in the index, or [stats] undercounts and eviction never
+   sees the entry. *)
+let test_open_while_publishing () =
+  let dir = fresh_dir () in
+  let payload = Filename.concat dir "payload.bin" in
+  write_file payload "plugin bytes";
+  let open_handle () =
+    Pcache.create ~max_entries:1000 ~queue_capacity:1000 ~fingerprint:"test-fp-1"
+      ~dir ()
+  in
+  let a = open_handle () in
+  let root = Pcache.dir a in
+  for i = 0 to 299 do
+    let key = Printf.sprintf "plugin %d" i in
+    ignore (Pcache.submit ~record:(Printf.sprintf "shape %d" i, "e") a ~key ~cmxs:payload);
+    (* Open handles until the store lands, so that listings overlap it. *)
+    let landed = Filename.concat root (Digest.to_hex (Digest.string key) ^ ".key") in
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while not (Sys.file_exists landed) && Unix.gettimeofday () < deadline do
+      ignore (open_handle ())
+    done
+  done;
+  let st = Pcache.stats a in
+  Alcotest.(check int) "all stored" 300 st.Pcache.st_stores;
+  Alcotest.(check int) "entries" (List.length (key_files root ".key"))
+    st.Pcache.st_entries;
+  Alcotest.(check int) "records" (List.length (key_files root ".rec"))
+    st.Pcache.st_records;
+  rm_rf dir
+
+(* Ten thousand plans through the publisher, one in ten a new plugin and
+   the rest records of the latest: the index and the directory stay
+   within [max_entries] all along. *)
+let test_publisher_bounded () =
+  let dir = fresh_dir () in
+  let payload = Filename.concat dir "payload.bin" in
+  write_file payload "plugin bytes";
+  let cap = 64 in
+  let pc =
+    Pcache.create ~max_entries:cap ~queue_capacity:1000 ~fingerprint:"test-fp-1"
+      ~dir ()
+  in
+  let root = Pcache.dir pc in
+  let within what n =
+    if n > cap then Alcotest.failf "%s: %d > %d" what n cap
+  in
+  for i = 0 to 9_999 do
+    let key = Printf.sprintf "plugin %d" (i / 10) in
+    let name = Printf.sprintf "plan %d" i in
+    ignore
+      (if i mod 10 = 0 then Pcache.submit ~record:(name, "e") pc ~key ~cmxs:payload
+       else Pcache.submit_record pc (record ~key name "e"));
+    if i mod 1000 = 999 then begin
+      let st = Pcache.stats pc in
+      within "index entries" st.Pcache.st_entries;
+      within "index records" st.Pcache.st_records;
+      within "directory entries" (List.length (key_files root ".key"));
+      within "directory artifacts" (List.length (key_files root ".cmxs"));
+      within "directory records" (List.length (key_files root ".rec"))
+    end
+  done;
+  let st = Pcache.stats pc in
+  Alcotest.(check int) "nothing dropped" 0 st.Pcache.st_dropped;
+  Alcotest.(check int) "1000 plugins stored" 1000 st.Pcache.st_stores;
+  Alcotest.(check int) "the index agrees with the directory"
+    (List.length (key_files root ".key")) st.Pcache.st_entries;
+  rm_rf dir
+
+(* A lookup never misses what this process queued: a second handle (a
+   second engine, in the engine) finds the last of thirty queued stores,
+   and its record, though the publisher is still busy with the first. *)
+let test_lookup_waits_for_queue () =
+  let dir = fresh_dir () in
+  let payload = Filename.concat dir "payload.bin" in
+  write_file payload "plugin bytes";
+  let a = mk_store dir in
+  for i = 1 to 30 do
+    ignore
+      (Pcache.submit ~record:(Printf.sprintf "shape %d" i, "e") a
+         ~key:(Printf.sprintf "k%d" i) ~cmxs:payload)
+  done;
+  let b = mk_store dir in
+  Alcotest.(check bool) "the last store hits" true (Pcache.find b ~key:"k30" <> None);
+  ignore (Pcache.submit_record a (record ~key:"k30" "later shape" "e2"));
+  (match Pcache.find_record b ~name:"later shape" some_payload with
+  | Some (v, _, _) -> Alcotest.(check string) "the queued record hits" "e2" v
+  | None -> Alcotest.fail "queued record missed");
+  rm_rf dir
+
+let test_second_engine_hits_queued () =
+  if not (Steno.native_available ()) then
+    print_endline "  (skipped: no native toolchain)"
+  else begin
+    let dir = fresh_dir () in
+    let first = native_engine ~dir (Metrics.create ()) in
+    ignore (Steno.Engine.prepare_scalar first (query_with 21));
+    let reg = Metrics.create () in
+    let second = native_engine ~dir reg in
+    let p = Steno.Engine.prepare_scalar second (query_with 21) in
+    Alcotest.(check int) "result" (expected_with 21) (Steno.Prepared_scalar.run p);
+    Alcotest.(check int) "no compile" 0 (compiles_ok reg);
+    Alcotest.(check int) "a disk hit" 1
+      (Metrics.counter_value (Metrics.counter reg "steno_pcache_hits"));
+    rm_rf dir
+  end
+
 (* {2 Config} *)
 
 let test_config_builders () =
@@ -653,7 +869,8 @@ let test_corrupted_entry_recovers () =
     Alcotest.(check int) "seed result" shared_expected
       (Steno.Prepared_scalar.run p1);
     Alcotest.(check int) "seed compiled once" 1 (compiles_ok reg1);
-    (* Truncate every stored artifact to garbage. *)
+    (* Truncate every stored artifact to garbage, once it has landed. *)
+    Pcache.flush ();
     let root =
       match Steno.Engine.pcache_dir eng1 with
       | Some d -> d
@@ -829,6 +1046,20 @@ let () =
           Alcotest.test_case "bounded" `Quick test_records_bounded;
           QCheck_alcotest.to_alcotest record_damage;
           QCheck_alcotest.to_alcotest entry_damage;
+        ] );
+      ( "publisher",
+        [
+          Alcotest.test_case "full queue drops" `Quick test_full_queue_drops;
+          Alcotest.test_case "two handles converge" `Quick
+            test_two_handles_converge;
+          Alcotest.test_case "open while publishing" `Quick
+            test_open_while_publishing;
+          Alcotest.test_case "bounded over 10^4 plans" `Quick
+            test_publisher_bounded;
+          Alcotest.test_case "lookup waits for the queue" `Quick
+            test_lookup_waits_for_queue;
+          Alcotest.test_case "second engine hits a queued store" `Quick
+            test_second_engine_hits_queued;
         ] );
       ( "config",
         [ Alcotest.test_case "builders" `Quick test_config_builders ] );

@@ -200,6 +200,31 @@ for span in optimize verify; do
   fi
 done
 
+echo "== plugin store off the prepare path =="
+# A compiled plugin goes to the store's background publisher: lib/steno
+# hands it over with Pcache.submit / Pcache.submit_record and never
+# writes the store itself, and no traced prepare holds a pcache.store
+# span.  The store must still be written: the second run hits it.
+if grep -rnE --include='*.ml' 'Pcache\.(store|add_record)([^_[:alnum:]]|$)' lib/steno; then
+  echo "lib/steno writes the plugin store on the prepare path" >&2
+  exit 1
+fi
+store_dir="$work_dir/pcache"
+store_run=$(./_build/default/bin/stenoc.exe run join -n 2000 --trace --pcache "$store_dir")
+printf '%s\n' "$store_run" | grep -qE ' pcache\.lookup ' || {
+  echo "stenoc run join --pcache: no pcache.lookup span" >&2
+  exit 1
+}
+if printf '%s\n' "$store_run" | grep -qE ' pcache\.store '; then
+  echo "stenoc run join --pcache: a pcache.store span inside prepare" >&2
+  exit 1
+fi
+./_build/default/bin/stenoc.exe run join -n 2000 --trace --pcache "$store_dir" \
+  | grep -qE '^ +pcache\.hit +1$' || {
+  echo "stenoc run join --pcache: the exit drain left no store to hit" >&2
+  exit 1
+}
+
 echo "== type-specialized hash tables and dense key tables in generated code =="
 # histogram's key, x mod 16, lies in [-15, 15]: an array indexes it.
 # join's keys (Fst of a pair) have no bounded range: Steno_rt.Int_tbl.

@@ -660,13 +660,11 @@ let cmd_serve clients requests n admin_port hold =
      [--admin-port] also turns tracing on (full sampling, 5 ms slow
      threshold). *)
   let cfg =
-    match admin_port with
-    | None -> cfg
-    | Some port ->
-      Steno.Config.(cfg |> with_tracing ~slow_ms:5.0 |> with_admin ~port)
+    if admin_port = None then cfg
+    else Steno.Config.(cfg |> with_tracing ~slow_ms:5.0)
   in
   let eng = Steno.Engine.create cfg in
-  let ops = Option.map (fun _ -> Ops.start eng) admin_port in
+  let ops = Option.map (fun port -> Ops.start ~port eng) admin_port in
   let srv = Server.create eng in
   let xs = int_input n in
   let q =
@@ -701,7 +699,13 @@ let cmd_serve clients requests n admin_port hold =
   | Some o ->
     (* Announce the bound port (meaningful with --admin-port 0) and
        keep the process — and the listener — alive for [hold] seconds,
-       so an external scraper can hit the endpoints. *)
+       so an external scraper can hit the endpoints.  A SIGTERM or
+       SIGINT ends the hold through [exit], so the [at_exit] hooks still
+       run: the plugin store's queue is flushed and the compile workdir
+       removed. *)
+    List.iter
+      (fun s -> Sys.set_signal s (Sys.Signal_handle (fun _ -> exit 0)))
+      [ Sys.sigterm; Sys.sigint ];
     Printf.printf "# admin listening on http://127.0.0.1:%d\n%!" (Ops.port o);
     if hold > 0.0 then Unix.sleepf hold;
     Ops.stop o);

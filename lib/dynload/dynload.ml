@@ -387,37 +387,3 @@ let load_file ~path () : (compiled, error) result =
           source_path = path;
         }
   end
-
-let compile_result ?timeout_ms ~source () : (compiled, error) result =
-  match compile_artifact ?timeout_ms ~source () with
-  | Error e -> Error e
-  | Ok a -> (
-    let finish outcome =
-      remove_artifact a;
-      outcome
-    in
-    match
-      try load_file ~path:a.a_cmxs ()
-      with e ->
-        remove_artifact a;
-        raise e
-    with
-    | Error _ as e -> finish e
-    | Ok c ->
-      finish
-        (Ok
-           {
-             c with
-             timings =
-               {
-                 write_ms = a.a_write_ms;
-                 compile_ms = a.a_compile_ms;
-                 load_ms = c.timings.load_ms;
-               };
-             source_path = a.a_ml;
-           }))
-
-let compile ~source =
-  match compile_result ~source () with
-  | Ok c -> c
-  | Error e -> raise (Compilation_failed (error_message e))

@@ -98,20 +98,13 @@ val is_available : unit -> bool
     Linux/amd64, a missing assembler or linker shows up as
     [Error Unavailable] from the first compile. *)
 
-val compile_result :
-  ?timeout_ms:int -> source:string -> unit -> (compiled, error) result
-(** Write, compile and load a generated plugin.  [timeout_ms] bounds the
-    compile worker's build: past the deadline the worker is killed and
-    [Error (Timeout _)] is returned, so a wedged or pathologically slow
-    compile can never stall a query.  Thread- and domain-safe: each call
-    uses a fresh module name.  Equivalent to {!compile_artifact} +
-    {!load_file} + {!remove_artifact}. *)
+(** {1 Compile and load}
 
-(** {1 Split compile/load pipeline}
-
-    The persistent plugin cache ([Pcache]) needs the two halves
-    separately: compile once, copy the artifact into the store, load —
-    and on a later run in another process, skip straight to the load. *)
+    A plugin is built in two halves: {!compile_artifact} then
+    {!load_file}, and {!remove_artifact} once loaded.  The persistent
+    plugin cache ([Pcache]) needs them separately: compile once, copy
+    the artifact into the store, load — and on a later run in another
+    process, skip straight to the load. *)
 
 type artifact = {
   a_cmxs : string;  (** the compiled shared object, ready to load *)
@@ -124,8 +117,12 @@ type artifact = {
 val compile_artifact :
   ?timeout_ms:int -> source:string -> unit -> (artifact, error) result
 (** Write the source and build it in a compile worker, leaving every
-    artifact on disk.  I/O and worker failures come back as
-    [Error (Compile_error _)], never as exceptions.  The caller must
+    artifact on disk.  [timeout_ms] bounds the worker's build: past the
+    deadline the worker is killed and [Error (Timeout _)] is returned,
+    so a wedged or pathologically slow compile can never stall a query.
+    Thread- and domain-safe: each call uses a fresh module name.  I/O
+    and worker failures come back as [Error (Compile_error _)], never as
+    exceptions.  The caller must
     eventually call {!remove_artifact}. *)
 
 val load_file : path:string -> unit -> (compiled, error) result
@@ -148,10 +145,6 @@ val fingerprint : unit -> string
     [Steno_rt] interface it carries, as a final [-rt<hex>] field).  The persistent cache namespaces entries by this
     string so artifacts from an incompatible toolchain or runtime unit
     miss instead of reaching [Dynlink]. *)
-
-val compile : source:string -> compiled
-(** {!compile_result} without a timeout, raising {!Compilation_failed}
-    with the error message instead of returning [Error]. *)
 
 val disabled : bool ref
 (** Test hook: when set, {!is_available} is false and every compilation

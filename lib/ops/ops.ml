@@ -144,7 +144,7 @@ let accept_loop t () =
   in
   go ()
 
-let start ?port engine =
+let start ?(port = 0) engine =
   (* A peer that closes before the response is fully written turns the
      next [Unix.write] into SIGPIPE, whose default disposition kills the
      whole process.  Ignoring it surfaces the disconnect as
@@ -152,14 +152,6 @@ let start ?port engine =
      ([Invalid_argument]: platforms without SIGPIPE.) *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let port =
-    match port with
-    | Some p -> p
-    | None -> (
-      match (Steno.Engine.config engine).Steno.Engine.admin_port with
-      | Some p -> p
-      | None -> 0)
-  in
   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
   (try
      Unix.setsockopt fd Unix.SO_REUSEADDR true;

@@ -15,15 +15,14 @@
     exceptions answer [500]; they never escape the loop.
 
     The engine itself never opens sockets: {!start} is called by the
-    host ([stenoc serve --admin-port], tests, or any embedder), reading
-    {!Steno.Config.with_admin} for the default port. *)
+    host ([stenoc serve --admin-port], tests, or any embedder), which
+    picks the port. *)
 
 type t
 
 val start : ?port:int -> Steno.Engine.t -> t
-(** Bind [127.0.0.1:port] and serve.  [port] defaults to the engine
-    configuration's [admin_port] (and to [0] — an ephemeral port — when
-    that is unset); read the bound port back with {!port}.
+(** Bind [127.0.0.1:port] and serve.  [port] defaults to [0], an
+    ephemeral port; read the bound port back with {!port}.
     @raise Unix.Unix_error when the bind fails (e.g. port in use). *)
 
 val port : t -> int

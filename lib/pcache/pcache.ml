@@ -12,16 +12,10 @@
    hash, with their size and LRU clock, in eviction order, and its record
    files.  Every live handle on the directory shares it ([indexes]), so
    handles in one process see each other's stores and evictions exactly.
-   Other processes share the directory too, so it is only a hint: it is
-   listed again at [create], once per [max_entries / 8] stores, and when
+   Other processes share the directory too, so it is only a hint: the
+   publisher lists it again once per [max_entries / 8] stores, and when
    an eviction finds a victim already gone.  Guarded by [lock]. *)
 type entry = { e_bytes : int; e_mtime : float }
-
-type change =
-  | Put of string * entry
-  | Drop of string
-  | Put_record of string
-  | Drop_record of string
 
 module Order = Set.Make (struct
   type t = float * string
@@ -40,10 +34,6 @@ type index = {
   mutable bytes : int;
   records : (string, unit) Hashtbl.t;  (* record file names *)
   mutable stored : int;  (* stores since the directory was last listed *)
-  mutable since : change list option;
-      (* while a listing runs, the changes made since it began, newest
-         first: applied again on top of what it read *)
-  listing : Mutex.t;  (* one listing at a time *)
 }
 
 type t = {
@@ -279,38 +269,26 @@ let link_record t ~h ~name =
 
 (* {2 The index} *)
 
-let apply ix = function
-  | Put (h, e) ->
-    (match Hashtbl.find_opt ix.entries h with
-    | Some old ->
-      ix.order <- Order.remove (old.e_mtime, h) ix.order;
-      ix.bytes <- ix.bytes - old.e_bytes
-    | None -> ());
-    Hashtbl.replace ix.entries h e;
-    ix.order <- Order.add (e.e_mtime, h) ix.order;
-    ix.bytes <- ix.bytes + e.e_bytes
-  | Drop h -> (
-    match Hashtbl.find_opt ix.entries h with
-    | Some e ->
-      Hashtbl.remove ix.entries h;
-      ix.order <- Order.remove (e.e_mtime, h) ix.order;
-      ix.bytes <- ix.bytes - e.e_bytes
-    | None -> ())
-  | Put_record f -> Hashtbl.replace ix.records f ()
-  | Drop_record f -> Hashtbl.remove ix.records f
+let drop ix h =
+  match Hashtbl.find_opt ix.entries h with
+  | Some e ->
+    Hashtbl.remove ix.entries h;
+    ix.order <- Order.remove (e.e_mtime, h) ix.order;
+    ix.bytes <- ix.bytes - e.e_bytes
+  | None -> ()
 
-(* Every change to an index, under [lock]. *)
-let change ix c =
-  apply ix c;
-  Option.iter (fun cs -> ix.since <- Some (c :: cs)) ix.since
+let put ix h e =
+  drop ix h;
+  Hashtbl.replace ix.entries h e;
+  ix.order <- Order.add (e.e_mtime, h) ix.order;
+  ix.bytes <- ix.bytes + e.e_bytes
 
 (* A lookup freshened [h]'s artifact, or found it gone.  An entry the
    index does not hold (another process stored it) waits for a listing. *)
 let index_touch ix h ~present =
   match Hashtbl.find_opt ix.entries h with
-  | Some e when present ->
-    change ix (Put (h, { e with e_mtime = Unix.gettimeofday () }))
-  | Some _ -> change ix (Drop h)
+  | Some e when present -> put ix h { e with e_mtime = Unix.gettimeofday () }
+  | Some _ -> drop ix h
   | None -> ()
 
 let is_record f = Filename.check_suffix f ".rec"
@@ -340,12 +318,41 @@ let scan root =
         ([], []) (Sys.readdir root)
     with _ -> [], []
 
+(* Make the index what a listing begun at [since] found, under [lock].
+   Only lookups change the index beside the one thread that lists it: an
+   entry a lookup freshened while the listing ran keeps its later mtime,
+   and one a lookup dropped comes back if the listing still saw it, to
+   go again when eviction finds it gone. *)
+let fill ix ~since (entries, recs) =
+  let entries =
+    List.map
+      (fun (h, e) ->
+        match Hashtbl.find_opt ix.entries h with
+        | Some old when old.e_mtime >= since && old.e_mtime > e.e_mtime ->
+          h, { e with e_mtime = old.e_mtime }
+        | Some _ | None -> h, e)
+      entries
+  in
+  Hashtbl.reset ix.entries;
+  ix.order <- Order.empty;
+  ix.bytes <- 0;
+  Hashtbl.reset ix.records;
+  List.iter (fun (h, e) -> put ix h e) entries;
+  List.iter (fun f -> Hashtbl.replace ix.records f ()) recs;
+  ix.stored <- 0
+
+(* On the publisher: see [create] for where listings run. *)
+let rescan t =
+  let since = Unix.gettimeofday () in
+  let listing = scan t.root in
+  locked (fun () -> fill t.index ~since listing)
+
 (* The [.key] files the publisher renamed into place without an fsync.
    It syncs them one at a time while no job waits, so a store costs the
    queue one fsync, not two.  A [.key] a crash tears before its fsync is
    a miss ({!holds_key}), since its [.cmxs] was synced before the [.key]
-   was written.  Deleting an entry, or a listing that no longer finds
-   it, forgets its [.key].  Under [lock]. *)
+   was written.  One deleted meanwhile costs nothing: [sync_key] skips a
+   path that is gone.  Under [lock]. *)
 let unsynced : (string, unit) Hashtbl.t = Hashtbl.create 64
 
 let sync_key path =
@@ -355,60 +362,23 @@ let sync_key path =
     (try Unix.fsync fd with Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let forget_key t h = locked (fun () -> Hashtbl.remove unsynced (key_path t h))
-
-(* Make the index what the directory holds now.  This process's own
-   changes made while the directory is listed (the publisher storing and
-   evicting, a lookup) may or may not show in the listing, so they are
-   applied again on top of it. *)
-let rescan t =
-  let ix = t.index in
-  Mutex.protect ix.listing (fun () ->
-      locked (fun () -> ix.since <- Some []);
-      let entries, recs = scan t.root in
-      locked (fun () ->
-          let since = Option.value ix.since ~default:[] in
-          ix.since <- None;
-          Hashtbl.reset ix.entries;
-          ix.order <- Order.empty;
-          ix.bytes <- 0;
-          Hashtbl.reset ix.records;
-          List.iter (fun (h, e) -> apply ix (Put (h, e))) entries;
-          List.iter (fun f -> apply ix (Put_record f)) recs;
-          List.iter (apply ix) (List.rev since);
-          ix.stored <- 0;
-          Hashtbl.filter_map_inplace
-            (fun path () ->
-              if
-                String.equal (Filename.dirname path) t.root
-                && not
-                     (Hashtbl.mem ix.entries
-                        (Filename.chop_suffix (Filename.basename path) ".key"))
-              then None
-              else Some ())
-            unsynced))
-
 (* The index of each directory a live handle is open on.  A handle holds
    its index; the table holds it weakly, so an index goes with its last
    handle, and its slot at the next [create]. *)
 let indexes : (string, index Weak.t) Hashtbl.t = Hashtbl.create 4
 
-let new_index () =
-  {
-    entries = Hashtbl.create 64;
-    order = Order.empty;
-    bytes = 0;
-    records = Hashtbl.create 64;
-    stored = 0;
-    since = None;
-    listing = Mutex.create ();
-  }
+let shared root =
+  Option.bind (Hashtbl.find_opt indexes root) (fun w -> Weak.get w 0)
 
 (* Four times the deepest queue a 20 s stenobench cold-prepare run
    reached on a 2-vCPU x86-64 VM (8 jobs), and about 0.56 MB of plugin
    bytes when full. *)
 let default_queue_capacity = 32
 
+(* The directory is listed into an index in two places only: here, when
+   no live handle holds an index of it, before the new index is shared,
+   and on the publisher thread ([evict]), which is the store's only
+   writer.  A handle that joins a live index lists nothing. *)
 let create ?(max_bytes = 256 * 1024 * 1024) ?(max_entries = 512)
     ?(queue_capacity = default_queue_capacity) ~fingerprint ~dir () =
   let root = dir / fingerprint_dirname fingerprint in
@@ -419,38 +389,49 @@ let create ?(max_bytes = 256 * 1024 * 1024) ?(max_entries = 512)
       if st.Unix.st_kind = Unix.S_DIR then root else ""
     with _ -> ""
   in
+  let new_index () =
+    {
+      entries = Hashtbl.create 64;
+      order = Order.empty;
+      bytes = 0;
+      records = Hashtbl.create 64;
+      stored = 0;
+    }
+  in
   let index =
     if root = "" then new_index ()
     else
-      locked (fun () ->
-          Hashtbl.filter_map_inplace
-            (fun _ w -> if Weak.check w 0 then Some w else None)
-            indexes;
-          match Option.bind (Hashtbl.find_opt indexes root) (fun w -> Weak.get w 0) with
-          | Some ix -> ix
-          | None ->
-            let ix = new_index () and w = Weak.create 1 in
-            Weak.set w 0 (Some ix);
-            Hashtbl.replace indexes root w;
-            ix)
+      match locked (fun () -> shared root) with
+      | Some ix -> ix
+      | None ->
+        let ix = new_index () in
+        fill ix ~since:0.0 (scan root);
+        locked (fun () ->
+            Hashtbl.filter_map_inplace
+              (fun _ w -> if Weak.check w 0 then Some w else None)
+              indexes;
+            (* Another thread may have shared one meanwhile. *)
+            match shared root with
+            | Some other -> other
+            | None ->
+              let w = Weak.create 1 in
+              Weak.set w 0 (Some ix);
+              Hashtbl.replace indexes root w;
+              ix)
   in
-  let t =
-    {
-      root;
-      max_bytes = max 0 max_bytes;
-      max_entries = max 0 max_entries;
-      queue_capacity = max 0 queue_capacity;
-      index;
-      queued = 0;
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-      stores = Atomic.make 0;
-      evictions = Atomic.make 0;
-      dropped = Atomic.make 0;
-    }
-  in
-  rescan t;
-  t
+  {
+    root;
+    max_bytes = max 0 max_bytes;
+    max_entries = max 0 max_entries;
+    queue_capacity = max 0 queue_capacity;
+    index;
+    queued = 0;
+    hits = Atomic.make 0;
+    misses = Atomic.make 0;
+    stores = Atomic.make 0;
+    evictions = Atomic.make 0;
+    dropped = Atomic.make 0;
+  }
 
 (* {2 Entries and eviction} *)
 
@@ -459,10 +440,9 @@ let create ?(max_bytes = 256 * 1024 * 1024) ?(max_entries = 512)
    orphan .cmxs that eviction sweeps up. *)
 let delete_entry t h =
   unlink (key_path t h);
-  forget_key t h;
   unlink (cmxs_path t h)
 
-let forget_record t f = locked (fun () -> change t.index (Drop_record f))
+let forget_record t f = locked (fun () -> Hashtbl.remove t.index.records f)
 
 (* A victim's first record is the hard link its [.key] names, which goes
    with it; later records of the plugin go when a lookup finds the
@@ -481,7 +461,6 @@ let delete_victim t h =
     | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false
     | exception Unix.Unix_error _ -> true
   in
-  forget_key t h;
   unlink (cmxs_path t h);
   present
 
@@ -501,7 +480,7 @@ let cap_records ?(keep = max_int) t =
               (fun i _ -> i < n - keep)
               (List.sort compare (List.of_seq (Hashtbl.to_seq_keys recs)))
           in
-          List.iter (fun f -> change t.index (Drop_record f)) gone;
+          List.iter (Hashtbl.remove recs) gone;
           gone
         end)
   in
@@ -516,7 +495,7 @@ let victims t =
         then
           match Order.min_elt_opt ix.order with
           | Some (_, h) ->
-            change ix (Drop h);
+            drop ix h;
             take (h :: acc)
           | None -> acc
         else acc
@@ -549,11 +528,13 @@ let evict t =
   cap_records t;
   evicted
 
-(* {2 Publication} *)
+(* {2 Publication}
 
-(* [sync_key = false] leaves the [.key]'s fsync to the publisher's idle
-   time ([unsynced]). *)
-let store_bytes ?record ~sync_key t ~key bytes =
+   The publisher runs these two jobs, the store's only writes; lookups
+   freshen and delete, and so does [clear]. *)
+
+(* The [.key]'s fsync waits for the publisher's idle time ([unsynced]). *)
+let store_bytes ?record t ~key bytes =
   let plugin = Digest.string key in
   let h = Digest.to_hex plugin in
   if publish ~dst:(cmxs_path t h) bytes then begin
@@ -562,17 +543,16 @@ let store_bytes ?record ~sync_key t ~key bytes =
       | None -> key
       | Some (name, payload) -> encode_record ~key { plugin; name; payload }
     in
-    if publish ~sync:sync_key ~dst:(key_path t h) content then begin
+    if publish ~sync:false ~dst:(key_path t h) content then begin
       let named =
         match record with
         | Some (name, _) when link_record t ~h ~name -> Some (record_name name)
         | Some _ | None -> None
       in
       locked (fun () ->
-          if not sync_key then Hashtbl.replace unsynced (key_path t h) ();
-          change t.index
-            (Put (h, { e_bytes = String.length bytes; e_mtime = Unix.gettimeofday () }));
-          Option.iter (fun f -> change t.index (Put_record f)) named);
+          Hashtbl.replace unsynced (key_path t h) ();
+          put t.index h { e_bytes = String.length bytes; e_mtime = Unix.gettimeofday () };
+          Option.iter (fun f -> Hashtbl.replace t.index.records f ()) named);
       Atomic.incr t.stores;
       evict t
     end
@@ -583,35 +563,26 @@ let store_bytes ?record ~sync_key t ~key bytes =
   end
   else 0
 
-let store ?record t ~key ~cmxs =
-  if not (usable t) then 0
-  else
-    match read_file cmxs with
-    | None -> 0
-    | Some bytes -> store_bytes ?record ~sync_key:true t ~key bytes
-
+(* A record for a plugin already in the store, in a file of its own. *)
 let add_record t r =
-  if usable t then begin
-    (* Only an optimization: no fsync, and a torn file decodes to a
-       miss. *)
-    let f = record_name r.name in
-    if publish ~sync:false ~dst:(t.root / f) (encode_record ~key:"" r) then
-      (* Past the cap the records are trimmed to seven eighths of it, so
-         they are sorted once per [max_entries / 8] new records, not
-         once per record. *)
-      if
-        locked (fun () ->
-            change t.index (Put_record f);
-            Hashtbl.length t.index.records > t.max_entries)
-      then cap_records ~keep:Stdlib.(t.max_entries - (t.max_entries / 8)) t
-  end
+  (* Only an optimization: no fsync, and a torn file decodes to a
+     miss. *)
+  let f = record_name r.name in
+  if publish ~sync:false ~dst:(t.root / f) (encode_record ~key:"" r) then
+    (* Past the cap the records are trimmed to seven eighths of it, so
+       they are sorted once per [max_entries / 8] new records, not
+       once per record. *)
+    if
+      locked (fun () ->
+          Hashtbl.replace t.index.records f ();
+          Hashtbl.length t.index.records > t.max_entries)
+    then cap_records ~keep:Stdlib.(t.max_entries - (t.max_entries / 8)) t
 
 (* {2 The publisher}
 
    [submit] queues a publication and returns; one thread per process
-   runs the queue in order, each job with {!store}'s or {!add_record}'s
-   own steps, except that a store's [.key] is synced once no job waits
-   ([unsynced]).  The submit that finds no thread running starts one,
+   runs the queue in order, each job a [store_bytes] or an [add_record],
+   and syncs the stores' [.key]s once no job waits ([unsynced]).  The submit that finds no thread running starts one,
    and the thread ends when the queue is empty and every [.key] is
    synced: [Domain.join] waits for every thread its domain started, so
    a thread that waited for work for good would hang the join of a
@@ -702,7 +673,7 @@ let submit ?record ?(evicted = ignore) t ~key ~cmxs =
         :: Option.fold ~none:[] ~some:(fun (name, _) -> [ record_path t ~name ]) record
       in
       enqueue t ~paths (fun () ->
-          let n = store_bytes ?record ~sync_key:false t ~key bytes in
+          let n = store_bytes ?record t ~key bytes in
           if n > 0 then evicted n)
 
 let submit_record t r =
@@ -771,7 +742,7 @@ let reject t ~key =
   if usable t then begin
     let h = hash_key key in
     delete_entry t h;
-    locked (fun () -> change t.index (Drop h));
+    locked (fun () -> drop t.index h);
     Atomic.decr t.hits;
     Atomic.incr t.misses
   end
@@ -780,7 +751,7 @@ let reject_record t r =
   if usable t then begin
     let h = Digest.to_hex r.plugin in
     delete_entry t h;
-    locked (fun () -> change t.index (Drop h));
+    locked (fun () -> drop t.index h);
     let f = record_name r.name in
     unlink (t.root / f);
     forget_record t f;
@@ -788,13 +759,20 @@ let reject_record t r =
     Atomic.incr t.misses
   end
 
+(* Deletes what the directory holds and empties the index; it lists
+   nothing into the index. *)
 let clear t =
   flush ();
-  let entries, recs = scan t.root in
-  List.iter (fun (h, _) -> delete_entry t h) entries;
-  List.iter (fun f -> unlink (t.root / f)) recs;
-  rescan t;
-  List.length entries
+  locked (fun () ->
+      fill t.index ~since:0.0 ([], []);
+      Array.fold_left
+        (fun n f ->
+          let gone () = unlink (t.root / f) in
+          if Filename.check_suffix f ".key" then (gone (); n + 1)
+          else if is_record f || Filename.check_suffix f ".cmxs" then (gone (); n)
+          else n)
+        0
+        (try Sys.readdir t.root with Sys_error _ -> [||]))
 
 let stats t =
   flush ();

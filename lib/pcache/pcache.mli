@@ -19,31 +19,29 @@
     The [.key] file guards against MD5 collisions and torn writes: a hit
     requires it to start with the probe key byte-for-byte, followed by
     nothing (the format before records) or by one whole {!record}.
-    Publication is crash-safe — both files are written to temp names,
-    fsync'd and [rename]d into place, cmxs first, key last, so a key
-    file's presence implies a complete entry.
 
-    An engine publishes off its prepare path: {!submit} queues the
-    plugin's bytes and returns, and one background thread per process
-    publishes the queue in order, with {!store}'s steps, except that it
-    fsyncs the [.key] later, once no publication waits.  A published
-    entry is as crash-safe as one {!store} writes: a [.key] a crash tears
-    before its fsync is a miss, and its [.cmxs] was fsync'd before the
-    [.key] was written.  A submitted plugin is durable after {!flush} or
-    process exit (an [at_exit] hook flushes), not when [submit]
-    returns.  A lookup in this process waits for a
-    queued publication of what it looks up, so it never misses one.
+    The store is written off the caller's path, by one writer:
+    {!submit} and {!submit_record} queue a publication and return, and
+    one background thread per process publishes the queue in order.
+    Publication is crash-safe: the [.cmxs] is written to a temp name,
+    fsync'd and [rename]d into place, then the [.key] the same way, so a
+    key file's presence implies a complete entry.  The thread fsyncs
+    each [.key] once no publication waits; a [.key] a crash tears before
+    its fsync is a miss.  A submitted plugin is durable after {!flush}
+    or process exit (an [at_exit] hook flushes), not when [submit]
+    returns.  A lookup in this process waits for a queued publication of
+    what it looks up, so it never misses one.
 
     Each handle on a directory shares one in-memory index of it with
     every other live handle on it in the process: entries with their size
     and mtime, and the record files.  The index goes with the last handle
     that holds it.  Eviction takes its victims from the index, so a store
     costs what it evicts, not a listing.  Other processes share the
-    directory, so the index is only a hint: it is listed again at every
-    {!create}, once per [max_entries / 8] stores and whenever a victim
-    turns out to be gone already.  A listing keeps what this process
-    changed in the directory while it ran, such as a store the publisher
-    made meanwhile.
+    directory, so the index is only a hint.  It is listed in two places:
+    by the {!create} that makes it, before any other handle sees it, and
+    by the publisher, once per [max_entries / 8] stores and whenever a
+    victim turns out to be gone already.  A lookup may freshen an entry
+    while the publisher lists: the entry keeps the later mtime.
 
     A {!record} names a plugin by the MD5 of its key and carries an
     opaque payload (the engine's plan-memo entry); a lookup by the
@@ -84,8 +82,10 @@ val create :
   unit ->
   t
 (** Open (creating directories as needed) the store rooted at [dir] for
-    artifacts produced by the toolchain identified by [fingerprint], and
-    list it into the index.  [max_bytes] (default 256 MiB) and
+    artifacts produced by the toolchain identified by [fingerprint].
+    The handle joins the index another live handle holds on the same
+    directory; when there is none, the directory is listed into a new
+    one.  [max_bytes] (default 256 MiB) and
     [max_entries] (default 512) cap the fingerprint's subdirectory; a
     store evicts oldest-mtime entries until both hold, and [max_entries]
     also caps the record files.  At most [queue_capacity] (default 32)
@@ -106,17 +106,6 @@ type record = {
   payload : string;
 }
 
-val store : ?record:string * string -> t -> key:string -> cmxs:string -> int
-(** [store t ~key ~cmxs] publishes a copy of the file at [cmxs] (and the
-    key alongside) into the store now, in the caller's thread, then
-    enforces the caps; returns the number of entries evicted doing so.
-    With [record = (name, payload)] the [.key] also holds that record,
-    and a hard link gives it its name; when the link fails there is no
-    record.  Failures are silent; a racing store of the same key is
-    harmless (last rename wins, both files are identical).  The
-    publisher runs these steps for {!submit}, with the [.key]'s fsync
-    left until no submission waits. *)
-
 val submit :
   ?record:string * string ->
   ?evicted:(int -> unit) ->
@@ -124,14 +113,23 @@ val submit :
   key:string ->
   cmxs:string ->
   bool
-(** [submit t ~key ~cmxs] reads the file at [cmxs] now and queues its
-    {!store}; the caller may delete the file as soon as this returns.
-    [evicted n] runs on the publisher's thread when the store evicted
-    [n > 0] entries.  [false] when the handle's queue was full: the
-    store is dropped and counted in {!stats}' [st_dropped]. *)
+(** [submit t ~key ~cmxs] reads the file at [cmxs] now and queues the
+    publication of a copy of it, with [key] alongside; the caller may
+    delete the file as soon as this returns.  The publisher then
+    enforces the caps.  [evicted n] runs on the publisher's thread when
+    the store evicted [n > 0] entries.  With [record = (name, payload)]
+    the [.key] also holds that record, and a hard link gives it its
+    name; when the link fails there is no record.  Failures are silent;
+    a racing store of the same key from another process is harmless
+    (last rename wins, both files are identical).  [false] when the
+    handle's queue was full: the store is dropped and counted in
+    {!stats}' [st_dropped]. *)
 
 val submit_record : t -> record -> bool
-(** Queue an {!add_record}, as {!submit} queues a store. *)
+(** Queue a record for a plugin already in the store, in a file of its
+    own, as {!submit} queues a store.  Once the index holds more than
+    [max_entries] record files they are trimmed, in name order, to seven
+    eighths of the cap.  Not fsync'd: a torn record is a miss. *)
 
 val flush : unit -> unit
 (** Wait until every publication this process queued has run and every
@@ -147,12 +145,6 @@ val find_record :
     but the first are deleted.  A miss counts nothing: the caller goes on
     to prepare in full, and that {!find} counts it.  A queued submission
     of a record under [name] is waited for first. *)
-
-val add_record : t -> record -> unit
-(** Write a record for a plugin already in the store, in a file of its
-    own, now.  Once the index holds more than [max_entries] record files
-    they are trimmed, in name order, to seven eighths of the cap.  Not
-    fsync'd: a torn record is a miss. *)
 
 val reject_record : t -> record -> unit
 (** Like {!reject}, for a plugin {!find_record} returned: delete the
@@ -176,7 +168,8 @@ val reject : t -> key:string -> unit
 
 val clear : t -> int
 (** {!flush}, then delete every entry and record under the handle's
-    fingerprint; returns the number of entries removed. *)
+    fingerprint and empty the index; returns the number of entries
+    removed. *)
 
 val stats : t -> stats
 (** {!flush}, then the disk figures as the index holds them; the

@@ -481,7 +481,6 @@ module Config = struct
     adaptive : adaptive option;
     disk_cache : disk_cache option;
     tracing : tracing option;
-    admin_port : int option;
   }
 
   let default =
@@ -498,7 +497,6 @@ module Config = struct
       adaptive = None;
       disk_cache = None;
       tracing = None;
-      admin_port = None;
     }
 
   let with_backend backend t = { t with backend }
@@ -527,10 +525,6 @@ module Config = struct
     { t with tracing = Some { sample; ring; slow_ms } }
 
   let without_tracing t = { t with tracing = None }
-
-  let with_admin ~port t = { t with admin_port = Some port }
-
-  let without_admin t = { t with admin_port = None }
 end
 
 module String_map = Map.Make (String)
@@ -552,7 +546,6 @@ module Engine = struct
     adaptive : Config.adaptive option;
     disk_cache : Config.disk_cache option;
     tracing : Config.tracing option;
-    admin_port : int option;
   }
 
   type t = {

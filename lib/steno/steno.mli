@@ -237,7 +237,6 @@ module Config : sig
     adaptive : adaptive option;
     disk_cache : disk_cache option;
     tracing : tracing option;
-    admin_port : int option;
   }
 
   val default : t
@@ -283,14 +282,6 @@ module Config : sig
       {!Engine.config.tracing}. *)
 
   val without_tracing : t -> t
-
-  val with_admin : port:int -> t -> t
-  (** Ask for the HTTP admin/ops listener on [port] ([0] = an ephemeral
-      port).  The engine itself never opens sockets: the host (e.g.
-      [stenoc serve], or any caller of [Ops.start]) reads this field and
-      starts the listener. *)
-
-  val without_admin : t -> t
 end
 
 (** {1 Engines}
@@ -436,11 +427,6 @@ module Engine : sig
             traces 1-in-k requests, deterministically.  [None] (the
             default) records nothing and costs one branch per
             instrumentation point. *)
-    admin_port : int option;
-        (** Port the host should serve the ops plane on ([/metrics],
-            [/healthz], [/traces], [/slow] — see [Ops]); [0] requests an
-            ephemeral port.  Stored configuration only: [Engine.create]
-            opens no sockets. *)
   }
 
   val default_config : config

@@ -536,7 +536,7 @@ let test_generated_code_compiles () =
           |> Query.sum_int);
       ]
     in
-    List.iter (fun source -> ignore (Dynload.compile ~source)) sources
+    List.iter (fun source -> ignore (Plugin_build.compile ~source)) sources
   end
 
 let () =

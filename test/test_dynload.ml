@@ -14,7 +14,7 @@ let minimal_plugin body =
 
 let test_roundtrip () =
   with_native @@ fun () ->
-  let c = Dynload.compile ~source:(minimal_plugin "Stdlib.Obj.repr 42") in
+  let c = Plugin_build.compile ~source:(minimal_plugin "Stdlib.Obj.repr 42") in
   let v : int = Obj.obj (c.Dynload.run [||]) in
   Alcotest.(check int) "value" 42 v;
   (* Re-running the same compiled plugin works. *)
@@ -23,7 +23,7 @@ let test_roundtrip () =
 let test_env_passing () =
   with_native @@ fun () ->
   let c =
-    Dynload.compile
+    Plugin_build.compile
       ~source:
         (minimal_plugin
            "Stdlib.Obj.repr ((Stdlib.Obj.obj (Stdlib.Array.get __env 0) : \
@@ -36,7 +36,7 @@ let test_env_passing () =
 let test_syntax_error () =
   with_native @@ fun () ->
   Alcotest.(check bool) "syntax error reported" true
-    (match Dynload.compile ~source:"let x = (" with
+    (match Plugin_build.compile ~source:"let x = (" with
     | exception Dynload.Compilation_failed msg ->
       String.length msg > 0
     | _ -> false)
@@ -44,7 +44,7 @@ let test_syntax_error () =
 let test_type_error () =
   with_native @@ fun () ->
   Alcotest.(check bool) "type error reported" true
-    (match Dynload.compile ~source:(minimal_plugin "1 + true") with
+    (match Plugin_build.compile ~source:(minimal_plugin "1 + true") with
     | exception Dynload.Compilation_failed _ -> true
     | _ -> false)
 
@@ -61,7 +61,7 @@ let contains haystack needle =
 let test_deadline_ok () =
   with_native @@ fun () ->
   match
-    Dynload.compile_result ~timeout_ms:60_000
+    Plugin_build.compile_result ~timeout_ms:60_000
       ~source:(minimal_plugin "Stdlib.Obj.repr 11") ()
   with
   | Ok c -> Alcotest.(check int) "value" 11 (Obj.obj (c.Dynload.run [||]))
@@ -70,7 +70,7 @@ let test_deadline_ok () =
 let test_deadline_type_error () =
   with_native @@ fun () ->
   match
-    Dynload.compile_result ~timeout_ms:60_000
+    Plugin_build.compile_result ~timeout_ms:60_000
       ~source:(minimal_plugin "1 + true") ()
   with
   | Error (Dynload.Compile_error msg) ->
@@ -83,7 +83,7 @@ let test_plugin_without_handshake () =
   with_native @@ fun () ->
   (* A module that loads fine but never raises the handshake exception. *)
   Alcotest.(check bool) "missing handshake rejected" true
-    (match Dynload.compile ~source:"let _x = 1" with
+    (match Plugin_build.compile ~source:"let _x = 1" with
     | exception Dynload.Compilation_failed _ -> true
     | _ -> false)
 
@@ -92,14 +92,14 @@ let test_plugin_initializer_failure () =
   (* An initializer raising an unrelated exception must not be mistaken
      for the handshake. *)
   Alcotest.(check bool) "foreign exception propagates" true
-    (match Dynload.compile ~source:"let () = failwith \"boom\"" with
+    (match Plugin_build.compile ~source:"let () = failwith \"boom\"" with
     | exception Failure msg -> String.equal msg "boom"
     | exception _ -> false
     | _ -> false)
 
 let test_timings () =
   with_native @@ fun () ->
-  let c = Dynload.compile ~source:(minimal_plugin "Stdlib.Obj.repr 0") in
+  let c = Plugin_build.compile ~source:(minimal_plugin "Stdlib.Obj.repr 0") in
   let t = c.Dynload.timings in
   Alcotest.(check bool) "compile time is real" true (t.Dynload.compile_ms > 1.0);
   Alcotest.(check bool) "write time nonneg" true (t.Dynload.write_ms >= 0.0);
@@ -111,7 +111,7 @@ let test_many_plugins () =
   List.iter
     (fun i ->
       let c =
-        Dynload.compile
+        Plugin_build.compile
           ~source:(minimal_plugin (Printf.sprintf "Stdlib.Obj.repr %d" i))
       in
       Alcotest.(check int) "each plugin distinct" i (Obj.obj (c.Dynload.run [||])))
@@ -123,7 +123,7 @@ let test_concurrent_compiles () =
   let results =
     Domain_pool.run ~workers:4 ~tasks:6 (fun i ->
         let c =
-          Dynload.compile
+          Plugin_build.compile
             ~source:(minimal_plugin (Printf.sprintf "Stdlib.Obj.repr (%d * 3)" i))
         in
         (Obj.obj (c.Dynload.run [||]) : int))
@@ -137,7 +137,7 @@ let test_concurrent_compiles () =
 let test_runtime_unit () =
   with_native @@ fun () ->
   let c =
-    Dynload.compile
+    Plugin_build.compile
       ~source:
         (minimal_plugin
            "let t = Steno_rt.Int_tbl.create 8 in\n\
@@ -224,7 +224,7 @@ let test_fingerprint () =
 let test_libm_parity () =
   with_native @@ fun () ->
   let c =
-    Dynload.compile
+    Plugin_build.compile
       ~source:
         (minimal_plugin
            "let x : float = Stdlib.Obj.obj (Stdlib.Array.get __env 0) in\n\
@@ -346,7 +346,7 @@ let minus a b = List.filter (fun x -> not (List.mem x b)) a
 
 let compile_value n =
   let c =
-    Dynload.compile ~source:(minimal_plugin (Printf.sprintf "Stdlib.Obj.repr %d" n))
+    Plugin_build.compile ~source:(minimal_plugin (Printf.sprintf "Stdlib.Obj.repr %d" n))
   in
   (Obj.obj (c.Dynload.run [||]) : int)
 
@@ -393,7 +393,7 @@ let test_error_then_valid () =
   ignore (compile_value 0);
   let before = live_workers () in
   (match
-     Dynload.compile_result ~source:(minimal_plugin "1 + true") ()
+     Plugin_build.compile_result ~source:(minimal_plugin "1 + true") ()
    with
   | Error (Dynload.Compile_error msg) ->
     Alcotest.(check bool) "diagnostic" true
@@ -417,7 +417,7 @@ let test_timeout_new_worker () =
   with_workers @@ fun () ->
   ignore (compile_value 0);
   let before = live_workers () in
-  (match Dynload.compile_result ~timeout_ms:1 ~source:(large_plugin 400) () with
+  (match Plugin_build.compile_result ~timeout_ms:1 ~source:(large_plugin 400) () with
   | Error (Dynload.Timeout { timeout_ms }) ->
     Alcotest.(check int) "deadline reported" 1 timeout_ms
   | Error e -> Alcotest.fail (Dynload.error_message e)
@@ -551,7 +551,7 @@ let rt_plugin n =
        n)
 
 let run_plugin source =
-  match Dynload.compile_result ~source () with
+  match Plugin_build.compile_result ~source () with
   | Ok c -> (Obj.obj (c.Dynload.run [||]) : int)
   | Error e -> Alcotest.fail (Dynload.error_message e)
 
@@ -566,7 +566,7 @@ let test_kept_interfaces () =
     (run_plugin
        (hashtbl_make_plugin ~key:"string" ~equal:"Stdlib.String.equal"
           ~hash:"Stdlib.Hashtbl.hash" ~k:"\"a\"" 40));
-  (match Dynload.compile_result ~source:(minimal_plugin "1 + true") () with
+  (match Plugin_build.compile_result ~source:(minimal_plugin "1 + true") () with
   | Error (Dynload.Compile_error msg) ->
     Alcotest.(check bool) "type error" true
       (contains msg "This expression has type bool")

@@ -209,7 +209,7 @@ let test_fallback_on_io_failure () =
   (Fun.protect ~finally:(fun () -> Unix.mkdir dir 0o700) @@ fun () ->
   Alcotest.(check bool) "compile_result is a compile error" true
     (match
-       Dynload.compile_result ~source:"let () = ()" ()
+       Plugin_build.compile_result ~source:"let () = ()" ()
      with
     | Error (Dynload.Compile_error _) -> true
     | _ -> false);

@@ -413,44 +413,13 @@ let test_explain () =
   Alcotest.(check int) "same plan" ex0.Steno.Engine.operators_before
     ex0.Steno.Engine.operators_after
 
-(* Property tests: random redundant pipelines. *)
-
-let op_gen =
-  let open QCheck in
-  Gen.oneof
-    [
-      Gen.map
-        (fun k q -> Query.select (fun x -> I.(x + Expr.int k)) q)
-        Gen.small_int;
-      Gen.map
-        (fun k q ->
-          Query.where
-            (fun x -> I.(x mod Expr.int Stdlib.(2 + (k mod 3)) = Expr.int 0))
-            q)
-        Gen.small_int;
-      Gen.return (fun q -> Query.where (fun _ -> Expr.bool true) q);
-      Gen.return (fun q -> Query.where (fun _ -> Expr.bool false) q);
-      Gen.map (fun n q -> Query.take (n mod 12) q) Gen.small_int;
-      Gen.map (fun n q -> Query.skip (n mod 6) q) Gen.small_int;
-      Gen.return (fun q -> Query.distinct q);
-      Gen.return (fun q -> Query.rev q);
-      Gen.return (fun q -> Query.materialize q);
-      Gen.return
-        (fun q -> Query.take_while (fun _ -> Expr.bool true) q);
-      Gen.return (fun q -> Query.order_by (fun x -> I.(x mod Expr.int 5)) q);
-    ]
-
-let pipeline_gen =
-  QCheck.Gen.(
-    pair (list_size (int_bound 8) op_gen) (array_size (int_bound 12) (int_bound 20)))
-
-let build (ops, data) = List.fold_left (fun q op -> op q) (ints data) ops
+(* Property tests: random redundant pipelines ([Plan_gen.redundant]). *)
 
 (* Second rewrite is a no-op: the fixpoint really is a normal form. *)
 let random_idempotent =
   QCheck.Test.make ~name:"rewrite is idempotent (second pass fires no rules)"
-    ~count:200 (QCheck.make pipeline_gen) (fun input ->
-      let q1, _ = opt_rows (build input) in
+    ~count:200 (QCheck.make Plan_gen.redundant) (fun q ->
+      let q1, _ = opt_rows q in
       let q2, log2 = opt_rows q1 in
       log2 = [] && Query.operator_count q2 = Query.operator_count q1)
 
@@ -458,8 +427,7 @@ let random_idempotent =
 let random_operator_count =
   QCheck.Test.make
     ~name:"optimized QUIL never has more operators than the original"
-    ~count:200 (QCheck.make pipeline_gen) (fun input ->
-      let q = build input in
+    ~count:200 (QCheck.make Plan_gen.redundant) (fun q ->
       let before = Quil.operator_count (Canon.of_query q) in
       let q', _ = opt_rows q in
       let c', _ = Opt.chain (Canon.of_query q') in
@@ -469,8 +437,7 @@ let random_operator_count =
    compile per random case would dominate the suite's runtime). *)
 let random_differential =
   QCheck.Test.make ~name:"optimized results match reference" ~count:100
-    (QCheck.make pipeline_gen) (fun input ->
-      let q = build input in
+    (QCheck.make Plan_gen.redundant) (fun q ->
       let expected = Reference.to_list q in
       List.for_all
         (fun b -> Steno.Engine.to_list (engine ~optimize:true b) q = expected)

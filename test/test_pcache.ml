@@ -125,6 +125,18 @@ let child_main dir =
 let mk_store ?max_bytes ?max_entries dir =
   Pcache.create ?max_bytes ?max_entries ~fingerprint:"test-fp-1" ~dir ()
 
+(* Publish through the publisher and wait for it to land: the number of
+   entries the store evicted. *)
+let publish ?record pc ~key ~cmxs =
+  let evicted = ref 0 in
+  ignore (Pcache.submit ?record ~evicted:(fun n -> evicted := n) pc ~key ~cmxs);
+  Pcache.flush ();
+  !evicted
+
+let publish_record pc r =
+  ignore (Pcache.submit_record pc r);
+  Pcache.flush ()
+
 let test_store_roundtrip () =
   let dir = fresh_dir () in
   let payload = Filename.concat dir "payload.bin" in
@@ -132,7 +144,7 @@ let test_store_roundtrip () =
   let pc = mk_store dir in
   Alcotest.(check (option string)) "miss before store" None
     (Pcache.find pc ~key:"k1");
-  ignore (Pcache.store pc ~key:"k1" ~cmxs:payload);
+  ignore (publish pc ~key:"k1" ~cmxs:payload);
   (match Pcache.find pc ~key:"k1" with
   | None -> Alcotest.fail "expected a hit after store"
   | Some path ->
@@ -163,7 +175,7 @@ let test_key_verification () =
   let payload = Filename.concat dir "payload.bin" in
   write_file payload "bytes";
   let pc = mk_store dir in
-  ignore (Pcache.store pc ~key:"the real key" ~cmxs:payload);
+  ignore (publish pc ~key:"the real key" ~cmxs:payload);
   (match Pcache.find pc ~key:"the real key" with
   | None -> Alcotest.fail "expected a hit"
   | Some cmxs ->
@@ -180,8 +192,8 @@ let test_eviction_lru_by_mtime () =
   let payload = Filename.concat dir "payload.bin" in
   write_file payload "0123456789";
   let pc = mk_store ~max_entries:2 dir in
-  ignore (Pcache.store pc ~key:"k1" ~cmxs:payload);
-  ignore (Pcache.store pc ~key:"k2" ~cmxs:payload);
+  ignore (publish pc ~key:"k1" ~cmxs:payload);
+  ignore (publish pc ~key:"k2" ~cmxs:payload);
   (* Backdate k1 (the eviction clock is the artifact's mtime; [find]
      freshens it, so pin the times after the lookups). *)
   (match Pcache.find pc ~key:"k1" with
@@ -190,7 +202,7 @@ let test_eviction_lru_by_mtime () =
   (match Pcache.find pc ~key:"k2" with
   | Some p -> Unix.utimes p 2000.0 2000.0
   | None -> Alcotest.fail "k2 missing");
-  let evicted = Pcache.store pc ~key:"k3" ~cmxs:payload in
+  let evicted = publish pc ~key:"k3" ~cmxs:payload in
   Alcotest.(check int) "one entry evicted" 1 evicted;
   Alcotest.(check (option string)) "oldest (k1) evicted" None
     (Pcache.find pc ~key:"k1");
@@ -213,7 +225,7 @@ let test_eviction_mtime_tie_deterministic () =
     let payload = Filename.concat dir "payload.bin" in
     write_file payload "0123456789";
     let pc = mk_store ~max_entries:3 dir in
-    List.iter (fun k -> ignore (Pcache.store pc ~key:k ~cmxs:payload)) keys;
+    List.iter (fun k -> ignore (publish pc ~key:k ~cmxs:payload)) keys;
     (* Pin every artifact and key file to the same whole-second stamp. *)
     List.iter
       (fun k ->
@@ -223,7 +235,7 @@ let test_eviction_mtime_tie_deterministic () =
           Unix.utimes (Filename.chop_suffix p ".cmxs" ^ ".key") 1000.0 1000.0
         | None -> Alcotest.fail (k ^ " missing"))
       keys;
-    ignore (Pcache.store pc ~key:"tie-d" ~cmxs:payload);
+    ignore (publish pc ~key:"tie-d" ~cmxs:payload);
     let surviving = List.filter (fun k -> Pcache.find pc ~key:k <> None) keys in
     rm_rf dir;
     surviving
@@ -242,7 +254,7 @@ let test_corrupt_store_never_raises () =
   let payload = Filename.concat dir "payload.bin" in
   write_file payload "bytes";
   let pc = mk_store dir in
-  ignore (Pcache.store pc ~key:"k" ~cmxs:payload);
+  ignore (publish pc ~key:"k" ~cmxs:payload);
   (* Strew wreckage through the store directory: a stray temp file, a
      key with no artifact, an unreadable name.  Everything must stay a
      miss or a survivor — never an exception. *)
@@ -261,7 +273,7 @@ let test_corrupt_store_never_raises () =
   Alcotest.(check (option string)) "unusable store misses" None
     (Pcache.find dead ~key:"k");
   Alcotest.(check int) "unusable store stores nothing" 0
-    (Pcache.store dead ~key:"k" ~cmxs:payload);
+    (publish dead ~key:"k" ~cmxs:payload);
   rm_rf dir
 
 (* {2 Records} *)
@@ -279,7 +291,7 @@ let test_record_roundtrip () =
   write_file payload "plugin bytes";
   let pc = mk_store dir in
   ignore
-    (Pcache.store ~record:("gen-A/shape-1", "entry-1") pc ~key:"k1"
+    (publish ~record:("gen-A/shape-1", "entry-1") pc ~key:"k1"
        ~cmxs:payload);
   Alcotest.(check bool) "key lookup hits" true
     (Pcache.find pc ~key:"k1" <> None);
@@ -292,7 +304,7 @@ let test_record_roundtrip () =
   | None -> Alcotest.fail "record lookup missed");
   Alcotest.(check bool) "other name misses" true
     (Pcache.find_record pc ~name:"gen-A/shape-2" some_payload = None);
-  Pcache.add_record pc (record ~key:"k1" "gen-A/shape-2" "entry-2");
+  publish_record pc (record ~key:"k1" "gen-A/shape-2" "entry-2");
   (match Pcache.find_record pc ~name:"gen-A/shape-2" some_payload with
   | Some (v, _, _) -> Alcotest.(check string) "second record" "entry-2" v
   | None -> Alcotest.fail "second record missed");
@@ -312,7 +324,7 @@ let test_record_other_generator () =
   let payload = Filename.concat dir "payload.bin" in
   write_file payload "plugin bytes";
   let pc = mk_store dir in
-  ignore (Pcache.store pc ~key:"k1" ~cmxs:payload);
+  ignore (publish pc ~key:"k1" ~cmxs:payload);
   let path = Pcache.record_path pc ~name:"gen-A/shape" in
   write_file path
     (Pcache.encode_record ~key:"" (record ~key:"k1" "gen-B/shape" "e"));
@@ -320,7 +332,7 @@ let test_record_other_generator () =
     (Pcache.find_record pc ~name:"gen-A/shape" some_payload = None);
   Alcotest.(check bool) "and is deleted" false (Sys.file_exists path);
   (* The same for a payload the caller refuses. *)
-  Pcache.add_record pc (record ~key:"k1" "gen-A/shape" "");
+  publish_record pc (record ~key:"k1" "gen-A/shape" "");
   Alcotest.(check bool) "refused payload misses" true
     (Pcache.find_record pc ~name:"gen-A/shape" some_payload = None);
   Alcotest.(check bool) "and is deleted too" false (Sys.file_exists path);
@@ -335,8 +347,8 @@ let test_record_plugin_gone () =
   let payload = Filename.concat dir "payload.bin" in
   write_file payload "plugin bytes";
   let pc = mk_store dir in
-  ignore (Pcache.store pc ~key:"k1" ~cmxs:payload);
-  Pcache.add_record pc (record ~key:"k1" "later shape" "e");
+  ignore (publish pc ~key:"k1" ~cmxs:payload);
+  publish_record pc (record ~key:"k1" "later shape" "e");
   (match Pcache.find pc ~key:"k1" with
   | Some cmxs ->
     Sys.remove cmxs;
@@ -361,8 +373,8 @@ let test_records_bounded () =
     let key = Printf.sprintf "plugin %d" (i / 50) in
     let name = Printf.sprintf "shape %d" i in
     if i mod 50 = 0 then
-      ignore (Pcache.store ~record:(name, "e") pc ~key ~cmxs:payload)
-    else Pcache.add_record pc (record ~key name "e")
+      ignore (publish ~record:(name, "e") pc ~key ~cmxs:payload)
+    else publish_record pc (record ~key name "e")
   done;
   let st = Pcache.stats pc in
   Alcotest.(check bool)
@@ -374,10 +386,10 @@ let test_records_bounded () =
      none of them is left to find. *)
   let pc = mk_store ~max_entries:1 dir in
   ignore (Pcache.clear pc);
-  ignore (Pcache.store ~record:("a", "e") pc ~key:"ka" ~cmxs:payload);
+  ignore (publish ~record:("a", "e") pc ~key:"ka" ~cmxs:payload);
   let a = Pcache.record_path pc ~name:"a" in
   Alcotest.(check bool) "record linked" true (Sys.file_exists a);
-  ignore (Pcache.store ~record:("b", "e") pc ~key:"kb" ~cmxs:payload);
+  ignore (publish ~record:("b", "e") pc ~key:"kb" ~cmxs:payload);
   let live =
     Pcache.find pc ~key:"ka" <> None, Pcache.find pc ~key:"kb" <> None
   in
@@ -522,8 +534,8 @@ let test_full_queue_drops () =
 
 (* Two handles on one directory, storing in turn past the cap: the
    directory ends consistent (every [.key] with its [.cmxs], every record
-   with its plugin), within the cap, and both handles' indexes, and a
-   fresh listing, agree with it. *)
+   with its plugin), within the cap, and the handles' shared index (read
+   through a, b and a third handle that joins it) agrees with it. *)
 let test_two_handles_converge () =
   let dir = fresh_dir () in
   let payload = Filename.concat dir "payload.bin" in
@@ -580,10 +592,9 @@ let test_two_handles_converge () =
     (sa.Pcache.st_evictions + sb.Pcache.st_evictions);
   rm_rf dir
 
-(* A handle opened while the publisher stores lists the directory into
-   the index the handles share; a store that lands during the listing
-   must stay in the index, or [stats] undercounts and eviction never
-   sees the entry. *)
+(* Handles opened while the publisher stores join the index the handles
+   share: every store stays in it, or [stats] undercounts and eviction
+   never sees the entry. *)
 let test_open_while_publishing () =
   let dir = fresh_dir () in
   let payload = Filename.concat dir "payload.bin" in

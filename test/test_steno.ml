@@ -81,7 +81,7 @@ let test_default_backend () =
 let test_compilation_failure_surfaces () =
   with_native @@ fun () ->
   Alcotest.(check bool) "bad source rejected" true
-    (match Dynload.compile ~source:"let x = (" with
+    (match Plugin_build.compile ~source:"let x = (" with
     | exception Dynload.Compilation_failed _ -> true
     | _ -> false)
 

@@ -175,63 +175,15 @@ let test_broken_law_table_rejects () =
 
 (* {2 Property suite: validated pipelines mean what they meant} *)
 
-(* Generator biased toward shapes the property-driven rules rewrite:
-   Range sources (distinct, sorted), redundant Distinct/OrderBy/Rev
-   pairs, decidable predicates, stacked truncations. *)
-let op_gen =
-  let open QCheck in
-  Gen.oneof
-    [
-      Gen.map
-        (fun k q -> Query.select (fun x -> I.(x + Expr.int k)) q)
-        Gen.small_int;
-      Gen.map
-        (fun k q ->
-          Query.where
-            (fun x -> I.(x mod Expr.int Stdlib.(2 + (k mod 3)) = Expr.int 0))
-            q)
-        Gen.small_int;
-      Gen.return (fun q -> Query.where (fun _ -> Expr.bool true) q);
-      Gen.return
-        (fun q ->
-          Query.where (fun x -> I.(x mod Expr.int 10 < Expr.int 10)) q);
-      Gen.map (fun n q -> Query.take (n mod 12) q) Gen.small_int;
-      Gen.map (fun n q -> Query.skip (n mod 6) q) Gen.small_int;
-      Gen.return (fun q -> Query.distinct q);
-      Gen.return (fun q -> Query.distinct (Query.distinct q));
-      Gen.return (fun q -> Query.rev (Query.rev q));
-      Gen.return (fun q -> Query.rev q);
-      Gen.return (fun q -> Query.order_by (fun x -> x) q);
-      Gen.return
-        (fun q -> Query.order_by (fun x -> I.(x mod Expr.int 5)) q);
-      Gen.return (fun q -> Query.materialize q);
-    ]
-
-let source_gen =
-  QCheck.Gen.(
-    oneof
-      [
-        map (fun xs -> ints xs) (array_size (int_bound 12) (int_bound 20));
-        map
-          (fun n -> Query.range ~start:0 ~count:(n mod 16))
-          (int_bound 1000);
-      ])
-
-let pipeline_gen =
-  QCheck.Gen.(pair (list_size (int_bound 8) op_gen) source_gen)
-
-let build (ops, src) = List.fold_left (fun q op -> op q) src ops
-
 let interpreted = [ Steno.Linq; Steno.Fused ]
 
-(* Every generated pipeline must (a) discharge all its obligations and
+(* Every pipeline from [Plan_gen.redundant] must (a) discharge all its obligations and
    (b) compute the Reference answer on every backend with the optimizer
    on.  Interpreted backends take the full 200 cases... *)
 let random_validated_differential =
   QCheck.Test.make
     ~name:"validated pipelines match reference (linq, fused)" ~count:200
-    (QCheck.make pipeline_gen) (fun input ->
-      let q = build input in
+    (QCheck.make Plan_gen.redundant) (fun q ->
       let eng0 = engine Steno.Fused in
       let obs = Steno.Engine.verify eng0 q in
       Check.Equiv.accepted obs
@@ -245,10 +197,9 @@ let random_validated_differential =
 let random_validated_differential_native =
   QCheck.Test.make
     ~name:"validated pipelines match reference (native)" ~count:12
-    (QCheck.make pipeline_gen) (fun input ->
+    (QCheck.make Plan_gen.redundant) (fun q ->
       if not (Steno.native_available ()) then true
       else begin
-        let q = build input in
         Steno.Engine.to_list (engine Steno.Native) q = Reference.to_list q
       end)
 
@@ -256,7 +207,7 @@ let random_validated_differential_native =
 let random_scalar_any =
   QCheck.Test.make ~name:"validated Any pipelines match reference"
     ~count:100
-    (QCheck.make source_gen) (fun src ->
+    (QCheck.make Plan_gen.redundant_source) (fun src ->
       let sq = Query.any src in
       let eng0 = engine Steno.Fused in
       Check.Equiv.accepted (Steno.Engine.verify_scalar eng0 sq)

@@ -367,8 +367,12 @@ fi
 
 echo "== admin endpoints (stenoc serve --admin-port) =="
 serve_log="$work_dir/serve.log"
-dune exec bin/stenoc.exe -- serve --clients 4 --requests 2 -n 2000 \
-  --admin-port 0 --hold 30 > "$serve_log" 2>&1 &
+# The held server gets a temporary directory of its own, so that what it
+# leaves there after the SIGTERM below can be checked.
+serve_tmp="$work_dir/serve-tmp"
+mkdir -p "$serve_tmp"
+TMPDIR="$serve_tmp" dune exec bin/stenoc.exe -- serve --clients 4 --requests 2 \
+  -n 2000 --admin-port 0 --hold 30 > "$serve_log" 2>&1 &
 serve_pid=$!
 admin_url=""
 for _ in $(seq 1 100); do
@@ -403,6 +407,13 @@ curl -fsS "$admin_url/slow" > /dev/null
 kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=""
+# SIGTERM ends the hold through exit, so the at_exit hooks run: the
+# compile workdir (steno-<pid>) is gone.
+if [ -n "$(find "$serve_tmp" -maxdepth 1 -name 'steno-*')" ]; then
+  echo "stenoc serve, ended by SIGTERM, left its workdir behind:" >&2
+  ls "$serve_tmp" >&2
+  exit 1
+fi
 
 echo "== trace export (Chrome trace_event JSON) =="
 dune exec bin/stenoc.exe -- trace export -n 2000 > "$work_dir/trace_export.json"

@@ -540,15 +540,17 @@ let cmd_metrics n =
       [ Steno.Linq; Steno.Fused; Steno.Native ]
     else [ Steno.Linq; Steno.Fused ]
   in
+  (* Runs are counted by the session that runs them. *)
+  let sess = Steno.Session.create eng ~client_id:"stenoc" in
   List.iter
     (fun demo ->
       List.iter
         (fun b ->
           match demo with
           | Collection { build; _ } ->
-            ignore (Steno.Engine.to_array ~backend:b eng (build n))
+            ignore (Steno.Session.to_array ~backend:b sess (build n))
           | Scalar { build; _ } ->
-            ignore (Steno.Engine.scalar ~backend:b eng (build n)))
+            ignore (Steno.Session.scalar ~backend:b sess (build n)))
         backends)
     demos;
   (* Run the statically-pessimal needle demo twice on one backend: the

@@ -242,28 +242,10 @@ let rec provably_empty : type a. a Query.t -> bool = function
   | Query.Repeat (_, _, count) -> Check_purity.always_nonpositive count
   | Query.Take (q, n) ->
     provably_empty q || Check_purity.always_nonpositive n
-  | Query.Select (q, _) -> provably_empty q
-  | Query.Select_i (q, _) -> provably_empty q
-  | Query.Select_q (q, _, _) -> provably_empty q
-  | Query.Where (q, _) -> provably_empty q
-  | Query.Where_i (q, _) -> provably_empty q
-  | Query.Where_q (q, _, _) -> provably_empty q
-  | Query.Skip (q, _) -> provably_empty q
-  | Query.Take_while (q, _) -> provably_empty q
-  | Query.Skip_while (q, _) -> provably_empty q
-  | Query.Select_many (q, _, inner) ->
-    provably_empty q || provably_empty inner
-  | Query.Select_many_result (q, _, inner, _) ->
-    provably_empty q || provably_empty inner
-  | Query.Join (outer, inner, _, _, _) ->
-    provably_empty outer || provably_empty inner
-  | Query.Group_by (q, _) -> provably_empty q
-  | Query.Group_by_elem (q, _, _) -> provably_empty q
-  | Query.Group_by_agg (q, _, _, _) -> provably_empty q
-  | Query.Order_by (q, _, _) -> provably_empty q
-  | Query.Distinct q -> provably_empty q
-  | Query.Rev q -> provably_empty q
-  | Query.Materialize q -> provably_empty q
+  | q ->
+    List.exists
+      (function Query.Plan c -> provably_empty c | Query.Plan_sq _ -> false)
+      (Option.to_list (Query.input q) @ Query.nested q)
 
 (* Expression-level checks, attached to the operator embedding the
    expression. *)
@@ -288,7 +270,8 @@ let check_lam2 emit i label (l : (_, _, _) Expr.lam2) =
    position with a marked message. *)
 let rec collect_q : type a. (diagnostic -> unit) -> a Query.t -> int =
  fun emit q ->
-  let nested i label lint =
+  let label = Query.label q in
+  let nested i lint =
     lint (fun d ->
         emit
           {
@@ -300,190 +283,191 @@ let rec collect_q : type a. (diagnostic -> unit) -> a Query.t -> int =
   in
   match q with
   | Query.Of_array (_, arr) ->
-    check_expr emit 0 "of-array" arr;
+    check_expr emit 0 label arr;
     1
   | Query.Range (start, count) ->
-    check_expr emit 0 "range" start;
-    check_expr emit 0 "range" count;
+    check_expr emit 0 label start;
+    check_expr emit 0 label count;
     1
   | Query.Repeat (_, v, count) ->
-    check_expr emit 0 "repeat" v;
-    check_expr emit 0 "repeat" count;
+    check_expr emit 0 label v;
+    check_expr emit 0 label count;
     1
   | Query.Select (q0, f) ->
     let i = collect_q emit q0 in
-    check_lam emit i "select" f;
+    check_lam emit i label f;
     i + 1
   | Query.Select_i (q0, f) ->
     let i = collect_q emit q0 in
-    check_lam2 emit i "select-i" f;
+    check_lam2 emit i label f;
     i + 1
   | Query.Select_q (q0, _, sq) ->
     let i = collect_q emit q0 in
-    nested i "select-sq" (fun em -> ignore (collect_sq em sq));
+    nested i (fun em -> ignore (collect_sq em sq));
     i + 1
   | Query.Where (q0, p) ->
     let i = collect_q emit q0 in
-    check_lam emit i "where" p;
+    check_lam emit i label p;
     (match q0 with
     | Query.Take _ | Query.Skip _ | Query.Take_while _ | Query.Skip_while _
       ->
-      emit (diag "SC004" i "where" sc004_msg)
+      emit (diag "SC004" i label sc004_msg)
     | _ -> ());
     i + 1
   | Query.Where_i (q0, p) ->
     let i = collect_q emit q0 in
-    check_lam2 emit i "where-i" p;
+    check_lam2 emit i label p;
     i + 1
   | Query.Where_q (q0, _, sq) ->
     let i = collect_q emit q0 in
-    nested i "where-sq" (fun em -> ignore (collect_sq em sq));
+    nested i (fun em -> ignore (collect_sq em sq));
     i + 1
   | Query.Take (q0, n) ->
     let i = collect_q emit q0 in
-    check_expr emit i "take" n;
+    check_expr emit i label n;
     i + 1
   | Query.Skip (q0, n) ->
     let i = collect_q emit q0 in
-    check_expr emit i "skip" n;
+    check_expr emit i label n;
     i + 1
   | Query.Take_while (q0, p) ->
     let i = collect_q emit q0 in
-    check_lam emit i "take-while" p;
+    check_lam emit i label p;
     i + 1
   | Query.Skip_while (q0, p) ->
     let i = collect_q emit q0 in
-    check_lam emit i "skip-while" p;
+    check_lam emit i label p;
     i + 1
   | Query.Select_many (q0, _, inner) ->
     let i = collect_q emit q0 in
-    nested i "select-many" (fun em -> ignore (collect_q em inner));
+    nested i (fun em -> ignore (collect_q em inner));
     i + 1
   | Query.Select_many_result (q0, _, inner, r) ->
     let i = collect_q emit q0 in
-    nested i "select-many" (fun em -> ignore (collect_q em inner));
-    check_lam2 emit i "select-many" r;
+    nested i (fun em -> ignore (collect_q em inner));
+    check_lam2 emit i label r;
     i + 1
   | Query.Join (outer, inner, ok, ik, res) ->
     let i = collect_q emit outer in
-    nested i "join" (fun em -> ignore (collect_q em inner));
-    check_lam emit i "join" ok;
-    check_lam emit i "join" ik;
-    check_lam2 emit i "join" res;
+    nested i (fun em -> ignore (collect_q em inner));
+    check_lam emit i label ok;
+    check_lam emit i label ik;
+    check_lam2 emit i label res;
     i + 1
   | Query.Group_by (q0, k) ->
     let i = collect_q emit q0 in
-    check_lam emit i "group-by" k;
-    emit (diag "SC005" i "group-by" sc005_msg);
+    check_lam emit i label k;
+    emit (diag "SC005" i label sc005_msg);
     i + 1
   | Query.Group_by_elem (q0, k, e) ->
     let i = collect_q emit q0 in
-    check_lam emit i "group-by" k;
-    check_lam emit i "group-by" e;
-    emit (diag "SC005" i "group-by" sc005_msg);
+    check_lam emit i label k;
+    check_lam emit i label e;
+    emit (diag "SC005" i label sc005_msg);
     i + 1
   | Query.Group_by_agg (q0, k, seed, step) ->
     let i = collect_q emit q0 in
-    check_lam emit i "group-by-agg" k;
-    check_expr emit i "group-by-agg" seed;
-    check_lam2 emit i "group-by-agg" step;
+    check_lam emit i label k;
+    check_expr emit i label seed;
+    check_lam2 emit i label step;
     i + 1
   | Query.Order_by (q0, k, _) ->
     let i = collect_q emit q0 in
-    check_lam emit i "order-by" k;
+    check_lam emit i label k;
     (match q0 with
-    | Query.Order_by _ -> emit (diag "SC009" i "order-by" sc009_msg)
+    | Query.Order_by _ -> emit (diag "SC009" i label sc009_msg)
     | _ -> ());
     i + 1
   | Query.Distinct q0 ->
     let i = collect_q emit q0 in
     if (Check_flow.props q0).Check_flow.distinct = Check_flow.Yes then
-      emit (diag "SC008" i "distinct" sc008_msg);
+      emit (diag "SC008" i label sc008_msg);
     i + 1
   | Query.Rev q0 ->
     let i = collect_q emit q0 in
     (match q0 with
-    | Query.Order_by _ -> emit (diag "SC003" i "rev" sc003_msg)
+    | Query.Order_by _ -> emit (diag "SC003" i label sc003_msg)
     | _ -> ());
     i + 1
   | Query.Materialize q0 -> collect_q emit q0 + 1
 
 and collect_sq : type s. (diagnostic -> unit) -> s Query.sq -> int =
  fun emit sq ->
-  let nonempty_agg i label q =
+  let label = Query.sq_label sq in
+  let nonempty_agg i q =
     if provably_empty q then emit (diag "SC007" i label sc007_msg)
   in
   match sq with
   | Query.Aggregate (q, seed, step) ->
     let i = collect_q emit q in
-    check_expr emit i "aggregate" seed;
-    check_lam2 emit i "aggregate" step;
+    check_expr emit i label seed;
+    check_lam2 emit i label step;
     i + 1
   | Query.Aggregate_full (q, seed, step, res) ->
     let i = collect_q emit q in
-    check_expr emit i "aggregate" seed;
-    check_lam2 emit i "aggregate" step;
-    check_lam emit i "aggregate" res;
+    check_expr emit i label seed;
+    check_lam2 emit i label step;
+    check_lam emit i label res;
     i + 1
   | Query.Aggregate_combinable (q, seed, step, _) ->
     let i = collect_q emit q in
-    check_expr emit i "aggregate" seed;
-    check_lam2 emit i "aggregate" step;
+    check_expr emit i label seed;
+    check_lam2 emit i label step;
     i + 1
   | Query.Sum_int q -> collect_q emit q + 1
   | Query.Sum_float q -> collect_q emit q + 1
   | Query.Count q -> collect_q emit q + 1
   | Query.Average q ->
     let i = collect_q emit q in
-    nonempty_agg i "average" q;
+    nonempty_agg i q;
     i + 1
   | Query.Min q ->
     let i = collect_q emit q in
-    nonempty_agg i "min" q;
+    nonempty_agg i q;
     i + 1
   | Query.Max q ->
     let i = collect_q emit q in
-    nonempty_agg i "max" q;
+    nonempty_agg i q;
     i + 1
   | Query.Min_by (q, k) ->
     let i = collect_q emit q in
-    check_lam emit i "min-by" k;
-    nonempty_agg i "min-by" q;
+    check_lam emit i label k;
+    nonempty_agg i q;
     i + 1
   | Query.Max_by (q, k) ->
     let i = collect_q emit q in
-    check_lam emit i "max-by" k;
-    nonempty_agg i "max-by" q;
+    check_lam emit i label k;
+    nonempty_agg i q;
     i + 1
   | Query.First q ->
     let i = collect_q emit q in
-    nonempty_agg i "first" q;
+    nonempty_agg i q;
     i + 1
   | Query.Last q ->
     let i = collect_q emit q in
-    nonempty_agg i "last" q;
+    nonempty_agg i q;
     i + 1
   | Query.Element_at (q, n) ->
     let i = collect_q emit q in
-    check_expr emit i "element-at" n;
-    nonempty_agg i "element-at" q;
+    check_expr emit i label n;
+    nonempty_agg i q;
     i + 1
   | Query.Any q -> collect_q emit q + 1
   | Query.Exists (q, p) ->
     let i = collect_q emit q in
-    check_lam emit i "exists" p;
+    check_lam emit i label p;
     i + 1
   | Query.For_all (q, p) ->
     let i = collect_q emit q in
-    check_lam emit i "for-all" p;
+    check_lam emit i label p;
     i + 1
   | Query.Contains (q, v) ->
     let i = collect_q emit q in
-    check_expr emit i "contains" v;
+    check_expr emit i label v;
     i + 1
   | Query.Map_scalar (inner, f) ->
     let i = collect_sq emit inner in
-    check_lam emit i "map-scalar" f;
+    check_lam emit i label f;
     i + 1
 
 let sc002_of (report : Check_homo.report) =

@@ -205,15 +205,16 @@ and applies_sq : type s. s Query.sq -> int = function
 
 let rec walk : type a. a Query.t -> (string * props) list * props =
  fun q ->
-  let src label p = [ label, p ], p in
-  let step anns label p = anns @ [ label, p ], p in
+  let label = Query.label q in
+  let src p = [ label, p ], p in
+  let step anns p = anns @ [ label, p ], p in
   match q with
   | Query.Of_array (_, Expr.Capture (_, arr)) ->
     let n = Array.length arr in
-    src "of-array" (mk (Check_purity.exactly n) ~pure:true)
-  | Query.Of_array (_, arr) -> src "of-array" (mk unknown_card ~pure:(pure arr))
+    src (mk (Check_purity.exactly n) ~pure:true)
+  | Query.Of_array (_, arr) -> src (mk unknown_card ~pure:(pure arr))
   | Query.Range (start, count) ->
-    src "range"
+    src
       (mk
          (Check_purity.interval count)
          ~sorted:(identity_key Ty.Int) ~distinct:Yes
@@ -227,21 +228,21 @@ let rec walk : type a. a Query.t -> (string * props) list * props =
       | _ -> Maybe
     in
     (* A constant run is trivially non-decreasing under any key. *)
-    src "repeat"
+    src
       (mk card ~sorted:(identity_key ty) ~distinct ~pure:(pure v && pure count))
   | Query.Select (q0, f) ->
     let anns, s = walk q0 in
-    step anns "select" (mk s.card ~pure:(s.pure_prefix && pure_lam f))
+    step anns (mk s.card ~pure:(s.pure_prefix && pure_lam f))
   | Query.Select_i (q0, f) ->
     let anns, s = walk q0 in
-    step anns "select-i" (mk s.card ~pure:(s.pure_prefix && pure_lam2 f))
+    step anns (mk s.card ~pure:(s.pure_prefix && pure_lam2 f))
   | Query.Select_q (q0, _, sq) ->
     let anns, s = walk q0 in
     let sp = snd (walk_sq sq) in
-    step anns "select-sq" (mk s.card ~pure:(s.pure_prefix && sp.pure_prefix))
+    step anns (mk s.card ~pure:(s.pure_prefix && sp.pure_prefix))
   | Query.Where (q0, p) ->
     let anns, s = walk q0 in
-    step anns "where"
+    step anns
       (mk
          (itv (Some 0) (hi_of s.card))
          ?sorted:s.sorted_by
@@ -249,7 +250,7 @@ let rec walk : type a. a Query.t -> (string * props) list * props =
          ~pure:(s.pure_prefix && pure_lam p))
   | Query.Where_i (q0, p) ->
     let anns, s = walk q0 in
-    step anns "where-i"
+    step anns
       (mk
          (itv (Some 0) (hi_of s.card))
          ?sorted:s.sorted_by
@@ -258,7 +259,7 @@ let rec walk : type a. a Query.t -> (string * props) list * props =
   | Query.Where_q (q0, _, sq) ->
     let anns, s = walk q0 in
     let sp = snd (walk_sq sq) in
-    step anns "where-sq"
+    step anns
       (mk
          (itv (Some 0) (hi_of s.card))
          ?sorted:s.sorted_by
@@ -267,20 +268,20 @@ let rec walk : type a. a Query.t -> (string * props) list * props =
   | Query.Take (q0, n) ->
     let anns, s = walk q0 in
     let ni = clamp (Check_purity.interval n) in
-    step anns "take"
+    step anns
       (mk (card_take s.card ni) ?sorted:s.sorted_by
          ~distinct:(distinct_subseq s.distinct)
          ~pure:(s.pure_prefix && pure n))
   | Query.Skip (q0, n) ->
     let anns, s = walk q0 in
     let ni = clamp (Check_purity.interval n) in
-    step anns "skip"
+    step anns
       (mk (card_skip s.card ni) ?sorted:s.sorted_by
          ~distinct:(distinct_subseq s.distinct)
          ~pure:(s.pure_prefix && pure n))
   | Query.Take_while (q0, p) ->
     let anns, s = walk q0 in
-    step anns "take-while"
+    step anns
       (mk
          (itv (Some 0) (hi_of s.card))
          ?sorted:s.sorted_by
@@ -288,7 +289,7 @@ let rec walk : type a. a Query.t -> (string * props) list * props =
          ~pure:(s.pure_prefix && pure_lam p))
   | Query.Skip_while (q0, p) ->
     let anns, s = walk q0 in
-    step anns "skip-while"
+    step anns
       (mk
          (itv (Some 0) (hi_of s.card))
          ?sorted:s.sorted_by
@@ -300,19 +301,19 @@ let rec walk : type a. a Query.t -> (string * props) list * props =
     let distinct =
       if s.nonempty = Yes && si.distinct = No then No else Maybe
     in
-    step anns "select-many"
+    step anns
       (mk (card_mul s.card si.card) ~distinct
          ~pure:(s.pure_prefix && si.pure_prefix))
   | Query.Select_many_result (q0, _, inner, r) ->
     let anns, s = walk q0 in
     let si = snd (walk inner) in
-    step anns "select-many"
+    step anns
       (mk (card_mul s.card si.card)
          ~pure:(s.pure_prefix && si.pure_prefix && pure_lam2 r))
   | Query.Join (outer, inner, ok, ik, res) ->
     let anns, so = walk outer in
     let si = snd (walk inner) in
-    step anns "join"
+    step anns
       (mk
          (itv (Some 0) (mul_hi (hi_of so.card) (hi_of si.card)))
          ~pure:
@@ -320,28 +321,28 @@ let rec walk : type a. a Query.t -> (string * props) list * props =
           && pure_lam2 res))
   | Query.Group_by (q0, k) ->
     let anns, s = walk q0 in
-    step anns "group-by"
+    step anns
       (mk (card_squash s.card) ~distinct:Yes
          ~pure:(s.pure_prefix && pure_lam k))
   | Query.Group_by_elem (q0, k, e) ->
     let anns, s = walk q0 in
-    step anns "group-by"
+    step anns
       (mk (card_squash s.card) ~distinct:Yes
          ~pure:(s.pure_prefix && pure_lam k && pure_lam e))
   | Query.Group_by_agg (q0, k, seed, step_lam) ->
     let anns, s = walk q0 in
-    step anns "group-by-agg"
+    step anns
       (mk (card_squash s.card) ~distinct:Yes
          ~pure:
            (s.pure_prefix && pure_lam k && pure seed && pure_lam2 step_lam))
   | Query.Order_by (q0, k, dir) ->
     let anns, s = walk q0 in
-    step anns "order-by"
+    step anns
       (mk s.card ~sorted:(Skey (k, dir)) ~distinct:s.distinct
          ~pure:(s.pure_prefix && pure_lam k))
   | Query.Distinct q0 ->
     let anns, s = walk q0 in
-    step anns "distinct"
+    step anns
       (mk (card_squash s.card) ~distinct:Yes ?sorted:s.sorted_by
          ~pure:s.pure_prefix)
   | Query.Rev q0 ->
@@ -351,10 +352,10 @@ let rec walk : type a. a Query.t -> (string * props) list * props =
       | Some (Skey (k, dir)) -> Some (Skey (k, flip dir))
       | None -> None
     in
-    step anns "rev" (mk s.card ?sorted ~distinct:s.distinct ~pure:s.pure_prefix)
+    step anns (mk s.card ?sorted ~distinct:s.distinct ~pure:s.pure_prefix)
   | Query.Materialize q0 ->
     let anns, s = walk q0 in
-    step anns "materialize"
+    step anns
       (mk s.card ?sorted:s.sorted_by ~distinct:s.distinct ~pure:s.pure_prefix)
 
 (* Scalar queries produce exactly one value; the record mostly carries
@@ -362,7 +363,8 @@ let rec walk : type a. a Query.t -> (string * props) list * props =
    lambdas) for the validator and linter. *)
 and walk_sq : type s. s Query.sq -> (string * props) list * props =
  fun sq ->
-  let one label q extra_pure =
+  let label = Query.sq_label sq in
+  let one q extra_pure =
     let anns, s = walk q in
     let p =
       mk (Check_purity.exactly 1) ~distinct:Yes
@@ -372,33 +374,33 @@ and walk_sq : type s. s Query.sq -> (string * props) list * props =
   in
   match sq with
   | Query.Aggregate (q, seed, step) ->
-    one "aggregate" q (pure seed && pure_lam2 step)
+    one q (pure seed && pure_lam2 step)
   | Query.Aggregate_full (q, seed, step, res) ->
-    one "aggregate" q (pure seed && pure_lam2 step && pure_lam res)
+    one q (pure seed && pure_lam2 step && pure_lam res)
   | Query.Aggregate_combinable (q, seed, step, _) ->
-    one "aggregate" q (pure seed && pure_lam2 step)
-  | Query.Sum_int q -> one "sum" q true
-  | Query.Sum_float q -> one "sum" q true
-  | Query.Count q -> one "count" q true
-  | Query.Average q -> one "average" q true
-  | Query.Min q -> one "min" q true
-  | Query.Max q -> one "max" q true
-  | Query.Min_by (q, k) -> one "min-by" q (pure_lam k)
-  | Query.Max_by (q, k) -> one "max-by" q (pure_lam k)
-  | Query.First q -> one "first" q true
-  | Query.Last q -> one "last" q true
-  | Query.Element_at (q, n) -> one "element-at" q (pure n)
-  | Query.Any q -> one "any" q true
-  | Query.Exists (q, p) -> one "exists" q (pure_lam p)
-  | Query.For_all (q, p) -> one "for-all" q (pure_lam p)
-  | Query.Contains (q, v) -> one "contains" q (pure v)
+    one q (pure seed && pure_lam2 step)
+  | Query.Sum_int q -> one q true
+  | Query.Sum_float q -> one q true
+  | Query.Count q -> one q true
+  | Query.Average q -> one q true
+  | Query.Min q -> one q true
+  | Query.Max q -> one q true
+  | Query.Min_by (q, k) -> one q (pure_lam k)
+  | Query.Max_by (q, k) -> one q (pure_lam k)
+  | Query.First q -> one q true
+  | Query.Last q -> one q true
+  | Query.Element_at (q, n) -> one q (pure n)
+  | Query.Any q -> one q true
+  | Query.Exists (q, p) -> one q (pure_lam p)
+  | Query.For_all (q, p) -> one q (pure_lam p)
+  | Query.Contains (q, v) -> one q (pure v)
   | Query.Map_scalar (sq0, f) ->
     let anns, s = walk_sq sq0 in
     let p =
       mk (Check_purity.exactly 1) ~distinct:Yes
         ~pure:(s.pure_prefix && pure_lam f)
     in
-    anns @ [ "map-scalar", p ], p
+    anns @ [ label, p ], p
 
 let props q = snd (walk q)
 let scalar_props sq = snd (walk_sq sq)

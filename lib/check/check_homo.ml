@@ -29,39 +29,20 @@ let sorts = "a global sort interleaves elements from every partition"
 let dedups = "duplicates may span partition boundaries"
 let reverses = "reverses the global order, not each partition's"
 
-(* The top-level operator spine, source first.  Only the outer side of
-   joins and flattens is walked — the inner side is re-evaluated per
-   outer element, so it does not constrain partitioning — mirroring
-   [Par.is_homomorphic] exactly. *)
-let rec ops_of : type a. a Query.t -> (string * verdict) list = function
-  | Query.Of_array _ -> [ "of-array", Splittable ]
-  | Query.Range _ -> [ "range", Splittable ]
-  | Query.Repeat _ -> [ "repeat", Splittable ]
-  | Query.Select (q, _) -> ops_of q @ [ "select", Splittable ]
-  | Query.Select_i (q, _) -> ops_of q @ [ "select-i", Blocking positional ]
-  | Query.Select_q (q, _, _) -> ops_of q @ [ "select-sq", Splittable ]
-  | Query.Where (q, _) -> ops_of q @ [ "where", Splittable ]
-  | Query.Where_i (q, _) -> ops_of q @ [ "where-i", Blocking positional ]
-  | Query.Where_q (q, _, _) -> ops_of q @ [ "where-sq", Splittable ]
-  | Query.Take (q, _) -> ops_of q @ [ "take", Blocking prefix_cut ]
-  | Query.Skip (q, _) -> ops_of q @ [ "skip", Blocking prefix_cut ]
-  | Query.Take_while (q, _) ->
-    ops_of q @ [ "take-while", Blocking stateful_cut ]
-  | Query.Skip_while (q, _) ->
-    ops_of q @ [ "skip-while", Blocking stateful_cut ]
-  | Query.Select_many (q, _, _) -> ops_of q @ [ "select-many", Splittable ]
-  | Query.Select_many_result (q, _, _, _) ->
-    ops_of q @ [ "select-many", Splittable ]
-  | Query.Join (outer, _, _, _, _) -> ops_of outer @ [ "join", Splittable ]
-  | Query.Group_by (q, _) -> ops_of q @ [ "group-by", Blocking groups ]
-  | Query.Group_by_elem (q, _, _) ->
-    ops_of q @ [ "group-by", Blocking groups ]
-  | Query.Group_by_agg (q, _, _, _) ->
-    ops_of q @ [ "group-by-agg", Blocking group_aggs ]
-  | Query.Order_by (q, _, _) -> ops_of q @ [ "order-by", Blocking sorts ]
-  | Query.Distinct q -> ops_of q @ [ "distinct", Blocking dedups ]
-  | Query.Rev q -> ops_of q @ [ "rev", Blocking reverses ]
-  | Query.Materialize q -> ops_of q @ [ "materialize", Splittable ]
+(* Whether a collection operator commutes with partitioning its input. *)
+let verdict : type a. a Query.t -> verdict = function
+  | Query.Select_i _ | Query.Where_i _ -> Blocking positional
+  | Query.Take _ | Query.Skip _ -> Blocking prefix_cut
+  | Query.Take_while _ | Query.Skip_while _ -> Blocking stateful_cut
+  | Query.Group_by _ | Query.Group_by_elem _ -> Blocking groups
+  | Query.Group_by_agg _ -> Blocking group_aggs
+  | Query.Order_by _ -> Blocking sorts
+  | Query.Distinct _ -> Blocking dedups
+  | Query.Rev _ -> Blocking reverses
+  | Query.Of_array _ | Query.Range _ | Query.Repeat _ | Query.Select _
+  | Query.Select_q _ | Query.Where _ | Query.Where_q _ | Query.Select_many _
+  | Query.Select_many_result _ | Query.Join _ | Query.Materialize _ ->
+    Splittable
 
 type combinability =
   | Combinable of string
@@ -94,64 +75,26 @@ let rec aggregate_combinability : type s. s Query.sq -> combinability =
        exactly when the underlying aggregate is. *)
     aggregate_combinability inner
 
-let agg_label : type s. s Query.sq -> string = function
-  | Query.Aggregate _ -> "aggregate"
-  | Query.Aggregate_full _ -> "aggregate"
-  | Query.Aggregate_combinable _ -> "aggregate+combine"
-  | Query.Sum_int _ -> "sum"
-  | Query.Sum_float _ -> "sum"
-  | Query.Count _ -> "count"
-  | Query.Average _ -> "average"
-  | Query.Min _ -> "min"
-  | Query.Max _ -> "max"
-  | Query.Min_by _ -> "min-by"
-  | Query.Max_by _ -> "max-by"
-  | Query.First _ -> "first"
-  | Query.Last _ -> "last"
-  | Query.Element_at _ -> "element-at"
-  | Query.Any _ -> "any"
-  | Query.Exists _ -> "exists"
-  | Query.For_all _ -> "for-all"
-  | Query.Contains _ -> "contains"
-  | Query.Map_scalar _ -> "map-scalar"
+(* The top-level operator spine, source first.  Only the outer side of
+   joins and flattens is walked — the inner side is re-evaluated per
+   outer element, so it does not constrain partitioning — mirroring
+   [Par.is_homomorphic] exactly. *)
+let rec ops_of : type a. a Query.t -> (string * verdict) list =
+ fun q -> spine (Query.input q) @ [ Query.label q, verdict q ]
 
-let rec scalar_ops : type s. s Query.sq -> (string * verdict) list =
+and scalar_ops : type s. s Query.sq -> (string * verdict) list =
  fun sq ->
-  let agg_row inner =
-    let v =
-      match aggregate_combinability sq with
-      | Combinable _ -> Splittable
-      | Not_combinable reason -> Blocking reason
-    in
-    ops_of inner @ [ agg_label sq, v ]
+  let v =
+    match aggregate_combinability sq with
+    | Combinable _ -> Splittable
+    | Not_combinable reason -> Blocking reason
   in
-  match sq with
-  | Query.Aggregate (q, _, _) -> agg_row q
-  | Query.Aggregate_full (q, _, _, _) -> agg_row q
-  | Query.Aggregate_combinable (q, _, _, _) -> agg_row q
-  | Query.Sum_int q -> agg_row q
-  | Query.Sum_float q -> agg_row q
-  | Query.Count q -> agg_row q
-  | Query.Average q -> agg_row q
-  | Query.Min q -> agg_row q
-  | Query.Max q -> agg_row q
-  | Query.Min_by (q, _) -> agg_row q
-  | Query.Max_by (q, _) -> agg_row q
-  | Query.First q -> agg_row q
-  | Query.Last q -> agg_row q
-  | Query.Element_at (q, _) -> agg_row q
-  | Query.Any q -> agg_row q
-  | Query.Exists (q, _) -> agg_row q
-  | Query.For_all (q, _) -> agg_row q
-  | Query.Contains (q, _) -> agg_row q
-  | Query.Map_scalar (inner, _) ->
-    scalar_ops inner
-    @ [
-        ( "map-scalar",
-          match aggregate_combinability sq with
-          | Combinable _ -> Splittable
-          | Not_combinable reason -> Blocking reason );
-      ]
+  spine (Some (Query.sq_input sq)) @ [ Query.sq_label sq, v ]
+
+and spine = function
+  | None -> []
+  | Some (Query.Plan q) -> ops_of q
+  | Some (Query.Plan_sq sq) -> scalar_ops sq
 
 let report_of ops =
   let ops =

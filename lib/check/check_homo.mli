@@ -17,7 +17,7 @@ type verdict =
 
 type op_info = {
   o_index : int;  (** position in source-to-sink order, [0] = source *)
-  o_label : string;  (** combinator name, e.g. ["order-by"] *)
+  o_label : string;  (** the operator's {!Query.label} *)
   o_verdict : verdict;
 }
 

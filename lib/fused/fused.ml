@@ -25,14 +25,16 @@ let of_array_folder arr =
   { fold = (fun f z -> Array.fold_left f z arr) }
 
 let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
- fun w -> function
+ fun w node ->
+  let label = Query.label node in
+  match node with
   | Query.Of_array (_, arr) ->
     let farr = Open.compile arr in
-    let wr = w.fwrap "of-array" in
+    let wr = w.fwrap label in
     fun env -> wr (of_array_folder (farr env))
   | Query.Range (start, count) ->
     let fs = Open.compile start and fc = Open.compile count in
-    let wr = w.fwrap "range" in
+    let wr = w.fwrap label in
     fun env ->
       let s = fs env and c = fc env in
       wr
@@ -47,7 +49,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Repeat (_, v, count) ->
     let fv = Open.compile v and fc = Open.compile count in
-    let wr = w.fwrap "repeat" in
+    let wr = w.fwrap label in
     fun env ->
       let x = fv env and c = fc env in
       wr
@@ -62,13 +64,13 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Select (q, lam) ->
     let src = stage_probed w q and f = Open.compile_lam lam in
-    let wr = w.fwrap "select" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env and f = f env in
       wr { fold = (fun g z -> src.fold (fun acc x -> g acc (f x)) z) }
   | Query.Select_i (q, lam2) ->
     let src = stage_probed w q and f = Open.compile_lam2 lam2 in
-    let wr = w.fwrap "select-i" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env and f = f env in
       wr
@@ -84,7 +86,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Select_q (q, v, sq) ->
     let src = stage_probed w q and fsq = stage_sq_probed unprobed sq in
-    let wr = w.fwrap "select-sq" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env in
       wr
@@ -95,7 +97,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Where (q, lam) ->
     let src = stage_probed w q and p = Open.compile_lam lam in
-    let wr = w.fwrap "where" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env and p = p env in
       wr
@@ -105,7 +107,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Where_i (q, lam2) ->
     let src = stage_probed w q and p = Open.compile_lam2 lam2 in
-    let wr = w.fwrap "where-i" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env and p = p env in
       wr
@@ -121,7 +123,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Where_q (q, v, sq) ->
     let src = stage_probed w q and fsq = stage_sq_probed unprobed sq in
-    let wr = w.fwrap "where-sq" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env in
       wr
@@ -134,7 +136,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Take (q, n) ->
     let src = stage_probed w q and fn = Open.compile n in
-    let wr = w.fwrap "take" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env and n = fn env in
       wr
@@ -153,7 +155,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Skip (q, n) ->
     let src = stage_probed w q and fn = Open.compile n in
-    let wr = w.fwrap "skip" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env and n = fn env in
       wr
@@ -172,7 +174,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Take_while (q, lam) ->
     let src = stage_probed w q and p = Open.compile_lam lam in
-    let wr = w.fwrap "take-while" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env and p = p env in
       wr
@@ -186,7 +188,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Skip_while (q, lam) ->
     let src = stage_probed w q and p = Open.compile_lam lam in
-    let wr = w.fwrap "skip-while" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env and p = p env in
       wr
@@ -205,7 +207,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Select_many (q, v, inner) ->
     let src = stage_probed w q and finner = stage_probed unprobed inner in
-    let wr = w.fwrap "select-many" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env in
       wr
@@ -218,7 +220,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
     let src = stage_probed w q
     and finner = stage_probed unprobed inner
     and fres = Open.compile_lam2 lam2 in
-    let wr = w.fwrap "select-many" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env in
       let res = fres env in
@@ -239,7 +241,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
     and fok = Open.compile_lam ok
     and fik = Open.compile_lam ik
     and fres = Open.compile_lam2 res in
-    let wr = w.fwrap "join" in
+    let wr = w.fwrap label in
     fun env ->
       let outer = fouter env
       and inner = finner env
@@ -264,7 +266,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Group_by (q, key) ->
     let src = stage_probed w q and fkey = Open.compile_lam key in
-    let wr = w.fwrap "group-by" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env and key = fkey env in
       wr
@@ -280,7 +282,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
     let src = stage_probed w q
     and fkey = Open.compile_lam key
     and felem = Open.compile_lam elem in
-    let wr = w.fwrap "group-by" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env and key = fkey env and elem = felem env in
       wr
@@ -299,7 +301,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
     and fkey = Open.compile_lam key
     and fseed = Open.compile seed
     and fstep = Open.compile_lam2 step in
-    let wr = w.fwrap "group-by-agg" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env
       and key = fkey env
@@ -317,7 +319,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Order_by (q, key, dir) ->
     let src = stage_probed w q and fkey = Open.compile_lam key in
-    let wr = w.fwrap "order-by" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env and key = fkey env in
       wr
@@ -339,7 +341,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Distinct q ->
     let src = stage_probed w q in
-    let wr = w.fwrap "distinct" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env in
       wr
@@ -358,7 +360,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Rev q ->
     let src = stage_probed w q in
-    let wr = w.fwrap "rev" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env in
       wr
@@ -374,7 +376,7 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a folder =
         }
   | Query.Materialize q ->
     let src = stage_probed w q in
-    let wr = w.fwrap "materialize" in
+    let wr = w.fwrap label in
     fun env ->
       let src = src env in
       wr { fold = (fun g z -> Array.fold_left g z (materialize src)) }

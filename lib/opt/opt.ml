@@ -67,29 +67,10 @@ let is_empty : type a. a Query.t -> bool = function
    produces no elements itself.  (A [Join] is empty as soon as either
    side is; a [Select_many] as soon as the outer or the element-independent
    inner is.) *)
-let collapsible : type a. a Query.t -> bool = function
-  | Query.Of_array _ | Query.Range _ | Query.Repeat _ -> false
-  | Query.Select (q, _) -> is_empty q
-  | Query.Select_i (q, _) -> is_empty q
-  | Query.Select_q (q, _, _) -> is_empty q
-  | Query.Where (q, _)
-  | Query.Where_i (q, _)
-  | Query.Take (q, _)
-  | Query.Skip (q, _)
-  | Query.Take_while (q, _)
-  | Query.Skip_while (q, _)
-  | Query.Order_by (q, _, _)
-  | Query.Distinct q
-  | Query.Rev q
-  | Query.Materialize q ->
-    is_empty q
-  | Query.Where_q (q, _, _) -> is_empty q
-  | Query.Select_many (q, _, inner) -> is_empty q || is_empty inner
-  | Query.Select_many_result (q, _, inner, _) -> is_empty q || is_empty inner
-  | Query.Join (outer, inner, _, _, _) -> is_empty outer || is_empty inner
-  | Query.Group_by (q, _) -> is_empty q
-  | Query.Group_by_elem (q, _, _) -> is_empty q
-  | Query.Group_by_agg (q, _, _, _) -> is_empty q
+let collapsible q =
+  List.exists
+    (function Query.Plan c -> is_empty c | Query.Plan_sq _ -> false)
+    (Option.to_list (Query.input q) @ Query.nested q)
 
 let pure e = Check_purity.purity e = Check_purity.Pure
 
@@ -263,144 +244,33 @@ let rec apply_rules_sq :
   | Some (sq', e) -> apply_rules_sq sq' (log @ [ e ])
   | None -> sq, log
 
+(* A pass's recursion, one function per AST kind. *)
+type rewriter = {
+  rq : 'a. 'a Query.t -> 'a Query.t * event list;
+  rsq : 's. 's Query.sq -> 's Query.sq * event list;
+}
+
+(* A [Query.mapper] rewriting each sub-plan with [r] and appending its
+   log to [log], in [Query.map]'s order: the input's events first. *)
+let logging log r =
+  let sub f x =
+    let x, l = f x in
+    log := !log @ l;
+    x
+  in
+  { Query.q = (fun q -> sub r.rq q); sq = (fun sq -> sub r.rsq sq) }
+
 let rec pass : type a. a Query.t -> a Query.t * event list =
  fun q ->
-  let q, log =
-    match q with
-    | Query.Of_array _ as q -> q, []
-    | Query.Range _ as q -> q, []
-    | Query.Repeat _ as q -> q, []
-    | Query.Select (q0, f) ->
-      let q0, l = pass q0 in
-      Query.Select (q0, f), l
-    | Query.Select_i (q0, f) ->
-      let q0, l = pass q0 in
-      Query.Select_i (q0, f), l
-    | Query.Select_q (q0, v, sq) ->
-      let q0, l1 = pass q0 in
-      let sq, l2 = pass_sq sq in
-      Query.Select_q (q0, v, sq), l1 @ l2
-    | Query.Where (q0, p) ->
-      let q0, l = pass q0 in
-      Query.Where (q0, p), l
-    | Query.Where_i (q0, p) ->
-      let q0, l = pass q0 in
-      Query.Where_i (q0, p), l
-    | Query.Where_q (q0, v, sq) ->
-      let q0, l1 = pass q0 in
-      let sq, l2 = pass_sq sq in
-      Query.Where_q (q0, v, sq), l1 @ l2
-    | Query.Take (q0, n) ->
-      let q0, l = pass q0 in
-      Query.Take (q0, n), l
-    | Query.Skip (q0, n) ->
-      let q0, l = pass q0 in
-      Query.Skip (q0, n), l
-    | Query.Take_while (q0, p) ->
-      let q0, l = pass q0 in
-      Query.Take_while (q0, p), l
-    | Query.Skip_while (q0, p) ->
-      let q0, l = pass q0 in
-      Query.Skip_while (q0, p), l
-    | Query.Select_many (q0, v, inner) ->
-      let q0, l1 = pass q0 in
-      let inner, l2 = pass inner in
-      Query.Select_many (q0, v, inner), l1 @ l2
-    | Query.Select_many_result (q0, v, inner, r) ->
-      let q0, l1 = pass q0 in
-      let inner, l2 = pass inner in
-      Query.Select_many_result (q0, v, inner, r), l1 @ l2
-    | Query.Join (outer, inner, ok, ik, res) ->
-      let outer, l1 = pass outer in
-      let inner, l2 = pass inner in
-      Query.Join (outer, inner, ok, ik, res), l1 @ l2
-    | Query.Group_by (q0, k) ->
-      let q0, l = pass q0 in
-      Query.Group_by (q0, k), l
-    | Query.Group_by_elem (q0, k, e) ->
-      let q0, l = pass q0 in
-      Query.Group_by_elem (q0, k, e), l
-    | Query.Group_by_agg (q0, k, seed, step) ->
-      let q0, l = pass q0 in
-      Query.Group_by_agg (q0, k, seed, step), l
-    | Query.Order_by (q0, k, dir) ->
-      let q0, l = pass q0 in
-      Query.Order_by (q0, k, dir), l
-    | Query.Distinct q0 ->
-      let q0, l = pass q0 in
-      Query.Distinct q0, l
-    | Query.Rev q0 ->
-      let q0, l = pass q0 in
-      Query.Rev q0, l
-    | Query.Materialize q0 ->
-      let q0, l = pass q0 in
-      Query.Materialize q0, l
-  in
-  apply_rules q log
+  let log = ref [] in
+  let q = Query.map (logging log { rq = pass; rsq = pass_sq }) q in
+  apply_rules q !log
 
 and pass_sq : type s. s Query.sq -> s Query.sq * event list =
  fun sq ->
-  let sq, log =
-    match sq with
-    | Query.Aggregate (q, seed, step) ->
-      let q, l = pass q in
-      Query.Aggregate (q, seed, step), l
-    | Query.Aggregate_full (q, seed, step, res) ->
-      let q, l = pass q in
-      Query.Aggregate_full (q, seed, step, res), l
-    | Query.Aggregate_combinable (q, seed, step, combine) ->
-      let q, l = pass q in
-      Query.Aggregate_combinable (q, seed, step, combine), l
-    | Query.Sum_int q ->
-      let q, l = pass q in
-      Query.Sum_int q, l
-    | Query.Sum_float q ->
-      let q, l = pass q in
-      Query.Sum_float q, l
-    | Query.Count q ->
-      let q, l = pass q in
-      Query.Count q, l
-    | Query.Average q ->
-      let q, l = pass q in
-      Query.Average q, l
-    | Query.Min q ->
-      let q, l = pass q in
-      Query.Min q, l
-    | Query.Max q ->
-      let q, l = pass q in
-      Query.Max q, l
-    | Query.Min_by (q, k) ->
-      let q, l = pass q in
-      Query.Min_by (q, k), l
-    | Query.Max_by (q, k) ->
-      let q, l = pass q in
-      Query.Max_by (q, k), l
-    | Query.First q ->
-      let q, l = pass q in
-      Query.First q, l
-    | Query.Last q ->
-      let q, l = pass q in
-      Query.Last q, l
-    | Query.Element_at (q, n) ->
-      let q, l = pass q in
-      Query.Element_at (q, n), l
-    | Query.Any q ->
-      let q, l = pass q in
-      Query.Any q, l
-    | Query.Exists (q, p) ->
-      let q, l = pass q in
-      Query.Exists (q, p), l
-    | Query.For_all (q, p) ->
-      let q, l = pass q in
-      Query.For_all (q, p), l
-    | Query.Contains (q, v) ->
-      let q, l = pass q in
-      Query.Contains (q, v), l
-    | Query.Map_scalar (sq, f) ->
-      let sq, l = pass_sq sq in
-      Query.Map_scalar (sq, f), l
-  in
-  apply_rules_sq sq log
+  let log = ref [] in
+  let sq = Query.map_sq (logging log { rq = pass; rsq = pass_sq }) sq in
+  apply_rules_sq sq !log
 
 let run_fix ~fuel step x =
   let rec loop n x acc =
@@ -526,144 +396,25 @@ let reorder_where :
       else
         Query.Where (q0, { p with Expr.body = fuse_conjuncts ordered }), events
 
-let rec adapt : type a. estimator -> split:bool -> a Query.t -> a Query.t * event list =
+let rec adapt :
+    type a. estimator -> split:bool -> a Query.t -> a Query.t * event list =
  fun e ~split q ->
-  let adapt q = adapt e ~split q in
-  let adapt_sq sq = adapt_sq e ~split sq in
-  match q with
-  | Query.Of_array _ as q -> q, []
-  | Query.Range _ as q -> q, []
-  | Query.Repeat _ as q -> q, []
-  | Query.Select (q0, f) ->
-    let q0, l = adapt q0 in
-    Query.Select (q0, f), l
-  | Query.Select_i (q0, f) ->
-    let q0, l = adapt q0 in
-    Query.Select_i (q0, f), l
-  | Query.Select_q (q0, v, sq) ->
-    let q0, l1 = adapt q0 in
-    let sq, l2 = adapt_sq sq in
-    Query.Select_q (q0, v, sq), l1 @ l2
+  let log = ref [] in
+  match Query.map (logging log (adapter e ~split)) q with
   | Query.Where (q0, p) ->
-    let q0, l1 = adapt q0 in
-    let q', l2 = reorder_where e ~split q0 p in
-    q', l1 @ l2
-  | Query.Where_i (q0, p) ->
-    let q0, l = adapt q0 in
-    Query.Where_i (q0, p), l
-  | Query.Where_q (q0, v, sq) ->
-    let q0, l1 = adapt q0 in
-    let sq, l2 = adapt_sq sq in
-    Query.Where_q (q0, v, sq), l1 @ l2
-  | Query.Take (q0, n) ->
-    let q0, l = adapt q0 in
-    Query.Take (q0, n), l
-  | Query.Skip (q0, n) ->
-    let q0, l = adapt q0 in
-    Query.Skip (q0, n), l
-  | Query.Take_while (q0, p) ->
-    let q0, l = adapt q0 in
-    Query.Take_while (q0, p), l
-  | Query.Skip_while (q0, p) ->
-    let q0, l = adapt q0 in
-    Query.Skip_while (q0, p), l
-  | Query.Select_many (q0, v, inner) ->
-    let q0, l1 = adapt q0 in
-    let inner, l2 = adapt inner in
-    Query.Select_many (q0, v, inner), l1 @ l2
-  | Query.Select_many_result (q0, v, inner, r) ->
-    let q0, l1 = adapt q0 in
-    let inner, l2 = adapt inner in
-    Query.Select_many_result (q0, v, inner, r), l1 @ l2
-  | Query.Join (outer, inner, ok, ik, res) ->
-    let outer, l1 = adapt outer in
-    let inner, l2 = adapt inner in
-    Query.Join (outer, inner, ok, ik, res), l1 @ l2
-  | Query.Group_by (q0, k) ->
-    let q0, l = adapt q0 in
-    Query.Group_by (q0, k), l
-  | Query.Group_by_elem (q0, k, el) ->
-    let q0, l = adapt q0 in
-    Query.Group_by_elem (q0, k, el), l
-  | Query.Group_by_agg (q0, k, seed, step) ->
-    let q0, l = adapt q0 in
-    Query.Group_by_agg (q0, k, seed, step), l
-  | Query.Order_by (q0, k, dir) ->
-    let q0, l = adapt q0 in
-    Query.Order_by (q0, k, dir), l
-  | Query.Distinct q0 ->
-    let q0, l = adapt q0 in
-    Query.Distinct q0, l
-  | Query.Rev q0 ->
-    let q0, l = adapt q0 in
-    Query.Rev q0, l
-  | Query.Materialize q0 ->
-    let q0, l = adapt q0 in
-    Query.Materialize q0, l
+    let q', l = reorder_where e ~split q0 p in
+    q', !log @ l
+  | q -> q, !log
 
 and adapt_sq :
     type s. estimator -> split:bool -> s Query.sq -> s Query.sq * event list =
  fun e ~split sq ->
-  let adapt q = adapt e ~split q in
-  let adapt_sq sq = adapt_sq e ~split sq in
-  match sq with
-  | Query.Aggregate (q, seed, step) ->
-    let q, l = adapt q in
-    Query.Aggregate (q, seed, step), l
-  | Query.Aggregate_full (q, seed, step, res) ->
-    let q, l = adapt q in
-    Query.Aggregate_full (q, seed, step, res), l
-  | Query.Aggregate_combinable (q, seed, step, combine) ->
-    let q, l = adapt q in
-    Query.Aggregate_combinable (q, seed, step, combine), l
-  | Query.Sum_int q ->
-    let q, l = adapt q in
-    Query.Sum_int q, l
-  | Query.Sum_float q ->
-    let q, l = adapt q in
-    Query.Sum_float q, l
-  | Query.Count q ->
-    let q, l = adapt q in
-    Query.Count q, l
-  | Query.Average q ->
-    let q, l = adapt q in
-    Query.Average q, l
-  | Query.Min q ->
-    let q, l = adapt q in
-    Query.Min q, l
-  | Query.Max q ->
-    let q, l = adapt q in
-    Query.Max q, l
-  | Query.Min_by (q, k) ->
-    let q, l = adapt q in
-    Query.Min_by (q, k), l
-  | Query.Max_by (q, k) ->
-    let q, l = adapt q in
-    Query.Max_by (q, k), l
-  | Query.First q ->
-    let q, l = adapt q in
-    Query.First q, l
-  | Query.Last q ->
-    let q, l = adapt q in
-    Query.Last q, l
-  | Query.Element_at (q, n) ->
-    let q, l = adapt q in
-    Query.Element_at (q, n), l
-  | Query.Any q ->
-    let q, l = adapt q in
-    Query.Any q, l
-  | Query.Exists (q, p) ->
-    let q, l = adapt q in
-    Query.Exists (q, p), l
-  | Query.For_all (q, p) ->
-    let q, l = adapt q in
-    Query.For_all (q, p), l
-  | Query.Contains (q, v) ->
-    let q, l = adapt q in
-    Query.Contains (q, v), l
-  | Query.Map_scalar (sq, f) ->
-    let sq, l = adapt_sq sq in
-    Query.Map_scalar (sq, f), l
+  let log = ref [] in
+  let sq = Query.map_sq (logging log (adapter e ~split)) sq in
+  sq, !log
+
+and adapter e ~split =
+  { rq = (fun q -> adapt e ~split q); rsq = (fun sq -> adapt_sq e ~split sq) }
 
 let adaptive_ev : type r.
     estimator -> split:bool -> r Query.root -> r Query.root * event list =

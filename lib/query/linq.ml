@@ -16,69 +16,71 @@ let unprobed = { wrap = (fun _ e -> e) }
    unprobed and their cost shows up in the enclosing operator's row
    counts and time. *)
 let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a E.t =
- fun w -> function
+ fun w node ->
+  let label = Query.label node in
+  match node with
   | Query.Of_array (_, arr) ->
     let farr = Open.compile arr in
-    let wr = w.wrap "of-array" in
+    let wr = w.wrap label in
     fun env -> wr (E.of_array (farr env))
   | Query.Range (start, count) ->
     let fs = Open.compile start and fc = Open.compile count in
-    let wr = w.wrap "range" in
+    let wr = w.wrap label in
     fun env -> wr (E.range (fs env) (fc env))
   | Query.Repeat (_, v, count) ->
     let fv = Open.compile v and fc = Open.compile count in
-    let wr = w.wrap "repeat" in
+    let wr = w.wrap label in
     fun env -> wr (E.repeat (fv env) (fc env))
   | Query.Select (q, lam) ->
     let src = stage_probed w q and f = Open.compile_lam lam in
-    let wr = w.wrap "select" in
+    let wr = w.wrap label in
     fun env -> wr (E.select (f env) (src env))
   | Query.Select_i (q, lam2) ->
     let src = stage_probed w q and f = Open.compile_lam2 lam2 in
-    let wr = w.wrap "select-i" in
+    let wr = w.wrap label in
     fun env -> wr (E.select_i (f env) (src env))
   | Query.Select_q (q, v, sq) ->
     let src = stage_probed w q and fsq = stage_sq_probed unprobed sq in
-    let wr = w.wrap "select-sq" in
+    let wr = w.wrap label in
     fun env -> wr (E.select (fun x -> fsq (Open.bind v x env)) (src env))
   | Query.Where (q, lam) ->
     let src = stage_probed w q and p = Open.compile_lam lam in
-    let wr = w.wrap "where" in
+    let wr = w.wrap label in
     fun env -> wr (E.where (p env) (src env))
   | Query.Where_i (q, lam2) ->
     let src = stage_probed w q and p = Open.compile_lam2 lam2 in
-    let wr = w.wrap "where-i" in
+    let wr = w.wrap label in
     fun env -> wr (E.where_i (p env) (src env))
   | Query.Where_q (q, v, sq) ->
     let src = stage_probed w q and fsq = stage_sq_probed unprobed sq in
-    let wr = w.wrap "where-sq" in
+    let wr = w.wrap label in
     fun env -> wr (E.where (fun x -> fsq (Open.bind v x env)) (src env))
   | Query.Take (q, n) ->
     let src = stage_probed w q and fn = Open.compile n in
-    let wr = w.wrap "take" in
+    let wr = w.wrap label in
     fun env -> wr (E.take (fn env) (src env))
   | Query.Skip (q, n) ->
     let src = stage_probed w q and fn = Open.compile n in
-    let wr = w.wrap "skip" in
+    let wr = w.wrap label in
     fun env -> wr (E.skip (fn env) (src env))
   | Query.Take_while (q, lam) ->
     let src = stage_probed w q and p = Open.compile_lam lam in
-    let wr = w.wrap "take-while" in
+    let wr = w.wrap label in
     fun env -> wr (E.take_while (p env) (src env))
   | Query.Skip_while (q, lam) ->
     let src = stage_probed w q and p = Open.compile_lam lam in
-    let wr = w.wrap "skip-while" in
+    let wr = w.wrap label in
     fun env -> wr (E.skip_while (p env) (src env))
   | Query.Select_many (q, v, inner) ->
     let src = stage_probed w q and finner = stage_probed unprobed inner in
-    let wr = w.wrap "select-many" in
+    let wr = w.wrap label in
     fun env ->
       wr (E.select_many (fun x -> finner (Open.bind v x env)) (src env))
   | Query.Select_many_result (q, v, inner, lam2) ->
     let src = stage_probed w q
     and finner = stage_probed unprobed inner
     and fres = Open.compile_lam2 lam2 in
-    let wr = w.wrap "select-many" in
+    let wr = w.wrap label in
     fun env ->
       wr
         (E.select_many_result
@@ -90,25 +92,25 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a E.t =
     and fok = Open.compile_lam ok
     and fik = Open.compile_lam ik
     and fres = Open.compile_lam2 res in
-    let wr = w.wrap "join" in
+    let wr = w.wrap label in
     fun env ->
       wr (E.join (fok env) (fik env) (fres env) (fouter env) (finner env))
   | Query.Group_by (q, key) ->
     let src = stage_probed w q and fkey = Open.compile_lam key in
-    let wr = w.wrap "group-by" in
+    let wr = w.wrap label in
     fun env -> wr (E.group_by (fkey env) (src env))
   | Query.Group_by_elem (q, key, elem) ->
     let src = stage_probed w q
     and fkey = Open.compile_lam key
     and felem = Open.compile_lam elem in
-    let wr = w.wrap "group-by" in
+    let wr = w.wrap label in
     fun env -> wr (E.group_by_elem (fkey env) (felem env) (src env))
   | Query.Group_by_agg (q, key, seed, step) ->
     let src = stage_probed w q
     and fkey = Open.compile_lam key
     and fseed = Open.compile seed
     and fstep = Open.compile_lam2 step in
-    let wr = w.wrap "group-by-agg" in
+    let wr = w.wrap label in
     fun env ->
       wr
         (E.of_fun (fun () ->
@@ -122,23 +124,23 @@ let rec stage_probed : type a. wrapper -> a Query.t -> Open.env -> a E.t =
              Iterator.of_array (Lookup.Agg.entries agg)))
   | Query.Order_by (q, key, Query.Ascending) ->
     let src = stage_probed w q and fkey = Open.compile_lam key in
-    let wr = w.wrap "order-by" in
+    let wr = w.wrap label in
     fun env -> wr (E.order_by (fkey env) (src env))
   | Query.Order_by (q, key, Query.Descending) ->
     let src = stage_probed w q and fkey = Open.compile_lam key in
-    let wr = w.wrap "order-by" in
+    let wr = w.wrap label in
     fun env -> wr (E.order_by_descending (fkey env) (src env))
   | Query.Distinct q ->
     let src = stage_probed w q in
-    let wr = w.wrap "distinct" in
+    let wr = w.wrap label in
     fun env -> wr (E.distinct (src env))
   | Query.Rev q ->
     let src = stage_probed w q in
-    let wr = w.wrap "rev" in
+    let wr = w.wrap label in
     fun env -> wr (E.reverse (src env))
   | Query.Materialize q ->
     let src = stage_probed w q in
-    let wr = w.wrap "materialize" in
+    let wr = w.wrap label in
     fun env ->
       wr (E.of_fun (fun () -> Iterator.of_array (E.to_array (src env))))
 

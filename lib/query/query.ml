@@ -224,97 +224,146 @@ let sum_by_float f q = sum_float (select f q)
 let average_by f q = average (select f q)
 let count_where p q = count (where p q)
 
-(* Structure. *)
+(* Structure: the one place that says which sub-plans each node holds. *)
 
-let rec operator_count : type a. a t -> int = function
-  | Of_array _ | Range _ | Repeat _ -> 1
-  | Select (q, _) -> 1 + operator_count q
-  | Select_i (q, _) -> 1 + operator_count q
-  | Select_q (q, _, sq) -> 1 + operator_count q + sq_operator_count sq
-  | Where (q, _) -> 1 + operator_count q
-  | Where_i (q, _) -> 1 + operator_count q
-  | Where_q (q, _, sq) -> 1 + operator_count q + sq_operator_count sq
-  | Take (q, _) -> 1 + operator_count q
-  | Skip (q, _) -> 1 + operator_count q
-  | Take_while (q, _) -> 1 + operator_count q
-  | Skip_while (q, _) -> 1 + operator_count q
-  | Select_many (q, _, inner) -> 1 + operator_count q + operator_count inner
-  | Select_many_result (q, _, inner, _) ->
-    1 + operator_count q + operator_count inner
-  | Join (outer, inner, _, _, _) ->
-    1 + operator_count outer + operator_count inner
-  | Group_by (q, _) -> 1 + operator_count q
-  | Group_by_elem (q, _, _) -> 1 + operator_count q
-  | Group_by_agg (q, _, _, _) -> 1 + operator_count q
-  | Order_by (q, _, _) -> 1 + operator_count q
-  | Distinct q -> 1 + operator_count q
-  | Rev q -> 1 + operator_count q
-  | Materialize q -> 1 + operator_count q
+type mapper = { q : 'a. 'a t -> 'a t; sq : 's. 's sq -> 's sq }
 
-and sq_operator_count : type s. s sq -> int = function
-  | Aggregate (q, _, _) -> 1 + operator_count q
-  | Aggregate_full (q, _, _, _) -> 1 + operator_count q
-  | Aggregate_combinable (q, _, _, _) -> 1 + operator_count q
-  | Sum_int q -> 1 + operator_count q
-  | Sum_float q -> 1 + operator_count q
-  | Count q -> 1 + operator_count q
-  | Average q -> 1 + operator_count q
-  | Min q -> 1 + operator_count q
-  | Max q -> 1 + operator_count q
-  | Min_by (q, _) -> 1 + operator_count q
-  | Max_by (q, _) -> 1 + operator_count q
-  | First q -> 1 + operator_count q
-  | Last q -> 1 + operator_count q
-  | Element_at (q, _) -> 1 + operator_count q
-  | Any q -> 1 + operator_count q
-  | Exists (q, _) -> 1 + operator_count q
-  | For_all (q, _) -> 1 + operator_count q
-  | Contains (q, _) -> 1 + operator_count q
-  | Map_scalar (sq, _) -> sq_operator_count sq
+(* The input is rewritten before any nested plan: the [let]s fix the
+   order, which constructor arguments leave unspecified. *)
+let map : type a. mapper -> a t -> a t =
+ fun f q ->
+  match q with
+  | Of_array _ | Range _ | Repeat _ -> q
+  | Select (q0, l) -> Select (f.q q0, l)
+  | Select_i (q0, l) -> Select_i (f.q q0, l)
+  | Select_q (q0, v, sq) ->
+    let q0 = f.q q0 in
+    Select_q (q0, v, f.sq sq)
+  | Where (q0, p) -> Where (f.q q0, p)
+  | Where_i (q0, p) -> Where_i (f.q q0, p)
+  | Where_q (q0, v, sq) ->
+    let q0 = f.q q0 in
+    Where_q (q0, v, f.sq sq)
+  | Take (q0, n) -> Take (f.q q0, n)
+  | Skip (q0, n) -> Skip (f.q q0, n)
+  | Take_while (q0, p) -> Take_while (f.q q0, p)
+  | Skip_while (q0, p) -> Skip_while (f.q q0, p)
+  | Select_many (q0, v, inner) ->
+    let q0 = f.q q0 in
+    Select_many (q0, v, f.q inner)
+  | Select_many_result (q0, v, inner, r) ->
+    let q0 = f.q q0 in
+    Select_many_result (q0, v, f.q inner, r)
+  | Join (outer, inner, ok, ik, r) ->
+    let outer = f.q outer in
+    Join (outer, f.q inner, ok, ik, r)
+  | Group_by (q0, k) -> Group_by (f.q q0, k)
+  | Group_by_elem (q0, k, e) -> Group_by_elem (f.q q0, k, e)
+  | Group_by_agg (q0, k, seed, step) -> Group_by_agg (f.q q0, k, seed, step)
+  | Order_by (q0, k, dir) -> Order_by (f.q q0, k, dir)
+  | Distinct q0 -> Distinct (f.q q0)
+  | Rev q0 -> Rev (f.q q0)
+  | Materialize q0 -> Materialize (f.q q0)
 
-let rec depth : type a. a t -> int = function
-  | Of_array _ | Range _ | Repeat _ -> 1
-  | Select (q, _) -> depth q
-  | Select_i (q, _) -> depth q
-  | Select_q (q, _, sq) -> max (depth q) (1 + sq_depth sq)
-  | Where (q, _) -> depth q
-  | Where_i (q, _) -> depth q
-  | Where_q (q, _, sq) -> max (depth q) (1 + sq_depth sq)
-  | Take (q, _) -> depth q
-  | Skip (q, _) -> depth q
-  | Take_while (q, _) -> depth q
-  | Skip_while (q, _) -> depth q
-  | Select_many (q, _, inner) -> max (depth q) (1 + depth inner)
-  | Select_many_result (q, _, inner, _) -> max (depth q) (1 + depth inner)
-  | Join (outer, inner, _, _, _) -> max (depth outer) (1 + depth inner)
-  | Group_by (q, _) -> depth q
-  | Group_by_elem (q, _, _) -> depth q
-  | Group_by_agg (q, _, _, _) -> depth q
-  | Order_by (q, _, _) -> depth q
-  | Distinct q -> depth q
-  | Rev q -> depth q
-  | Materialize q -> depth q
+let map_sq : type s. mapper -> s sq -> s sq =
+ fun f sq ->
+  match sq with
+  | Aggregate (q, seed, step) -> Aggregate (f.q q, seed, step)
+  | Aggregate_full (q, seed, step, r) -> Aggregate_full (f.q q, seed, step, r)
+  | Aggregate_combinable (q, seed, step, c) ->
+    Aggregate_combinable (f.q q, seed, step, c)
+  | Sum_int q -> Sum_int (f.q q)
+  | Sum_float q -> Sum_float (f.q q)
+  | Count q -> Count (f.q q)
+  | Average q -> Average (f.q q)
+  | Min q -> Min (f.q q)
+  | Max q -> Max (f.q q)
+  | Min_by (q, k) -> Min_by (f.q q, k)
+  | Max_by (q, k) -> Max_by (f.q q, k)
+  | First q -> First (f.q q)
+  | Last q -> Last (f.q q)
+  | Element_at (q, n) -> Element_at (f.q q, n)
+  | Any q -> Any (f.q q)
+  | Exists (q, p) -> Exists (f.q q, p)
+  | For_all (q, p) -> For_all (f.q q, p)
+  | Contains (q, v) -> Contains (f.q q, v)
+  | Map_scalar (sq0, l) -> Map_scalar (f.sq sq0, l)
 
-and sq_depth : type s. s sq -> int = function
-  | Aggregate (q, _, _) -> depth q
-  | Aggregate_full (q, _, _, _) -> depth q
-  | Aggregate_combinable (q, _, _, _) -> depth q
-  | Sum_int q -> depth q
-  | Sum_float q -> depth q
-  | Count q -> depth q
-  | Average q -> depth q
-  | Min q -> depth q
-  | Max q -> depth q
-  | Min_by (q, _) -> depth q
-  | Max_by (q, _) -> depth q
-  | First q -> depth q
-  | Last q -> depth q
-  | Element_at (q, _) -> depth q
-  | Any q -> depth q
-  | Exists (q, _) -> depth q
-  | For_all (q, _) -> depth q
-  | Contains (q, _) -> depth q
-  | Map_scalar (sq, _) -> sq_depth sq
+type plan = Plan : 'a t -> plan | Plan_sq : 's sq -> plan
+
+(* A node's sub-plans in [map]'s order, read off [map] itself. *)
+let sub_plans walk x =
+  let acc = ref [] in
+  let note p c =
+    acc := p :: !acc;
+    c
+  in
+  ignore
+    (walk
+       { q = (fun c -> note (Plan c) c); sq = (fun c -> note (Plan_sq c) c) }
+       x);
+  List.rev !acc
+
+let input q = match sub_plans map q with [] -> None | p :: _ -> Some p
+
+let nested q = match sub_plans map q with [] -> [] | _ :: ps -> ps
+
+(* Every scalar node holds exactly one plan. *)
+let sq_input sq = List.hd (sub_plans map_sq sq)
+
+let label : type a. a t -> string = function
+  | Of_array _ -> "of-array"
+  | Range _ -> "range"
+  | Repeat _ -> "repeat"
+  | Select _ -> "select"
+  | Select_i _ -> "select-i"
+  | Select_q _ -> "select-sq"
+  | Where _ -> "where"
+  | Where_i _ -> "where-i"
+  | Where_q _ -> "where-sq"
+  | Take _ -> "take"
+  | Skip _ -> "skip"
+  | Take_while _ -> "take-while"
+  | Skip_while _ -> "skip-while"
+  | Select_many _ | Select_many_result _ -> "select-many"
+  | Join _ -> "join"
+  | Group_by _ | Group_by_elem _ -> "group-by"
+  | Group_by_agg _ -> "group-by-agg"
+  | Order_by _ -> "order-by"
+  | Distinct _ -> "distinct"
+  | Rev _ -> "rev"
+  | Materialize _ -> "materialize"
+
+let sq_label : type s. s sq -> string = function
+  | Aggregate _ | Aggregate_full _ | Aggregate_combinable _ -> "aggregate"
+  | Sum_int _ | Sum_float _ -> "sum"
+  | Count _ -> "count"
+  | Average _ -> "average"
+  | Min _ -> "min"
+  | Max _ -> "max"
+  | Min_by _ -> "min-by"
+  | Max_by _ -> "max-by"
+  | First _ -> "first"
+  | Last _ -> "last"
+  | Element_at _ -> "element-at"
+  | Any _ -> "any"
+  | Exists _ -> "exists"
+  | For_all _ -> "for-all"
+  | Contains _ -> "contains"
+  | Map_scalar _ -> "map-scalar"
+
+(* [Map_scalar] post-processes its plan's value and is not counted as an
+   operator of its own. *)
+let rec operator_count : type a. a t -> int =
+ fun q -> List.fold_left (fun n p -> n + plan_count p) 1 (sub_plans map q)
+
+and sq_operator_count : type s. s sq -> int =
+ fun sq ->
+  (match sq with Map_scalar _ -> 0 | _ -> 1) + plan_count (sq_input sq)
+
+and plan_count = function
+  | Plan q -> operator_count q
+  | Plan_sq sq -> sq_operator_count sq
 
 (* Printing: linearize each chain source-first. *)
 

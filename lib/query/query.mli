@@ -209,17 +209,45 @@ val sum_by_float : ('a Expr.t -> float Expr.t) -> 'a t -> float sq
 val average_by : ('a Expr.t -> float Expr.t) -> 'a t -> float sq
 val count_where : ('a Expr.t -> bool Expr.t) -> 'a t -> int sq
 
-(** {1 Structure} *)
+(** {1 Structure}
+
+    The AST's shape, said once: walkers that only rebuild or recurse go
+    through these instead of matching every constructor. *)
+
+type mapper = { q : 'a. 'a t -> 'a t; sq : 's. 's sq -> 's sq }
+
+val map : mapper -> 'a t -> 'a t
+(** [map f q] replaces each immediate sub-plan of [q] with [f]'s result,
+    the input first and then the nested plans ([Join]'s inner side,
+    [Select_many]'s inner query, [Select_q]/[Where_q]'s subquery).  A
+    source is returned as it is. *)
+
+val map_sq : mapper -> 's sq -> 's sq
+
+(** A sub-plan of either kind. *)
+type plan = Plan : 'a t -> plan | Plan_sq : 's sq -> plan
+
+val input : 'a t -> plan option
+(** The node's spine predecessor (a [Join]'s outer side); [None] for a
+    source.  The probed operators of a plan are its spine. *)
+
+val nested : 'a t -> plan list
+(** The node's nested plans, in [map]'s order. *)
+
+val sq_input : 's sq -> plan
+(** A scalar node's one plan: a collection, or the scalar plan a
+    [Map_scalar] post-processes. *)
+
+val label : 'a t -> string
+(** The operator's name in probes, diagnostics, flow annotations and the
+    homomorphism report, e.g. [select-sq] for [Select_q]. *)
+
+val sq_label : 's sq -> string
 
 val operator_count : 'a t -> int
 (** Number of query operators, including nested subqueries. *)
 
 val sq_operator_count : 's sq -> int
-
-val depth : 'a t -> int
-(** Maximal nesting depth (1 for a flat query). *)
-
-val sq_depth : 's sq -> int
 
 val pp : Format.formatter -> 'a t -> unit
 (** Operator-chain dump, e.g. ["Src -> Where(p) -> Select(f) -> Ret"]. *)

@@ -182,9 +182,6 @@ let rec query : type a. a Query.t -> a Query.t =
  fun q -> if not !enabled then q else query_always q
 
 and query_always : type a. a Query.t -> a Query.t = function
-  | Query.Of_array (_, _) as q -> q
-  | Query.Range (_, _) as q -> q
-  | Query.Repeat (_, _, _) as q -> q
   | Query.Select (Query.Group_by (q0, key), lam) -> (
     let q0 = query_always q0 in
     match count_pattern q0 key lam with
@@ -207,59 +204,15 @@ and query_always : type a. a Query.t -> a Query.t = function
     | Some specialized -> specialized
     | None ->
       Query.Select_q (Query.Group_by_elem (q0, key, elem), g, scalar_always sq))
-  | Query.Select (q, lam) -> Query.Select (query_always q, lam)
-  | Query.Select_i (q, lam2) -> Query.Select_i (query_always q, lam2)
-  | Query.Select_q (q, v, sq) ->
-    Query.Select_q (query_always q, v, scalar_always sq)
-  | Query.Where (q, lam) -> Query.Where (query_always q, lam)
-  | Query.Where_i (q, lam2) -> Query.Where_i (query_always q, lam2)
-  | Query.Where_q (q, v, sq) ->
-    Query.Where_q (query_always q, v, scalar_always sq)
-  | Query.Take (q, n) -> Query.Take (query_always q, n)
-  | Query.Skip (q, n) -> Query.Skip (query_always q, n)
-  | Query.Take_while (q, lam) -> Query.Take_while (query_always q, lam)
-  | Query.Skip_while (q, lam) -> Query.Skip_while (query_always q, lam)
-  | Query.Select_many (q, v, inner) ->
-    Query.Select_many (query_always q, v, query_always inner)
-  | Query.Select_many_result (q, v, inner, lam2) ->
-    Query.Select_many_result (query_always q, v, query_always inner, lam2)
-  | Query.Join (outer, inner, ok, ik, res) ->
-    Query.Join (query_always outer, query_always inner, ok, ik, res)
-  | Query.Group_by (q, key) -> Query.Group_by (query_always q, key)
-  | Query.Group_by_elem (q, key, elem) ->
-    Query.Group_by_elem (query_always q, key, elem)
-  | Query.Group_by_agg (q, key, seed, step) ->
-    Query.Group_by_agg (query_always q, key, seed, step)
-  | Query.Order_by (q, key, dir) -> Query.Order_by (query_always q, key, dir)
-  | Query.Distinct q -> Query.Distinct (query_always q)
-  | Query.Rev q -> Query.Rev (query_always q)
-  | Query.Materialize q -> Query.Materialize (query_always q)
+  | q -> Query.map always q
 
 and scalar : type s. s Query.sq -> s Query.sq =
  fun sq -> if not !enabled then sq else scalar_always sq
 
-and scalar_always : type s. s Query.sq -> s Query.sq = function
-  | Query.Aggregate (q, seed, step) -> Query.Aggregate (query_always q, seed, step)
-  | Query.Aggregate_combinable (q, seed, step, combine) ->
-    Query.Aggregate_combinable (query_always q, seed, step, combine)
-  | Query.Aggregate_full (q, seed, step, result) ->
-    Query.Aggregate_full (query_always q, seed, step, result)
-  | Query.Sum_int q -> Query.Sum_int (query_always q)
-  | Query.Sum_float q -> Query.Sum_float (query_always q)
-  | Query.Count q -> Query.Count (query_always q)
-  | Query.Average q -> Query.Average (query_always q)
-  | Query.Min q -> Query.Min (query_always q)
-  | Query.Max q -> Query.Max (query_always q)
-  | Query.Min_by (q, key) -> Query.Min_by (query_always q, key)
-  | Query.Max_by (q, key) -> Query.Max_by (query_always q, key)
-  | Query.First q -> Query.First (query_always q)
-  | Query.Last q -> Query.Last (query_always q)
-  | Query.Element_at (q, n) -> Query.Element_at (query_always q, n)
-  | Query.Any q -> Query.Any (query_always q)
-  | Query.Exists (q, lam) -> Query.Exists (query_always q, lam)
-  | Query.For_all (q, lam) -> Query.For_all (query_always q, lam)
-  | Query.Contains (q, v) -> Query.Contains (query_always q, v)
-  | Query.Map_scalar (sq, lam) -> Query.Map_scalar (scalar_always sq, lam)
+and scalar_always : type s. s Query.sq -> s Query.sq =
+ fun sq -> Query.map_sq always sq
+
+and always = { Query.q = query_always; sq = scalar_always }
 
 (* group_by key |> select (fun g -> ...count...) *)
 and count_pattern :

@@ -111,10 +111,19 @@ let linq_probe_wrapper pr : Linq.wrapper =
    counts cannot diverge.  Their points are marked [pt_derived] and not
    counted at all; the run wrapper copies the upstream point's rows once
    per run.  Barriers (order-by, rev, materialize) also preserve
-   cardinality but decouple the push frames, so they stay counted. *)
-let fused_preserves_rows = function
-  | "select" | "select-i" | "select-sq" -> true
-  | _ -> false
+   cardinality but decouple the push frames, so they stay counted.  The
+   transforms' labels are read off one node of each. *)
+let fused_preserves_rows =
+  let src = Query.range ~start:0 ~count:0 in
+  let transforms =
+    List.map Query.label
+      [
+        Query.select Fun.id src;
+        Query.select_i (fun _ x -> x) src;
+        Query.select_sq (fun _ -> Query.count src) src;
+      ]
+  in
+  fun label -> List.mem label transforms
 
 let fused_probe_wrapper pr : Fused.wrapper =
   {
@@ -326,62 +335,33 @@ let stage_fused : type r. Fused.wrapper -> r Query.root -> unit -> r =
    is the expected case, not a stale plan).  Nested sub-plans (join
    inner sides, subqueries) stage without probe points and are therefore
    not walked. *)
-type rec_op = R_src | R_where of string * float option | R_other
+type rec_op = R_src of string | R_where of string * float option | R_other
 
 (* Like [Opt.estimator] but honest about provenance: [None] when the
    store holds no observation for the predicate. *)
 type sel_oracle = { sel : 'a. ('a, bool) Expr.lam -> float option }
 
+(* A source records its label, the one its probe point carries. *)
 let rec query_schema : type a. sel_oracle -> a Query.t -> rec_op list =
  fun est q ->
-  match q with
-  | Query.Of_array _ | Query.Range _ | Query.Repeat _ -> [ R_src ]
-  | Query.Where (q0, p) ->
-    query_schema est q0 @ [ R_where (Cost.pred_digest p, est.sel p) ]
-  | Query.Select (q0, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Select_i (q0, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Select_q (q0, _, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Where_i (q0, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Where_q (q0, _, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Take (q0, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Skip (q0, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Take_while (q0, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Skip_while (q0, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Select_many (q0, _, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Select_many_result (q0, _, _, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Join (outer, _, _, _, _) -> query_schema est outer @ [ R_other ]
-  | Query.Group_by (q0, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Group_by_elem (q0, _, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Group_by_agg (q0, _, _, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Order_by (q0, _, _) -> query_schema est q0 @ [ R_other ]
-  | Query.Distinct q0 -> query_schema est q0 @ [ R_other ]
-  | Query.Rev q0 -> query_schema est q0 @ [ R_other ]
-  | Query.Materialize q0 -> query_schema est q0 @ [ R_other ]
+  let op =
+    match q with
+    | Query.Of_array _ | Query.Range _ | Query.Repeat _ ->
+      R_src (Query.label q)
+    | Query.Where (_, p) -> R_where (Cost.pred_digest p, est.sel p)
+    | _ -> R_other
+  in
+  spine_schema est (Query.input q) @ [ op ]
 
 (* A scalar query's probe points cover only its collection spine (the
    aggregate itself gets no point), so its schema is the spine's. *)
-let rec sq_schema : type s. sel_oracle -> s Query.sq -> rec_op list =
- fun est sq ->
-  match sq with
-  | Query.Aggregate (q, _, _) -> query_schema est q
-  | Query.Aggregate_full (q, _, _, _) -> query_schema est q
-  | Query.Aggregate_combinable (q, _, _, _) -> query_schema est q
-  | Query.Sum_int q -> query_schema est q
-  | Query.Sum_float q -> query_schema est q
-  | Query.Count q -> query_schema est q
-  | Query.Average q -> query_schema est q
-  | Query.Min q -> query_schema est q
-  | Query.Max q -> query_schema est q
-  | Query.Min_by (q, _) -> query_schema est q
-  | Query.Max_by (q, _) -> query_schema est q
-  | Query.First q -> query_schema est q
-  | Query.Last q -> query_schema est q
-  | Query.Element_at (q, _) -> query_schema est q
-  | Query.Any q -> query_schema est q
-  | Query.Exists (q, _) -> query_schema est q
-  | Query.For_all (q, _) -> query_schema est q
-  | Query.Contains (q, _) -> query_schema est q
-  | Query.Map_scalar (sq, _) -> sq_schema est sq
+and sq_schema : type s. sel_oracle -> s Query.sq -> rec_op list =
+ fun est sq -> spine_schema est (Some (Query.sq_input sq))
+
+and spine_schema est = function
+  | None -> []
+  | Some (Query.Plan q) -> query_schema est q
+  | Some (Query.Plan_sq sq) -> sq_schema est sq
 
 let schema_of : type r. sel_oracle -> r Query.root -> rec_op list =
  fun est -> function
@@ -822,18 +802,13 @@ module Engine = struct
 
   (* Wrap a preparation's run function with the profile bookkeeping:
      accumulate wall time and native row deltas into the probe points,
-     and flush per-run deltas into the engine's metrics registry.  The
-     instrument handles are registered once here, at prepare time. *)
+     and flush per-run operator deltas into the engine's metrics
+     registry.  The instrument handles are registered once here, at
+     prepare time.  Runs themselves are counted by the session that
+     runs the preparation ([Session.instrument]), once. *)
   let wrap_profiled eng (prof : profile) run =
     let m = eng.cfg.metrics in
     let bl = [ "backend", backend_name prof.prof_backend ] in
-    let run_hist =
-      Metrics.histogram m "steno_run_ms"
-        ~help:"Wall time of profiled query runs (milliseconds)" ~labels:bl
-    in
-    let runs_c =
-      Metrics.counter m "steno_runs" ~help:"Profiled query runs" ~labels:bl
-    in
     let handles =
       List.map
         (fun (pt : Metrics.Probe.point) ->
@@ -888,8 +863,6 @@ module Engine = struct
             prev := pt.Metrics.Probe.pt_rows;
             pt.Metrics.Probe.pt_calls <- pt.Metrics.Probe.pt_rows)
           (Metrics.Probe.points prof.prof_probe));
-      Metrics.observe run_hist dt;
-      Metrics.inc runs_c;
       List.iter
         (fun ((pt : Metrics.Probe.point), rows_c, calls_c, last_r, last_c) ->
           Metrics.add rows_c (pt.Metrics.Probe.pt_rows - !last_r);
@@ -1440,8 +1413,7 @@ module Engine = struct
      preparation rather than feeding garbage into the store. *)
   let rec_op_matches op label =
     match op with
-    | R_src ->
-      List.mem label [ "of-array"; "range"; "repeat"; "Src" ]
+    | R_src src -> label = src || label = "Src"
     | R_where _ -> label = "where" || label = "Pred"
     | R_other -> true
 
@@ -2213,9 +2185,10 @@ module Session = struct
       in
       let h =
         ( Metrics.histogram m "steno_run_ms"
-            ~help:"Wall time of profiled query runs (milliseconds)" ~labels,
-          Metrics.counter m "steno_runs" ~help:"Profiled query runs" ~labels
-        )
+            ~help:"Wall time of query runs through a session (milliseconds)"
+            ~labels,
+          Metrics.counter m "steno_runs" ~help:"Query runs through a session"
+            ~labels )
       in
       Atomic.set cell (Some h);
       h

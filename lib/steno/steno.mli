@@ -328,9 +328,9 @@ module Engine : sig
             {!type-op_profile}): staged backends wrap every operator,
             native code generation inserts row-count increments at each
             operator edge, and every run flushes per-run deltas into
-            [metrics] ([steno_run_ms], [steno_runs_total],
-            [steno_operator_rows_total], [steno_operator_calls_total],
-            labelled by backend/op/index).  Profiled native code has
+            [metrics] ([steno_operator_rows_total],
+            [steno_operator_calls_total], labelled by backend/op/index;
+            runs themselves are counted by {!Session}).  Profiled native code has
             distinct cache keys, so it never aliases unprofiled plugins.
             When false (the default), execution is exactly the
             unprofiled code — no wrapper, no increment, no registry

@@ -573,6 +573,70 @@ let test_homo_classifier () =
   | Check.Homo.Combinable _ -> ()
   | Check.Homo.Not_combinable r -> Alcotest.failf "sum not combinable: %s" r
 
+(* One name per operator: the homomorphism report and the flow analysis
+   label each spine operator alike, and the probe points of a profiled
+   Linq and a profiled Fused prepare (unoptimized, so the plan staged is
+   the plan given) carry the same labels, one per collection operator of
+   the spine (a scalar's aggregate gets none). *)
+let test_labels_agree () =
+  let profiled backend =
+    Steno.Engine.(
+      create { default_config with backend; profile = true; optimize = false })
+  in
+  let engines = [ profiled Steno.Linq; profiled Steno.Fused ] in
+  let homo (r : Check.Homo.report) =
+    List.map (fun o -> o.Check.Homo.o_label) r.Check.Homo.r_ops
+  in
+  let probes = function
+    | Some (ps : Steno.profile_snapshot) ->
+      List.map (fun o -> o.Steno.op_label) ps.Steno.ps_ops
+    | None -> Alcotest.fail "a profiled prepare has no profile"
+  in
+  let rec is_prefix p l =
+    match p, l with
+    | [], _ -> true
+    | x :: p, y :: l -> x = y && is_prefix p l
+    | _ :: _, [] -> false
+  in
+  let agree name flow homo probe_sets =
+    Alcotest.(check (list string)) (name ^ ": homo = flow") flow homo;
+    List.iter
+      (fun probe ->
+        if not (probe <> [] && is_prefix probe flow) then
+          Alcotest.failf "%s: probes [%s] are not a prefix of [%s]" name
+            (String.concat "; " probe) (String.concat "; " flow))
+      probe_sets
+  in
+  let check_q name q =
+    agree name
+      (List.map fst (Check.Flow.annotate q))
+      (homo (Check.Homo.classify q))
+      (List.map
+         (fun eng -> probes (Steno.Prepared.profile (Steno.Engine.prepare eng q)))
+         engines)
+  in
+  let check_sq name sq =
+    agree name
+      (List.map fst (Check.Flow.annotate_scalar sq))
+      (homo (Check.Homo.classify_scalar sq))
+      (List.map
+         (fun eng ->
+           probes
+             (Steno.Prepared_scalar.profile (Steno.Engine.prepare_scalar eng sq)))
+         engines)
+  in
+  QCheck.Gen.generate ~rand:(Random.State.make [| 31 |]) ~n:100
+    Plan_gen.pipeline
+  |> List.iteri (fun i plan ->
+         check_q (Printf.sprintf "pipeline %d" i) (Plan_gen.build plan));
+  QCheck.Gen.generate ~rand:(Random.State.make [| 32 |]) ~n:100
+    Plan_gen.redundant
+  |> List.iteri (fun i q -> check_q (Printf.sprintf "redundant %d" i) q);
+  check_sq "aggregate ~combine"
+    (ints data |> Query.where even
+    |> Query.aggregate ~combine:( + ) ~seed:(Expr.int 0) ~step:(fun a x ->
+           I.(a + x)))
+
 (* Explicit per-operator classifications: the verdict for each operator
    class is part of the module's contract (reason strings are not). *)
 let test_homo_operator_verdicts () =
@@ -897,6 +961,7 @@ let () =
           Alcotest.test_case "classifier" `Quick test_homo_classifier;
           Alcotest.test_case "operator verdicts" `Quick
             test_homo_operator_verdicts;
+          Alcotest.test_case "labels agree" `Quick test_labels_agree;
         ] );
       ( "engine",
         [

@@ -633,7 +633,7 @@ steno_pda_checks_total 1
 # TYPE steno_plan_memo counter
 steno_plan_memo_total{result="hit"} 1
 steno_plan_memo_total{result="miss"} 6
-# HELP steno_run_ms Wall time of profiled query runs (milliseconds)
+# HELP steno_run_ms Wall time of query runs through a session (milliseconds)
 # TYPE steno_run_ms histogram
 steno_run_ms_bucket{backend="native",client="strict",le="0.001"} 0
 steno_run_ms_bucket{backend="native",client="strict",le="0.002"} 0
@@ -659,7 +659,7 @@ steno_run_ms_bucket{backend="native",client="strict",le="1048.576"} 0
 steno_run_ms_bucket{backend="native",client="strict",le="+Inf"} 0
 steno_run_ms_sum{backend="native",client="strict"} 0
 steno_run_ms_count{backend="native",client="strict"} 0
-# HELP steno_runs Profiled query runs
+# HELP steno_runs Query runs through a session
 # TYPE steno_runs counter
 steno_runs_total{backend="native",client="strict"} 0
 # HELP steno_verify Translation-validation outcomes for optimizer rewrites
@@ -671,6 +671,41 @@ steno_verify_total{result="accepted"} 2
 let test_metrics_render () =
   with_native @@ fun () ->
   Alcotest.(check string) "scrape" metrics_golden (metrics_script ())
+
+(* A run through a session counts once, whether or not its engine
+   profiles: [k] session runs on a profiled Fused engine sum to [k] over
+   every series of [steno_runs_total] and of [steno_run_ms_count]. *)
+let test_runs_counted_once () =
+  let reg = Metrics.create () in
+  let eng =
+    Steno.Engine.create
+      Steno.Config.(
+        default |> with_backend Steno.Fused |> with_profile true
+        |> with_metrics reg)
+  in
+  let sess = Steno.Session.create eng ~client_id:"once" in
+  let k = 3 in
+  let p = Steno.Session.prepare_scalar sess (sum_above [| 1; 5; 2; 9 |] 2) in
+  for _ = 1 to k do
+    ignore (Steno.Prepared_scalar.run p)
+  done;
+  let total family =
+    String.split_on_char '\n' (Metrics.render reg)
+    |> List.filter_map (fun line ->
+           match String.split_on_char '{' line with
+           | name :: _ when name = family -> (
+             match String.rindex_opt line ' ' with
+             | Some i ->
+               Some
+                 (int_of_float
+                    (float_of_string
+                       (String.sub line (i + 1) (String.length line - i - 1))))
+             | None -> None)
+           | _ -> None)
+    |> List.fold_left ( + ) 0
+  in
+  Alcotest.(check int) "steno_runs_total" k (total "steno_runs_total");
+  Alcotest.(check int) "steno_run_ms_count" k (total "steno_run_ms_count")
 
 (* The events the engine counts beside the prepare path: a tier
    promotion on a threshold-1 engine, a Native prepare that falls back
@@ -741,7 +776,7 @@ steno_compile_total{result="error"} 1
 # TYPE steno_plan_memo counter
 steno_plan_memo_total{result="hit"} 0
 steno_plan_memo_total{result="miss"} 2
-# HELP steno_run_ms Wall time of profiled query runs (milliseconds)
+# HELP steno_run_ms Wall time of query runs through a session (milliseconds)
 # TYPE steno_run_ms histogram
 steno_run_ms_bucket{backend="native",client="golden",le="0.001"} _
 steno_run_ms_bucket{backend="native",client="golden",le="0.002"} _
@@ -767,7 +802,7 @@ steno_run_ms_bucket{backend="native",client="golden",le="1048.576"} _
 steno_run_ms_bucket{backend="native",client="golden",le="+Inf"} _
 steno_run_ms_sum{backend="native",client="golden"} _
 steno_run_ms_count{backend="native",client="golden"} 1
-# HELP steno_runs Profiled query runs
+# HELP steno_runs Query runs through a session
 # TYPE steno_runs counter
 steno_runs_total{backend="native",client="golden"} 1
 # HELP steno_server_queue_ms Time admitted requests spent waiting for an execution slot
@@ -1178,5 +1213,6 @@ let () =
         [
           Alcotest.test_case "scrape after prepares" `Quick test_metrics_render;
           Alcotest.test_case "scrape after events" `Quick test_events_render;
+          Alcotest.test_case "runs counted once" `Quick test_runs_counted_once;
         ] );
     ]

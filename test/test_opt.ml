@@ -285,6 +285,73 @@ let test_empty_collapse () =
          ~result:(fun x y -> I.(x + y)))
     [ "empty-collapse" ]
 
+(* The rewrite log lists a node's input before its nested plans: a
+   [Join]'s outer side before its inner side, a [Select_q]'s input before
+   its subquery.  Each place fires a rule of its own, and a fused filter
+   whose two conjuncts the adaptive pass swaps, told apart by the bound
+   each filter tests (100, 200, 300). *)
+let test_log_order () =
+  let filtered bound =
+    ints data
+    |> Query.where (fun x -> I.(x > Expr.int 1))
+    |> Query.where (fun x -> I.(x < Expr.int bound))
+  in
+  let q =
+    filtered 100 |> Query.rev |> Query.rev
+    |> Query.join
+         ~inner:(filtered 200 |> Query.take 5 |> Query.take 3)
+         ~outer_key:(fun x -> x)
+         ~inner_key:(fun x -> x)
+         ~result:(fun x y -> I.(x + y))
+    |> Query.distinct |> Query.distinct
+    |> Query.select_sq (fun _ ->
+           filtered 300 |> Query.skip 1 |> Query.skip 1 |> Query.count)
+  in
+  let r, log = Opt.plan_ev (Query.Rows q) in
+  Alcotest.(check (list string))
+    "AST pass"
+    [
+      "where-fuse";
+      "rev-rev";
+      "where-fuse";
+      "take-take";
+      "distinct-distinct";
+      "where-fuse";
+      "skip-skip";
+    ]
+    (List.map (fun (e : Opt.event) -> e.Opt.ev_rule) log);
+  (* The second conjunct ([x < bound]) is rated more selective. *)
+  let est =
+    {
+      Opt.est =
+        (fun p ->
+          let l = Cost.pred_label p in
+          if String.contains l '<' then 0.1 else 0.9);
+    }
+  in
+  let bound (e : Opt.event) =
+    match e.Opt.ev_facts with
+    | [ Check.Equiv.Stats_selectivity (h, _, _, _) ] ->
+      List.find_opt
+        (fun b ->
+          let l = Cost.pred_label h and s = string_of_int b in
+          let n = String.length s in
+          let rec has i =
+            i + n <= String.length l && (String.sub l i n = s || has (i + 1))
+          in
+          has 0)
+        [ 100; 200; 300 ]
+      |> Option.value ~default:0
+    | _ -> Alcotest.failf "%s carries no selectivity fact" e.Opt.ev_rule
+  in
+  List.iter
+    (fun split ->
+      let _, evs = Opt.adaptive_ev est ~split r in
+      Alcotest.(check (list int))
+        (Printf.sprintf "adaptive pass, split %b" split)
+        [ 100; 200; 300 ] (List.map bound evs))
+    [ false; true ]
+
 let test_scalar_rewrites () =
   let sq =
     ints data |> Query.where even
@@ -463,6 +530,7 @@ let () =
           Alcotest.test_case "nonempty-any-true" `Quick test_nonempty_any_true;
           Alcotest.test_case "empty-collapse" `Quick test_empty_collapse;
           Alcotest.test_case "scalar" `Quick test_scalar_rewrites;
+          Alcotest.test_case "log order" `Quick test_log_order;
           Alcotest.test_case "rule coverage" `Quick test_rule_coverage;
         ] );
       ( "chain",

@@ -32,10 +32,8 @@ let test_structure () =
     |> Query.select (fun x -> I.(x * x))
   in
   Alcotest.(check int) "operator_count" 3 (Query.operator_count q);
-  Alcotest.(check int) "depth" 1 (Query.depth q);
   let nested = Query.select_many (fun _ -> ints [| 1 |]) q in
   Alcotest.(check int) "nested count" 5 (Query.operator_count nested);
-  Alcotest.(check int) "nested depth" 2 (Query.depth nested);
   let sq = Query.sum_int nested in
   Alcotest.(check int) "scalar count" 6 (Query.sq_operator_count sq)
 

@@ -200,6 +200,19 @@ for span in optimize verify; do
   fi
 done
 
+echo "== operator labels said once =="
+# Query.label and Query.sq_label name every operator for probes,
+# diagnostics, flow annotations and the homomorphism report; no other
+# file in lib/ spells a multi-word label out.
+labels='of-array|select-i|select-sq|where-i|where-sq|take-while|skip-while'
+labels="$labels|select-many|group-by|group-by-agg|order-by|min-by|max-by"
+labels="$labels|element-at|for-all|map-scalar"
+if grep -rnE --include='*.ml' --include='*.mli' "\"($labels)\"" lib \
+    | grep -v '^lib/query/query\.ml:'; then
+  echo "an operator label is spelled out beside Query.label" >&2
+  exit 1
+fi
+
 echo "== plugin store off the prepare path =="
 # A compiled plugin goes to the store's background publisher: lib/steno
 # hands it over with Pcache.submit / Pcache.submit_record and never
